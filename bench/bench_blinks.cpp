@@ -36,12 +36,11 @@ int main() {
     // instance asks for 5x as many generalized answers, which progressive
     // specialization (Sec. 4.3.4) consumes in rank order until 10 concrete
     // answers are verified.
-    BlinksAlgorithm blinks({.d_max = 5, .top_k = 10, .block_size = 1000});
-    BlinksAlgorithm blinks_summary(
-        {.d_max = 5, .top_k = 50, .block_size = 1000});
+    BlinksAlgorithm blinks({.d_max = 5, .top_k = 10});
+    BlinksAlgorithm blinks_summary({.d_max = 5, .top_k = 50});
 
-    // Warm per-graph Blinks indexes so timings measure search, not index
-    // construction (the paper prebuilds all indexes).
+    // Warm scratch buffers and the hierarchy's per-layer state so timings
+    // measure search (the paper prebuilds all indexes).
     if (!inst.workload.empty()) {
       (void)blinks.Evaluate(index.base(), inst.workload[0].keywords);
       (void)EvaluateWithIndex(index, blinks_summary,

@@ -51,7 +51,7 @@ int main() {
     for (size_t threads : {size_t{0}, size_t{1}, size_t{2}, size_t{4},
                            size_t{8}}) {
       QueryEngine engine(index, {.num_threads = threads});
-      // Warm: per-graph Blinks indexes and per-slot contexts.
+      // Warm: per-slot contexts.
       (void)engine.EvaluateBatch(batch);
       double ms = MedianMs(3, [&] {
         auto results = engine.EvaluateBatch(batch);

@@ -22,7 +22,7 @@ int main() {
 
   BenchInstance inst = MakeInstance("yago3", scale, /*max_layers=*/4);
   const BigIndex& index = *inst.index;
-  BlinksAlgorithm blinks({.d_max = 5, .top_k = 50, .block_size = 1000});
+  BlinksAlgorithm blinks({.d_max = 5, .top_k = 50});
 
   const size_t layers = index.NumLayers();
   std::printf("layers built: %zu (+ layer 0)\n\n", layers);

@@ -25,9 +25,8 @@ int main() {
     // The paper fixes |Q| = 4 here; at laptop scale a single query is
     // noise-level, so we total the whole generated workload instead (same
     // growth-with-size shape, more signal).
-    BlinksAlgorithm blinks({.d_max = 5, .top_k = 10, .block_size = 1000});
-    BlinksAlgorithm blinks_summary(
-        {.d_max = 5, .top_k = 50, .block_size = 1000});
+    BlinksAlgorithm blinks({.d_max = 5, .top_k = 10});
+    BlinksAlgorithm blinks_summary({.d_max = 5, .top_k = 50});
     if (inst.workload.empty()) continue;
     (void)blinks.Evaluate(index.base(), inst.workload[0].keywords);  // warm
     (void)EvaluateWithIndex(index, blinks_summary,

@@ -53,10 +53,10 @@ int main(int argc, char** argv) {
   QueryEngine engine(std::move(index).value(),
                      {.register_default_algorithms = false});
   engine.Register(std::make_unique<BlinksAlgorithm>(
-      BlinksOptions{.d_max = 5, .top_k = 50, .block_size = 1000}));
-  BlinksAlgorithm blinks({.d_max = 5, .top_k = 10, .block_size = 1000});
+      BlinksOptions{.d_max = 5, .top_k = 50}));
+  BlinksAlgorithm blinks({.d_max = 5, .top_k = 10});
   const Graph& base = engine.index().base();
-  if (!workload.empty()) {  // warm per-graph Blinks indexes
+  if (!workload.empty()) {  // warm scratch buffers before timing
     (void)blinks.Evaluate(base, workload[0].keywords);
     (void)engine.Evaluate(
         {.keywords = workload[0].keywords,

@@ -155,7 +155,7 @@ size_t BlinksIndex::SingleLevelMemoryEstimate(const Graph& g) {
   return g.NumVertices() * g.DistinctLabels().size() * sizeof(uint32_t);
 }
 
-std::vector<Answer> BlinksSearch(const Graph& g, const BlinksIndex& index,
+std::vector<Answer> BlinksSearch(const Graph& g,
                                  const std::vector<LabelId>& keywords,
                                  const BlinksOptions& options,
                                  QueryContext& ctx, BlinksStats* stats) {
@@ -190,14 +190,6 @@ std::vector<Answer> BlinksSearch(const Graph& g, const BlinksIndex& index,
       complete.push_back(v);
     } else if (was_virgin) {
       partial.push_back(v);
-      // Node-keyword map probe (bi-level index use): an in-block hit tells
-      // us immediately that v is a promising root; the probe count feeds the
-      // diagnostics/breakdown figures. Distances stay exact via the cones.
-      for (size_t j = 0; j < nq; ++j) {
-        if (j == cone_idx) continue;
-        ++st.probes;
-        index.InBlockKeywordDistance(v, keywords[j]);
-      }
     }
   };
 
@@ -289,22 +281,18 @@ std::vector<Answer> BlinksSearch(const Graph& g, const BlinksIndex& index,
   return answers;
 }
 
-std::vector<Answer> BlinksSearch(const Graph& g, const BlinksIndex& index,
+std::vector<Answer> BlinksSearch(const Graph& g,
                                  const std::vector<LabelId>& keywords,
                                  const BlinksOptions& options,
                                  BlinksStats* stats) {
   QueryContext ctx;
-  return BlinksSearch(g, index, keywords, options, ctx, stats);
+  return BlinksSearch(g, keywords, options, ctx, stats);
 }
 
 std::vector<Answer> BlinksAlgorithm::Evaluate(
     const Graph& g, const std::vector<LabelId>& keywords,
     QueryContext& ctx) const {
-  const BlinksIndex* index = cache_.GetOrBuild(g, [&] {
-    return std::make_unique<BlinksIndex>(
-        BlinksIndex::Build(g, options_.block_size));
-  });
-  return BlinksSearch(g, *index, keywords, options_, ctx);
+  return BlinksSearch(g, keywords, options_, ctx);
 }
 
 std::optional<Answer> BlinksAlgorithm::VerifyCandidate(
@@ -312,10 +300,6 @@ std::optional<Answer> BlinksAlgorithm::VerifyCandidate(
     const Answer& candidate, QueryContext& ctx) const {
   return CompleteRootedAnswer(g, keywords, candidate.root, options_.d_max,
                               options_.materialize_paths, ctx);
-}
-
-void BlinksAlgorithm::ClearCache() const {
-  cache_.Clear();
 }
 
 }  // namespace bigindex

@@ -1,44 +1,44 @@
-// Blinks — ranked keyword search with a bi-level index (He et al., SIGMOD'07;
-// paper Sec. 5.3 "Ranked Keyword Search" / rkws).
+// Blinks — ranked keyword search (He et al., SIGMOD'07; paper Sec. 5.3
+// "Ranked Keyword Search" / rkws).
 //
 // Semantics: distinct-root top-k. An answer root r must reach, within d_max
 // hops, one vertex per query keyword; its score is Σ_i dist(r, p_i) (lower is
 // better); at most one answer (the best) per root; the k best roots win.
 //
-// Index (bi-level, Sec. 5.3 "Index construction"): the graph is partitioned
-// into blocks (paper: METIS, avg block 1000 — here a BFS partitioner, see
-// partitioner.h); per block we store keyword-node lists / node-keyword maps
-// restricted to the block (distance from each block vertex to each keyword
-// present in the block), plus the keyword -> blocks list and portal set. The
-// single-level variant (global node-keyword map) is O(|V|^2) and "infeasible
-// for large graphs" per the paper; MemoryBytes()/SingleLevelMemoryEstimate()
-// expose both numbers.
-//
 // Search: per-keyword backward expansion ("expanding backward" of Sec. 5.3)
-// in round-robin increasing-frontier order, candidate roots checked against
-// the node-keyword maps, and sound early termination once the k best complete
-// roots provably beat every incomplete or undiscovered root. Results are
-// exact — equal to exhaustive enumeration — which the tests verify. Search
-// scratch (cone arrays, masks, root lists) lives in the QueryContext.
+// in round-robin increasing-frontier order. The keyword cones alone supply
+// every distance, answer and lower bound; the search keeps no per-graph state,
+// so it needs nothing built ahead of a query and one BlinksAlgorithm serves
+// any number of graphs and threads. Early termination is sound: the search
+// stops once the k best complete roots provably beat every incomplete or
+// undiscovered root, so results equal exhaustive enumeration (tests verify
+// this). Search scratch (cone arrays, masks, root lists) lives in the
+// QueryContext.
+//
+// The search does not use He et al.'s bi-level index. BlinksIndex builds it
+// standalone (graph partitioned into blocks — paper: METIS, avg block 1000;
+// here the BFS partitioner of partitioner.h — with per-block node-keyword
+// maps, keyword -> blocks lists and portals) for its footprint: MemoryBytes()
+// against SingleLevelMemoryEstimate(), the single-level map the paper calls
+// "infeasible for large graphs". Pruning with it would change the algorithm.
 
 #ifndef BIGINDEX_SEARCH_BLINKS_H_
 #define BIGINDEX_SEARCH_BLINKS_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "core/search_algorithm.h"
 #include "engine/query_context.h"
 #include "graph/graph.h"
 #include "search/answer.h"
-#include "search/per_graph_cache.h"
 #include "search/partitioner.h"
 
 namespace bigindex {
 
-/// Options for Blinks search and index construction.
+/// Options for Blinks search.
 struct BlinksOptions {
   /// Pruning threshold τ_prune of He et al.; the paper's experiments use 5.
   uint32_t d_max = 5;
@@ -47,15 +47,12 @@ struct BlinksOptions {
   /// equivalence tests; benchmarks use the paper's top-k setting).
   size_t top_k = 0;
 
-  /// Target block size for the partitioner (paper: average 1000).
-  size_t block_size = 1000;
-
   /// Include root-to-keyword path vertices in answers (needed by BiG-index
   /// answer generation).
   bool materialize_paths = true;
 };
 
-/// The bi-level index of Sec. 5.3, built once per graph.
+/// The bi-level index of Sec. 5.3 (standalone; the search does not read it).
 class BlinksIndex {
  public:
   /// Builds the index: partition + per-block node-keyword maps + keyword ->
@@ -94,28 +91,24 @@ class BlinksIndex {
 struct BlinksStats {
   size_t vertices_popped = 0;   // cone expansion work
   size_t levels_expanded = 0;   // round-robin rounds
-  size_t probes = 0;            // node-keyword map lookups
   bool early_terminated = false;
 };
 
-/// Runs Blinks on `g` with a prebuilt index; scratch comes from `ctx`.
-std::vector<Answer> BlinksSearch(const Graph& g, const BlinksIndex& index,
+/// Runs Blinks on `g`; scratch comes from `ctx`.
+std::vector<Answer> BlinksSearch(const Graph& g,
                                  const std::vector<LabelId>& keywords,
                                  const BlinksOptions& options,
                                  QueryContext& ctx,
                                  BlinksStats* stats = nullptr);
 
 /// Convenience overload running on a throwaway context.
-std::vector<Answer> BlinksSearch(const Graph& g, const BlinksIndex& index,
+std::vector<Answer> BlinksSearch(const Graph& g,
                                  const std::vector<LabelId>& keywords,
                                  const BlinksOptions& options,
                                  BlinksStats* stats = nullptr);
 
-/// Adapter implementing the pluggable `f` interface. Indexes are built lazily
-/// per graph and cached (BiG-index evaluates the same layer graphs
-/// repeatedly); the cache is keyed by storage identity, not graph address —
-/// see search/per_graph_cache.h — and is mutex-guarded, so one algorithm
-/// object may serve concurrent queries over short-lived graphs safely.
+/// Adapter implementing the pluggable `f` interface. Stateless apart from its
+/// options, so one object may serve concurrent queries over any graphs.
 class BlinksAlgorithm final : public KeywordSearchAlgorithm {
  public:
   explicit BlinksAlgorithm(BlinksOptions options = {}) : options_(options) {}
@@ -141,12 +134,8 @@ class BlinksAlgorithm final : public KeywordSearchAlgorithm {
 
   const BlinksOptions& options() const { return options_; }
 
-  /// Drops cached per-graph indexes.
-  void ClearCache() const;
-
  private:
   BlinksOptions options_;
-  mutable PerGraphCache<BlinksIndex> cache_;
 };
 
 }  // namespace bigindex

@@ -1,12 +1,12 @@
 // Address-reuse-safe cache of per-graph derived structures.
 //
-// BlinksAlgorithm and RCliqueAlgorithm build an auxiliary index per graph
-// (distance blocks, neighbor lists) and cache it so one algorithm object can
-// serve many queries. Keying such a cache by `const Graph*` is a lifetime
-// trap: graphs are values, and after one dies the allocator may hand its
-// address to an unrelated graph, silently resurrecting a stale entry (the
-// CsrDifferential suite hits exactly this by evaluating hundreds of
-// short-lived graphs through one algorithm object).
+// RCliqueAlgorithm builds an auxiliary index per graph (neighbor lists) and
+// caches it so one algorithm object can serve many queries. Keying such a
+// cache by `const Graph*` is a lifetime trap: graphs are values, and after
+// one dies the allocator may hand its address to an unrelated graph,
+// silently resurrecting a stale entry (the CsrDifferential suite hits
+// exactly this by evaluating hundreds of short-lived graphs through one
+// algorithm object).
 //
 // PerGraphCache instead keys on the graph's out-offsets array — stable under
 // Graph moves/copies, distinct per layer even when layers share one storage
@@ -34,16 +34,22 @@ class PerGraphCache {
   /// means "infeasible" and is returned without being cached, so a later
   /// call may retry. Thread-safe; the returned pointer stays valid while
   /// `g`'s storage is alive and this cache is not cleared.
+  ///
+  /// `build` runs without the cache mutex held, so a slow build never stalls
+  /// lookups of other, already-cached graphs. Concurrent misses on one graph
+  /// may each build; the first to insert wins, the others' copies are
+  /// dropped, and every caller gets the winner.
   template <typename BuildFn>
   const T* GetOrBuild(const Graph& g, BuildFn&& build) {
     const void* key = g.OutOffsets().data();
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(key);
-    if (it != map_.end() && SameOwner(it->second.storage, g.storage())) {
-      return it->second.value.get();
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (const T* hit = FindLocked(key, g)) return hit;
     }
     std::unique_ptr<T> value = build();
     if (value == nullptr) return nullptr;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (const T* hit = FindLocked(key, g)) return hit;
     if (map_.size() >= kPruneThreshold) Prune();
     Entry& e = map_[key];
     e.storage = g.storage();
@@ -65,6 +71,14 @@ class PerGraphCache {
   // Entries whose graphs died are garbage; sweep them before growing past a
   // handful (real deployments cache one index's worth of layers).
   static constexpr size_t kPruneThreshold = 64;
+
+  const T* FindLocked(const void* key, const Graph& g) const {
+    auto it = map_.find(key);
+    if (it == map_.end() || !SameOwner(it->second.storage, g.storage())) {
+      return nullptr;
+    }
+    return it->second.value.get();
+  }
 
   static bool SameOwner(const std::weak_ptr<const void>& a,
                         const StorageHandle& b) {

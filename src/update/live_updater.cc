@@ -14,6 +14,7 @@ struct UpdaterMetrics {
   Counter& edges;
   Counter& swaps;
   Histogram& apply_ms;
+  Histogram& lock_wait_ms;
 
   static UpdaterMetrics& Get() {
     static UpdaterMetrics m{
@@ -28,8 +29,11 @@ struct UpdaterMetrics {
             "Index versions swapped into serving"),
         MetricsRegistry::Global().GetHistogram(
             "bigindex_update_apply_ms",
-            "Wall time of one LiveUpdater::Apply (maintain + engine + "
-            "publish + swap), ms"),
+            "Wall time of one LiveUpdater::Apply once it holds the writer "
+            "lock (maintain + engine + publish + swap), ms"),
+        MetricsRegistry::Global().GetHistogram(
+            "bigindex_update_lock_wait_ms",
+            "Time one LiveUpdater::Apply waited for the writer lock, ms"),
     };
     return m;
   }
@@ -67,9 +71,11 @@ StatusOr<UpdateOutcome> LiveUpdater::Apply(std::span<const GraphUpdate> updates,
                                            MaintainReport* report) {
   TRACE_SPAN("update/apply");
   UpdaterMetrics& metrics = UpdaterMetrics::Get();
+  Timer wait;
+  std::lock_guard<std::mutex> writer(write_mutex_);
+  metrics.lock_wait_ms.Record(wait.ElapsedMillis());
   Timer timer;
 
-  std::lock_guard<std::mutex> writer(write_mutex_);
   std::shared_ptr<const IndexVersion> cur = versions_.Current();
 
   MaintainReport local_report;

@@ -182,12 +182,9 @@ TEST(BlinksConsistencyTest, EarlyTerminationNeverChangesTopK) {
                 static_cast<VertexId>(rng.Uniform(150)));
     }
     Graph g = std::move(b.Build()).value();
-    BlinksIndex index = BlinksIndex::Build(g, 32);
-    auto full = BlinksSearch(g, index, {0, 1, 2}, {.d_max = 5, .top_k = 0});
+    auto full = BlinksSearch(g, {0, 1, 2}, {.d_max = 5, .top_k = 0});
     for (size_t k : {1, 3, 7}) {
-      auto topk =
-          BlinksSearch(g, index, {0, 1, 2},
-                       {.d_max = 5, .top_k = k});
+      auto topk = BlinksSearch(g, {0, 1, 2}, {.d_max = 5, .top_k = k});
       size_t expect = std::min(k, full.size());
       ASSERT_EQ(topk.size(), expect) << "seed " << seed << " k " << k;
       for (size_t i = 0; i < expect; ++i) {

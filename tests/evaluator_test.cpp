@@ -102,7 +102,7 @@ TEST_P(Thm42Test, BlinksEquivalentAtEveryLayer) {
                       {.max_layers = 2});
   ASSERT_TRUE(index.ok());
 
-  BlinksAlgorithm blinks({.d_max = 3, .top_k = 0, .block_size = 32});
+  BlinksAlgorithm blinks({.d_max = 3, .top_k = 0});
   auto direct = blinks.Evaluate(index->base(), c.query);
   auto direct_set = RootScores(direct);
 

@@ -178,7 +178,7 @@ TEST(IntegrationTest, AllFourSemanticsRunThroughOneIndex) {
   const auto& q = workload[0].keywords;
 
   BkwsAlgorithm bkws({.d_max = 4, .top_k = 0});
-  BlinksAlgorithm blinks({.d_max = 4, .top_k = 0, .block_size = 256});
+  BlinksAlgorithm blinks({.d_max = 4, .top_k = 0});
   BidirectionalAlgorithm bidi({.d_max = 4, .top_k = 0});
   RCliqueAlgorithm rclique({.r = 3, .top_k = 10});
 

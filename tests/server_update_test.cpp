@@ -12,6 +12,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "core/index_io.h"
 #include "engine/query_engine.h"
 #include "graph/label_dictionary.h"
+#include "obs/metrics.h"
 #include "server/line_protocol.h"
 #include "server/search_service.h"
 #include "update/live_updater.h"
@@ -164,8 +166,15 @@ TEST(VersionStore, RollbackConsumesPreviousAndRepublishes) {
 // ---------------------------------------------------------------------------
 // LiveUpdater.
 
+/// Sample count of one of LiveUpdater's process-wide histograms.
+uint64_t UpdaterSamples(std::string_view name) {
+  return MetricsRegistry::Global().GetHistogram(name, "").count();
+}
+
 TEST(LiveUpdater, OutcomeAccountingCoversWholeBatch) {
   UpdateFixture fx;
+  const uint64_t apply_before = UpdaterSamples("bigindex_update_apply_ms");
+  const uint64_t wait_before = UpdaterSamples("bigindex_update_lock_wait_ms");
   std::vector<GraphUpdate> batch = {
       Add(3, 4),     // net add
       Add(3, 4),     // duplicate
@@ -180,12 +189,17 @@ TEST(LiveUpdater, OutcomeAccountingCoversWholeBatch) {
   EXPECT_NE(outcome->mode, UpdateOutcome::Mode::kNone);
   EXPECT_GT(outcome->layers_rebuilt, 0u);
   EXPECT_EQ(outcome->epoch, fx.service.epoch());
+  // One sample per Apply in each histogram: lock wait and time under lock.
+  EXPECT_EQ(UpdaterSamples("bigindex_update_apply_ms"), apply_before + 1);
+  EXPECT_EQ(UpdaterSamples("bigindex_update_lock_wait_ms"), wait_before + 1);
 }
 
 TEST(LiveUpdater, NoopBatchPublishesNothing) {
   UpdateFixture fx;
   const uint64_t sequence = fx.updater.versions().Current()->sequence;
   const uint64_t epoch = fx.service.epoch();
+  const uint64_t apply_before = UpdaterSamples("bigindex_update_apply_ms");
+  const uint64_t wait_before = UpdaterSamples("bigindex_update_lock_wait_ms");
   auto outcome = fx.updater.Apply(std::vector<GraphUpdate>{Remove(5, 0)});
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->applied, 0u);
@@ -194,6 +208,8 @@ TEST(LiveUpdater, NoopBatchPublishesNothing) {
   EXPECT_EQ(outcome->epoch, 0u);  // sentinel: nothing was swapped
   EXPECT_EQ(fx.updater.versions().Current()->sequence, sequence);
   EXPECT_EQ(fx.service.epoch(), epoch);
+  EXPECT_EQ(UpdaterSamples("bigindex_update_apply_ms"), apply_before + 1);
+  EXPECT_EQ(UpdaterSamples("bigindex_update_lock_wait_ms"), wait_before + 1);
 }
 
 TEST(LiveUpdater, SuccessorMatchesRebuildAndSwapInstallsIt) {
