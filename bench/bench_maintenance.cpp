@@ -42,7 +42,7 @@ namespace {
 
 std::string SerializeIndex(const BigIndex& index, const LabelDictionary& dict) {
   std::ostringstream out;
-  Status s = WriteIndex(index, dict, out);
+  Status s = WriteIndexImage(index, dict, out);
   if (!s.ok()) {
     std::fprintf(stderr, "serialize: %s\n", s.ToString().c_str());
     std::exit(1);

@@ -1,5 +1,5 @@
 // Google-benchmark microbenchmarks for the library's building blocks:
-// bisimulation refinement, generalization, BFS cones, partitioning, Blinks /
+// bisimulation refinement, generalization, BFS cones, partitioning, r-clique
 // neighbor index construction, and end-to-end index build. These are not
 // paper artifacts; they track the per-operation costs the paper benches
 // compose.
@@ -70,15 +70,6 @@ void BM_Partition(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Partition)->Arg(100)->Arg(1000);
-
-void BM_BlinksIndexBuild(benchmark::State& state) {
-  const Graph& g = SharedDataset().graph;
-  for (auto _ : state) {
-    BlinksIndex index = BlinksIndex::Build(g, 1000);
-    benchmark::DoNotOptimize(index.MemoryBytes());
-  }
-}
-BENCHMARK(BM_BlinksIndexBuild);
 
 void BM_NeighborIndexBuild(benchmark::State& state) {
   const Graph& g = SharedDataset().graph;

@@ -6,9 +6,8 @@
 //    query time by 14.8% on average on YAGO3.
 //  * Fig. 18: path-based answer generation (Sec. 4.3.3, Algorithm 4) improves
 //    query time by 21.7% on average over vertex-at-a-time (Algorithm 3).
-// Extras beyond the paper (design-choice checks from DESIGN.md): Blinks
-// bi-level index build cost and footprint per block size, and bisimulation
-// refinement-cap coarsening.
+// Extra beyond the paper (a design-choice check from DESIGN.md):
+// bisimulation refinement-cap coarsening.
 
 #include "bench_util.h"
 
@@ -72,23 +71,7 @@ int main() {
               vertex_ms, path_ms,
               vertex_ms > 0 ? 100.0 * (vertex_ms - path_ms) / vertex_ms : 0);
 
-  // Extra ablation 1: Blinks block size (bi-level index granularity). The
-  // search does not read the index, so only its build cost and footprint
-  // depend on the block size.
-  std::printf("\nExtra — Blinks bi-level index vs block size (yago3 data "
-              "graph; single-level map: %.1f MB):\n",
-              BlinksIndex::SingleLevelMemoryEstimate(inst.index->base()) /
-                  1e6);
-  for (size_t block : {100, 500, 1000, 4000}) {
-    size_t bytes = 0;
-    double ms = MedianMs(3, [&] {
-      bytes = BlinksIndex::Build(inst.index->base(), block).MemoryBytes();
-    });
-    std::printf("  block %5zu: build %.2f ms, index %.1f MB\n", block, ms,
-                bytes / 1e6);
-  }
-
-  // Extra ablation 2: capped bisimulation refinement (coarser, larger
+  // Extra ablation: capped bisimulation refinement (coarser, larger
   // blocks): how much summary quality the fixpoint buys.
   std::printf("\nExtra — refinement-cap ablation (yago3 layer-1 summary):\n");
   {

@@ -24,20 +24,17 @@
 #define BIGINDEX_BIGINDEX_H_
 
 #include "bisim/bisimulation.h"     // IWYU pragma: export
-#include "bisim/maintenance.h"      // IWYU pragma: export
 #include "core/answer_gen.h"        // IWYU pragma: export
 #include "core/big_index.h"         // IWYU pragma: export
 #include "core/config_search.h"     // IWYU pragma: export
 #include "core/cost_model.h"        // IWYU pragma: export
 #include "core/evaluator.h"         // IWYU pragma: export
 #include "core/index_image.h"       // IWYU pragma: export
-#include "core/index_io.h"          // IWYU pragma: export
 #include "core/query.h"             // IWYU pragma: export
 #include "core/search_algorithm.h"  // IWYU pragma: export
 #include "engine/executor.h"        // IWYU pragma: export
 #include "engine/query_context.h"   // IWYU pragma: export
 #include "engine/query_engine.h"    // IWYU pragma: export
-#include "graph/binary_io.h"        // IWYU pragma: export
 #include "graph/csr.h"              // IWYU pragma: export
 #include "graph/graph.h"            // IWYU pragma: export
 #include "graph/graph_io.h"         // IWYU pragma: export
@@ -70,6 +67,7 @@
 #include "shard/shard_build.h"      // IWYU pragma: export
 #include "shard/sharded_service.h"  // IWYU pragma: export
 #include "shard/substrate.h"        // IWYU pragma: export
+#include "update/delta.h"           // IWYU pragma: export
 #include "update/incremental.h"     // IWYU pragma: export
 #include "update/live_updater.h"    // IWYU pragma: export
 #include "update/maintain.h"        // IWYU pragma: export

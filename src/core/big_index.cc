@@ -11,7 +11,7 @@
 namespace bigindex {
 namespace {
 
-/// Construction pool owned for the duration of one Build/ApplyUpdates call.
+/// Construction pool owned for the duration of one Build call.
 /// num_threads == 0 creates no pool at all (fully serial, no thread
 /// machinery); a pool with <= 1 workers is also reported as null because
 /// every parallel site falls back to serial below that.
@@ -146,41 +146,6 @@ size_t BigIndex::TotalSummarySize() const {
   size_t total = 0;
   for (const IndexLayer& layer : layers_) total += layer.graph.Size();
   return total;
-}
-
-StatusOr<size_t> BigIndex::ApplyUpdates(std::span<const GraphUpdate> updates) {
-  TRACE_SPAN("build/maintain");
-  static Counter& maintained = MetricsRegistry::Global().GetCounter(
-      "bigindex_maintain_updates_total",
-      "Graph updates applied through BigIndex::ApplyUpdates");
-  static Counter& relayered = MetricsRegistry::Global().GetCounter(
-      "bigindex_maintain_layers_rebuilt_total",
-      "Layers re-summarized by maintenance");
-  maintained.Inc(updates.size());
-  auto updated = bigindex::ApplyUpdates(base_, updates);
-  if (!updated.ok()) return updated.status();
-  base_ = std::move(updated).value();
-
-  // Bottom-up re-summarization with the existing configurations (edge
-  // updates never change labels, so every C^i stays valid). Stop at the
-  // first unchanged summary: all layers above it were computed from an
-  // identical input graph and remain correct.
-  BuildPool pool(options_.build.num_threads);
-  const BisimOptions bisim_opts{.pool = pool.get()};
-  size_t rebuilt = 0;
-  const Graph* current = &base_;
-  for (IndexLayer& layer : layers_) {
-    Graph generalized = Generalize(*current, layer.config);
-    BisimResult bisim = ComputeBisimulation(generalized, bisim_opts);
-    bool changed = !GraphsIdentical(bisim.summary, layer.graph);
-    layer.mapping = std::move(bisim.mapping);
-    if (!changed) break;
-    layer.graph = std::move(bisim.summary);
-    ++rebuilt;
-    current = &layer.graph;
-  }
-  relayered.Inc(rebuilt);
-  return rebuilt;
 }
 
 }  // namespace bigindex

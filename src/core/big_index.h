@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "bisim/bisimulation.h"
-#include "bisim/maintenance.h"
 #include "core/config_search.h"
 #include "graph/graph.h"
 #include "ontology/config.h"
@@ -79,8 +78,8 @@ class BigIndex {
   static StatusOr<BigIndex> Build(Graph base, const Ontology* ontology,
                                   const BigIndexOptions& options = {});
 
-  /// Reassembles an index from serialized parts (see core/index_io.h) or
-  /// from incremental maintenance (update/maintain.h). Validates
+  /// Reassembles an index from a loaded image (core/index_image.h) or from
+  /// incremental maintenance (update/maintain.h). Validates
   /// layer-to-layer consistency (mapping domains/codomains). `options`
   /// become the index's stored options (serialized images don't carry them;
   /// maintenance passes the predecessor's so rebuild behavior is stable).
@@ -129,12 +128,6 @@ class BigIndex {
   /// Total index footprint |G^1| + ... + |G^h| ("the BiG-index size is
   /// simply the sum of the summary graphs", Sec. 6.2).
   size_t TotalSummarySize() const;
-
-  /// Maintenance (Sec. 3.2): applies edge updates to the base graph and
-  /// re-summarizes layers bottom-up, stopping early at the first layer whose
-  /// summary is unchanged (upper layers then remain valid).
-  /// Returns the number of layers rebuilt.
-  StatusOr<size_t> ApplyUpdates(std::span<const GraphUpdate> updates);
 
  private:
   BigIndex(Graph base, const Ontology* ontology, BigIndexOptions options)

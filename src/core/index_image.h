@@ -30,7 +30,7 @@
 // (offset monotonicity, id ranges) are validated before any structure is
 // wired. Corrupt input yields a non-OK Status, never UB. The ontology is
 // not serialized (it ships with the dataset); the caller passes the one the
-// index was built with, exactly as with core/index_io.h.
+// index was built with.
 
 #ifndef BIGINDEX_CORE_INDEX_IMAGE_H_
 #define BIGINDEX_CORE_INDEX_IMAGE_H_

@@ -13,8 +13,8 @@
 // all scratch memory comes from the QueryContext threaded through every
 // call, so one algorithm object serves concurrent queries (each on its own
 // context) over shared graphs. Caches of derived per-graph structures
-// (Blinks bi-level index, r-clique neighbor lists) are allowed but must be
-// internally synchronized.
+// (r-clique neighbor lists) are allowed but must be internally
+// synchronized.
 
 #ifndef BIGINDEX_CORE_SEARCH_ALGORITHM_H_
 #define BIGINDEX_CORE_SEARCH_ALGORITHM_H_

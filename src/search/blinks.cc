@@ -78,83 +78,6 @@ class LazyCone {
 
 }  // namespace
 
-BlinksIndex BlinksIndex::Build(const Graph& g, size_t block_size) {
-  BlinksIndex index;
-  index.partition_ = PartitionGraph(g, block_size);
-  index.portals_ = ComputePortals(g, index.partition_);
-  const size_t num_blocks = index.partition_.NumBlocks();
-  index.node_keyword_.resize(num_blocks);
-
-  // Per block: multi-source backward BFS from each in-block label set,
-  // restricted to block members — the in-block node-keyword map.
-  std::vector<VertexId> queue;
-  std::vector<uint32_t> dist;
-  for (uint32_t b = 0; b < num_blocks; ++b) {
-    auto members = index.partition_.BlockMembers(b);
-    // Distinct labels in this block.
-    std::vector<LabelId> labels;
-    for (VertexId v : members) labels.push_back(g.label(v));
-    std::sort(labels.begin(), labels.end());
-    labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
-
-    for (LabelId l : labels) {
-      index.keyword_blocks_[l].push_back(b);
-      auto& map = index.node_keyword_[b][l];
-      queue.clear();
-      for (VertexId v : members) {
-        if (g.label(v) == l) {
-          map[v] = 0;
-          queue.push_back(v);
-        }
-      }
-      size_t head = 0;
-      const CsrView in = g.In();
-      while (head < queue.size()) {
-        VertexId v = queue[head++];
-        uint32_t d = map[v];
-        const auto [begin, end] = in[v];
-        for (uint64_t i = begin; i < end; ++i) {
-          VertexId u = in.Slot(i);
-          if (index.partition_.BlockOf(u) != b) continue;  // stay in block
-          if (map.count(u)) continue;
-          map[u] = d + 1;
-          queue.push_back(u);
-        }
-      }
-    }
-  }
-
-  // Approximate footprint: each node-keyword entry is a (vertex, dist) pair
-  // in a hash map (~16 bytes payload + overhead estimate).
-  size_t entries = 0;
-  for (const auto& block_map : index.node_keyword_) {
-    for (const auto& [l, m] : block_map) entries += m.size();
-  }
-  index.memory_bytes_ = entries * 24 +
-                        index.portals_.size() * sizeof(VertexId) +
-                        g.NumVertices() * sizeof(uint32_t);
-  return index;
-}
-
-uint32_t BlinksIndex::InBlockKeywordDistance(VertexId v, LabelId label) const {
-  uint32_t b = partition_.BlockOf(v);
-  auto it = node_keyword_[b].find(label);
-  if (it == node_keyword_[b].end()) return kInfDistance;
-  auto vit = it->second.find(v);
-  return vit == it->second.end() ? kInfDistance : vit->second;
-}
-
-std::span<const uint32_t> BlinksIndex::BlocksWithKeyword(LabelId label) const {
-  auto it = keyword_blocks_.find(label);
-  if (it == keyword_blocks_.end()) return {};
-  return it->second;
-}
-
-size_t BlinksIndex::SingleLevelMemoryEstimate(const Graph& g) {
-  // Global node-keyword map: one distance entry per (vertex, distinct label).
-  return g.NumVertices() * g.DistinctLabels().size() * sizeof(uint32_t);
-}
-
 std::vector<Answer> BlinksSearch(const Graph& g,
                                  const std::vector<LabelId>& keywords,
                                  const BlinksOptions& options,

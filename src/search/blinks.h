@@ -15,26 +15,19 @@
 // this). Search scratch (cone arrays, masks, root lists) lives in the
 // QueryContext.
 //
-// The search does not use He et al.'s bi-level index. BlinksIndex builds it
-// standalone (graph partitioned into blocks — paper: METIS, avg block 1000;
-// here the BFS partitioner of partitioner.h — with per-block node-keyword
-// maps, keyword -> blocks lists and portals) for its footprint: MemoryBytes()
-// against SingleLevelMemoryEstimate(), the single-level map the paper calls
-// "infeasible for large graphs". Pruning with it would change the algorithm.
+// The search does not use He et al.'s bi-level index (per-block node-keyword
+// maps over a METIS partition); pruning with it would change the algorithm.
 
 #ifndef BIGINDEX_SEARCH_BLINKS_H_
 #define BIGINDEX_SEARCH_BLINKS_H_
 
 #include <cstdint>
-#include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/search_algorithm.h"
 #include "engine/query_context.h"
 #include "graph/graph.h"
 #include "search/answer.h"
-#include "search/partitioner.h"
 
 namespace bigindex {
 
@@ -50,41 +43,6 @@ struct BlinksOptions {
   /// Include root-to-keyword path vertices in answers (needed by BiG-index
   /// answer generation).
   bool materialize_paths = true;
-};
-
-/// The bi-level index of Sec. 5.3 (standalone; the search does not read it).
-class BlinksIndex {
- public:
-  /// Builds the index: partition + per-block node-keyword maps + keyword ->
-  /// blocks lists + portals.
-  static BlinksIndex Build(const Graph& g, size_t block_size);
-
-  /// In-block distance from v to the nearest vertex labeled `label` within
-  /// v's block; kInfDistance if none. This is the node-keyword map lookup.
-  uint32_t InBlockKeywordDistance(VertexId v, LabelId label) const;
-
-  /// Blocks containing at least one `label` vertex (keyword -> block list).
-  std::span<const uint32_t> BlocksWithKeyword(LabelId label) const;
-
-  const Partition& partition() const { return partition_; }
-  std::span<const VertexId> portals() const { return portals_; }
-
-  /// Actual memory of the bi-level structures, in bytes (approximate).
-  size_t MemoryBytes() const { return memory_bytes_; }
-
-  /// What the single-level index (global node-keyword map) would need:
-  /// |V| * |distinct labels| * entry size. The paper calls this infeasible.
-  static size_t SingleLevelMemoryEstimate(const Graph& g);
-
- private:
-  Partition partition_;
-  std::vector<VertexId> portals_;
-  // node_keyword_[b] : label -> (vertex -> in-block distance).
-  std::vector<std::unordered_map<
-      LabelId, std::unordered_map<VertexId, uint32_t>>>
-      node_keyword_;
-  std::unordered_map<LabelId, std::vector<uint32_t>> keyword_blocks_;
-  size_t memory_bytes_ = 0;
 };
 
 /// Search diagnostics (exposed for the paper's breakdown figures).

@@ -1,12 +1,9 @@
-// Graph partitioning: Blinks blocks and the shard substrate's graph sharder.
+// Graph partitioning for the shard substrate's graph sharder.
 //
-// Two consumers share this module:
-//
-//   * The Blinks bi-level index (Sec. 5.3) needs size-bounded, connected-ish
-//     blocks. The paper uses METIS with an average block size of 1000; METIS
-//     is not available offline, so we substitute a BFS-grown greedy
-//     partitioner over the undirected view of the graph (partition quality
-//     moves constants, not trends — see DESIGN.md, Substitutions).
+//   * PartitionGraph grows size-bounded, connected-ish blocks with a BFS
+//     greedy over the undirected view of the graph, in place of METIS
+//     (not available offline; partition quality moves constants, not
+//     trends). bfs-mode shard plans pack these blocks.
 //
 //   * The shard substrate (src/shard/, DESIGN.md §9) needs a *disjoint shard
 //     cover* of the vertex set plus the manifest of edges its cut severs.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,6 +28,16 @@ bool AllDigits(const std::string& s) {
   for (char c : s) {
     if (!std::isdigit(static_cast<unsigned char>(c))) return false;
   }
+  return true;
+}
+
+/// Parses a decimal vertex id. False unless `s` is all digits and fits
+/// VertexId, so an oversized id is rejected rather than wrapped.
+bool ParseVertexId(const std::string& s, VertexId* out) {
+  if (!AllDigits(s)) return false;
+  const unsigned long long v = std::strtoull(s.c_str(), nullptr, 10);
+  if (v > std::numeric_limits<VertexId>::max()) return false;
+  *out = static_cast<VertexId>(v);
   return true;
 }
 
@@ -193,34 +204,6 @@ std::string HandleInfo(QueryService& service) {
   return out.str();
 }
 
-/// Parses one "add:<u>:<v>" / "remove:<u>:<v>" op token.
-Status ParseUpdateOp(const std::string& token, GraphUpdate* out) {
-  size_t c1 = token.find(':');
-  size_t c2 = c1 == std::string::npos ? std::string::npos
-                                      : token.find(':', c1 + 1);
-  if (c2 == std::string::npos) {
-    return Status::InvalidArgument("malformed update op '" + token +
-                                   "' (want add:<u>:<v> or remove:<u>:<v>)");
-  }
-  std::string kind = token.substr(0, c1);
-  std::string u = token.substr(c1 + 1, c2 - c1 - 1);
-  std::string v = token.substr(c2 + 1);
-  if (kind == "add") {
-    out->kind = GraphUpdate::Kind::kAddEdge;
-  } else if (kind == "remove") {
-    out->kind = GraphUpdate::Kind::kRemoveEdge;
-  } else {
-    return Status::InvalidArgument("unknown update op kind '" + kind + "'");
-  }
-  if (!AllDigits(u) || !AllDigits(v)) {
-    return Status::InvalidArgument("bad vertex id in update op '" + token +
-                                   "'");
-  }
-  out->source = static_cast<VertexId>(std::strtoul(u.c_str(), nullptr, 10));
-  out->target = static_cast<VertexId>(std::strtoul(v.c_str(), nullptr, 10));
-  return Status::OK();
-}
-
 std::string HandleUpdate(QueryService& service,
                          const std::vector<std::string>& tokens) {
   if (tokens.size() < 2) {
@@ -338,16 +321,41 @@ Status ParseVertexList(const std::string& spec, std::vector<VertexId>* out) {
   std::stringstream in(spec);
   std::string tok;
   while (std::getline(in, tok, ',')) {
-    if (!AllDigits(tok)) {
+    VertexId v = kInvalidVertex;
+    if (!ParseVertexId(tok, &v)) {
       return Status::IOError("bad vertex id '" + tok + "' in answer line");
     }
-    out->push_back(static_cast<VertexId>(std::strtoul(tok.c_str(), nullptr,
-                                                      10)));
+    out->push_back(v);
   }
   return Status::OK();
 }
 
 }  // namespace
+
+Status ParseUpdateOp(const std::string& token, GraphUpdate* out) {
+  size_t c1 = token.find(':');
+  size_t c2 = c1 == std::string::npos ? std::string::npos
+                                      : token.find(':', c1 + 1);
+  if (c2 == std::string::npos) {
+    return Status::InvalidArgument("malformed update op '" + token +
+                                   "' (want add:<u>:<v> or remove:<u>:<v>)");
+  }
+  std::string kind = token.substr(0, c1);
+  std::string u = token.substr(c1 + 1, c2 - c1 - 1);
+  std::string v = token.substr(c2 + 1);
+  if (kind == "add") {
+    out->kind = GraphUpdate::Kind::kAddEdge;
+  } else if (kind == "remove") {
+    out->kind = GraphUpdate::Kind::kRemoveEdge;
+  } else {
+    return Status::InvalidArgument("unknown update op kind '" + kind + "'");
+  }
+  if (!ParseVertexId(u, &out->source) || !ParseVertexId(v, &out->target)) {
+    return Status::InvalidArgument("bad vertex id in update op '" + token +
+                                   "'");
+  }
+  return Status::OK();
+}
 
 std::string FormatQueryLine(const EngineQuery& q) {
   std::ostringstream out;
@@ -381,10 +389,7 @@ Status ParseAnswerLine(const std::string& line, Answer* out) {
     if (key == "root") {
       if (value == "-") {
         out->root = kInvalidVertex;
-      } else if (AllDigits(value)) {
-        out->root = static_cast<VertexId>(std::strtoul(value.c_str(), nullptr,
-                                                       10));
-      } else {
+      } else if (!ParseVertexId(value, &out->root)) {
         return Status::IOError("bad root '" + value + "'");
       }
     } else if (key == "score") {

@@ -134,6 +134,11 @@ Status ParseInfoLine(const std::string& line, WireInfo* out);
 /// ("update add:0:1 remove:2:3 ...", global vertex ids).
 std::string FormatUpdateLine(std::span<const GraphUpdate> updates);
 
+/// Parses one UPDATE op token, "add:<u>:<v>" or "remove:<u>:<v>". A
+/// malformed token or a vertex id that does not fit VertexId fails with
+/// InvalidArgument.
+Status ParseUpdateOp(const std::string& token, GraphUpdate* out);
+
 /// Parses the "OK applied=... skipped=... rebuilt=... epoch=... mode=..."
 /// head line of an UPDATE response. applied= and epoch= are required;
 /// unknown keys are skipped.

@@ -30,9 +30,9 @@
 #include <utility>
 #include <vector>
 
-#include "bisim/maintenance.h"
 #include "engine/query_engine.h"
 #include "server/service_stats.h"
+#include "update/delta.h"
 #include "util/status.h"
 
 namespace bigindex {

@@ -32,10 +32,10 @@
 #include <mutex>
 #include <span>
 
-#include "bisim/maintenance.h"
 #include "core/big_index.h"
 #include "engine/query_engine.h"
 #include "server/query_service.h"
+#include "update/delta.h"
 #include "update/maintain.h"
 #include "update/version_store.h"
 #include "util/status.h"

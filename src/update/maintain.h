@@ -62,9 +62,9 @@
 #include <span>
 #include <vector>
 
-#include "bisim/maintenance.h"
 #include "core/big_index.h"
 #include "ontology/config.h"
+#include "update/delta.h"
 #include "update/incremental.h"
 #include "util/status.h"
 

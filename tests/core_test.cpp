@@ -1,16 +1,14 @@
 // Tests for the BiG-index core: cost model (Formula 3), configuration search
 // (Algorithm 1), hierarchy construction (Def 3.1), query-layer selection
-// (Formula 4 / Def 4.1), serialization, and maintenance.
+// (Formula 4 / Def 4.1), and maintenance.
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "core/big_index.h"
 #include "core/config_search.h"
 #include "core/cost_model.h"
-#include "core/index_io.h"
 #include "core/query.h"
+#include "update/maintain.h"
 #include "util/random.h"
 #include "workload/datasets.h"
 #include "workload/graph_gen.h"
@@ -330,27 +328,20 @@ TEST(BigIndexMaintenanceTest, UpdatesKeepInvariants) {
       {GraphUpdate::Kind::kAddEdge, 3, 4},
       {GraphUpdate::Kind::kRemoveEdge, 0, 1},
   };
-  auto rebuilt = index->ApplyUpdates(ups);
-  ASSERT_TRUE(rebuilt.ok());
+  auto maintained = MaintainIndex(*index, ups);
+  ASSERT_TRUE(maintained.ok());
+  EXPECT_TRUE(maintained->base().HasEdge(1, 2));
+  EXPECT_TRUE(maintained->base().HasEdge(3, 4));
+  EXPECT_FALSE(maintained->base().HasEdge(0, 1));
 
   // Invariants hold after maintenance: path preservation at every layer.
-  for (size_t m = 1; m <= index->NumLayers(); ++m) {
-    const Graph& layer = index->LayerGraph(m);
-    for (const auto& [u, v] : index->base().Edges()) {
-      EXPECT_TRUE(
-          layer.HasEdge(index->MapUp(u, 0, m), index->MapUp(v, 0, m)));
+  for (size_t m = 1; m <= maintained->NumLayers(); ++m) {
+    const Graph& layer = maintained->LayerGraph(m);
+    for (const auto& [u, v] : maintained->base().Edges()) {
+      EXPECT_TRUE(layer.HasEdge(maintained->MapUp(u, 0, m),
+                                maintained->MapUp(v, 0, m)));
     }
   }
-}
-
-TEST(BigIndexMaintenanceTest, NoOpUpdateRebuildsNothing) {
-  Fixture f;
-  Graph g = MotifGraph(20, 100, 300);
-  auto index = BigIndex::Build(std::move(g), &f.ont, {.max_layers = 2});
-  ASSERT_TRUE(index.ok());
-  auto rebuilt = index->ApplyUpdates({});
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_EQ(*rebuilt, 0u);
 }
 
 TEST(BigIndexMaintenanceTest, BadUpdateRejected) {
@@ -359,7 +350,7 @@ TEST(BigIndexMaintenanceTest, BadUpdateRejected) {
   auto index = BigIndex::Build(std::move(g), &f.ont, {.max_layers = 2});
   ASSERT_TRUE(index.ok());
   std::vector<GraphUpdate> ups = {{GraphUpdate::Kind::kAddEdge, 0, 999999}};
-  EXPECT_FALSE(index->ApplyUpdates(ups).ok());
+  EXPECT_FALSE(MaintainIndex(*index, ups).ok());
 }
 
 // ---- query layer selection ----
@@ -404,65 +395,6 @@ TEST(QueryLayerTest, CostTradesSizeAgainstSupport) {
   double s0 = QueryLayerCost(*index, {0, 3}, 0, 0.0);
   double s1 = QueryLayerCost(*index, {0, 3}, 1, 0.0);
   EXPECT_LE(s0, s1 + 1e-9);
-}
-
-// ---- serialization ----
-
-TEST(IndexIoTest, RoundTrip) {
-  Fixture f;
-  LabelDictionary dict;
-  for (int i = 0; i < 10; ++i) dict.Intern("L" + std::to_string(i));
-  Graph g = MotifGraph(25, 150, 450);
-  auto index = BigIndex::Build(std::move(g), &f.ont, {.max_layers = 3});
-  ASSERT_TRUE(index.ok());
-
-  std::stringstream ss;
-  ASSERT_TRUE(WriteIndex(*index, dict, ss).ok());
-  LabelDictionary dict2;
-  for (int i = 0; i < 10; ++i) dict2.Intern("L" + std::to_string(i));
-  auto loaded = ReadIndex(ss, dict2, &f.ont);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-
-  EXPECT_EQ(loaded->NumLayers(), index->NumLayers());
-  EXPECT_EQ(loaded->base().NumVertices(), index->base().NumVertices());
-  EXPECT_EQ(loaded->base().NumEdges(), index->base().NumEdges());
-  for (size_t m = 1; m <= index->NumLayers(); ++m) {
-    EXPECT_EQ(loaded->LayerGraph(m).NumVertices(),
-              index->LayerGraph(m).NumVertices());
-    EXPECT_EQ(loaded->LayerGraph(m).NumEdges(),
-              index->LayerGraph(m).NumEdges());
-    EXPECT_EQ(loaded->Layer(m).config.size(), index->Layer(m).config.size());
-    for (VertexId v = 0; v < index->LayerGraph(m - 1).NumVertices(); ++v) {
-      EXPECT_EQ(loaded->Layer(m).mapping.SuperOf(v),
-                index->Layer(m).mapping.SuperOf(v));
-    }
-  }
-}
-
-TEST(IndexIoTest, RejectsGarbage) {
-  std::stringstream ss("garbage\n");
-  LabelDictionary dict;
-  Fixture f;
-  EXPECT_FALSE(ReadIndex(ss, dict, &f.ont).ok());
-}
-
-TEST(IndexIoTest, RejectsTruncation) {
-  Fixture f;
-  LabelDictionary dict;
-  for (int i = 0; i < 10; ++i) dict.Intern("L" + std::to_string(i));
-  Graph g = MotifGraph(26, 50, 100);
-  auto index = BigIndex::Build(std::move(g), &f.ont, {.max_layers = 2});
-  ASSERT_TRUE(index.ok());
-  std::stringstream ss;
-  ASSERT_TRUE(WriteIndex(*index, dict, ss).ok());
-  std::string full = ss.str();
-  // Chop the file at several points; every prefix must be rejected (or be
-  // the full file).
-  for (size_t frac = 1; frac <= 3; ++frac) {
-    std::stringstream cut(full.substr(0, full.size() * frac / 4));
-    LabelDictionary d2;
-    EXPECT_FALSE(ReadIndex(cut, d2, &f.ont).ok()) << "fraction " << frac;
-  }
 }
 
 }  // namespace

@@ -5,9 +5,8 @@
 //  1. The CSR Graph agrees accessor-by-accessor with a naive set-based
 //     adjacency reference built from the same vertex/edge stream.
 //  2. Every registered search algorithm returns identical answers on every
-//     layer whether the index was (a) built in memory, (b) round-tripped
-//     through the text serializer, or (c) loaded zero-copy from a flat
-//     image — i.e. builder-backed and image-backed structures are
+//     layer whether the index was built in memory or loaded zero-copy from
+//     a flat image — i.e. builder-backed and image-backed structures are
 //     indistinguishable to the hot paths.
 //  3. The serialized image is byte-identical across construction thread
 //     counts (1, 2, 8), extending the PR-4 determinism guarantee through
@@ -198,13 +197,7 @@ TEST(CsrDifferentialTest, AlgorithmsAgreeAcrossIndexRepresentations) {
     auto built = BuildIndex(inst, /*threads=*/0);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
 
-    // (b) text round-trip through the legacy parsing loader.
-    std::stringstream text(std::ios::in | std::ios::out);
-    ASSERT_TRUE(WriteIndex(*built, inst.dict, text).ok());
-    auto from_text = ReadIndex(text, inst.dict, &inst.ontology);
-    ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
-
-    // (c) flat image, loaded zero-copy from an in-memory buffer.
+    // Flat image, loaded zero-copy from an in-memory buffer.
     auto image = std::make_shared<const std::string>(
         ImageBytes(*built, inst.dict));
     auto from_image =
@@ -231,10 +224,7 @@ TEST(CsrDifferentialTest, AlgorithmsAgreeAcrossIndexRepresentations) {
         eval.forced_layer = static_cast<int>(layer);
         for (const auto& q : queries) {
           auto a = EvaluateWithIndex(*built, *algo, q, eval);
-          auto b = EvaluateWithIndex(*from_text, *algo, q, eval);
           auto c = EvaluateWithIndex(*from_image, *algo, q, eval);
-          EXPECT_EQ(a, b) << algo->Name() << " built vs text, layer "
-                          << layer;
           EXPECT_EQ(a, c) << algo->Name() << " built vs image, layer "
                           << layer;
         }

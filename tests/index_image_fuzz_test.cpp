@@ -267,34 +267,5 @@ TEST_F(IndexImageFuzzTest, InspectRejectsMalformedAndFlagsBadChecksums) {
   std::remove(bad_path.c_str());
 }
 
-TEST_F(IndexImageFuzzTest, BinaryGraphV2RejectsWrongHeader) {
-  // The graph/ontology binary format got the same version+endianness
-  // treatment; spot-check its rejections here where the fuzz machinery
-  // lives (full round-trip coverage is in io_extensions_test).
-  std::ostringstream out(std::ios::binary);
-  ASSERT_TRUE(WriteGraphBinary(state_->graph, state_->dict, out).ok());
-  std::string bytes = out.str();
-
-  {  // version 1 gets the explicit re-serialize message
-    std::string v1 = bytes;
-    v1[4] = 1;
-    std::istringstream in(v1, std::ios::binary);
-    LabelDictionary d;
-    auto g = ReadGraphBinary(in, d);
-    ASSERT_FALSE(g.ok());
-    EXPECT_NE(g.status().message().find("version 1"), std::string::npos);
-  }
-  {  // byte-swapped endianness marker
-    std::string swapped = bytes;
-    std::swap(swapped[8], swapped[11]);
-    std::swap(swapped[9], swapped[10]);
-    std::istringstream in(swapped, std::ios::binary);
-    LabelDictionary d;
-    auto g = ReadGraphBinary(in, d);
-    ASSERT_FALSE(g.ok());
-    EXPECT_NE(g.status().message().find("endian"), std::string::npos);
-  }
-}
-
 }  // namespace
 }  // namespace bigindex

@@ -73,9 +73,9 @@ TEST(IntegrationTest, SerializedIndexAnswersLikeFreshIndex) {
                                {.max_layers = 3});
   ASSERT_TRUE(index.ok());
 
-  std::string ipath = TempPath("i.txt");
-  ASSERT_TRUE(SaveIndexFile(*index, *ds->dict, ipath).ok());
-  auto loaded = LoadIndexFile(ipath, *ds->dict, &ds->ontology.ontology);
+  std::string ipath = TempPath("i.img");
+  ASSERT_TRUE(SaveIndexImageFile(*index, *ds->dict, ipath).ok());
+  auto loaded = LoadIndexImage(ipath, *ds->dict, &ds->ontology.ontology);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   QueryGenOptions qopt;
@@ -148,7 +148,8 @@ TEST(IntegrationTest, MaintenanceThenQueryStaysEquivalent) {
                    static_cast<VertexId>(rng.Uniform(n)),
                    static_cast<VertexId>(rng.Uniform(n))});
   }
-  ASSERT_TRUE(index->ApplyUpdates(ups).ok());
+  auto maintained = MaintainIndex(*index, ups);
+  ASSERT_TRUE(maintained.ok()) << maintained.status().ToString();
 
   // Post-update hierarchy answers == direct answers on the updated graph.
   QueryGenOptions qopt;
@@ -157,8 +158,8 @@ TEST(IntegrationTest, MaintenanceThenQueryStaysEquivalent) {
   auto workload = GenerateQueryWorkload(*ds, qopt);
   BkwsAlgorithm bkws({.d_max = 4, .top_k = 0});
   for (const QuerySpec& q : workload) {
-    auto direct = bkws.Evaluate(index->base(), q.keywords);
-    auto hier = EvaluateWithIndex(*index, bkws, q.keywords,
+    auto direct = bkws.Evaluate(maintained->base(), q.keywords);
+    auto hier = EvaluateWithIndex(*maintained, bkws, q.keywords,
                                   {.forced_layer = 1});
     EXPECT_EQ(RootScores(hier), RootScores(direct)) << q.id;
   }

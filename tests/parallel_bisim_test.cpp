@@ -18,11 +18,11 @@
 #include <vector>
 
 #include "bisim/bisimulation.h"
-#include "bisim/maintenance.h"
 #include "core/big_index.h"
-#include "core/index_io.h"
+#include "core/index_image.h"
 #include "engine/executor.h"
 #include "testing/random_graph.h"
+#include "update/delta.h"
 #include "workload/datasets.h"
 
 namespace bigindex {
@@ -173,7 +173,7 @@ std::string SerializeBuild(const Dataset& ds, size_t num_threads,
   auto index = BigIndex::Build(ds.graph, &ds.ontology.ontology, opt);
   EXPECT_TRUE(index.ok()) << index.status().ToString();
   std::ostringstream out;
-  EXPECT_TRUE(WriteIndex(*index, *ds.dict, out).ok());
+  EXPECT_TRUE(WriteIndexImage(*index, *ds.dict, out).ok());
   return std::move(out).str();
 }
 
@@ -208,13 +208,13 @@ TEST(BuildDeterminismTest, DefaultConfigBuildIdenticalAcrossThreadCounts) {
   auto reference = BigIndex::Build(ds->graph, &ds->ontology.ontology, opt);
   ASSERT_TRUE(reference.ok());
   std::ostringstream ref_out;
-  ASSERT_TRUE(WriteIndex(*reference, *ds->dict, ref_out).ok());
+  ASSERT_TRUE(WriteIndexImage(*reference, *ds->dict, ref_out).ok());
 
   opt.build.num_threads = 4;
   auto parallel = BigIndex::Build(ds->graph, &ds->ontology.ontology, opt);
   ASSERT_TRUE(parallel.ok());
   std::ostringstream par_out;
-  ASSERT_TRUE(WriteIndex(*parallel, *ds->dict, par_out).ok());
+  ASSERT_TRUE(WriteIndexImage(*parallel, *ds->dict, par_out).ok());
   EXPECT_EQ(ref_out.str(), par_out.str());
 }
 

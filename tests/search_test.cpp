@@ -1,5 +1,5 @@
 // Tests for the three keyword search semantics: bkws (backward search),
-// Blinks (ranked distinct-root top-k; its standalone bi-level index), and
+// Blinks (ranked distinct-root top-k), and
 // r-clique (distance-bounded multi-center answers + neighbor index).
 
 #include <gtest/gtest.h>
@@ -205,40 +205,6 @@ TEST(PartitionerTest, PortalsAreCrossingVertices) {
 }
 
 // ---------- Blinks ----------
-
-TEST(BlinksIndexTest, InBlockDistances) {
-  // 0 -> 1 -> 2(Kw); single block.
-  Graph g = BuildGraph({0, 0, 1}, {{0, 1}, {1, 2}});
-  BlinksIndex index = BlinksIndex::Build(g, 100);
-  EXPECT_EQ(index.InBlockKeywordDistance(2, 1), 0u);
-  EXPECT_EQ(index.InBlockKeywordDistance(1, 1), 1u);
-  EXPECT_EQ(index.InBlockKeywordDistance(0, 1), 2u);
-  EXPECT_EQ(index.InBlockKeywordDistance(0, 9), kInfDistance);
-}
-
-TEST(BlinksIndexTest, InBlockDistanceRespectsBlockBoundary) {
-  // Path 0 -> 1 -> 2 -> 3(Kw), block size 2 splits {0,1} | {2,3}.
-  Graph g = BuildGraph({0, 0, 0, 1}, {{0, 1}, {1, 2}, {2, 3}});
-  BlinksIndex index = BlinksIndex::Build(g, 2);
-  // Vertex 1 is in the first block, which contains no Kw vertex.
-  EXPECT_EQ(index.InBlockKeywordDistance(1, 1), kInfDistance);
-  EXPECT_EQ(index.InBlockKeywordDistance(2, 1), 1u);
-}
-
-TEST(BlinksIndexTest, KeywordBlockLists) {
-  Graph g = BuildGraph({0, 1, 0, 1}, {{0, 1}, {2, 3}});
-  BlinksIndex index = BlinksIndex::Build(g, 2);
-  auto blocks = index.BlocksWithKeyword(1);
-  EXPECT_EQ(blocks.size(), 2u);
-  EXPECT_TRUE(index.BlocksWithKeyword(7).empty());
-}
-
-TEST(BlinksIndexTest, BiLevelSmallerThanSingleLevel) {
-  Graph g = RandomGraph(11, 300, 900, 30);
-  BlinksIndex index = BlinksIndex::Build(g, 32);
-  EXPECT_GT(index.MemoryBytes(), 0u);
-  EXPECT_LT(index.MemoryBytes(), BlinksIndex::SingleLevelMemoryEstimate(g) * 2);
-}
 
 TEST(BlinksTest, MatchesBkwsSemantics) {
   // With top_k = 0 Blinks must return exactly the distinct-root answer set

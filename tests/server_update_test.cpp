@@ -17,14 +17,14 @@
 #include <utility>
 #include <vector>
 
-#include "bisim/maintenance.h"
 #include "core/big_index.h"
-#include "core/index_io.h"
+#include "core/index_image.h"
 #include "engine/query_engine.h"
 #include "graph/label_dictionary.h"
 #include "obs/metrics.h"
 #include "server/line_protocol.h"
 #include "server/search_service.h"
+#include "update/delta.h"
 #include "update/live_updater.h"
 #include "update/version_store.h"
 
@@ -68,7 +68,7 @@ std::string Serialize(const BigIndex& index) {
   LabelDictionary dict;
   for (size_t i = 0; i < 10; ++i) dict.Intern("t" + std::to_string(i));
   std::ostringstream out;
-  EXPECT_TRUE(WriteIndex(index, dict, out).ok());
+  EXPECT_TRUE(WriteIndexImage(index, dict, out).ok());
   return out.str();
 }
 
@@ -418,6 +418,9 @@ TEST(UpdateVerb, EndToEndThroughLineHandler) {
   EXPECT_TRUE(handler.Handle("update add:1").response.starts_with("ERR"));
   EXPECT_TRUE(handler.Handle("update grow:1:2").response.starts_with("ERR"));
   EXPECT_TRUE(handler.Handle("update add:x:2").response.starts_with("ERR"));
+  // 2^32 does not fit a VertexId; it must not wrap to vertex 0.
+  EXPECT_TRUE(handler.Handle("update add:4294967296:1")
+                  .response.starts_with("ERR"));
 }
 
 // ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "bisim/maintenance.h"
 #include "core/big_index.h"
 #include "core/index_image.h"
 #include "engine/query_engine.h"
@@ -40,6 +39,7 @@
 #include "shard/shard_build.h"
 #include "shard/sharded_service.h"
 #include "testing/random_graph.h"
+#include "update/delta.h"
 #include "util/random.h"
 #include "util/timer.h"
 

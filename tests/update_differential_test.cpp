@@ -22,14 +22,14 @@
 #include <utility>
 #include <vector>
 
-#include "bisim/maintenance.h"
 #include "core/big_index.h"
-#include "core/index_io.h"
+#include "core/index_image.h"
 #include "engine/query_engine.h"
 #include "graph/label_dictionary.h"
 #include "search/rclique.h"
 #include "server/search_service.h"
 #include "testing/random_graph.h"
+#include "update/delta.h"
 #include "update/live_updater.h"
 #include "update/maintain.h"
 #include "util/random.h"
@@ -118,8 +118,30 @@ std::string Serialize(const BigIndex& index, size_t label_slots) {
     dict.Intern("t" + std::to_string(i));
   }
   std::ostringstream out;
-  EXPECT_TRUE(WriteIndex(index, dict, out).ok());
+  EXPECT_TRUE(WriteIndexImage(index, dict, out).ok());
   return out.str();
+}
+
+// Negative control for the byte comparator the gates below rely on: indexes
+// over base graphs one edge apart must serialize to different image bytes,
+// so an equality check can fail.
+TEST(UpdateDifferentialGate, OneEdgeApartImagesDiffer) {
+  for (int seed = 1; seed <= 10; ++seed) {
+    RandomInstance inst = MakeInstance(seed);
+    ASSERT_GT(inst.graph.NumEdges(), 0u);
+    const auto [u, v] = inst.graph.Edges().front();
+    auto without = ApplyUpdates(
+        inst.graph, std::vector<GraphUpdate>{
+                        {GraphUpdate::Kind::kRemoveEdge, u, v}});
+    ASSERT_TRUE(without.ok());
+    BigIndexOptions opts;
+    opts.max_layers = 2;
+    auto a = BigIndex::Build(inst.graph, &inst.ontology, opts);
+    auto b = BigIndex::Build(*without, &inst.ontology, opts);
+    ASSERT_TRUE(a.ok() && b.ok());
+    const size_t slots = inst.ontology.LabelSlots();
+    EXPECT_NE(Serialize(*a, slots), Serialize(*b, slots)) << "seed " << seed;
+  }
 }
 
 TEST(UpdateDifferentialGate, ServingMatchesRebuildOnInterleavedStreams) {

@@ -5,7 +5,8 @@
 //           Generate a stand-in dataset and write graph + ontology files.
 //   build   <graph.in> <ontology.in> <index.out> [max_layers]
 //           [--build-threads N]
-//           Build a BiG-index from files and serialize it. --build-threads
+//           Build a BiG-index from files and write it as a flat index
+//           image (core/index_image.h). --build-threads
 //           parallelizes construction (0 = serial, the default; output is
 //           identical either way).
 //   stats   <graph.in> <ontology.in> <index.in>
@@ -32,15 +33,12 @@
 //           [--fallback-ratio F] [--force-wholesale]
 //           Apply an edge-update batch to a built index offline via
 //           incremental maintenance (update/maintain.h) and print the
-//           per-layer maintenance report. --out writes the successor index
-//           (image or text by extension); --check additionally rebuilds
-//           from scratch on the updated graph and verifies the successor is
+//           per-layer maintenance report. --out writes the successor
+//           index image; --check additionally rebuilds from scratch on the
+//           updated graph and verifies the successor's image is
 //           byte-identical (exit 1 on divergence).
 //
-// Index files may be either the text format (core/index_io.h) or a flat
-// mmap image (core/index_image.h); readers sniff the magic and pick the
-// right loader. `build` writes an image when the output path ends in
-// ".img", the text format otherwise.
+// Every index file is a flat mmap image (core/index_image.h).
 //
 // Query evaluation goes through the QueryEngine: the CLI registers the
 // selected algorithm with its configured options and submits EngineQuery
@@ -49,7 +47,6 @@
 // Exit status: 0 on success, 1 on any error (message on stderr).
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -172,19 +169,6 @@ StatusOr<Loaded> LoadGraphAndOntology(const char* graph_path,
   return out;
 }
 
-/// Loads an index in either format: mmap image (sniffed by magic) or text.
-StatusOr<BigIndex> LoadIndexAuto(const char* path, LabelDictionary& dict,
-                                 const Ontology* ontology) {
-  if (LooksLikeIndexImage(path)) {
-    return LoadIndexImage(path, dict, ontology);
-  }
-  return LoadIndexFile(path, dict, ontology);
-}
-
-bool EndsWithImg(const std::string& path) {
-  return path.size() >= 4 && path.compare(path.size() - 4, 4, ".img") == 0;
-}
-
 int CmdBuild(int argc, char** argv) {
   BigIndexOptions opt;
   // Split flags from positionals so --build-threads can go anywhere.
@@ -208,10 +192,8 @@ int CmdBuild(int argc, char** argv) {
   auto index =
       BigIndex::Build(loaded->graph, &loaded->ontology, opt);
   if (!index.ok()) return Fail(index.status());
-  Status s = EndsWithImg(pos[2])
-                 ? SaveIndexImageFile(*index, loaded->dict, pos[2])
-                 : SaveIndexFile(*index, loaded->dict, pos[2]);
-  if (!s.ok()) return Fail(s);
+  BIGINDEX_RETURN_IF_ERROR_CLI(
+      SaveIndexImageFile(*index, loaded->dict, pos[2]));
   std::printf(
       "built %zu layers in %.1f ms (%zu build thread(s)); layer-1 ratio "
       "%.4f; wrote %s\n",
@@ -224,7 +206,7 @@ int CmdStats(int argc, char** argv) {
   if (argc < 3) return Usage();
   auto loaded = LoadGraphAndOntology(argv[0], argv[1]);
   if (!loaded.ok()) return Fail(loaded.status());
-  auto index = LoadIndexAuto(argv[2], loaded->dict, &loaded->ontology);
+  auto index = LoadIndexImage(argv[2], loaded->dict, &loaded->ontology);
   if (!index.ok()) return Fail(index.status());
   std::printf("layer  |V|        |E|        |G|        ratio\n");
   for (size_t m = 0; m <= index->NumLayers(); ++m) {
@@ -240,7 +222,7 @@ int CmdQuery(int argc, char** argv) {
   if (argc < 5) return Usage();
   auto loaded = LoadGraphAndOntology(argv[0], argv[1]);
   if (!loaded.ok()) return Fail(loaded.status());
-  auto index = LoadIndexAuto(argv[2], loaded->dict, &loaded->ontology);
+  auto index = LoadIndexImage(argv[2], loaded->dict, &loaded->ontology);
   if (!index.ok()) return Fail(index.status());
 
   std::string algo_name = argv[3];
@@ -289,7 +271,7 @@ int CmdBatch(int argc, char** argv) {
   if (argc < 5) return Usage();
   auto loaded = LoadGraphAndOntology(argv[0], argv[1]);
   if (!loaded.ok()) return Fail(loaded.status());
-  auto index = LoadIndexAuto(argv[2], loaded->dict, &loaded->ontology);
+  auto index = LoadIndexImage(argv[2], loaded->dict, &loaded->ontology);
   if (!index.ok()) return Fail(index.status());
 
   std::string algo_name = argv[3];
@@ -468,43 +450,6 @@ int CmdShard(int argc, char** argv) {
   return 0;
 }
 
-/// Parses one "add:<u>:<v>" / "remove:<u>:<v>" token (the same op syntax
-/// the line protocol's UPDATE verb uses). False = malformed (message
-/// printed).
-bool ParseUpdateOp(const std::string& token, GraphUpdate* out) {
-  size_t first = token.find(':');
-  size_t second = first == std::string::npos ? std::string::npos
-                                             : token.find(':', first + 1);
-  if (second == std::string::npos) {
-    std::fprintf(stderr, "error: malformed update op '%s'\n", token.c_str());
-    return false;
-  }
-  std::string kind = token.substr(0, first);
-  if (kind == "add") {
-    out->kind = GraphUpdate::Kind::kAddEdge;
-  } else if (kind == "remove") {
-    out->kind = GraphUpdate::Kind::kRemoveEdge;
-  } else {
-    std::fprintf(stderr, "error: unknown update op kind '%s'\n", kind.c_str());
-    return false;
-  }
-  const std::string u = token.substr(first + 1, second - first - 1);
-  const std::string v = token.substr(second + 1);
-  auto all_digits = [](const std::string& s) {
-    return !s.empty() &&
-           std::all_of(s.begin(), s.end(),
-                       [](unsigned char c) { return std::isdigit(c); });
-  };
-  if (!all_digits(u) || !all_digits(v)) {
-    std::fprintf(stderr, "error: non-numeric endpoint in '%s'\n",
-                 token.c_str());
-    return false;
-  }
-  out->source = static_cast<VertexId>(std::strtoull(u.c_str(), nullptr, 10));
-  out->target = static_cast<VertexId>(std::strtoull(v.c_str(), nullptr, 10));
-  return true;
-}
-
 const char* MaintenanceName(LayerMaintenance mode) {
   switch (mode) {
     case LayerMaintenance::kPatched: return "patched";
@@ -543,13 +488,13 @@ int CmdUpdate(int argc, char** argv) {
   if (pos.size() < 4) return Usage();
   auto loaded = LoadGraphAndOntology(pos[0], pos[1]);
   if (!loaded.ok()) return Fail(loaded.status());
-  auto index = LoadIndexAuto(pos[2], loaded->dict, &loaded->ontology);
+  auto index = LoadIndexImage(pos[2], loaded->dict, &loaded->ontology);
   if (!index.ok()) return Fail(index.status());
 
   std::vector<GraphUpdate> updates;
   for (size_t i = 3; i < pos.size(); ++i) {
     GraphUpdate up;
-    if (!ParseUpdateOp(pos[i], &up)) return Usage();
+    BIGINDEX_RETURN_IF_ERROR_CLI(ParseUpdateOp(pos[i], &up));
     updates.push_back(up);
   }
 
@@ -599,9 +544,9 @@ int CmdUpdate(int argc, char** argv) {
     if (!rebuilt.ok()) return Fail(rebuilt.status());
     std::ostringstream inc_bytes, scratch_bytes;
     BIGINDEX_RETURN_IF_ERROR_CLI(
-        WriteIndex(*successor, loaded->dict, inc_bytes));
+        WriteIndexImage(*successor, loaded->dict, inc_bytes));
     BIGINDEX_RETURN_IF_ERROR_CLI(
-        WriteIndex(*rebuilt, loaded->dict, scratch_bytes));
+        WriteIndexImage(*rebuilt, loaded->dict, scratch_bytes));
     if (inc_bytes.str() != scratch_bytes.str()) {
       std::fprintf(stderr,
                    "error: incremental result diverges from from-scratch "
@@ -613,12 +558,8 @@ int CmdUpdate(int argc, char** argv) {
   }
 
   if (!out_path.empty()) {
-    Status s = EndsWithImg(out_path)
-                   ? SaveIndexImageFile(*successor, loaded->dict,
-                                        out_path.c_str())
-                   : SaveIndexFile(*successor, loaded->dict,
-                                   out_path.c_str());
-    if (!s.ok()) return Fail(s);
+    BIGINDEX_RETURN_IF_ERROR_CLI(
+        SaveIndexImageFile(*successor, loaded->dict, out_path));
     std::printf("wrote %s\n", out_path.c_str());
   }
   return 0;

@@ -5,11 +5,12 @@
 # cross-thread sharing, including the update differential gate and the
 # cache-epoch race test) plus the multi-process coordinator/shard
 # integration test (which now drives the UPDATE verb end to end), then an
-# ASan+UBSan pass over the index-image fuzz and binary-io suites
-# (hostile-bytes paths), then a docs-link check, a metrics-overhead smoke, a
-# parallel-construction smoke, an index-image cold-start smoke, the shard
-# scatter-gather throughput gate, a maintenance differential smoke, and a
-# short serving-layer load smoke (with the mixed read/update phase).
+# ASan+UBSan pass over the index-image fuzz suite (hostile-bytes paths),
+# then the docs checks (dead links, protocol verbs, metric catalog), a
+# metrics-overhead smoke, a parallel-construction smoke, an index-image
+# cold-start smoke, the shard scatter-gather throughput gate, a maintenance
+# differential smoke, a short serving-layer load smoke (with the mixed
+# read/update phase), and the over-the-wire bench_e2e smoke.
 #
 #   tools/ci.sh [jobs]
 #
@@ -48,14 +49,14 @@ echo "=== tsan: multi-process coordinator/shard integration ==="
 tools/shard_integration.sh build-tsan
 
 echo
-echo "=== asan+ubsan: index-image fuzz + binary io (build-asan/) ==="
+echo "=== asan+ubsan: index-image fuzz (build-asan/) ==="
 cmake -B build-asan -S . -DBIGINDEX_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$JOBS" --target bigindex_tests
 # The fuzz suite feeds truncated/corrupted images through the mmap loader;
 # any out-of-bounds read or UB under hostile bytes is a hard failure.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   ./build-asan/tests/bigindex_tests \
-  --gtest_filter='IndexImageFuzz*:BinaryIo*'
+  --gtest_filter='IndexImageFuzz*'
 
 echo
 echo "=== docs: no dead relative links in *.md ==="
@@ -66,6 +67,10 @@ echo "=== docs: protocol verbs match server dispatch ==="
 tools/check_protocol_docs.sh
 
 echo
+echo "=== docs: metric catalog matches registered metrics ==="
+tools/check_metrics_docs.sh
+
+echo
 echo "=== smoke: disabled-instrumentation overhead budget ==="
 # Fails if the disabled observability hooks would cost > 2% of real query
 # time (BIGINDEX_OBS_OVERHEAD_PCT overrides the threshold).
@@ -74,13 +79,14 @@ echo "=== smoke: disabled-instrumentation overhead budget ==="
 echo
 echo "=== smoke: parallel construction (2 threads == serial) ==="
 # Builds a small index twice (serial, then 2 build threads) and fails if the
-# serialized results differ — exercises the parallel construction path in CI.
+# index images differ — exercises the parallel construction path in CI.
 ./build/bench/bench_construction --smoke
 
 echo
 echo "=== smoke: index image cold start (load correctness + >=10x) ==="
-# Saves a small index in both formats and fails unless the mmap image loads
-# correctly (identical answers) and beats the parsing loader by >= 10x.
+# Saves the dataset files and an index image, and fails unless the mmap
+# image loads correctly (identical answers) and beats parse + build by
+# >= 10x.
 ./build/bench/bench_index_load --check
 
 echo
@@ -93,7 +99,7 @@ BIGINDEX_BENCH_SCALE="${BIGINDEX_BENCH_SCALE:-0.002}" \
 echo
 echo "=== smoke: maintenance differential (incremental == wholesale == rebuild) ==="
 # One mixed update batch through all three maintenance paths; fails unless
-# the three serialized indexes are byte-identical.
+# the three index images are byte-identical.
 ./build/bench/bench_maintenance --smoke
 
 echo
@@ -110,6 +116,12 @@ echo "=== smoke: serving-layer load generator (~2s) ==="
 # swaps) end to end without benchmarking anything.
 BIGINDEX_BENCH_SCALE="${BIGINDEX_BENCH_SCALE:-0.002}" \
   ./build/bench/bench_server --smoke
+
+echo
+echo "=== smoke: bench_e2e over the wire (~8s) ==="
+# Every bench_e2e workload for about a second through real sockets, with its
+# correctness checks (answers, failed == 0); builds its own Release tree.
+bash bench_e2e/run.sh --smoke
 
 echo
 echo "CI OK"
