@@ -23,7 +23,6 @@
 // tools/ci.sh to exercise the parallel construction path cheaply.
 
 #include <cstring>
-#include <sstream>
 #include <thread>
 
 #include "bench_util.h"
@@ -32,16 +31,6 @@ using namespace bigindex;
 using namespace bigindex::bench;
 
 namespace {
-
-std::string SerializeIndex(const BigIndex& index, const LabelDictionary& dict) {
-  std::ostringstream out;
-  Status s = WriteIndexImage(index, dict, out);
-  if (!s.ok()) {
-    std::fprintf(stderr, "serialize: %s\n", s.ToString().c_str());
-    std::exit(1);
-  }
-  return std::move(out).str();
-}
 
 double BuildMs(const Dataset& ds, const BigIndexOptions& opt,
                size_t* layers = nullptr) {

@@ -29,7 +29,6 @@
 // non-zero on any miss. Used by tools/ci.sh.
 
 #include <cstring>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -39,16 +38,6 @@ using namespace bigindex;
 using namespace bigindex::bench;
 
 namespace {
-
-std::string SerializeIndex(const BigIndex& index, const LabelDictionary& dict) {
-  std::ostringstream out;
-  Status s = WriteIndexImage(index, dict, out);
-  if (!s.ok()) {
-    std::fprintf(stderr, "serialize: %s\n", s.ToString().c_str());
-    std::exit(1);
-  }
-  return std::move(out).str();
-}
 
 /// `count` edge toggles: half removals of present edges, half additions of
 /// random (mostly absent) pairs — the steady-state update mix.

@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
   }
   {
     SearchService service(engine,
-                          {.max_linger_ms = 0.2, .enable_cache = false});
+                          {.max_linger_ms = 0.2, .cache = {.capacity = 0}});
     for (const EngineQuery& q : queries) (void)service.Query(q);  // warm
     LoadReport r = RunClosedLoop(service, queries, clients, duration);
     PrintReport("cache off", r);
@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
   {
     SearchService service(engine, {.max_batch_size = 64,
                                    .max_linger_ms = 0.5,
-                                   .enable_cache = false});
+                                   .cache = {.capacity = 0}});
     for (const EngineQuery& q : queries) (void)service.Query(q);
     LoadReport r = RunClosedLoop(service, queries, clients, duration);
     PrintReport("batched dispatch", r);
@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
   {
     SearchService service(engine, {.max_batch_size = 1,
                                    .max_linger_ms = 0,
-                                   .enable_cache = false});
+                                   .cache = {.capacity = 0}});
     for (const EngineQuery& q : queries) (void)service.Query(q);
     LoadReport r = RunClosedLoop(service, queries, clients, duration);
     PrintReport("serial dispatch", r);
@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
   {
     SearchService service(engine, {.queue_capacity = 64,
                                    .max_linger_ms = 0.2,
-                                   .enable_cache = false,
+                                   .cache = {.capacity = 0},
                                    .default_deadline_ms = 25});
     const size_t burst = smoke ? 400 : 4000;
     std::vector<std::future<StatusOr<QueryResult>>> futures;

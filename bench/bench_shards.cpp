@@ -3,7 +3,7 @@
 //
 // Measures, on a scaled yago3 instance:
 //   1. 1-shard coordinator vs monolithic SearchService — the pure overhead
-//      of the scatter-gather path (fan-out, per-shard cache probe, merge)
+//      of the scatter-gather path (fan-out, merge; caches off on both sides)
 //      when there is nothing to scatter. This is the CI gate: sharded
 //      throughput must stay >= 0.9x monolithic AND answers must be
 //      byte-identical for every workload query.
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
   // measures dispatch, and a warm cache would hide the fan-out entirely).
   auto engine = std::make_shared<const QueryEngine>(
       std::make_shared<const BigIndex>(std::move(inst.index).value()));
-  SearchService mono(engine, {.enable_cache = false});
+  SearchService mono(engine, {.cache = {.capacity = 0}});
   std::vector<std::vector<Answer>> expected = CollectAnswers(mono, queries);
   double mono_ms =
       MedianMs(3, [&] { RunLoopMs(mono, queries, rounds); });
@@ -125,14 +125,14 @@ int main(int argc, char** argv) {
         return 1;
       }
       auto substrate = InProcessSubstrate::Create(
-          std::move(built->shards), {.service = {.enable_cache = false}});
+          std::move(built->shards));
       if (!substrate.ok()) {
         std::fprintf(stderr, "substrate (%s, %zu): %s\n", mode_name, n,
                      substrate.status().ToString().c_str());
         return 1;
       }
       ShardedSearchService coordinator(substrate->get(),
-                                       {.enable_cache = false});
+                                       {.cache = {.capacity = 0}});
       Status attached = coordinator.Attach();
       if (!attached.ok()) {
         std::fprintf(stderr, "attach (%s, %zu): %s\n", mode_name, n,

@@ -13,7 +13,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bigindex.h"
@@ -41,6 +43,19 @@ inline double MedianMs(size_t runs, const std::function<void()>& fn) {
   }
   std::sort(times.begin(), times.end());
   return times[times.size() / 2];
+}
+
+/// The index's flat-image bytes (WriteIndexImage), for byte-equality gates;
+/// exits on a write failure.
+inline std::string SerializeIndex(const BigIndex& index,
+                                  const LabelDictionary& dict) {
+  std::ostringstream out;
+  Status s = WriteIndexImage(index, dict, out);
+  if (!s.ok()) {
+    std::fprintf(stderr, "serialize: %s\n", s.ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(out).str();
 }
 
 /// A dataset with its index and Table-4-style workload, ready to query.

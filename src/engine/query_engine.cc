@@ -104,6 +104,17 @@ void EngineQuery::NormalizeKeywords() {
                  keywords.end());
 }
 
+std::unique_ptr<KeywordSearchAlgorithm> MakeDefaultAlgorithm(
+    std::string_view name) {
+  if (name == "bkws") return std::make_unique<BkwsAlgorithm>();
+  if (name == "blinks") return std::make_unique<BlinksAlgorithm>();
+  if (name == "r-clique") return std::make_unique<RCliqueAlgorithm>();
+  if (name == "bidirectional") {
+    return std::make_unique<BidirectionalAlgorithm>();
+  }
+  return nullptr;
+}
+
 QueryEngine::QueryEngine(BigIndex index, QueryEngineOptions options)
     : QueryEngine(std::make_shared<const BigIndex>(std::move(index)),
                   std::move(options)) {}
@@ -114,10 +125,9 @@ QueryEngine::QueryEngine(std::shared_ptr<const BigIndex> index,
       options_(options),
       pool_(options.num_threads) {
   if (options_.register_default_algorithms) {
-    Register(std::make_unique<BkwsAlgorithm>());
-    Register(std::make_unique<BlinksAlgorithm>());
-    Register(std::make_unique<RCliqueAlgorithm>());
-    Register(std::make_unique<BidirectionalAlgorithm>());
+    for (std::string_view name : kDefaultAlgorithms) {
+      Register(MakeDefaultAlgorithm(name));
+    }
   }
 }
 

@@ -76,6 +76,18 @@ struct QueryResult {
   std::string algorithm;
 };
 
+/// The built-in algorithms, in the order the engine registers them by
+/// default (QueryEngineOptions::register_default_algorithms).
+inline constexpr std::string_view kDefaultAlgorithms[] = {
+    "bkws", "blinks", "r-clique", "bidirectional"};
+
+/// A default-configured instance of the built-in algorithm `name`; nullptr
+/// for any other name. The engine's default registrations and the shard
+/// coordinator's completion instances both come from here, so the two
+/// cannot drift apart.
+std::unique_ptr<KeywordSearchAlgorithm> MakeDefaultAlgorithm(
+    std::string_view name);
+
 class QueryEngine {
  public:
   /// Takes ownership of the index. The ontology the index borrows must

@@ -246,29 +246,4 @@ StatusOr<ShardExtract> ExtractShard(const Graph& g, const ShardPlan& plan,
   return extract;
 }
 
-std::vector<VertexId> ComputePortals(const Graph& g,
-                                     const Partition& partition) {
-  std::vector<VertexId> portals;
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    uint32_t b = partition.BlockOf(v);
-    bool crossing = false;
-    for (VertexId w : g.OutNeighbors(v)) {
-      if (partition.BlockOf(w) != b) {
-        crossing = true;
-        break;
-      }
-    }
-    if (!crossing) {
-      for (VertexId w : g.InNeighbors(v)) {
-        if (partition.BlockOf(w) != b) {
-          crossing = true;
-          break;
-        }
-      }
-    }
-    if (crossing) portals.push_back(v);
-  }
-  return portals;
-}
-
 }  // namespace bigindex

@@ -50,11 +50,6 @@ class Partition {
 /// BFS-grown partition with blocks of at most `target_block_size` vertices.
 Partition PartitionGraph(const Graph& g, size_t target_block_size);
 
-/// Portal vertices of a partition: vertices with at least one edge (in either
-/// direction) crossing into another block. Returned sorted ascending.
-std::vector<VertexId> ComputePortals(const Graph& g,
-                                     const Partition& partition);
-
 // ---------------------------------------------------------------------------
 // Graph sharder (shard substrate, DESIGN.md §9)
 // ---------------------------------------------------------------------------

@@ -65,15 +65,6 @@ void AnswerCache::Insert(const std::string& key, QueryResult result) {
   entries_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void AnswerCache::Clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    entries_.fetch_sub(shard->lru.size(), std::memory_order_relaxed);
-    shard->lru.clear();
-    shard->index.clear();
-  }
-}
-
 AnswerCacheStats AnswerCache::stats() const {
   AnswerCacheStats s;
   s.hits = hits_.load(std::memory_order_relaxed);

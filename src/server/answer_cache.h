@@ -63,9 +63,6 @@ class AnswerCache {
   /// and recency.
   void Insert(const std::string& key, QueryResult result);
 
-  /// Drops every entry (counters keep running).
-  void Clear();
-
   AnswerCacheStats stats() const;
 
   size_t capacity() const { return capacity_; }

@@ -57,6 +57,17 @@ struct BoundaryExport {
   bool HasCut() const { return !cut_edges.empty(); }
 };
 
+/// The vertex an answer's dependence ball is centered on: the root for
+/// rooted semantics, else the smallest keyword vertex. Both survive the
+/// order-preserving remaps, so the workers' near-answer filter and the
+/// coordinator's completion pass classify every answer the same way.
+inline VertexId AnchorOf(const Answer& a) {
+  if (a.root != kInvalidVertex) return a.root;
+  if (a.keyword_vertices.empty()) return kInvalidVertex;
+  return *std::min_element(a.keyword_vertices.begin(),
+                           a.keyword_vertices.end());
+}
+
 /// Worker-side boundary state: the export above plus what the serving edge
 /// needs to decide which local answers are shard-exact. Computed by
 /// ComputeShardBoundary (shard/boundary.h) at build/swap time, installed
@@ -321,16 +332,6 @@ class ShardRemapService : public QueryService {
     if (it == global_of_.end() || *it != global) return false;
     *local = static_cast<VertexId>(it - global_of_.begin());
     return true;
-  }
-
-  /// The vertex an answer's dependence ball is centered on: the root for
-  /// rooted semantics, else the smallest keyword vertex (both preserved by
-  /// the order-preserving remap, so worker and coordinator agree).
-  static VertexId AnchorOf(const Answer& a) {
-    if (a.root != kInvalidVertex) return a.root;
-    if (a.keyword_vertices.empty()) return kInvalidVertex;
-    return *std::min_element(a.keyword_vertices.begin(),
-                             a.keyword_vertices.end());
   }
 
   std::shared_ptr<const ShardBoundary> CurrentBoundary() const {

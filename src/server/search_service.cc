@@ -10,79 +10,21 @@
 #include "util/logging.h"
 
 namespace bigindex {
-namespace {
-
-/// Process-wide mirrors of the per-service counters, so `METRICS` and the
-/// Prometheus endpoint expose serving health without touching Snapshot().
-/// A service keeps its own atomics too: Snapshot() stays per-instance while
-/// the registry aggregates across every service in the process.
-struct ServerMetrics {
-  Counter& requests;
-  Counter& rejected_invalid;
-  Counter& rejected_overload;
-  Counter& completed;
-  Counter& deadline_misses;
-  Counter& batches;
-  Counter& batched_queries;
-  Counter& cache_hits;
-  Counter& cache_misses;
-  Counter& updates_applied;
-  Counter& updates_rejected;
-  Counter& update_fallbacks;
-  Counter& rollbacks;
-  Histogram& request_ms;
-  Gauge& queue_depth;
-
-  static ServerMetrics& Get() {
-    static ServerMetrics* m = [] {
-      MetricsRegistry& reg = MetricsRegistry::Global();
-      return new ServerMetrics{
-          reg.GetCounter("bigindex_server_requests_total",
-                         "Requests submitted to SearchService"),
-          reg.GetCounter("bigindex_server_rejected_invalid_total",
-                         "Requests rejected by admission validation"),
-          reg.GetCounter("bigindex_server_rejected_overload_total",
-                         "Requests shed by the overload policy"),
-          reg.GetCounter("bigindex_server_completed_total",
-                         "Requests answered OK (cache hits included)"),
-          reg.GetCounter("bigindex_server_deadline_misses_total",
-                         "Requests expired before or during evaluation"),
-          reg.GetCounter("bigindex_server_batches_total",
-                         "Micro-batches dispatched to the engine"),
-          reg.GetCounter("bigindex_server_batched_queries_total",
-                         "Unique queries across dispatched micro-batches"),
-          reg.GetCounter("bigindex_server_cache_hits_total",
-                         "Answer-cache hits at admission"),
-          reg.GetCounter("bigindex_server_cache_misses_total",
-                         "Answer-cache misses at admission"),
-          reg.GetCounter("bigindex_server_updates_applied_total",
-                         "Net edge changes applied through the UPDATE path"),
-          reg.GetCounter("bigindex_server_updates_rejected_total",
-                         "Update batches rejected (no updater or error)"),
-          reg.GetCounter("bigindex_server_update_fallbacks_total",
-                         "Update batches that fell back to wholesale or "
-                         "full rebuild"),
-          reg.GetCounter("bigindex_server_rollbacks_total",
-                         "Index versions rolled back through the ROLLBACK "
-                         "path"),
-          reg.GetHistogram("bigindex_server_request_ms",
-                           "Admission-to-completion latency, ms"),
-          reg.GetGauge("bigindex_server_queue_depth",
-                       "Requests in the admission queue right now"),
-      };
-    }();
-    return *m;
-  }
-};
-
-}  // namespace
 
 SearchService::SearchService(std::shared_ptr<const QueryEngine> engine,
                              SearchServiceOptions options)
     : engine_(std::move(engine)),
       options_(options),
-      cache_(options.enable_cache ? options.cache
-                                  : AnswerCacheOptions{.capacity = 0}) {
+      cache_(options.cache),
+      rejected_overload_("bigindex_server_rejected_overload_total",
+                         "Requests shed by the overload policy", {}),
+      batches_("bigindex_server_batches_total",
+               "Micro-batches dispatched to the engine", {}),
+      batched_queries_("bigindex_server_batched_queries_total",
+                       "Unique queries across dispatched micro-batches", {}),
+      queue_depth_(MetricsRegistry::Global().GetGauge(
+          "bigindex_server_queue_depth",
+          "Requests in the admission queue right now")) {
   // Started here, not in the init list: the batcher touches counters
   // declared after it.
   batcher_ = std::thread([this] { BatcherLoop(); });
@@ -124,16 +66,13 @@ std::string SearchService::CacheKeyFor(uint64_t epoch,
 std::future<StatusOr<QueryResult>> SearchService::SubmitAsync(
     EngineQuery query) {
   TRACE_SPAN("server/admit");
-  ServerMetrics& sm = ServerMetrics::Get();
   std::promise<StatusOr<QueryResult>> promise;
   std::future<StatusOr<QueryResult>> future = promise.get_future();
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  sm.requests.Inc();
+  counters_.submitted.Inc();
 
   Status valid = engine_snapshot()->Validate(query);
   if (!valid.ok()) {
-    rejected_invalid_.fetch_add(1, std::memory_order_relaxed);
-    sm.rejected_invalid.Inc();
+    counters_.rejected_invalid.Inc();
     promise.set_value(std::move(valid));
     return future;
   }
@@ -153,16 +92,15 @@ std::future<StatusOr<QueryResult>> SearchService::SubmitAsync(
     return future;
   }
 
-  if (options_.enable_cache) {
+  if (cache_.capacity() > 0) {
     pending.cache_key =
         CacheKeyFor(epoch_.load(std::memory_order_acquire), pending.query);
-    if (std::shared_ptr<const QueryResult> hit =
-            cache_.Lookup(pending.cache_key)) {
-      sm.cache_hits.Inc();
+    std::shared_ptr<const QueryResult> hit = cache_.Lookup(pending.cache_key);
+    counters_.CacheLookup(hit != nullptr);
+    if (hit != nullptr) {
       CompleteOk(pending, QueryResult(*hit));
       return future;
     }
-    sm.cache_misses.Inc();
   }
 
   {
@@ -173,12 +111,11 @@ std::future<StatusOr<QueryResult>> SearchService::SubmitAsync(
       return future;
     }
     if (queue_.size() >= options_.queue_capacity) {
-      rejected_overload_.fetch_add(1, std::memory_order_relaxed);
-      sm.rejected_overload.Inc();
+      rejected_overload_.Inc();
       BIGINDEX_LOG_EVERY_N(kWarning, 1024)
           << "admission queue full (" << queue_.size() << "/"
           << options_.queue_capacity << "), shedding load ("
-          << rejected_overload_.load(std::memory_order_relaxed)
+          << rejected_overload_.value()
           << " rejected so far)";
       if (options_.overload_policy == OverloadPolicy::kRejectNewest) {
         pending.promise.set_value(Status::Unavailable(
@@ -191,7 +128,7 @@ std::future<StatusOr<QueryResult>> SearchService::SubmitAsync(
           "displaced by a newer request (reject-oldest overload policy)"));
     }
     queue_.push_back(std::move(pending));
-    sm.queue_depth.Set(static_cast<int64_t>(queue_.size()));
+    queue_depth_.Set(static_cast<int64_t>(queue_.size()));
   }
   work_available_.notify_one();
   return future;
@@ -203,8 +140,7 @@ StatusOr<QueryResult> SearchService::Query(EngineQuery query) {
 
 uint64_t SearchService::BumpEpoch() {
   const uint64_t epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  epoch_changed_at_s_.store(uptime_.ElapsedSeconds(),
-                            std::memory_order_relaxed);
+  counters_.EpochChanged();
   return epoch;
 }
 
@@ -221,27 +157,19 @@ uint64_t SearchService::SwapEngine(std::shared_ptr<const QueryEngine> engine) {
 StatusOr<UpdateOutcome> SearchService::ApplyUpdate(
     std::span<const GraphUpdate> updates) {
   TRACE_SPAN("server/update");
-  ServerMetrics& sm = ServerMetrics::Get();
   if (!updater_) {
-    updates_rejected_.fetch_add(1, std::memory_order_relaxed);
-    sm.updates_rejected.Inc();
+    counters_.updates_rejected.Inc();
     return Status::Unimplemented("service has no update path wired");
   }
   StatusOr<UpdateOutcome> outcome = updater_(updates);
   if (!outcome.ok()) {
-    updates_rejected_.fetch_add(1, std::memory_order_relaxed);
-    sm.updates_rejected.Inc();
+    counters_.updates_rejected.Inc();
     return outcome;
   }
   // A no-net-effect batch swaps nothing; report the unchanged epoch.
   if (outcome->epoch == 0) outcome->epoch = epoch();
-  updates_applied_.fetch_add(outcome->applied, std::memory_order_relaxed);
-  sm.updates_applied.Inc(outcome->applied);
-  if (outcome->mode == UpdateOutcome::Mode::kWholesale ||
-      outcome->mode == UpdateOutcome::Mode::kRebuild) {
-    update_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    sm.update_fallbacks.Inc();
-  }
+  counters_.UpdateApplied(
+      outcome->applied, outcome->mode >= UpdateOutcome::Mode::kWholesale);
   return outcome;
 }
 
@@ -252,8 +180,7 @@ StatusOr<uint64_t> SearchService::Rollback() {
   }
   StatusOr<uint64_t> epoch = rollbacker_();
   if (!epoch.ok()) return epoch;
-  rollbacks_.fetch_add(1, std::memory_order_relaxed);
-  ServerMetrics::Get().rollbacks.Inc();
+  counters_.rollbacks.Inc();
   return epoch;
 }
 
@@ -270,21 +197,15 @@ std::vector<std::string> SearchService::AlgorithmNames() const {
 ServiceIdentity SearchService::Identity() const { return identity_; }
 
 void SearchService::CompleteOk(Pending& p, QueryResult result) {
-  const double ms = p.queued.ElapsedMillis();
-  latency_.Record(ms);
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  ServerMetrics& sm = ServerMetrics::Get();
-  sm.completed.Inc();
-  sm.request_ms.Record(ms);
+  counters_.Completed(p.queued.ElapsedMillis());
   p.promise.set_value(std::move(result));
 }
 
 void SearchService::CompleteDeadline(Pending& p, const char* stage) {
-  deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-  ServerMetrics::Get().deadline_misses.Inc();
+  counters_.deadline_misses.Inc();
   BIGINDEX_LOG_EVERY_N(kWarning, 1024)
       << "deadline miss " << stage << " ("
-      << deadline_misses_.load(std::memory_order_relaxed) << " total)";
+      << counters_.deadline_misses.value() << " total)";
   p.promise.set_value(Status::DeadlineExceeded(
       std::string("deadline expired ") + stage));
 }
@@ -298,7 +219,7 @@ void SearchService::BatcherLoop() {
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
-    ServerMetrics::Get().queue_depth.Set(static_cast<int64_t>(queue_.size()));
+    queue_depth_.Set(static_cast<int64_t>(queue_.size()));
   };
 
   while (true) {
@@ -357,7 +278,7 @@ void SearchService::ProcessBatch(std::vector<Pending> batch) {
   // can never cancel work a looser member still wants.
   std::vector<size_t> leader_of(live.size());
   std::vector<size_t> leaders;
-  if (options_.enable_cache) {
+  if (cache_.capacity() > 0) {
     std::unordered_map<std::string, size_t> first_with_key;
     for (size_t i = 0; i < live.size(); ++i) {
       auto [it, inserted] =
@@ -382,11 +303,8 @@ void SearchService::ProcessBatch(std::vector<Pending> batch) {
   std::vector<EngineQuery> queries;
   queries.reserve(leaders.size());
   for (size_t li : leaders) queries.push_back(live[li].query);
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batched_queries_.fetch_add(queries.size(), std::memory_order_relaxed);
-  ServerMetrics& sm = ServerMetrics::Get();
-  sm.batches.Inc();
-  sm.batched_queries.Inc(queries.size());
+  batches_.Inc();
+  batched_queries_.Inc(queries.size());
 
   // Pin the engine AFTER the batch is assembled: every member captured its
   // cache-key epoch at admission (before this point), so the snapshot is at
@@ -407,7 +325,7 @@ void SearchService::ProcessBatch(std::vector<Pending> batch) {
       CompleteDeadline(live[i], "during evaluation");
       continue;
     }
-    if (options_.enable_cache && i == leaders[leader_of[i]]) {
+    if (cache_.capacity() > 0 && i == leaders[leader_of[i]]) {
       cache_.Insert(live[i].cache_key, r);
     }
     CompleteOk(live[i], r);  // copies; the last copy could move, not worth it
@@ -416,43 +334,18 @@ void SearchService::ProcessBatch(std::vector<Pending> batch) {
 
 ServiceStats SearchService::Snapshot() const {
   ServiceStats s;
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.rejected_invalid = rejected_invalid_.load(std::memory_order_relaxed);
-  s.rejected_overload = rejected_overload_.load(std::memory_order_relaxed);
+  counters_.Fill(&s, cache_.stats());
+  s.rejected_overload = rejected_overload_.value();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     s.queue_depth = queue_.size();
   }
   s.queue_capacity = options_.queue_capacity;
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.deadline_misses = deadline_misses_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.batched_queries = batched_queries_.load(std::memory_order_relaxed);
+  s.batches = batches_.value();
+  s.batched_queries = batched_queries_.value();
   s.mean_batch_size =
       s.batches ? static_cast<double>(s.batched_queries) / s.batches : 0;
-  AnswerCacheStats cs = cache_.stats();
-  s.cache_hits = cs.hits;
-  s.cache_misses = cs.misses;
-  s.cache_evictions = cs.evictions;
-  s.cache_entries = cs.entries;
-  s.cache_hit_ratio = (cs.hits + cs.misses)
-                          ? static_cast<double>(cs.hits) /
-                                static_cast<double>(cs.hits + cs.misses)
-                          : 0;
-  s.p50_ms = latency_.Quantile(0.50);
-  s.p95_ms = latency_.Quantile(0.95);
-  s.p99_ms = latency_.Quantile(0.99);
-  s.uptime_s = uptime_.ElapsedSeconds();
-  s.throughput_qps =
-      s.uptime_s > 0 ? static_cast<double>(s.completed) / s.uptime_s : 0;
   s.epoch = epoch_.load(std::memory_order_acquire);
-  s.updates_applied = updates_applied_.load(std::memory_order_relaxed);
-  s.updates_rejected = updates_rejected_.load(std::memory_order_relaxed);
-  s.update_fallbacks = update_fallbacks_.load(std::memory_order_relaxed);
-  s.rollbacks = rollbacks_.load(std::memory_order_relaxed);
-  s.epoch_age_s =
-      s.uptime_s - epoch_changed_at_s_.load(std::memory_order_relaxed);
-  if (s.epoch_age_s < 0) s.epoch_age_s = 0;  // clock reads raced; clamp
   return s;
 }
 

@@ -79,9 +79,8 @@ struct SearchServiceOptions {
 
   OverloadPolicy overload_policy = OverloadPolicy::kRejectNewest;
 
-  /// Answer cache switch + sizing. Disabling also disables in-batch dedup
-  /// (requests lose their cache-key identity).
-  bool enable_cache = true;
+  /// Answer cache sizing. capacity 0 switches the cache off, and with it
+  /// the cache key and in-batch dedup (requests lose their identity).
   AnswerCacheOptions cache;
 
   /// Deadline applied to requests that arrive without one; 0 = none.
@@ -212,7 +211,6 @@ class SearchService : public QueryService {
   Updater updater_;
   Rollbacker rollbacker_;
   AnswerCache cache_;
-  Timer uptime_;
 
   mutable std::mutex mutex_;
   std::condition_variable work_available_;
@@ -222,21 +220,11 @@ class SearchService : public QueryService {
   std::thread batcher_;  // started last in the constructor body
 
   std::atomic<uint64_t> epoch_{1};
-  std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> rejected_invalid_{0};
-  std::atomic<uint64_t> rejected_overload_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> deadline_misses_{0};
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> batched_queries_{0};
-  std::atomic<uint64_t> updates_applied_{0};
-  std::atomic<uint64_t> updates_rejected_{0};
-  std::atomic<uint64_t> update_fallbacks_{0};
-  std::atomic<uint64_t> rollbacks_{0};
-  /// Uptime-relative seconds of the last BumpEpoch (0 = service start), so
-  /// epoch age is two atomic reads instead of a racy shared Timer.
-  std::atomic<double> epoch_changed_at_s_{0};
-  LatencyHistogram latency_;
+  ServiceCounters counters_;
+  StatCounter rejected_overload_;
+  StatCounter batches_;
+  StatCounter batched_queries_;
+  Gauge& queue_depth_;
 };
 
 }  // namespace bigindex

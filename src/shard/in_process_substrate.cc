@@ -33,8 +33,8 @@ StatusOr<std::unique_ptr<InProcessSubstrate>> InProcessSubstrate::Create(
     auto engine = std::make_unique<QueryEngine>(index, engine_opts);
     if (options.configure_engine) options.configure_engine(*engine);
     shard->engine = std::shared_ptr<const QueryEngine>(std::move(engine));
-    shard->service =
-        std::make_unique<SearchService>(shard->engine, options.service);
+    shard->service = std::make_unique<SearchService>(
+        shard->engine, SearchServiceOptions{.cache = {.capacity = 0}});
     shard->service->set_identity(ServiceIdentity{
         .fingerprint = 0,
         .num_layers = num_layers,

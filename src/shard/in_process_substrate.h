@@ -1,8 +1,9 @@
 // InProcessSubstrate — every shard is a QueryEngine on its own thread pool
 // inside this process, fronted by its own admission-controlled
-// SearchService (per-shard queue, micro-batcher, and epoch-keyed answer
-// cache all fall out of the existing SearchService design) and a
-// ShardRemapService so answers leave in global vertex ids.
+// SearchService (per-shard queue and micro-batcher) and a
+// ShardRemapService so answers leave in global vertex ids. The shard
+// services run without an answer cache: the coordinator in front of them
+// caches each query's merged answer once (sharded_service.h).
 //
 // This is the single-process deployment of the shard substrate: the full
 // scatter-gather pipeline — coordinator fan-out, per-shard admission,
@@ -29,9 +30,6 @@ namespace bigindex {
 struct InProcessSubstrateOptions {
   /// Per-shard engine pool threads (see QueryEngineOptions::num_threads).
   size_t engine_threads = 0;
-
-  /// Per-shard serving options (queue, batcher, cache).
-  SearchServiceOptions service;
 
   /// Optional hook run on each shard's engine after construction, before
   /// serving starts — e.g. to re-register algorithms with non-default

@@ -4,37 +4,13 @@
 #include <utility>
 
 #include "search/answer.h"
-#include "search/bidirectional.h"
-#include "search/bkws.h"
-#include "search/blinks.h"
-#include "search/rclique.h"
 #include "server/search_service.h"
 
 namespace bigindex {
 namespace {
 
-/// Mirrors QueryEngine's default registrations (query_engine.cc) for fleets
-/// that never customize configure_engine; nullptr for unknown names.
-std::unique_ptr<KeywordSearchAlgorithm> MakeDefaultAlgorithm(
-    const std::string& name) {
-  if (name == "bkws") return std::make_unique<BkwsAlgorithm>();
-  if (name == "blinks") return std::make_unique<BlinksAlgorithm>();
-  if (name == "r-clique") return std::make_unique<RCliqueAlgorithm>();
-  if (name == "bidirectional") {
-    return std::make_unique<BidirectionalAlgorithm>();
-  }
-  return nullptr;
-}
-
-/// The completion pass's anchor rule — must match ShardRemapService's
-/// (root for rooted semantics, else smallest keyword vertex; both survive
-/// the order-preserving remap, so region-local and global anchors agree).
-VertexId AnchorOf(const Answer& a) {
-  if (a.root != kInvalidVertex) return a.root;
-  if (a.keyword_vertices.empty()) return kInvalidVertex;
-  return *std::min_element(a.keyword_vertices.begin(),
-                           a.keyword_vertices.end());
-}
+/// Registry label block of every coordinator series.
+constexpr std::string_view kRole = R"(role="coordinator")";
 
 }  // namespace
 
@@ -42,7 +18,15 @@ ShardedSearchService::ShardedSearchService(ShardSubstrate* substrate,
                                            ShardedServiceOptions options)
     : substrate_(substrate),
       options_(options),
-      pool_(options.fanout_threads) {}
+      pool_(options.fanout_threads),
+      cache_(options.cache),
+      counters_(kRole),
+      shard_queries_("bigindex_server_batched_queries_total",
+                     "Unique queries across dispatched micro-batches", kRole),
+      shard_failures_("bigindex_server_shard_failures_total",
+                      "Failed per-shard requests", kRole),
+      partial_results_("bigindex_server_partial_results_total",
+                       "Merges served with a shard missing", kRole) {}
 
 Status ShardedSearchService::Attach() {
   const size_t n = substrate_->num_shards();
@@ -88,15 +72,6 @@ Status ShardedSearchService::Attach() {
           std::to_string(s));
     }
   }
-  shards_.clear();
-  for (size_t s = 0; s < n; ++s) {
-    auto per = std::make_unique<PerShard>();
-    if (options_.enable_cache) {
-      per->cache = std::make_unique<AnswerCache>(options_.cache);
-    }
-    per->epoch.store(infos[s].epoch, std::memory_order_release);
-    shards_.push_back(std::move(per));
-  }
   algorithms_ = std::move(infos[0].algorithms);
   // A smaller shard can legitimately summarize away in fewer layers than its
   // siblings (Build stops once a layer stops compressing), so layer counts
@@ -105,7 +80,10 @@ Status ShardedSearchService::Attach() {
   for (const ShardInfo& info : infos) {
     num_layers_ = std::max(num_layers_, info.num_layers);
   }
-  InvalidateRegion();  // re-attach may follow a fleet rebuild
+  // A re-attach may follow a fleet rebuild: retire the region and every
+  // cached answer.
+  InvalidateRegion();
+  AdvanceEpoch();
   attached_.store(true, std::memory_order_release);
   return Status::OK();
 }
@@ -129,8 +107,9 @@ ShardedSearchService::EnsureRegion() {
   std::lock_guard<std::mutex> lock(region_mutex_);
   if (region_ != nullptr) return region_;
   std::vector<BoundaryExport> exports;
-  exports.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
+  const size_t n = substrate_->num_shards();
+  exports.reserve(n);
+  for (size_t s = 0; s < n; ++s) {
     auto ex = substrate_->Boundary(s);
     if (!ex.ok()) {
       // allow_partial already trades exactness for availability on the
@@ -138,7 +117,7 @@ ShardedSearchService::EnsureRegion() {
       // answered (a missing cut-incident export surfaces as Corruption
       // below). Without it, a dead shard fails the query.
       if (options_.allow_partial) {
-        shard_failures_.fetch_add(1, std::memory_order_relaxed);
+        shard_failures_.Inc();
         continue;
       }
       return Status::Unavailable("shard " + std::to_string(s) +
@@ -211,17 +190,18 @@ StatusOr<std::vector<Answer>> ShardedSearchService::CompleteAcrossCut(
 }
 
 StatusOr<QueryResult> ShardedSearchService::Query(EngineQuery query) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  Timer timer;
+  counters_.submitted.Inc();
   if (!attached()) {
     return Status::FailedPrecondition("coordinator is not attached");
   }
   if (query.keywords.empty()) {
-    rejected_invalid_.fetch_add(1, std::memory_order_relaxed);
+    counters_.rejected_invalid.Inc();
     return Status::InvalidArgument("query has no keywords");
   }
   if (std::find(algorithms_.begin(), algorithms_.end(), query.algorithm) ==
       algorithms_.end()) {
-    rejected_invalid_.fetch_add(1, std::memory_order_relaxed);
+    counters_.rejected_invalid.Inc();
     return Status::NotFound("no algorithm registered as '" + query.algorithm +
                             "'");
   }
@@ -230,14 +210,28 @@ StatusOr<QueryResult> ShardedSearchService::Query(EngineQuery query) {
     query.eval.deadline = Deadline::After(options_.default_deadline_ms);
   }
   if (query.eval.deadline.Expired()) {
-    deadline_misses_.fetch_add(1, std::memory_order_relaxed);
+    counters_.deadline_misses.Inc();
     return Status::DeadlineExceeded("deadline expired before fan-out");
+  }
+
+  // One lookup of the caller's query. The key's epoch is read before any
+  // shard is asked, so a merge that raced an epoch advance is filed under
+  // the retired epoch, where no later lookup finds it.
+  std::string key;
+  if (cache_.capacity() > 0) {
+    key = SearchService::CacheKeyFor(epoch(), query);
+    std::shared_ptr<const QueryResult> hit = cache_.Lookup(key);
+    counters_.CacheLookup(hit != nullptr);
+    if (hit != nullptr) {
+      counters_.Completed(timer.ElapsedMillis());
+      return QueryResult(*hit);
+    }
   }
 
   // Boundary completion setup: with a cut in the fleet the workers withhold
   // near answers and a per-shard top-k could displace a cut-crossing
-  // answer, so fan out (and cache) with top_k=0 and apply the caller's cut
-  // after the merge. Cut-free fleets take none of this path.
+  // answer, so fan out with top_k=0 and apply the caller's cut after the
+  // merge. Cut-free fleets take none of this path.
   auto region_state = EnsureRegion();
   if (!region_state.ok()) return region_state.status();
   const std::shared_ptr<const RegionState>& region = *region_state;
@@ -245,83 +239,47 @@ StatusOr<QueryResult> ShardedSearchService::Query(EngineQuery query) {
   const size_t original_top_k = query.eval.top_k;
   if (completing) query.eval.top_k = 0;
 
-  Timer timer;
-  const size_t n = shards_.size();
-  std::vector<std::shared_ptr<const QueryResult>> per_shard(n);
-  std::vector<size_t> missing;
-  for (size_t s = 0; s < n; ++s) {
-    if (shards_[s]->cache == nullptr) {
-      missing.push_back(s);
-      continue;
-    }
-    std::string key = SearchService::CacheKeyFor(
-        shards_[s]->epoch.load(std::memory_order_acquire), query);
-    per_shard[s] = shards_[s]->cache->Lookup(key);
-    if (per_shard[s] == nullptr) missing.push_back(s);
-  }
-
-  // Fan out to the shards the caches could not answer. ParallelFor is
-  // re-entrant across threads, so concurrent coordinator queries share the
-  // pool; with fanout_threads=0 this runs inline.
+  // Fan out to every shard. ParallelFor is re-entrant across threads, so
+  // concurrent coordinator queries share the pool; with fanout_threads=0
+  // this runs inline.
+  const size_t n = substrate_->num_shards();
   std::vector<StatusOr<QueryResult>> fetched(
-      missing.size(), Status::Unavailable("shard fan-out not run"));
-  shard_queries_.fetch_add(missing.size(), std::memory_order_relaxed);
-  pool_.ParallelFor(missing.size(), [&](size_t /*slot*/, size_t i) {
-    fetched[i] = substrate_->Query(missing[i], query);
+      n, Status::Unavailable("shard fan-out not run"));
+  shard_queries_.Inc(n);
+  pool_.ParallelFor(n, [&](size_t /*slot*/, size_t s) {
+    fetched[s] = substrate_->Query(s, query);
   });
 
   bool partial = false;
-  for (size_t i = 0; i < missing.size(); ++i) {
-    size_t s = missing[i];
-    if (!fetched[i].ok()) {
-      shard_failures_.fetch_add(1, std::memory_order_relaxed);
-      if (options_.allow_partial &&
-          fetched[i].status().code() != StatusCode::kInvalidArgument &&
-          fetched[i].status().code() != StatusCode::kNotFound) {
-        partial = true;
-        continue;
-      }
-      if (fetched[i].status().code() == StatusCode::kDeadlineExceeded) {
-        deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return fetched[i].status();
+  for (size_t s = 0; s < n; ++s) {
+    if (fetched[s].ok()) continue;
+    shard_failures_.Inc();
+    if (options_.allow_partial &&
+        fetched[s].status().code() != StatusCode::kInvalidArgument &&
+        fetched[s].status().code() != StatusCode::kNotFound) {
+      partial = true;
+      continue;
     }
-    if (shards_[s]->cache != nullptr) {
-      std::string key = SearchService::CacheKeyFor(
-          shards_[s]->epoch.load(std::memory_order_acquire), query);
-      shards_[s]->cache->Insert(key, *fetched[i]);
+    if (fetched[s].status().code() == StatusCode::kDeadlineExceeded) {
+      counters_.deadline_misses.Inc();
     }
+    return fetched[s].status();
   }
 
   // Merge: shard vertex sets are disjoint, so concatenation is the union;
   // rank with the same deterministic order a monolithic evaluation uses,
-  // then apply the top-k cut. Cache hits must be copied (the cache keeps
-  // its entry); freshly fetched results are uniquely owned and moved.
+  // then apply the top-k cut.
   QueryResult merged;
   merged.algorithm = query.algorithm;
-  auto fold = [&merged](const QueryResult& r) {
+  for (StatusOr<QueryResult>& r : fetched) {
+    if (!r.ok()) continue;  // allow_partial skip
     merged.breakdown.layer = std::max(merged.breakdown.layer,
-                                      r.breakdown.layer);
-    merged.breakdown.generalized_answers += r.breakdown.generalized_answers;
-    merged.breakdown.candidate_roots += r.breakdown.candidate_roots;
-  };
-  for (size_t s = 0; s < n; ++s) {
-    if (per_shard[s] == nullptr) continue;  // filled from cache only
-    fold(*per_shard[s]);
-    merged.answers.insert(merged.answers.end(), per_shard[s]->answers.begin(),
-                          per_shard[s]->answers.end());
-  }
-  for (size_t i = 0; i < missing.size(); ++i) {
-    if (!fetched[i].ok()) continue;  // allow_partial skip
-    fold(*fetched[i]);
-    std::vector<Answer>& answers = fetched[i]->answers;
-    if (merged.answers.empty()) {
-      merged.answers = std::move(answers);
-    } else {
-      merged.answers.insert(merged.answers.end(),
-                            std::make_move_iterator(answers.begin()),
-                            std::make_move_iterator(answers.end()));
-    }
+                                      r->breakdown.layer);
+    merged.breakdown.generalized_answers += r->breakdown.generalized_answers;
+    merged.breakdown.candidate_roots += r->breakdown.candidate_roots;
+    merged.answers.insert(merged.answers.end(),
+                          std::make_move_iterator(r->answers.begin()),
+                          std::make_move_iterator(r->answers.end()));
   }
   if (completing) {
     auto near = CompleteAcrossCut(*region, query);
@@ -336,35 +294,37 @@ StatusOr<QueryResult> ShardedSearchService::Query(EngineQuery query) {
   }
   merged.breakdown.final_answers = merged.answers.size();
   merged.wall_ms = timer.ElapsedMillis();
-  if (partial) partial_results_.fetch_add(1, std::memory_order_relaxed);
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  latency_.Record(merged.wall_ms);
+  if (partial) {
+    partial_results_.Inc();  // served, but never cached
+  } else if (!key.empty()) {
+    cache_.Insert(key, merged);
+  }
+  counters_.Completed(merged.wall_ms);
   return merged;
 }
 
+uint64_t ShardedSearchService::AdvanceEpoch() {
+  const uint64_t epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  counters_.EpochChanged();
+  return epoch;
+}
+
 uint64_t ShardedSearchService::BumpEpoch() {
-  // Best effort on the remote side; coordinator caches are invalidated
-  // unconditionally (a shard whose bump failed keeps serving the same index,
-  // so refilled entries stay correct).
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    auto bumped = substrate_->BumpEpoch(s);
-    if (bumped.ok()) {
-      shards_[s]->epoch.store(*bumped, std::memory_order_release);
-    }
-    if (shards_[s]->cache != nullptr) shards_[s]->cache->Clear();
+  // Best effort on the remote side; the coordinator's cache is invalidated
+  // unconditionally (a shard whose bump failed keeps serving the same
+  // index, so refilled entries stay correct).
+  for (size_t s = 0; s < substrate_->num_shards(); ++s) {
+    (void)substrate_->BumpEpoch(s);
   }
   InvalidateRegion();
-  const uint64_t epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  epoch_changed_at_s_.store(uptime_.ElapsedSeconds(),
-                            std::memory_order_relaxed);
-  return epoch;
+  return AdvanceEpoch();
 }
 
 StatusOr<uint64_t> ShardedSearchService::Rollback() {
   if (!attached()) {
     return Status::FailedPrecondition("coordinator is not attached");
   }
-  const size_t n = shards_.size();
+  const size_t n = substrate_->num_shards();
   std::vector<StatusOr<uint64_t>> per(
       n, Status::Unavailable("shard rollback not run"));
   pool_.ParallelFor(n, [&](size_t /*slot*/, size_t s) {
@@ -381,27 +341,21 @@ StatusOr<uint64_t> ShardedSearchService::Rollback() {
       // not a broadcast failure (a single-shard update must stay
       // reversible fleet-wide).
       if (per[s].status().code() == StatusCode::kFailedPrecondition) continue;
-      shard_failures_.fetch_add(1, std::memory_order_relaxed);
+      shard_failures_.Inc();
       if (first_failure.ok()) first_failure = per[s].status();
       continue;
     }
     any_changed = true;
     rolled[s] = true;
-    shards_[s]->epoch.store(*per[s], std::memory_order_release);
-    if (shards_[s]->cache != nullptr) shards_[s]->cache->Clear();
   }
+  // Any shard that rolled back changed what the fleet serves, so the epoch
+  // advances before any outcome is reported: a partial rollback (a retry
+  // re-broadcasts; already-rolled-back shards then answer
+  // FailedPrecondition, which the retry skips) or a failed coherence check
+  // below must not leave old merges reachable.
   InvalidateRegion();
-  if (!first_failure.ok()) {
-    if (any_changed) {
-      // Partially rolled back: advance our epoch so clients re-query
-      // through fresh caches; a retry re-broadcasts (already-rolled-back
-      // shards then answer FailedPrecondition, which the retry skips).
-      epoch_.fetch_add(1, std::memory_order_acq_rel);
-      epoch_changed_at_s_.store(uptime_.ElapsedSeconds(),
-                                std::memory_order_relaxed);
-    }
-    return first_failure;
-  }
+  const uint64_t epoch = any_changed ? AdvanceEpoch() : this->epoch();
+  if (!first_failure.ok()) return first_failure;
   if (!any_changed) {
     return Status::FailedPrecondition(
         "no shard had a previous index version to restore");
@@ -409,49 +363,42 @@ StatusOr<uint64_t> ShardedSearchService::Rollback() {
 
   // Fleet-coherence check: every rolled-back shard must still report the
   // epoch its rollback returned — an update racing the broadcast would
-  // leave the fleet serving mixed generations behind our freshly cleared
-  // caches.
+  // leave the fleet serving mixed generations.
   for (size_t s = 0; s < n; ++s) {
     if (!rolled[s]) continue;
     auto info = substrate_->Info(s);
     if (!info.ok()) return info.status();
     if (info->epoch != *per[s]) {
-      shards_[s]->epoch.store(info->epoch, std::memory_order_release);
       return Status::FailedPrecondition(
           "shard " + std::to_string(s) + " epoch moved during rollback (" +
           std::to_string(*per[s]) + " -> " + std::to_string(info->epoch) +
           "); a concurrent update raced the broadcast");
     }
   }
-  rollbacks_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  epoch_changed_at_s_.store(uptime_.ElapsedSeconds(),
-                            std::memory_order_relaxed);
+  counters_.rollbacks.Inc();
   return epoch;
 }
 
 StatusOr<UpdateOutcome> ShardedSearchService::ApplyUpdate(
     std::span<const GraphUpdate> updates) {
   if (!attached()) {
-    updates_rejected_.fetch_add(1, std::memory_order_relaxed);
+    counters_.updates_rejected.Inc();
     return Status::FailedPrecondition("coordinator is not attached");
   }
-  const size_t n = shards_.size();
+  const size_t n = substrate_->num_shards();
   std::vector<StatusOr<UpdateOutcome>> per(
       n, Status::Unavailable("shard update not run"));
   pool_.ParallelFor(n, [&](size_t /*slot*/, size_t s) {
     per[s] = substrate_->Update(s, updates);
   });
 
-  // Fold the per-shard outcomes. Epochs and caches of the shards that DID
-  // change are advanced even when another shard failed, so the coordinator
-  // never serves stale cached answers over a half-applied fleet.
+  // Fold the per-shard outcomes.
   UpdateOutcome merged;
   bool any_changed = false;
   Status first_failure = Status::OK();
   for (size_t s = 0; s < n; ++s) {
     if (!per[s].ok()) {
-      shard_failures_.fetch_add(1, std::memory_order_relaxed);
+      shard_failures_.Inc();
       if (first_failure.ok()) first_failure = per[s].status();
       continue;
     }
@@ -460,87 +407,41 @@ StatusOr<UpdateOutcome> ShardedSearchService::ApplyUpdate(
     // Mode severity: none < incremental < wholesale < rebuild (the enum's
     // declaration order); report the fleet's worst.
     if (per[s]->mode > merged.mode) merged.mode = per[s]->mode;
-    if (per[s]->mode != UpdateOutcome::Mode::kNone) {
-      any_changed = true;
-      shards_[s]->epoch.store(per[s]->epoch, std::memory_order_release);
-      if (shards_[s]->cache != nullptr) shards_[s]->cache->Clear();
-    }
+    if (per[s]->mode != UpdateOutcome::Mode::kNone) any_changed = true;
   }
   // An applied update can move edges near the cut, so the workers' exports
-  // (recomputed at their engine swaps) may differ: re-assemble lazily.
+  // (recomputed at their engine swaps) may differ: re-assemble lazily. The
+  // epoch advances whenever a shard changed, also when another failed: a
+  // partially applied batch must not leave old merges reachable (the caller
+  // retries the batch; retry is idempotent — applied ops normalize to net
+  // no-ops).
   if (any_changed || !first_failure.ok()) InvalidateRegion();
+  merged.epoch = any_changed ? AdvanceEpoch() : epoch();
   if (!first_failure.ok()) {
-    updates_rejected_.fetch_add(1, std::memory_order_relaxed);
-    if (any_changed) {
-      // Partially applied: advance our epoch so clients re-query through
-      // fresh caches; the caller retries the batch (retry is idempotent —
-      // applied ops normalize to net no-ops).
-      epoch_.fetch_add(1, std::memory_order_acq_rel);
-      epoch_changed_at_s_.store(uptime_.ElapsedSeconds(),
-                                std::memory_order_relaxed);
-    }
+    counters_.updates_rejected.Inc();
     return first_failure;
   }
 
   // Ownership is disjoint, so summed applied <= batch size and the
   // coordinator-level accounting mirrors a monolithic server's.
   merged.skipped = updates.size() - merged.applied;
-  if (any_changed) {
-    merged.epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    epoch_changed_at_s_.store(uptime_.ElapsedSeconds(),
-                              std::memory_order_relaxed);
-  } else {
-    merged.epoch = epoch();
-  }
-  updates_applied_.fetch_add(merged.applied, std::memory_order_relaxed);
-  if (merged.mode == UpdateOutcome::Mode::kWholesale ||
-      merged.mode == UpdateOutcome::Mode::kRebuild) {
-    update_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
+  counters_.UpdateApplied(merged.applied,
+                          merged.mode >= UpdateOutcome::Mode::kWholesale);
   return merged;
 }
 
 ServiceStats ShardedSearchService::Snapshot() const {
   ServiceStats s;
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.rejected_invalid = rejected_invalid_.load(std::memory_order_relaxed);
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.deadline_misses = deadline_misses_.load(std::memory_order_relaxed);
-  // Fan-out counters ride the batch fields: one "batch" per fan-out wave,
-  // batched_queries = shard requests actually sent (cache misses only).
+  counters_.Fill(&s, cache_.stats());
+  // Fan-out counters ride the batch fields: one "batch" per completed
+  // query, batched_queries = shard requests actually sent.
   s.batches = s.completed;
-  s.batched_queries = shard_queries_.load(std::memory_order_relaxed);
+  s.batched_queries = shard_queries_.value();
   s.mean_batch_size =
       s.batches ? static_cast<double>(s.batched_queries) / s.batches : 0;
-  for (const auto& per : shards_) {
-    if (per->cache == nullptr) continue;
-    AnswerCacheStats cs = per->cache->stats();
-    s.cache_hits += cs.hits;
-    s.cache_misses += cs.misses;
-    s.cache_evictions += cs.evictions;
-    s.cache_entries += cs.entries;
-  }
-  s.cache_hit_ratio = (s.cache_hits + s.cache_misses)
-                          ? static_cast<double>(s.cache_hits) /
-                                static_cast<double>(s.cache_hits +
-                                                    s.cache_misses)
-                          : 0;
-  s.shard_failures = shard_failures_.load(std::memory_order_relaxed);
-  s.partial_results = partial_results_.load(std::memory_order_relaxed);
-  s.updates_applied = updates_applied_.load(std::memory_order_relaxed);
-  s.updates_rejected = updates_rejected_.load(std::memory_order_relaxed);
-  s.update_fallbacks = update_fallbacks_.load(std::memory_order_relaxed);
-  s.rollbacks = rollbacks_.load(std::memory_order_relaxed);
-  s.p50_ms = latency_.Quantile(0.50);
-  s.p95_ms = latency_.Quantile(0.95);
-  s.p99_ms = latency_.Quantile(0.99);
-  s.uptime_s = uptime_.ElapsedSeconds();
-  s.throughput_qps =
-      s.uptime_s > 0 ? static_cast<double>(s.completed) / s.uptime_s : 0;
+  s.shard_failures = shard_failures_.value();
+  s.partial_results = partial_results_.value();
   s.epoch = epoch();
-  s.epoch_age_s =
-      s.uptime_s - epoch_changed_at_s_.load(std::memory_order_relaxed);
-  if (s.epoch_age_s < 0) s.epoch_age_s = 0;
   return s;
 }
 

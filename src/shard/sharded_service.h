@@ -3,10 +3,10 @@
 // One QueryService over N shards of a ShardSubstrate:
 //
 //   client → [validate + normalize + deadline]          (caller's thread)
-//          → per-shard answer-cache probes              (epoch-keyed)
-//          → fan-out to cache-missing shards            (ExecutorPool)
-//          → per-shard cache fills
-//          → merge: concat + rank + top-k cut
+//          → answer-cache probe                         (epoch-keyed)
+//          → fan-out to every shard                     (ExecutorPool)
+//          → merge: concat + rank + top-k cut (+ boundary completion)
+//          → cache fill with the merged answer
 //
 // Merge semantics: shard vertex sets are disjoint, so per-shard answer sets
 // are disjoint and the merged set is their concatenation — no cross-shard
@@ -30,15 +30,20 @@
 // bfs-mode serving is exact too. While a cut exists, fan-out queries are
 // rewritten to top_k=0 (a per-shard cut could displace a cut-crossing
 // answer) and the caller's top-k is applied after the merge. The region is
-// invalidated by BumpEpoch/ApplyUpdate/Rollback — like the per-shard
-// caches, mutate the fleet *through the coordinator*.
+// invalidated by BumpEpoch/ApplyUpdate/Rollback — like the answer cache,
+// mutate the fleet *through the coordinator*.
 //
-// Caches are per shard and epoch-keyed: the coordinator tracks each shard's
-// epoch (learned at Attach, advanced by BumpEpoch) and keys shard s's cache
-// on (epoch_s, query identity). A repeat query after one shard's rebuild
-// re-fans only to that shard. Bump shard epochs *through the coordinator*;
-// a worker bumped behind its back serves fresh answers to direct clients
-// while the coordinator's cache keeps handing out the old generation.
+// The coordinator is the fleet's only answer cache: one epoch-keyed
+// AnswerCache holding each query's final merged answer, keyed by
+// SearchService::CacheKeyFor(epoch, caller's query). A hit returns before
+// region assembly, fan-out and completion. Only complete merges are
+// cached, never an allow_partial one. Attach, BumpEpoch, ApplyUpdate and
+// Rollback advance the coordinator's epoch whenever the fleet may have
+// changed, which makes every cached answer unreachable. Workers behind a
+// coordinator run without a cache (InProcessSubstrate builds them that way;
+// bigindex_serverd --shard-of refuses --cache). A worker changed behind
+// the coordinator's back serves fresh answers to direct clients while the
+// coordinator keeps handing out the old generation.
 //
 // Deadlines ride in EngineQuery::eval.deadline: every shard sees the same
 // deadline, expired queries are rejected before fan-out, and one slow shard
@@ -61,9 +66,9 @@
 #include "engine/executor.h"
 #include "server/answer_cache.h"
 #include "server/query_service.h"
+#include "server/service_stats.h"
 #include "shard/boundary.h"
 #include "shard/substrate.h"
-#include "util/timer.h"
 
 namespace bigindex {
 
@@ -74,9 +79,8 @@ struct ShardedServiceOptions {
   /// (ParallelFor is re-entrant across threads).
   size_t fanout_threads = 0;
 
-  /// Per-shard answer caches (each shard gets its own AnswerCache with
-  /// these options). enable_cache=false drops them entirely.
-  bool enable_cache = true;
+  /// The coordinator's answer cache of merged answers; capacity 0 switches
+  /// it off.
   AnswerCacheOptions cache;
 
   /// Deadline applied to queries that arrive without one; 0 = none.
@@ -93,8 +97,8 @@ struct ShardedServiceOptions {
   /// construct instances configured identically to the workers' (same
   /// options the workers' configure_engine applied), or the near answers
   /// re-derived on the region diverge from what the workers withheld.
-  /// Unset = the engine's default registrations (bkws, blinks, r-clique,
-  /// bidirectional with default options). Returning nullptr for a name
+  /// Unset = MakeDefaultAlgorithm, the engine's default registrations.
+  /// Returning nullptr for a name
   /// fails that algorithm's queries whenever the fleet has a cut.
   std::function<std::unique_ptr<KeywordSearchAlgorithm>(
       const std::string& name)>
@@ -112,7 +116,8 @@ class ShardedSearchService : public QueryService {
   /// are accepted only for N=1) and algorithm sets agree. Layer counts may
   /// differ (a small shard can summarize away in fewer layers); Identity()
   /// reports the deepest. Must succeed before Query()/BumpEpoch();
-  /// FailedPrecondition otherwise.
+  /// FailedPrecondition otherwise. Advances the epoch: a re-attach may
+  /// follow a fleet rebuild, so no answer cached before it is served.
   Status Attach();
 
   // QueryService interface. Identity() presents the coordinator as a
@@ -129,8 +134,8 @@ class ShardedSearchService : public QueryService {
 
   /// Broadcasts the batch to every shard in parallel (each shard applies
   /// only the edges it owns and skips the rest — see ShardSubstrate::Update),
-  /// advances the changed shards' epochs, clears their coordinator-side
-  /// caches, and bumps the coordinator's own epoch when anything changed.
+  /// and advances the coordinator's epoch (which retires every cached
+  /// answer) when anything changed.
   /// `applied` is summed across shards (vertex ownership is disjoint);
   /// `skipped` = batch size − applied, so the coordinator-level accounting
   /// matches a monolithic server's. Under wcc-mode plans a cross-shard edge
@@ -148,12 +153,12 @@ class ShardedSearchService : public QueryService {
   /// coherence: each rolled-back shard must still report the epoch its
   /// rollback returned (a concurrent update racing the broadcast would
   /// leave the fleet serving mixed generations — that surfaces as
-  /// FailedPrecondition, and the caches/region are already invalidated so
+  /// FailedPrecondition, and the cache/region are already invalidated so
   /// nothing stale is served either way). Shards that retain no previous
   /// version answer FailedPrecondition and are skipped — a single-shard
   /// update stays reversible fleet-wide; if NO shard rolled back the call
-  /// itself returns FailedPrecondition. On success clears the rolled-back
-  /// shards' coordinator caches and returns the coordinator's new epoch.
+  /// itself returns FailedPrecondition. On success returns the
+  /// coordinator's new epoch.
   /// A shard failure mid-broadcast leaves the fleet partially rolled back;
   /// the returned status names the first failing shard and a retry
   /// re-broadcasts (already-rolled-back shards are then skipped as above).
@@ -163,11 +168,6 @@ class ShardedSearchService : public QueryService {
   size_t num_shards() const { return substrate_->num_shards(); }
 
  private:
-  struct PerShard {
-    std::unique_ptr<AnswerCache> cache;  // null when caching is disabled
-    std::atomic<uint64_t> epoch{1};      // the shard's epoch as last seen
-  };
-
   /// Lazily assembled completion state: the region plus the coordinator's
   /// own algorithm instances (with their locality radii). Immutable once
   /// published; rebuilt after every invalidation.
@@ -192,34 +192,27 @@ class ShardedSearchService : public QueryService {
   StatusOr<std::vector<Answer>> CompleteAcrossCut(
       const RegionState& state, const EngineQuery& query) const;
 
+  /// Advances the epoch (retiring every cached answer) and restarts the
+  /// epoch-age clock; returns the new epoch.
+  uint64_t AdvanceEpoch();
+
   ShardSubstrate* substrate_;
   ShardedServiceOptions options_;
   ExecutorPool pool_;
-  Timer uptime_;
+  AnswerCache cache_;
 
   std::atomic<bool> attached_{false};
-  std::vector<std::unique_ptr<PerShard>> shards_;
   std::vector<std::string> algorithms_;  // common set, from Attach
   uint32_t num_layers_ = 0;              // deepest shard layer count
 
   std::atomic<uint64_t> epoch_{1};
-  std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> rejected_invalid_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> deadline_misses_{0};
-  std::atomic<uint64_t> shard_queries_{0};   // fan-out requests actually sent
-  std::atomic<uint64_t> shard_failures_{0};  // failed shard requests
-  std::atomic<uint64_t> partial_results_{0};
-  std::atomic<uint64_t> updates_applied_{0};
-  std::atomic<uint64_t> updates_rejected_{0};
-  std::atomic<uint64_t> update_fallbacks_{0};
-  std::atomic<uint64_t> rollbacks_{0};
+  ServiceCounters counters_;
+  StatCounter shard_queries_;    // fan-out requests actually sent
+  StatCounter shard_failures_;   // failed shard requests
+  StatCounter partial_results_;  // merges served with a shard missing
 
   mutable std::mutex region_mutex_;
   std::shared_ptr<const RegionState> region_;  // null = needs (re)assembly
-  std::atomic<double> epoch_changed_at_s_{0};  // uptime-relative, like
-                                               // SearchService's
-  LatencyHistogram latency_;
 };
 
 }  // namespace bigindex

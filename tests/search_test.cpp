@@ -185,25 +185,6 @@ TEST(PartitionerTest, SingleBlockWhenTargetLarge) {
   EXPECT_EQ(p.NumBlocks(), 1u);
 }
 
-TEST(PartitionerTest, PortalsAreCrossingVertices) {
-  // Two 2-vertex components joined by edge 1 -> 2, block size 2 forces the
-  // components apart.
-  Graph g = BuildGraph({0, 0, 0, 0}, {{0, 1}, {1, 2}, {2, 3}});
-  Partition p = PartitionGraph(g, 2);
-  auto portals = ComputePortals(g, p);
-  for (VertexId v : portals) {
-    bool crossing = false;
-    for (VertexId w : g.OutNeighbors(v)) {
-      crossing |= p.BlockOf(w) != p.BlockOf(v);
-    }
-    for (VertexId w : g.InNeighbors(v)) {
-      crossing |= p.BlockOf(w) != p.BlockOf(v);
-    }
-    EXPECT_TRUE(crossing);
-  }
-  EXPECT_FALSE(portals.empty());
-}
-
 // ---------- Blinks ----------
 
 TEST(BlinksTest, MatchesBkwsSemantics) {

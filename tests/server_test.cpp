@@ -317,7 +317,7 @@ TEST(SearchServiceTest, EpochBumpInvalidatesCache) {
 TEST(SearchServiceTest, DisabledCacheNeverHits) {
   ServiceFixture fx;
   SearchService service(fx.engine,
-                        {.max_linger_ms = 0, .enable_cache = false});
+                        {.max_linger_ms = 0, .cache = {.capacity = 0}});
   EngineQuery q = Q({0, 1});
   ASSERT_TRUE(service.Query(q).ok());
   ASSERT_TRUE(service.Query(q).ok());
@@ -338,7 +338,7 @@ TEST(SearchServiceTest, QueueOverflowRejectsNewestWithUnavailable) {
   SearchService service(fx.engine, {.queue_capacity = 2,
                                     .max_batch_size = 1,
                                     .max_linger_ms = 0,
-                                    .enable_cache = false});
+                                    .cache = {.capacity = 0}});
   auto mk = [&](LabelId kw) {
     EngineQuery q = Q({kw}, "blocking");
     q.eval.forced_layer = 0;  // evaluate directly: exactly one Evaluate()
@@ -378,7 +378,7 @@ TEST(SearchServiceTest, RejectOldestPolicyDisplacesHeadOfQueue) {
                   .max_batch_size = 1,
                   .max_linger_ms = 0,
                   .overload_policy = OverloadPolicy::kRejectOldest,
-                  .enable_cache = false});
+                  .cache = {.capacity = 0}});
   auto mk = [&](LabelId kw) {
     EngineQuery q = Q({kw}, "blocking");
     q.eval.forced_layer = 0;
@@ -454,7 +454,7 @@ TEST(SearchServiceTest, DeadlineExpiringWhileQueuedNeverReachesEngine) {
 
   SearchService service(fx.engine, {.max_batch_size = 1,
                                     .max_linger_ms = 0,
-                                    .enable_cache = false});
+                                    .cache = {.capacity = 0}});
   // Park the batcher, then queue a request whose deadline dies in the queue.
   EngineQuery blocker = Q({0}, "blocking");
   blocker.eval.forced_layer = 0;
@@ -532,7 +532,7 @@ TEST(SearchServiceTest, ShutdownResolvesQueuedRequests) {
   auto service = std::make_unique<SearchService>(
       fx.engine, SearchServiceOptions{.max_batch_size = 1,
                                       .max_linger_ms = 0,
-                                      .enable_cache = false});
+                                      .cache = {.capacity = 0}});
   EngineQuery q = Q({0}, "blocking");
   q.eval.forced_layer = 0;
   auto f1 = service->SubmitAsync(q);

@@ -2,7 +2,8 @@
 // answers identical to monolithic for 2 and 4 shards, both substrates, all
 // registered algorithms at every layer, over the seeded random-graph
 // harness), the INFO verb, ProtocolClient timeout/retry semantics,
-// coordinator attach validation, per-shard epoch-keyed caching, deadlines,
+// coordinator attach validation, the coordinator's epoch-keyed answer
+// cache (workers run without one), role-labeled metrics, deadlines,
 // and the sharded index-image round-trip (tools/ci.sh re-runs the
 // concurrency-relevant suites under ThreadSanitizer).
 
@@ -24,10 +25,8 @@
 #include "core/big_index.h"
 #include "core/index_image.h"
 #include "engine/query_engine.h"
+#include "obs/metrics.h"
 #include "search/answer.h"
-#include "search/bidirectional.h"
-#include "search/bkws.h"
-#include "search/blinks.h"
 #include "search/partitioner.h"
 #include "search/rclique.h"
 #include "server/line_protocol.h"
@@ -92,16 +91,11 @@ InProcessSubstrateOptions SubstrateOptions() {
 ShardedServiceOptions CoordinatorOptions(ShardedServiceOptions opts = {}) {
   opts.make_algorithm = [](const std::string& name)
       -> std::unique_ptr<KeywordSearchAlgorithm> {
-    if (name == "bkws") return std::make_unique<BkwsAlgorithm>();
-    if (name == "blinks") return std::make_unique<BlinksAlgorithm>();
-    if (name == "bidirectional") {
-      return std::make_unique<BidirectionalAlgorithm>();
-    }
     if (name == "r-clique") {
       return std::make_unique<RCliqueAlgorithm>(
           RCliqueOptions{.r = 4, .top_k = 0});
     }
-    return nullptr;
+    return MakeDefaultAlgorithm(name);
   };
   return opts;
 }
@@ -339,7 +333,7 @@ TEST(ShardCoordinator, ExpiredDeadlineRejectedBeforeFanOut) {
   EXPECT_EQ(service.Snapshot().deadline_misses, 1u);
 }
 
-TEST(ShardCoordinator, PerShardCachesHitOnRepeatAndInvalidateOnBump) {
+TEST(ShardCoordinator, CacheHitsOnRepeatAndInvalidatesOnBump) {
   CoordinatorFixture fx;
   ShardedSearchService service(fx.substrate.get());
   ASSERT_TRUE(service.Attach().ok());
@@ -351,7 +345,7 @@ TEST(ShardCoordinator, PerShardCachesHitOnRepeatAndInvalidateOnBump) {
 
   auto second = service.Query(q);
   ASSERT_TRUE(second.ok());
-  // Both shards answered from the coordinator's caches: no new fan-out.
+  // The merged answer came from the coordinator's cache: no new fan-out.
   EXPECT_EQ(service.Snapshot().batched_queries, 2u);
   EXPECT_EQ(Sorted(second->answers), Sorted(first->answers));
 
@@ -360,11 +354,79 @@ TEST(ShardCoordinator, PerShardCachesHitOnRepeatAndInvalidateOnBump) {
   ASSERT_TRUE(third.ok());
   EXPECT_EQ(service.Snapshot().batched_queries, 4u);  // re-fanned after bump
   EXPECT_EQ(Sorted(third->answers), Sorted(first->answers));
+
+  // A re-attach may follow a fleet rebuild, so it retires the cache too.
+  ASSERT_TRUE(service.Query(q).ok());
+  EXPECT_EQ(service.Snapshot().batched_queries, 4u);
+  ASSERT_TRUE(service.Attach().ok());
+  auto fourth = service.Query(q);
+  ASSERT_TRUE(fourth.ok());
+  EXPECT_EQ(service.Snapshot().batched_queries, 6u);  // re-fanned after attach
+  EXPECT_EQ(Sorted(fourth->answers), Sorted(first->answers));
+}
+
+TEST(ShardCoordinator, CountsOneCacheLookupPerQuery) {
+  CoordinatorFixture fx;  // 2 shards
+  ShardedSearchService service(fx.substrate.get());
+  ASSERT_TRUE(service.Attach().ok());
+  ASSERT_TRUE(service.Query(fx.Query()).ok());
+  ASSERT_TRUE(service.Query(fx.Query()).ok());
+  ServiceStats stats = service.Snapshot();
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_entries, 1u);
+}
+
+TEST(ShardCoordinator, WorkersDoNotCache) {
+  CoordinatorFixture fx;
+  ShardedSearchService service(fx.substrate.get());
+  ASSERT_TRUE(service.Attach().ok());
+  for (const char* algo : kAlgorithms) {
+    ASSERT_TRUE(service.Query(fx.Query(algo)).ok());
+    ASSERT_TRUE(service.Query(fx.Query(algo)).ok());
+  }
+  for (size_t s = 0; s < fx.substrate->num_shards(); ++s) {
+    ServiceStats worker = fx.substrate->shard_service(s)->Snapshot();
+    EXPECT_GT(worker.completed, 0u) << "shard " << s;
+    EXPECT_EQ(worker.cache_entries, 0u) << "shard " << s;
+    EXPECT_EQ(worker.cache_hits + worker.cache_misses, 0u) << "shard " << s;
+  }
+}
+
+TEST(ShardCoordinator, PartialMergeIsNotCached) {
+  CoordinatorFixture fx;
+  RemoteFleet fleet(*fx.substrate);
+  RemoteSubstrate remote(fleet.endpoints,
+                         {.connect_timeout_ms = 100, .max_attempts = 1});
+  ShardedSearchService service(&remote, {.allow_partial = true});
+  ASSERT_TRUE(service.Attach().ok());
+
+  fleet.servers[1]->Stop();  // shard 1 goes dark after attach
+
+  ASSERT_TRUE(service.Query(fx.Query()).ok());
+  ASSERT_TRUE(service.Query(fx.Query()).ok());
+  ServiceStats stats = service.Snapshot();
+  EXPECT_EQ(stats.partial_results, 2u);
+  EXPECT_EQ(stats.cache_entries, 0u);
+  EXPECT_EQ(stats.cache_hits, 0u);  // the repeat merged again
+}
+
+TEST(ShardCoordinator, RecordsRoleLabeledMetrics) {
+  CoordinatorFixture fx;
+  ShardedSearchService service(fx.substrate.get());
+  ASSERT_TRUE(service.Attach().ok());
+  ASSERT_TRUE(service.Query(fx.Query()).ok());
+  const std::string text = MetricsRegistry::Global().RenderPrometheus();
+  EXPECT_NE(text.find(R"(bigindex_server_requests_total{role="coordinator"})"),
+            std::string::npos);
+  EXPECT_NE(
+      text.find(R"(bigindex_server_completed_total{role="coordinator"})"),
+      std::string::npos);
 }
 
 TEST(ShardCoordinator, CacheDisabledAlwaysFansOut) {
   CoordinatorFixture fx;
-  ShardedSearchService service(fx.substrate.get(), {.enable_cache = false});
+  ShardedSearchService service(fx.substrate.get(), {.cache = {.capacity = 0}});
   ASSERT_TRUE(service.Attach().ok());
   EngineQuery q = fx.Query();
   ASSERT_TRUE(service.Query(q).ok());
@@ -374,9 +436,9 @@ TEST(ShardCoordinator, CacheDisabledAlwaysFansOut) {
 
 TEST(ShardCoordinator, ParallelFanOutMatchesSerial) {
   CoordinatorFixture fx(13, 4);
-  ShardedSearchService serial(fx.substrate.get(), {.enable_cache = false});
+  ShardedSearchService serial(fx.substrate.get(), {.cache = {.capacity = 0}});
   ShardedSearchService parallel(
-      fx.substrate.get(), {.fanout_threads = 4, .enable_cache = false});
+      fx.substrate.get(), {.fanout_threads = 4, .cache = {.capacity = 0}});
   ASSERT_TRUE(serial.Attach().ok());
   ASSERT_TRUE(parallel.Attach().ok());
   for (const char* algo : kAlgorithms) {
@@ -425,10 +487,10 @@ TEST(ShardCoordinator, AllowPartialServesSurvivingShards) {
   RemoteSubstrate remote(fleet.endpoints,
                          {.connect_timeout_ms = 100, .max_attempts = 1});
 
-  ShardedSearchService strict(&remote, {.enable_cache = false});
+  ShardedSearchService strict(&remote, {.cache = {.capacity = 0}});
   ASSERT_TRUE(strict.Attach().ok());
   ShardedSearchService lenient(
-      &remote, {.enable_cache = false, .allow_partial = true});
+      &remote, {.cache = {.capacity = 0}, .allow_partial = true});
   ASSERT_TRUE(lenient.Attach().ok());
 
   fleet.servers[1]->Stop();  // shard 1 goes dark after attach
@@ -702,11 +764,11 @@ TEST(ShardedUpdate, BroadcastMatchesMonolithicBothSubstrates) {
   // Caches off: both coordinators mutate the same substrate, and a
   // coordinator only learns of epoch bumps it issued itself (the documented
   // bump-through-the-coordinator contract).
-  ShardedSearchService local(substrate->get(), {.enable_cache = false});
+  ShardedSearchService local(substrate->get(), {.cache = {.capacity = 0}});
   ASSERT_TRUE(local.Attach().ok());
   RemoteFleet fleet(**substrate);
   RemoteSubstrate remote(fleet.endpoints);
-  ShardedSearchService wire(&remote, {.enable_cache = false});
+  ShardedSearchService wire(&remote, {.cache = {.capacity = 0}});
   ASSERT_TRUE(wire.Attach().ok());
 
   auto expect_matches_monolithic = [&](const Graph& state,

@@ -23,15 +23,17 @@
 //     without coordination), builds only shard K's index, and serves it
 //     behind a global-id remap. With --index-image PREFIX the worker
 //     saves/loads "PREFIX.shard<K>of<N>.img". All workers must be launched
-//     with identical dataset/shard flags.
+//     with identical dataset/shard flags. Workers run without an answer
+//     cache (the coordinator caches merged answers), so --cache is a usage
+//     error here.
 //   * coordinator (--coordinator h:p,...): no index at all; attaches a
 //     scatter-gather ShardedSearchService over the listed shard workers
 //     (in shard-id order) and serves the same line protocol. The dataset
 //     flags are still used to build the label dictionary for keyword-name
-//     parsing. --cache sizes the per-shard answer caches, --deadline-ms the
-//     default fan-out deadline, --allow-partial opts into serving partial
-//     merges when a shard is down, and --attach-retries bounds startup
-//     waiting for workers to come up.
+//     parsing. --cache sizes the coordinator's cache of merged answers,
+//     --deadline-ms the default fan-out deadline, --allow-partial opts
+//     into serving partial merges when a shard is down, and
+//     --attach-retries bounds startup waiting for workers to come up.
 //
 //   --index-image PATH mmaps a flat index image (core/index_image.h) instead
 //   of rebuilding the hierarchy at startup, cutting cold start from seconds
@@ -39,7 +41,9 @@
 //   saved there, so the flag is self-priming across restarts. The dataset
 //   flags must match the ones the image was built with (the label
 //   dictionaries are cross-checked at load).
-//   --threads 0  = serial engine (no pool);  --cache 0 disables the cache.
+//   --threads 0  = serial engine (no pool);  --cache N sizes the answer
+//   cache of a monolithic server or a coordinator (default 4096 entries;
+//   0 disables it).
 //   --build-threads parallelizes the startup index construction (0 = serial,
 //   the default; the built index is identical for any value).
 //   --metrics-port 0 (the default) disables the HTTP scrape endpoint; the
@@ -183,6 +187,7 @@ int Run(int argc, char** argv) {
   size_t attach_retries = 10;
   double update_fallback_ratio = 0.5;
   bool live_updates = true;
+  bool cache_flag = false;
 
   for (int i = 1; i < argc; ++i) {
     auto next = [&](const char* flag) -> const char* {
@@ -218,7 +223,7 @@ int Run(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--cache") == 0) {
       service_opts.cache.capacity =
           static_cast<size_t>(std::atoi(next("--cache")));
-      service_opts.enable_cache = service_opts.cache.capacity > 0;
+      cache_flag = true;
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
       service_opts.default_deadline_ms = std::atof(next("--deadline-ms"));
     } else if (std::strcmp(argv[i], "--reject-oldest") == 0) {
@@ -270,6 +275,12 @@ int Run(int argc, char** argv) {
                  "error: --coordinator and --shard-of are exclusive\n");
     return Usage();
   }
+  if (cache_flag && shard_of >= 0) {
+    std::fprintf(stderr,
+                 "error: --cache does not apply to --shard-of workers (the "
+                 "coordinator caches merged answers)\n");
+    return Usage();
+  }
   if (shard_of >= 0 && (plan_opts.num_shards < 1 ||
                         static_cast<uint32_t>(shard_of) >=
                             plan_opts.num_shards)) {
@@ -298,7 +309,6 @@ int Run(int argc, char** argv) {
     RemoteSubstrate substrate(std::move(endpoints).value());
     ShardedServiceOptions copts;
     copts.fanout_threads = engine_opts.num_threads;
-    copts.enable_cache = service_opts.enable_cache;
     copts.cache = service_opts.cache;
     copts.default_deadline_ms = service_opts.default_deadline_ms;
     copts.allow_partial = allow_partial;
@@ -398,6 +408,7 @@ int Run(int argc, char** argv) {
         std::move(built->index));
     auto engine =
         std::make_shared<const QueryEngine>(shard_index, engine_opts);
+    service_opts.cache.capacity = 0;  // the coordinator is the cache tier
     SearchService service(engine, service_opts);
     service.set_identity(ServiceIdentity{
         .fingerprint = fingerprint,
@@ -505,7 +516,7 @@ int Run(int argc, char** argv) {
                "(threads=%zu queue=%zu max_batch=%zu cache=%zu)\n",
                server.port(), engine->num_slots(),
                service_opts.queue_capacity, service_opts.max_batch_size,
-               service_opts.enable_cache ? service_opts.cache.capacity : 0);
+               service_opts.cache.capacity);
 
   MetricsHttpServer scrape(metrics_http);
   if (metrics_http.port != 0) {

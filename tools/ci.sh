@@ -6,11 +6,11 @@
 # cache-epoch race test) plus the multi-process coordinator/shard
 # integration test (which now drives the UPDATE verb end to end), then an
 # ASan+UBSan pass over the index-image fuzz suite (hostile-bytes paths),
-# then the docs checks (dead links, protocol verbs, metric catalog), a
-# metrics-overhead smoke, a parallel-construction smoke, an index-image
-# cold-start smoke, the shard scatter-gather throughput gate, a maintenance
-# differential smoke, a short serving-layer load smoke (with the mixed
-# read/update phase), and the over-the-wire bench_e2e smoke.
+# then the docs checks (dead links, protocol verbs, metric catalog, span
+# taxonomy), a metrics-overhead smoke, a parallel-construction smoke, an
+# index-image cold-start smoke, the shard scatter-gather throughput gate,
+# a maintenance differential smoke, a short serving-layer load smoke (with
+# the mixed read/update phase), and the over-the-wire bench_e2e smoke.
 #
 #   tools/ci.sh [jobs]
 #
@@ -69,6 +69,10 @@ tools/check_protocol_docs.sh
 echo
 echo "=== docs: metric catalog matches registered metrics ==="
 tools/check_metrics_docs.sh
+
+echo
+echo "=== docs: span taxonomy matches TRACE_SPAN sites ==="
+tools/check_span_docs.sh
 
 echo
 echo "=== smoke: disabled-instrumentation overhead budget ==="
