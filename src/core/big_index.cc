@@ -86,7 +86,7 @@ StatusOr<BigIndex> BigIndex::Build(Graph base, const Ontology* ontology,
                        : static_cast<double>(bisim.summary.Size()) /
                              current->Size();
     // Nothing left to gain: no labels moved and no structural compression.
-    if (config.empty() && ratio > options.stop_ratio) break;
+    if (config.empty() && ratio > kStopRatio) break;
 
     IndexLayer layer;
     layer.config = std::move(config);

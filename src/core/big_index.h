@@ -39,6 +39,12 @@ struct BuildOptions {
   uint64_t seed = 42;
 };
 
+/// Build stops early when a new layer shrinks the previous one by less than
+/// this ("until it cannot be further summarized efficiently", Sec. 1):
+/// |G^i| / |G^{i-1}| must be <= kStopRatio to keep going once the
+/// configuration is empty.
+inline constexpr double kStopRatio = 0.999;
+
 /// Construction knobs.
 struct BigIndexOptions {
   /// Maximum number of summary layers h (the paper computes 7).
@@ -51,12 +57,6 @@ struct BigIndexOptions {
   bool use_greedy_config = false;
 
   ConfigSearchOptions config_search;
-
-  /// Stop early when a new layer shrinks the previous one by less than this
-  /// ("until it cannot be further summarized efficiently", Sec. 1):
-  /// |G^i| / |G^{i-1}| must be <= stop_ratio to keep going once the
-  /// configuration is empty.
-  double stop_ratio = 0.999;
 
   /// Parallelism + reproducibility (see BuildOptions).
   BuildOptions build;

@@ -182,6 +182,7 @@ struct Section {
 
 struct ParsedTable {
   uint32_t num_layers = 0;
+  uint32_t max_layers = 0;  // BigIndexOptions::max_layers at build time
   uint32_t shard_id = 0;
   uint32_t num_shards = 0;  // 0 = monolithic, no SHARDMAP section
   bool has_ghosts = false;  // sharded image with a trailing GHOSTS section
@@ -235,6 +236,10 @@ StatusOr<ParsedTable> ValidateHeaderAndTable(const std::byte* data,
   table.num_layers = LoadU32(data + 28);
   table.shard_id = LoadU32(data + 32);
   table.num_shards = LoadU32(data + 36);
+  table.max_layers = LoadU32(data + 40);
+  if (table.max_layers < table.num_layers) {
+    return Status::Corruption("layer cap below stored layer count");
+  }
   if (table.num_shards == 0 && table.shard_id != 0) {
     return Status::Corruption("monolithic image carries a nonzero shard id");
   }
@@ -574,7 +579,8 @@ StatusOr<BigIndex> LoadFromMemory(const std::byte* data, uint64_t size,
     layers.push_back(IndexLayer{std::move(*config), std::move(*graph),
                                 std::move(*mapping)});
   }
-  return BigIndex::FromParts(std::move(*base), ontology, std::move(layers));
+  return BigIndex::FromParts(std::move(*base), ontology, std::move(layers),
+                             {.max_layers = table->max_layers});
 }
 
 }  // namespace
@@ -655,7 +661,8 @@ Status WriteIndexImage(const BigIndex& index, const LabelDictionary& dict,
   AppendU32(header, static_cast<uint32_t>(index.NumLayers()));
   AppendU32(header, shard.shard_id);    // 0 when monolithic
   AppendU32(header, shard.num_shards);  // 0 = monolithic
-  header.append(16, '\0');  // reserved
+  AppendU32(header, static_cast<uint32_t>(index.options().max_layers));
+  header.append(12, '\0');  // reserved
   AppendU64(header, Fnv1a(header.data(), header.size()));
   assert(header.size() == Fmt::kHeaderSize);
 

@@ -6,7 +6,8 @@
 // DESIGN.md "Flat index image format" for the full specification):
 //
 //   [ 64-byte header      ]  magic, version, endianness marker, file size,
-//                            section count, layer count, header checksum
+//                            section count, layer count, shard identity,
+//                            layer cap (max_layers), header checksum
 //   [ section table       ]  32 bytes per section: kind, layer, offset,
 //                            length, FNV-1a checksum of the payload
 //   [ section payloads    ]  back to back, zero-padded to 8-byte boundaries
@@ -30,7 +31,9 @@
 // (offset monotonicity, id ranges) are validated before any structure is
 // wired. Corrupt input yields a non-OK Status, never UB. The ontology is
 // not serialized (it ships with the dataset); the caller passes the one the
-// index was built with.
+// index was built with. Of the build options only max_layers is recorded,
+// so maintaining a loaded image grows its stack toward the cap it was built
+// with; the other options load as defaults.
 
 #ifndef BIGINDEX_CORE_INDEX_IMAGE_H_
 #define BIGINDEX_CORE_INDEX_IMAGE_H_
@@ -47,10 +50,10 @@
 
 namespace bigindex {
 
-/// Image format constants (version 1).
+/// Image format constants (version 2: the header records the layer cap).
 struct IndexImageFormat {
   static constexpr char kMagic[8] = {'B', 'I', 'G', 'X', 'I', 'M', 'G', '1'};
-  static constexpr uint32_t kVersion = 1;
+  static constexpr uint32_t kVersion = 2;
   /// Written as a native u32; reads back as 0x01020304 only on a machine of
   /// the same endianness, so a cross-endian file is rejected with a clear
   /// error instead of deserializing garbage.

@@ -55,35 +55,32 @@ StatusOr<std::unique_ptr<InProcessSubstrate>> InProcessSubstrate::Create(
           shard->engine->index().base(), *global_of, *ghosts,
           AlgorithmRadii(*shard->engine)));
     }
-    if (options.enable_updates) {
-      LiveUpdaterOptions updater_opts;
-      updater_opts.maintain = options.maintain;
-      updater_opts.engine = engine_opts;
-      updater_opts.configure_engine = options.configure_engine;
-      shard->updater = std::make_unique<LiveUpdater>(
-          std::move(index), shard->engine, std::move(updater_opts));
-      SearchService* service = shard->service.get();
-      ShardRemapService* remapped = shard->remapped.get();
-      shard->updater->set_swap(
-          [service, remapped, global_of,
-           ghosts](std::shared_ptr<const QueryEngine> engine) {
-            // Install the successor's boundary before publishing the
-            // engine: post-swap queries must see the matching filter (the
-            // brief pre-swap window with the new boundary is invalidated
-            // by the epoch bump anyway).
-            if (!ghosts->empty()) {
-              remapped->InstallBoundary(ComputeShardBoundary(
-                  engine->index().base(), *global_of, *ghosts,
-                  AlgorithmRadii(*engine)));
-            }
-            return service->SwapEngine(std::move(engine));
-          });
-      LiveUpdater* updater = shard->updater.get();
-      service->set_updater([updater](std::span<const GraphUpdate> updates) {
-        return updater->Apply(updates);
-      });
-      service->set_rollbacker([updater] { return updater->Rollback(); });
-    }
+    LiveUpdaterOptions updater_opts;
+    updater_opts.engine = engine_opts;
+    updater_opts.configure_engine = options.configure_engine;
+    shard->updater = std::make_unique<LiveUpdater>(
+        std::move(index), shard->engine, std::move(updater_opts));
+    SearchService* service = shard->service.get();
+    ShardRemapService* remapped = shard->remapped.get();
+    shard->updater->set_swap(
+        [service, remapped, global_of,
+         ghosts](std::shared_ptr<const QueryEngine> engine) {
+          // Install the successor's boundary before publishing the
+          // engine: post-swap queries must see the matching filter (the
+          // brief pre-swap window with the new boundary is invalidated
+          // by the epoch bump anyway).
+          if (!ghosts->empty()) {
+            remapped->InstallBoundary(ComputeShardBoundary(
+                engine->index().base(), *global_of, *ghosts,
+                AlgorithmRadii(*engine)));
+          }
+          return service->SwapEngine(std::move(engine));
+        });
+    LiveUpdater* updater = shard->updater.get();
+    service->set_updater([updater](std::span<const GraphUpdate> updates) {
+      return updater->Apply(updates);
+    });
+    service->set_rollbacker([updater] { return updater->Rollback(); });
     substrate->shards_.push_back(std::move(shard));
   }
   return substrate;
@@ -127,7 +124,7 @@ StatusOr<UpdateOutcome> InProcessSubstrate::Update(
     size_t shard, std::span<const GraphUpdate> updates) {
   BIGINDEX_RETURN_IF_ERROR(CheckShard(shard));
   // The remapped service translates global -> local ids and skips edges this
-  // shard does not own; without a wired updater it answers Unimplemented.
+  // shard does not own.
   return shards_[shard]->remapped->ApplyUpdate(updates);
 }
 

@@ -23,7 +23,6 @@
 #include "shard/shard_build.h"
 #include "shard/substrate.h"
 #include "update/live_updater.h"
-#include "update/maintain.h"
 
 namespace bigindex {
 
@@ -37,13 +36,6 @@ struct InProcessSubstrateOptions {
   /// set loses its equivalence to a monolithic evaluation. Live updates
   /// re-run the hook on each successor engine.
   std::function<void(QueryEngine&)> configure_engine;
-
-  /// Wire a per-shard LiveUpdater so Update() serves the UPDATE verb.
-  /// Disabling makes the substrate read-only (Update → Unimplemented).
-  bool enable_updates = true;
-
-  /// Incremental-maintenance knobs for the per-shard updaters.
-  MaintainOptions maintain;
 };
 
 class InProcessSubstrate : public ShardSubstrate {

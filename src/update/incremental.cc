@@ -15,6 +15,13 @@ namespace {
 
 constexpr uint32_t kUnset32 = std::numeric_limits<uint32_t>::max();
 
+// DetectMerges' fallback threshold. The merge scan runs on the summary-sized
+// quotient and its localized split pass is linear in the active region, so
+// it stays cheaper than wholesale re-summarization until the active set
+// covers most of the quotient — a far higher bar than
+// MaintainOptions::fallback_dirty_ratio, which guards O(V+E) passes.
+constexpr double kMergeScanFallbackRatio = 0.75;
+
 // FNV-1a over a word sequence (same scheme as bisim/bisimulation.cc);
 // collisions are resolved by full comparison in the group map.
 uint64_t HashWords(std::span<const uint32_t> v) {
@@ -64,9 +71,6 @@ struct RefineState {
 size_t SplitToStability(const Graph& g, std::span<const LabelId> labels,
                         RefineState& rs, std::vector<VertexId> frontier,
                         size_t* resigned) {
-  auto label_of = [&](VertexId v) {
-    return labels.empty() ? g.label(v) : labels[v];
-  };
   const CsrView out = g.Out();
   const CsrView in = g.In();
   std::vector<char> dirty_flag(g.NumVertices(), 0);
@@ -105,7 +109,7 @@ size_t SplitToStability(const Graph& g, std::span<const LabelId> labels,
       SigKey key;
       for (VertexId v : mem) {
         key.words.clear();
-        key.words.push_back(label_of(v));
+        key.words.push_back(labels[v]);
         const size_t first = key.words.size();
         const auto [s, e] = out[v];
         for (uint64_t i = s; i < e; ++i) {
@@ -170,7 +174,7 @@ uint64_t OneStepInvariant(const Graph& q, VertexId v,
 }  // namespace
 
 MergeScan DetectMerges(const Graph& q, std::span<const VertexId> changed,
-                       double fallback_active_ratio, ExecutorPool* pool) {
+                       ExecutorPool* pool) {
   TRACE_SPAN("update/merge_scan");
   const size_t m = q.NumVertices();
   MergeScan scan;
@@ -227,7 +231,7 @@ MergeScan DetectMerges(const Graph& q, std::span<const VertexId> changed,
   for (VertexId v = 0; v < m; ++v) scan.active += active[v];
 
   if (static_cast<double>(scan.active) >
-      fallback_active_ratio * static_cast<double>(m)) {
+      kMergeScanFallbackRatio * static_cast<double>(m)) {
     // The working set covers most of the graph — the localized refinement
     // would approximate a wholesale pass anyway.
     BisimResult merged = ComputeBisimulation(q, {.pool = pool});
@@ -267,7 +271,8 @@ MergeScan DetectMerges(const Graph& q, std::span<const VertexId> changed,
   for (uint32_t b = 0; b < rs.origin_of.size(); ++b) rs.origin_of[b] = b;
   rs.fragmented.assign(rs.members_of.size(), 0);
 
-  scan.rounds = SplitToStability(q, {}, rs, std::move(frontier), nullptr);
+  scan.rounds =
+      SplitToStability(q, q.labels(), rs, std::move(frontier), nullptr);
   scan.localized = true;
 
   scan.block_of.resize(m);
@@ -308,7 +313,7 @@ BisimResult MaterializePartition(const Graph& g,
   {
     std::vector<LabelId> super_label(num_blocks, kInvalidLabel);
     for (VertexId v = 0; v < n; ++v) {
-      super_label[partition[v]] = labels.empty() ? g.label(v) : labels[v];
+      super_label[partition[v]] = labels[v];
     }
     for (size_t s = 0; s < num_blocks; ++s) builder.AddVertex(super_label[s]);
   }
@@ -335,9 +340,6 @@ StatusOr<BisimResult> IncrementalBisimulation(
   static Counter& runs = MetricsRegistry::Global().GetCounter(
       "bigindex_update_incremental_runs_total",
       "Incremental bisimulation invocations");
-  static Counter& fallbacks = MetricsRegistry::Global().GetCounter(
-      "bigindex_update_incremental_fallback_total",
-      "Incremental invocations that fell back to wholesale refinement");
   static Counter& resigned = MetricsRegistry::Global().GetCounter(
       "bigindex_update_resigned_vertices_total",
       "Vertex signatures recomputed by the localized split pass");
@@ -347,11 +349,14 @@ StatusOr<BisimResult> IncrementalBisimulation(
   if (seed_partition.size() != n) {
     return Status::InvalidArgument("seed partition size != vertex count");
   }
-  if (!options.labels.empty() && options.labels.size() != n) {
-    return Status::InvalidArgument("label override size != vertex count");
+  if (options.labels.size() != n) {
+    return Status::InvalidArgument("labels size != vertex count");
   }
   for (VertexId v : dirty) {
     if (v >= n) return Status::InvalidArgument("dirty vertex out of range");
+  }
+  for (VertexId v : options.merge_changed) {
+    if (v >= n) return Status::InvalidArgument("changed vertex out of range");
   }
   IncrementalBisimStats local_stats;
   IncrementalBisimStats& st = stats != nullptr ? *stats : local_stats;
@@ -361,62 +366,26 @@ StatusOr<BisimResult> IncrementalBisimulation(
 
   const std::span<const LabelId> labels = options.labels;
 
-  if (static_cast<double>(dirty.size()) >
-      options.fallback_dirty_ratio * static_cast<double>(n)) {
-    st.fell_back = true;
-    fallbacks.Inc();
-    if (labels.empty()) return ComputeBisimulation(g, {.pool = options.pool});
-    // The wholesale pass needs a real graph carrying the override labels;
-    // building it through GraphBuilder matches Generalize() byte for byte.
-    GraphBuilder rb;
-    rb.Reserve(n, g.NumEdges());
-    for (VertexId v = 0; v < n; ++v) rb.AddVertex(labels[v]);
-    const CsrView gout = g.Out();
-    for (VertexId u = 0; u < n; ++u) {
-      const auto [s, e] = gout[u];
-      for (uint64_t i = s; i < e; ++i) rb.AddEdge(u, gout.Slot(i));
-    }
-    auto relabeled = rb.Build();
-    assert(relabeled.ok());
-    return ComputeBisimulation(*relabeled, {.pool = options.pool});
-  }
-
   // Densify the seed into block ids 0..B-1 (first-occurrence order; the
   // final renumber makes the choice here irrelevant to output) and build
-  // block -> members lists, members ascending. When the caller bounds the
-  // seed-id space (seed_id_bound) a flat table replaces the hash map.
+  // block -> members lists, members ascending.
   RefineState rs;
   rs.block.resize(n);
   std::vector<VertexId> seed_value_of;
-  if (options.seed_id_bound > 0) {
-    std::vector<uint32_t> dense(options.seed_id_bound, kUnset32);
-    for (VertexId v = 0; v < n; ++v) {
-      const VertexId s = seed_partition[v];
-      if (s >= options.seed_id_bound) {
-        return Status::InvalidArgument("seed id >= seed_id_bound");
-      }
-      uint32_t& d = dense[s];
-      if (d == kUnset32) {
-        d = static_cast<uint32_t>(rs.members_of.size());
-        rs.members_of.emplace_back();
-        seed_value_of.push_back(s);
-      }
-      rs.block[v] = d;
-      rs.members_of[d].push_back(v);
+  std::vector<uint32_t> seed_dense(options.seed_id_bound, kUnset32);
+  for (VertexId v = 0; v < n; ++v) {
+    const VertexId s = seed_partition[v];
+    if (s >= options.seed_id_bound) {
+      return Status::InvalidArgument("seed id >= seed_id_bound");
     }
-  } else {
-    std::unordered_map<VertexId, uint32_t> dense;
-    dense.reserve(n / 4 + 16);
-    for (VertexId v = 0; v < n; ++v) {
-      auto [it, inserted] = dense.try_emplace(
-          seed_partition[v], static_cast<uint32_t>(rs.members_of.size()));
-      if (inserted) {
-        rs.members_of.emplace_back();
-        seed_value_of.push_back(seed_partition[v]);
-      }
-      rs.block[v] = it->second;
-      rs.members_of[it->second].push_back(v);
+    uint32_t& d = seed_dense[s];
+    if (d == kUnset32) {
+      d = static_cast<uint32_t>(rs.members_of.size());
+      rs.members_of.emplace_back();
+      seed_value_of.push_back(s);
     }
+    rs.block[v] = d;
+    rs.members_of[d].push_back(v);
   }
   const size_t num_seeds = rs.members_of.size();
   rs.origin_of.resize(num_seeds);
@@ -444,7 +413,7 @@ StatusOr<BisimResult> IncrementalBisimulation(
   // Phase 2 (merge): the split-stable partition P may still be finer than
   // maximal bisimulation (updates can *merge* blocks). P is stable and
   // label-uniform, so max-bisim(g) is the pullback of max-bisim(g/P):
-  // quotient, summarize the (summary-sized) quotient, compose.
+  // quotient, scan the (summary-sized) quotient for merges, compose.
   std::vector<uint32_t> p1(n);
   std::vector<uint32_t> p1_origin;
   std::vector<uint32_t> p1_work;  // p1 block -> working block (members list)
@@ -463,9 +432,6 @@ StatusOr<BisimResult> IncrementalBisimulation(
   }
   st.quotient_vertices = p1_blocks;
 
-  auto label_of = [&](VertexId v) {
-    return labels.empty() ? g.label(v) : labels[v];
-  };
   const CsrView out = g.Out();
   Graph quotient;
   {
@@ -473,7 +439,7 @@ StatusOr<BisimResult> IncrementalBisimulation(
     GraphBuilder qb;
     qb.Reserve(p1_blocks, g.NumEdges());
     std::vector<LabelId> qlabel(p1_blocks, kInvalidLabel);
-    for (VertexId v = 0; v < n; ++v) qlabel[p1[v]] = label_of(v);
+    for (VertexId v = 0; v < n; ++v) qlabel[p1[v]] = labels[v];
     for (size_t s = 0; s < p1_blocks; ++s) qb.AddVertex(qlabel[s]);
     // Pre-dedupe block edges with a stamp array so Build's sort works on
     // ~|E_q| entries instead of |E| — Build sorts and uniques regardless, so
@@ -496,111 +462,70 @@ StatusOr<BisimResult> IncrementalBisimulation(
     quotient = std::move(built).value();
   }
 
-  if (options.seed_maximal) {
-    // The seed came from a maximal bisimulation, so the old quotient was
-    // *reduced* (no two blocks bisimilar) and merge classes are confined to
-    // the backward closure of the changed quotient nodes: blocks holding a
-    // dirty vertex, plus every block descending from a fragmented seed.
-    std::vector<VertexId> qchanged;
-    {
-      const std::span<const VertexId> core =
-          options.merge_changed.empty() ? dirty : options.merge_changed;
-      std::vector<char> qflag(p1_blocks, 0);
-      for (VertexId v : core) {
-        if (v < n && !qflag[p1[v]]) {
-          qflag[p1[v]] = 1;
-          qchanged.push_back(p1[v]);
-        }
-      }
-      for (uint32_t b = 0; b < p1_blocks; ++b) {
-        if (rs.fragmented[p1_origin[b]] && !qflag[b]) {
-          qflag[b] = 1;
-          qchanged.push_back(b);
-        }
+  // The seed came from a maximal bisimulation, so the old quotient was
+  // *reduced* (no two blocks bisimilar) and merge classes are confined to
+  // the backward closure of the changed quotient nodes: blocks holding a
+  // merge_changed vertex, plus every block descending from a fragmented
+  // seed.
+  std::vector<VertexId> qchanged;
+  {
+    std::vector<char> qflag(p1_blocks, 0);
+    for (VertexId v : options.merge_changed) {
+      if (!qflag[p1[v]]) {
+        qflag[p1[v]] = 1;
+        qchanged.push_back(p1[v]);
       }
     }
-    MergeScan scan = DetectMerges(quotient, qchanged,
-                                  kMergeScanFallbackRatio, options.pool);
-    st.merge_active = scan.active;
-    st.merge_localized = scan.localized;
-
-    if (scan.num_classes == p1_blocks) {
-      // Discrete: P1 is the maximal bisimulation. `quotient` was built by
-      // the exact builder-call sequence MaterializePartition would issue
-      // for this partition (p1 is already in first-occurrence order), so it
-      // IS the byte-identical summary — no second full-graph pass.
-      BisimResult result;
-      result.refinement_rounds = rounds + scan.rounds;
-      result.mapping = BisimMapping(p1, p1_blocks);
-      result.summary = std::move(quotient);
-      if (trace != nullptr) {
-        trace->seed_of_final.assign(p1_blocks, kInvalidVertex);
-        trace->intact.assign(p1_blocks, 0);
-        for (uint32_t b = 0; b < p1_blocks; ++b) {
-          const uint32_t origin = p1_origin[b];
-          trace->seed_of_final[b] = seed_value_of[origin];
-          trace->intact[b] = !rs.fragmented[origin];
-        }
+    for (uint32_t b = 0; b < p1_blocks; ++b) {
+      if (rs.fragmented[p1_origin[b]] && !qflag[b]) {
+        qflag[b] = 1;
+        qchanged.push_back(b);
       }
-      return result;
     }
+  }
+  MergeScan scan = DetectMerges(quotient, qchanged, options.pool);
+  st.merge_active = scan.active;
+  st.merge_localized = scan.localized;
 
-    // Blocks merged (rare): compose and materialize as usual.
-    std::vector<uint32_t> final_block(n);
-    for (VertexId v = 0; v < n; ++v) final_block[v] = scan.block_of[p1[v]];
-    std::vector<uint32_t> merged_to_final;
-    BisimResult result = MaterializePartition(
-        g, labels, std::move(final_block), scan.num_classes,
-        rounds + scan.rounds, trace != nullptr ? &merged_to_final : nullptr);
-
+  if (scan.num_classes == p1_blocks) {
+    // Discrete: P1 is the maximal bisimulation. `quotient` was built by
+    // the exact builder-call sequence MaterializePartition would issue
+    // for this partition (p1 is already in first-occurrence order), so it
+    // IS the byte-identical summary — no second full-graph pass.
+    BisimResult result;
+    result.refinement_rounds = rounds + scan.rounds;
+    result.mapping = BisimMapping(p1, p1_blocks);
+    result.summary = std::move(quotient);
     if (trace != nullptr) {
-      std::vector<std::vector<uint32_t>> cls(scan.num_classes);
+      trace->seed_of_final.assign(p1_blocks, kInvalidVertex);
+      trace->intact.assign(p1_blocks, 0);
       for (uint32_t b = 0; b < p1_blocks; ++b) {
-        cls[scan.block_of[b]].push_back(b);
-      }
-      const size_t num_final = result.mapping.NumSupernodes();
-      trace->seed_of_final.assign(num_final, kInvalidVertex);
-      trace->intact.assign(num_final, 0);
-      for (uint32_t f = 0; f < scan.num_classes; ++f) {
-        const std::vector<uint32_t>& p1s = cls[f];
-        const uint32_t origin = p1_origin[p1s[0]];
-        bool single_origin = true;
-        for (size_t j = 1; j < p1s.size() && single_origin; ++j) {
-          single_origin = p1_origin[p1s[j]] == origin;
-        }
-        if (!single_origin) continue;  // mixed: stays kInvalidVertex
-        const uint32_t t = merged_to_final[f];
-        trace->seed_of_final[t] = seed_value_of[origin];
-        // Intact = the seed never split and nothing merged in: the final
-        // block's member set is exactly the seed block's member set. Two
-        // fragments of one seed re-merging in phase 2 is conservatively
-        // non-intact (members may still differ from the seed's).
-        trace->intact[t] = p1s.size() == 1 && !rs.fragmented[origin];
+        const uint32_t origin = p1_origin[b];
+        trace->seed_of_final[b] = seed_value_of[origin];
+        trace->intact[b] = !rs.fragmented[origin];
       }
     }
     return result;
   }
 
-  // General seed (no reduced-predecessor promise): merge via a full
-  // summarization of the quotient.
-  BisimResult merged = ComputeBisimulation(quotient, {.pool = options.pool});
-
+  // Blocks merged (rare): compose and materialize as usual.
   std::vector<uint32_t> final_block(n);
-  for (VertexId v = 0; v < n; ++v) {
-    final_block[v] = merged.mapping.SuperOf(p1[v]);
-  }
+  for (VertexId v = 0; v < n; ++v) final_block[v] = scan.block_of[p1[v]];
   std::vector<uint32_t> merged_to_final;
   BisimResult result = MaterializePartition(
-      g, labels, std::move(final_block), merged.mapping.NumSupernodes(),
-      rounds + merged.refinement_rounds,
-      trace != nullptr ? &merged_to_final : nullptr);
+      g, labels, std::move(final_block), scan.num_classes,
+      rounds + scan.rounds, trace != nullptr ? &merged_to_final : nullptr);
 
   if (trace != nullptr) {
+    std::vector<std::vector<uint32_t>> cls(scan.num_classes);
+    for (uint32_t b = 0; b < p1_blocks; ++b) {
+      cls[scan.block_of[b]].push_back(b);
+    }
     const size_t num_final = result.mapping.NumSupernodes();
     trace->seed_of_final.assign(num_final, kInvalidVertex);
     trace->intact.assign(num_final, 0);
-    for (VertexId f = 0; f < merged.mapping.NumSupernodes(); ++f) {
-      const auto p1s = merged.mapping.Members(f);  // phase-1 block ids
+    for (uint32_t f = 0; f < scan.num_classes; ++f) {
+      const std::vector<uint32_t>& p1s = cls[f];
       const uint32_t origin = p1_origin[p1s[0]];
       bool single_origin = true;
       for (size_t j = 1; j < p1s.size() && single_origin; ++j) {
@@ -609,6 +534,10 @@ StatusOr<BisimResult> IncrementalBisimulation(
       if (!single_origin) continue;  // mixed: stays kInvalidVertex
       const uint32_t t = merged_to_final[f];
       trace->seed_of_final[t] = seed_value_of[origin];
+      // Intact = the seed never split and nothing merged in: the final
+      // block's member set is exactly the seed block's member set. Two
+      // fragments of one seed re-merging in phase 2 is conservatively
+      // non-intact (members may still differ from the seed's).
       trace->intact[t] = p1s.size() == 1 && !rs.fragmented[origin];
     }
   }

@@ -80,8 +80,8 @@ StatusOr<UpdateOutcome> LiveUpdater::Apply(std::span<const GraphUpdate> updates,
 
   MaintainReport local_report;
   if (report == nullptr) report = &local_report;
-  auto successor = MaintainIndex(*cur->index, updates, options_.maintain,
-                                 report, &maintain_state_);
+  auto successor =
+      MaintainIndex(*cur->index, updates, options_.maintain, report);
   if (!successor.ok()) return successor.status();
 
   UpdateOutcome outcome;

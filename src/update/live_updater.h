@@ -88,10 +88,6 @@ class LiveUpdater {
 
   const IndexVersionStore& versions() const { return versions_; }
 
-  /// Cross-batch maintenance scratch (diagnostics: patched-layer and
-  /// table-reuse counters). Snapshot only — may lag a concurrent Apply.
-  const MaintenanceState& maintenance_state() const { return maintain_state_; }
-
  private:
   std::shared_ptr<const QueryEngine> BuildEngine(
       std::shared_ptr<const BigIndex> index) const;
@@ -100,10 +96,6 @@ class LiveUpdater {
   IndexVersionStore versions_;
   LiveUpdaterOptions options_;
   SwapFn swap_;
-  /// Carried across Apply calls (guarded by write_mutex_); safe across
-  /// Rollback — every cached entry is revalidated against the index it is
-  /// used with (see MaintenanceState).
-  MaintenanceState maintain_state_;
 };
 
 }  // namespace bigindex

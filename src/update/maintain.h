@@ -20,8 +20,7 @@
 //     from the config in O(#labels);
 //   * dirtiness: seeded from the delta's endpoints only (the sources of net
 //     added/removed edges, then the provenance-tracked changed set per
-//     layer), not from an O(V+E) drift scan; the scan survives solely as a
-//     fallback after a wholesale layer, where no provenance exists;
+//     layer), never from an O(V+E) drift scan;
 //   * summarization, strongest case ("patched", LayerMaintenance::kPatched):
 //     when the partition provably survives the delta (no-split probe over
 //     the dirty blocks + discrete merge check), the summary is patched
@@ -37,14 +36,14 @@
 //     so everything above is provably unchanged;
 //   * wholesale ComputeBisimulation otherwise (config drift, new layers
 //     beyond the old stack, or a dirty frontier past fallback_dirty_ratio).
+//     A wholesale layer carries no provenance, so every layer above it is
+//     wholesale as well.
 //
 // Correspondence persistence across batches: the successor preserves vertex
 // numbering on every intact block (first-occurrence renumbering over an
 // unchanged membership is the identity), so the base-level correspondence
 // between consecutive generations is the identity *by construction* — batch
 // N+1 starts exactly where batch N left off with no whole-graph rematch.
-// MaintenanceState carries the cheap derived artifacts (per-layer
-// generalization tables) across batches on the same lineage.
 //
 // Greedy-config indexes (use_greedy_config) fall back to a full
 // BigIndex::Build: Algorithm 1's cost model samples the graph, so layer
@@ -72,18 +71,14 @@ namespace bigindex {
 
 /// Options for MaintainIndex.
 struct MaintainOptions {
-  /// Dirty-frontier ratio above which a layer is re-summarized wholesale
-  /// (forwarded to IncrementalBisimOptions::fallback_dirty_ratio). The
-  /// localized split pass is worklist-driven — a large dirty set that causes
-  /// few splits settles after one cheap re-sign round — so the threshold
-  /// tolerates the in-neighbor widening the changed-set propagation applies
-  /// to hub blocks. Output is byte-identical on either side of the knob; see
-  /// docs/MAINTENANCE.md for tuning.
+  /// Dirty-frontier ratio above which a layer (and so every layer above
+  /// it) is re-summarized wholesale. The localized split pass is
+  /// worklist-driven — a large dirty set that causes few splits settles
+  /// after one cheap re-sign round — so the threshold tolerates the
+  /// in-neighbor widening the changed-set propagation applies to hub
+  /// blocks. 0 makes every layer wholesale. Output is byte-identical on
+  /// either side of the knob; see docs/MAINTENANCE.md for tuning.
   double fallback_dirty_ratio = 0.5;
-
-  /// Force wholesale re-summarization of every layer (testing/bench knob;
-  /// output is identical either way).
-  bool force_wholesale = false;
 };
 
 /// How one layer of the successor index was produced.
@@ -131,41 +126,15 @@ struct MaintainReport {
   size_t LayersRebuilt() const;
 };
 
-/// Cross-batch scratch carried between MaintainIndex calls on the same
-/// serving lineage (LiveUpdater owns one per served index). Correctness
-/// never depends on it — every cached entry is validated against the index
-/// before use — it only skips recomputation of batch-invariant artifacts:
-/// edge-only updates cannot change a layer's label set, so the per-layer
-/// label -> generalized-label tables survive from batch to batch. The
-/// counters feed observability (bigindex_cli update, docs/MAINTENANCE.md).
-struct MaintenanceState {
-  struct LayerCache {
-    /// label -> Gen(label) under `config`; sized to the layer-below graph's
-    /// label slots at build time.
-    std::vector<LabelId> gen_table;
-    /// The mappings the table was built for (cheap validity fingerprint).
-    std::vector<LabelMapping> config;
-  };
-
-  /// layers[i-1] caches layer i's generalization table.
-  std::vector<LayerCache> layers;
-
-  uint64_t batches = 0;         // MaintainIndex calls that used this state
-  uint64_t patched_layers = 0;  // layers taken by the patched fast path
-  uint64_t table_hits = 0;      // generalization tables reused across batches
-};
-
 /// Applies `updates` to `index`'s base graph and returns the successor
 /// index, equal — summary graphs, mappings, configs, serialized bytes — to
 /// BigIndex::Build(updated base, ontology, index.options()). `index` is
 /// unchanged. A batch with no net effect returns a (shallow) copy of
-/// `index` and an empty report delta. `state`, when non-null, carries
-/// cached derived artifacts across batches (see MaintenanceState).
+/// `index` and an empty report delta.
 StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
                                  std::span<const GraphUpdate> updates,
                                  const MaintainOptions& options = {},
-                                 MaintainReport* report = nullptr,
-                                 MaintenanceState* state = nullptr);
+                                 MaintainReport* report = nullptr);
 
 }  // namespace bigindex
 

@@ -143,6 +143,22 @@ TEST_F(IndexImageFuzzTest, HeaderFieldCorruptionsAreRejected) {
   bad_header_sum[56] ^= 0xFF;  // header checksum
   ExpectRejected(std::move(bad_header_sum), "header checksum");
 
+  // A layer cap below the layer count, under a recomputed (valid) header
+  // checksum, must fail the field check itself.
+  std::string low_cap = state_->image;
+  uint32_t layers = 0;
+  std::memcpy(&layers, low_cap.data() + 28, sizeof layers);
+  ASSERT_GT(layers, 0u);
+  const uint32_t cap = layers - 1;
+  std::memcpy(low_cap.data() + 40, &cap, sizeof cap);
+  uint64_t sum = 1469598103934665603ull;  // FNV-1a over bytes [0, 56)
+  for (size_t i = 0; i < 56; ++i) {
+    sum ^= static_cast<unsigned char>(low_cap[i]);
+    sum *= 1099511628211ull;
+  }
+  std::memcpy(low_cap.data() + 56, &sum, sizeof sum);
+  ExpectRejected(std::move(low_cap), "layer cap below layer count");
+
   // Growing the file without updating the recorded size is also corruption.
   ExpectRejected(state_->image + "trailing garbage", "trailing bytes");
 }

@@ -245,9 +245,9 @@ TEST(LiveUpdater, RollbackRestoresPreviousGeneration) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST(LiveUpdater, ForceWholesaleReportsFallbackMode) {
+TEST(LiveUpdater, ZeroFallbackRatioReportsWholesaleMode) {
   LiveUpdaterOptions opts;
-  opts.maintain.force_wholesale = true;
+  opts.maintain.fallback_dirty_ratio = 0;
   UpdateFixture fx(ToggleGraph(), {}, std::move(opts));
   auto outcome = fx.updater.Apply(std::vector<GraphUpdate>{Add(3, 4)});
   ASSERT_TRUE(outcome.ok());

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -94,6 +95,30 @@ std::vector<VertexId> DirtySources(const UpdateDelta& delta) {
   std::sort(dirty.begin(), dirty.end());
   dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
   return dirty;
+}
+
+// Seed partition of `g` from a bisimulation `prior` of its predecessor
+// graph (same vertex set), plus the options IncrementalBisimulation needs
+// for it: g's own labels, a seed-id bound, and the genuinely changed set
+// (here every dirty vertex). `options.labels` views g; `merge_changed`
+// views the struct's own `dirty`.
+struct SeededInput {
+  std::vector<VertexId> seed;
+  std::vector<VertexId> dirty;
+  IncrementalBisimOptions options;
+};
+SeededInput Seeded(const Graph& g, const BisimResult& prior,
+                   std::vector<VertexId> dirty) {
+  SeededInput in;
+  in.seed.resize(g.NumVertices());
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    in.seed[v] = prior.mapping.SuperOf(v);
+  }
+  in.dirty = std::move(dirty);
+  in.options.labels = g.labels();
+  in.options.seed_id_bound = prior.mapping.NumSupernodes();
+  in.options.merge_changed = in.dirty;
+  return in;
 }
 
 void ExpectSameBisim(const BisimResult& a, const BisimResult& b,
@@ -206,10 +231,9 @@ TEST(IncrementalBisimTest, RemovalCanMergeBlocks) {
 
   auto g1 = ApplyUpdates(g0, std::vector<GraphUpdate>{Remove(0, 1)});
   ASSERT_TRUE(g1.ok());
-  std::vector<VertexId> seed(3);
-  for (VertexId v = 0; v < 3; ++v) seed[v] = before.mapping.SuperOf(v);
+  const SeededInput in = Seeded(*g1, before, {0});
   auto incremental =
-      IncrementalBisimulation(*g1, seed, std::vector<VertexId>{0});
+      IncrementalBisimulation(*g1, in.seed, in.dirty, in.options);
   ASSERT_TRUE(incremental.ok());
   EXPECT_EQ(incremental->mapping.NumSupernodes(), 1u);
   ExpectSameBisim(ComputeBisimulation(*g1), *incremental, "removal merge");
@@ -221,10 +245,9 @@ TEST(IncrementalBisimTest, AdditionCanMergeBlocks) {
   BisimResult before = ComputeBisimulation(g0);
   auto g1 = ApplyUpdates(g0, std::vector<GraphUpdate>{Add(2, 3)});
   ASSERT_TRUE(g1.ok());
-  std::vector<VertexId> seed(4);
-  for (VertexId v = 0; v < 4; ++v) seed[v] = before.mapping.SuperOf(v);
+  const SeededInput in = Seeded(*g1, before, {2});
   auto incremental =
-      IncrementalBisimulation(*g1, seed, std::vector<VertexId>{2});
+      IncrementalBisimulation(*g1, in.seed, in.dirty, in.options);
   ASSERT_TRUE(incremental.ok());
   EXPECT_EQ(incremental->mapping.NumSupernodes(), 2u);
   ExpectSameBisim(ComputeBisimulation(*g1), *incremental, "addition merge");
@@ -250,17 +273,10 @@ TEST(IncrementalBisimTest, MatchesWholesaleOnRandomUpdateStreams) {
       ASSERT_TRUE(delta.ok());
       Graph next = ApplyDelta(g, *delta);
 
-      std::vector<VertexId> seed_partition(g.NumVertices());
-      for (VertexId v = 0; v < g.NumVertices(); ++v) {
-        seed_partition[v] = current.mapping.SuperOf(v);
-      }
-      IncrementalBisimOptions iopt;
-      iopt.fallback_dirty_ratio = 1.0;  // force the localized path
-      IncrementalBisimStats stats;
-      auto incremental = IncrementalBisimulation(
-          next, seed_partition, DirtySources(*delta), iopt, &stats);
+      const SeededInput in = Seeded(next, current, DirtySources(*delta));
+      auto incremental =
+          IncrementalBisimulation(next, in.seed, in.dirty, in.options);
       ASSERT_TRUE(incremental.ok());
-      EXPECT_FALSE(stats.fell_back);
       ++incremental_runs;
 
       BisimResult wholesale = ComputeBisimulation(next);
@@ -274,36 +290,27 @@ TEST(IncrementalBisimTest, MatchesWholesaleOnRandomUpdateStreams) {
   EXPECT_GE(incremental_runs, 300u);
 }
 
-TEST(IncrementalBisimTest, FallbackThresholdTriggersWholesale) {
-  RandomGraphOptions opt;
-  opt.seed = 3;
-  opt.num_vertices = 100;
-  Graph g = MakeRandomGraph(opt);
-  BisimResult before = ComputeBisimulation(g);
-  auto g1 = ApplyUpdates(g, std::vector<GraphUpdate>{Add(0, 1)});
-  ASSERT_TRUE(g1.ok());
-  std::vector<VertexId> seed(g.NumVertices());
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    seed[v] = before.mapping.SuperOf(v);
-  }
-  IncrementalBisimOptions iopt;
-  iopt.fallback_dirty_ratio = 0.0;  // everything falls back
-  IncrementalBisimStats stats;
-  auto result =
-      IncrementalBisimulation(*g1, seed, std::vector<VertexId>{0}, iopt,
-                              &stats);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(stats.fell_back);
-  ExpectSameBisim(ComputeBisimulation(*g1), *result, "fallback");
-}
-
 TEST(IncrementalBisimTest, RejectsMalformedInput) {
   Graph g = MakeGraph(3, 0, {});
+  const SeededInput in = Seeded(g, ComputeBisimulation(g), {0});
+  ASSERT_TRUE(IncrementalBisimulation(g, in.seed, in.dirty, in.options).ok());
+  EXPECT_FALSE(IncrementalBisimulation(g, std::vector<VertexId>{0, 1},
+                                       in.dirty, in.options)
+                   .ok());
+  EXPECT_FALSE(IncrementalBisimulation(g, in.seed, std::vector<VertexId>{9},
+                                       in.options)
+                   .ok());
+  IncrementalBisimOptions no_labels = in.options;
+  no_labels.labels = {};
+  EXPECT_FALSE(IncrementalBisimulation(g, in.seed, in.dirty, no_labels).ok());
+  IncrementalBisimOptions no_bound = in.options;
+  no_bound.seed_id_bound = 0;
+  EXPECT_FALSE(IncrementalBisimulation(g, in.seed, in.dirty, no_bound).ok());
+  const std::vector<VertexId> far{9};
+  IncrementalBisimOptions bad_changed = in.options;
+  bad_changed.merge_changed = far;
   EXPECT_FALSE(
-      IncrementalBisimulation(g, std::vector<VertexId>{0, 1}, {}).ok());
-  std::vector<VertexId> seed{0, 0, 0};
-  EXPECT_FALSE(
-      IncrementalBisimulation(g, seed, std::vector<VertexId>{9}).ok());
+      IncrementalBisimulation(g, in.seed, in.dirty, bad_changed).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -354,7 +361,7 @@ TEST(MaintainIndexTest, MatchesFromScratchBuildOnRandomStreams) {
   }
 }
 
-TEST(MaintainIndexTest, ForceWholesaleMatchesIncremental) {
+TEST(MaintainIndexTest, ZeroFallbackRatioMatchesIncremental) {
   RandomInstance inst = MakeInstance(7);
   BigIndexOptions opts;
   opts.max_layers = 3;
@@ -362,14 +369,120 @@ TEST(MaintainIndexTest, ForceWholesaleMatchesIncremental) {
   ASSERT_TRUE(index.ok());
   auto batch = MakeRandomBatch(inst.graph, 8, 1234);
 
-  MaintainOptions wholesale;
-  wholesale.force_wholesale = true;
+  MaintainReport report;
   auto a = MaintainIndex(*index, batch, MaintainOptions{});
-  auto b = MaintainIndex(*index, batch, wholesale);
+  auto b = MaintainIndex(*index, batch, {.fallback_dirty_ratio = 0}, &report);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
+  ASSERT_FALSE(report.delta.empty());
+  ASSERT_FALSE(report.layers.empty());
+  for (const MaintainLayerReport& lr : report.layers) {
+    EXPECT_EQ(lr.mode, LayerMaintenance::kWholesale);
+  }
   const size_t slots = inst.ontology.LabelSlots();
   EXPECT_EQ(Serialize(*a, slots), Serialize(*b, slots));
+}
+
+// The fallback decision lives in MaintainIndex: a dirty frontier past the
+// ratio sends the layer to wholesale re-summarization, with the same bytes.
+TEST(MaintainIndexTest, FallbackThresholdTriggersWholesale) {
+  RandomInstance inst = MakeInstance(3);
+  BigIndexOptions opts;
+  opts.max_layers = 3;
+  auto index = BigIndex::Build(inst.graph, &inst.ontology, opts);
+  ASSERT_TRUE(index.ok());
+  // One added edge dirties one base vertex: past a ratio worth half a
+  // vertex, well within the default.
+  VertexId v = 1;
+  while (inst.graph.HasEdge(0, v)) ++v;
+  ASSERT_LT(v, inst.graph.NumVertices());
+  const std::vector<GraphUpdate> batch = {Add(0, v)};
+
+  MaintainReport tight, loose;
+  const double half_vertex = 0.5 / inst.graph.NumVertices();
+  auto a = MaintainIndex(*index, batch, {.fallback_dirty_ratio = half_vertex},
+                         &tight);
+  auto b = MaintainIndex(*index, batch, MaintainOptions{}, &loose);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_FALSE(tight.layers.empty());
+  ASSERT_FALSE(loose.layers.empty());
+  EXPECT_EQ(tight.layers[0].mode, LayerMaintenance::kWholesale);
+  EXPECT_NE(loose.layers[0].mode, LayerMaintenance::kWholesale);
+  const size_t slots = inst.ontology.LabelSlots();
+  EXPECT_EQ(Serialize(*a, slots), Serialize(*b, slots));
+}
+
+// A wholesale layer carries no provenance, so every layer above it is
+// wholesale as well — and the bytes still equal a rebuild.
+TEST(MaintainIndexTest, LayersAboveWholesaleAreWholesale) {
+  size_t wholesale_below_top = 0;
+  for (uint64_t seed = 0; seed < 25; ++seed) {
+    RandomInstance inst = MakeInstance(seed);
+    BigIndexOptions opts;
+    opts.max_layers = 4;
+    auto index = BigIndex::Build(inst.graph, &inst.ontology, opts);
+    ASSERT_TRUE(index.ok());
+    auto batch = MakeRandomBatch(inst.graph, 1 + seed % 10, seed * 53 + 5);
+    MaintainReport report;
+    auto maintained =
+        MaintainIndex(*index, batch, {.fallback_dirty_ratio = 0.05}, &report);
+    ASSERT_TRUE(maintained.ok()) << "seed " << seed;
+
+    bool seen_wholesale = false;
+    for (size_t i = 0; i < report.layers.size(); ++i) {
+      const LayerMaintenance mode = report.layers[i].mode;
+      if (seen_wholesale) {
+        EXPECT_EQ(mode, LayerMaintenance::kWholesale)
+            << "seed " << seed << " layer " << i + 1;
+      } else if (mode == LayerMaintenance::kWholesale) {
+        seen_wholesale = true;
+        if (i + 1 < report.layers.size()) ++wholesale_below_top;
+      }
+    }
+
+    auto updated = ApplyUpdates(inst.graph, batch);
+    ASSERT_TRUE(updated.ok());
+    auto rebuilt = BigIndex::Build(*updated, &inst.ontology, opts);
+    ASSERT_TRUE(rebuilt.ok());
+    const size_t slots = inst.ontology.LabelSlots();
+    EXPECT_EQ(Serialize(*maintained, slots), Serialize(*rebuilt, slots))
+        << "seed " << seed;
+  }
+  // The sweep must actually put a wholesale layer under another layer.
+  EXPECT_GT(wholesale_below_top, 0u);
+}
+
+// The image records the layer cap: an index built with max_layers 2 and
+// reloaded from its image maintains toward 2 layers, not the default 7.
+TEST(MaintainIndexTest, LoadedImageKeepsLayerCap) {
+  RandomInstance inst = MakeInstance(5);
+  const size_t slots = inst.ontology.LabelSlots();
+  auto uncapped = BigIndex::Build(inst.graph, &inst.ontology, {});
+  ASSERT_TRUE(uncapped.ok());
+  ASSERT_GT(uncapped->NumLayers(), 2u);  // the cap must bind
+
+  const BigIndexOptions opts{.max_layers = 2};
+  auto index = BigIndex::Build(inst.graph, &inst.ontology, opts);
+  ASSERT_TRUE(index.ok());
+  auto bytes = std::make_shared<const std::string>(Serialize(*index, slots));
+  LabelDictionary dict;
+  auto loaded = LoadIndexImageFromBuffer(bytes, dict, &inst.ontology);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->options().max_layers, 2u);
+
+  VertexId v = 1;
+  while (inst.graph.HasEdge(0, v)) ++v;
+  ASSERT_LT(v, inst.graph.NumVertices());
+  const std::vector<GraphUpdate> batch = {Add(0, v)};
+  auto maintained = MaintainIndex(*loaded, batch);
+  ASSERT_TRUE(maintained.ok());
+  auto updated = ApplyUpdates(inst.graph, batch);
+  ASSERT_TRUE(updated.ok());
+  auto rebuilt = BigIndex::Build(*updated, &inst.ontology, opts);
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_EQ(maintained->NumLayers(), rebuilt->NumLayers());
+  EXPECT_EQ(Serialize(*maintained, slots), Serialize(*rebuilt, slots));
 }
 
 TEST(MaintainIndexTest, NoNetChangeReturnsUnchangedIndex) {

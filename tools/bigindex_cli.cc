@@ -30,10 +30,11 @@
 //           bigindex_serverd --shard-of loads.
 //   update  <graph.in> <ontology.in> <index.in>
 //           (add:<u>:<v>|remove:<u>:<v>)... [--out <index.out>] [--check]
-//           [--fallback-ratio F] [--force-wholesale]
+//           [--fallback-ratio F]
 //           Apply an edge-update batch to a built index offline via
 //           incremental maintenance (update/maintain.h) and print the
-//           per-layer maintenance report. --out writes the successor
+//           per-layer maintenance report (--fallback-ratio 0 re-summarizes
+//           every layer wholesale). --out writes the successor
 //           index image; --check additionally rebuilds from scratch on the
 //           updated graph and verifies the successor's image is
 //           byte-identical (exit 1 on divergence).
@@ -92,7 +93,7 @@ int Usage() {
                "  bigindex_cli update <graph> <ontology> <index> "
                "(add:<u>:<v>|remove:<u>:<v>)...\n"
                "               [--out <index>] [--check]"
-               " [--fallback-ratio F] [--force-wholesale]\n");
+               " [--fallback-ratio F]\n");
   return 1;
 }
 
@@ -479,8 +480,6 @@ int CmdUpdate(int argc, char** argv) {
       check = true;
     } else if (std::strcmp(argv[i], "--fallback-ratio") == 0) {
       mopt.fallback_dirty_ratio = std::atof(next("--fallback-ratio"));
-    } else if (std::strcmp(argv[i], "--force-wholesale") == 0) {
-      mopt.force_wholesale = true;
     } else {
       pos.push_back(argv[i]);
     }

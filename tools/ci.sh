@@ -9,7 +9,8 @@
 # then the docs checks (dead links, protocol verbs, metric catalog, span
 # taxonomy), a metrics-overhead smoke, a parallel-construction smoke, an
 # index-image cold-start smoke, the shard scatter-gather throughput gate,
-# a maintenance differential smoke, a short serving-layer load smoke (with
+# a maintenance differential smoke, a CLI maintenance round trip that must
+# keep the image's layer cap, a short serving-layer load smoke (with
 # the mixed read/update phase), and the over-the-wire bench_e2e smoke.
 #
 #   tools/ci.sh [jobs]
@@ -105,6 +106,24 @@ echo "=== smoke: maintenance differential (incremental == wholesale == rebuild) 
 # One mixed update batch through all three maintenance paths; fails unless
 # the three index images are byte-identical.
 ./build/bench/bench_maintenance --smoke
+
+echo
+echo "=== smoke: CLI update keeps the image's layer cap ==="
+# Builds a 2-layer image, applies one edge with `bigindex_cli update
+# --check`, and fails unless the successor stays at 2 layers (the image
+# header records max_layers) and is byte-identical to a rebuild.
+CLI_DIR="$(mktemp -d)"
+./build/tools/bigindex_cli gen yago3 0.004 "$CLI_DIR/g.txt" "$CLI_DIR/o.txt" \
+  >/dev/null
+./build/tools/bigindex_cli build "$CLI_DIR/g.txt" "$CLI_DIR/o.txt" \
+  "$CLI_DIR/idx.img" 2 >/dev/null
+./build/tools/bigindex_cli update "$CLI_DIR/g.txt" "$CLI_DIR/o.txt" \
+  "$CLI_DIR/idx.img" add:1:2 --check | tee "$CLI_DIR/update.txt"
+grep -q '^maintained 2 -> 2 layer' "$CLI_DIR/update.txt" || {
+  echo "FAIL: update did not keep the 2-layer cap" >&2
+  exit 1
+}
+rm -rf "$CLI_DIR"
 
 echo
 echo "=== gate: maintenance speedup (>= 2x at small batches) ==="
