@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "update/live_updater.h"
 
 using namespace bigindex;
 using namespace bigindex::bench;
@@ -218,15 +217,9 @@ int main(int argc, char** argv) {
     std::printf("\nmixed read/update (95/5): each client issues 1 update "
                 "per 20 ops; updates run delta maintenance + engine build "
                 "+ RCU epoch swap behind the writer mutex\n");
-    SearchService service(engine, {.max_linger_ms = 0.2});
-    LiveUpdater updater(index, engine,
-                        {.engine = {.num_threads = 8}});
-    updater.set_swap([&service](std::shared_ptr<const QueryEngine> next) {
-      return service.SwapEngine(std::move(next));
-    });
-    service.set_updater([&updater](std::span<const GraphUpdate> updates) {
-      return updater.Apply(updates);
-    });
+    ServingStack service(BuiltShard{BigIndex(*index), {}}, /*fingerprint=*/0,
+                         {.max_linger_ms = 0.2},
+                         {.engine = {.num_threads = 8}});
 
     const auto edges = index->base().Edges();
     std::atomic<bool> stop{false};

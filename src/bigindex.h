@@ -65,6 +65,7 @@
 #include "shard/in_process_substrate.h"  // IWYU pragma: export
 #include "shard/remote_substrate.h" // IWYU pragma: export
 #include "shard/shard_build.h"      // IWYU pragma: export
+#include "shard/serving_stack.h"    // IWYU pragma: export
 #include "shard/sharded_service.h"  // IWYU pragma: export
 #include "shard/substrate.h"        // IWYU pragma: export
 #include "update/delta.h"           // IWYU pragma: export

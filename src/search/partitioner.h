@@ -147,7 +147,7 @@ struct ShardExtract {
   std::vector<VertexId> global_of;
   /// Local ids of ghost vertices, strictly ascending. Ghosts are read-only
   /// replicas of other shards' vertices: answers anchored on them are
-  /// filtered worker-side (ShardRemapService) and updates never target
+  /// filtered worker-side (ServingStack) and updates never target
   /// them.
   std::vector<VertexId> ghosts;
 };

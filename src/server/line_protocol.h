@@ -51,7 +51,7 @@
 //   .
 //
 // All vertex ids on the wire are *global*: a shard worker serves behind a
-// ShardRemapService, so clients and the coordinator never see shard-local
+// ServingStack, so clients and the coordinator never see shard-local
 // ids. The FormatQueryLine / Parse* helpers below are the client side of the
 // format, shared by bigindex_client and the RemoteSubstrate fan-out.
 //

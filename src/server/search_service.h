@@ -130,8 +130,7 @@ class SearchService : public QueryService {
   std::vector<std::string> AlgorithmNames() const override;
 
   /// Identity of the served index; defaults to "monolithic, no image
-  /// fingerprint". The embedder (bigindex_serverd) stamps it after loading
-  /// an image with set_identity().
+  /// fingerprint". ServingStack stamps it with set_identity().
   ServiceIdentity Identity() const override;
 
   /// Not thread-safe against serving: call before traffic starts.

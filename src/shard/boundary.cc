@@ -1,15 +1,11 @@
 #include "shard/boundary.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "graph/csr.h"
 
 namespace bigindex {
-namespace {
 
-/// Multi-source undirected BFS from `seeds` (all at distance 0), capped at
-/// `cap`: dist[v] = min distance to a seed, kInfDistance beyond the cap.
 void DistanceFromSeeds(const Graph& g, std::span<const VertexId> seeds,
                        uint32_t cap, std::vector<uint32_t>& dist) {
   dist.assign(g.NumVertices(), kInfDistance);
@@ -37,87 +33,6 @@ void DistanceFromSeeds(const Graph& g, std::span<const VertexId> seeds,
     const auto ii = in[v];
     for (uint64_t i = ii.begin; i < ii.end; ++i) visit(in.Slot(i));
   }
-}
-
-}  // namespace
-
-std::vector<std::pair<std::string, uint32_t>> AlgorithmRadii(
-    const QueryEngine& engine) {
-  std::vector<std::pair<std::string, uint32_t>> radii;
-  for (std::string_view name : engine.AlgorithmNames()) {
-    const KeywordSearchAlgorithm* algo = engine.algorithm(name);
-    if (algo != nullptr) {
-      radii.emplace_back(std::string(name), algo->LocalityRadius());
-    }
-  }
-  std::sort(radii.begin(), radii.end());
-  return radii;
-}
-
-std::shared_ptr<const ShardBoundary> ComputeShardBoundary(
-    const Graph& local, std::span<const VertexId> global_of,
-    std::span<const VertexId> ghosts,
-    std::vector<std::pair<std::string, uint32_t>> algo_radius) {
-  assert(global_of.size() == local.NumVertices());
-  auto boundary = std::make_shared<ShardBoundary>();
-  boundary->algo_radius = std::move(algo_radius);
-
-  uint32_t max_rho = 0;
-  for (const auto& [name, rho] : boundary->algo_radius) {
-    max_rho = std::max(max_rho, rho);
-  }
-  // A near answer's dependence ball reaches rho from its anchor, and the
-  // anchor is at most rho from the cut, so the region must cover 2*rho.
-  const uint32_t cap = 2 * max_rho;
-  boundary->export_data.radius_cap = cap;
-
-  if (ghosts.empty()) {
-    boundary->dist_to_cut.assign(local.NumVertices(), kInfDistance);
-    return boundary;
-  }
-
-  std::vector<bool> is_ghost(local.NumVertices(), false);
-  for (VertexId g : ghosts) is_ghost[g] = true;
-
-  // Cut endpoints present locally: the ghosts themselves and every owned
-  // endpoint of a ghost-incident edge (each such edge IS a cut edge — a
-  // materialized edge always has exactly one owned endpoint when it
-  // crosses the cut).
-  std::vector<VertexId> seeds(ghosts.begin(), ghosts.end());
-  const CsrView out = local.Out();
-  for (VertexId u = 0; u < local.NumVertices(); ++u) {
-    const auto oi = out[u];
-    for (uint64_t i = oi.begin; i < oi.end; ++i) {
-      VertexId w = out.Slot(i);
-      if (is_ghost[u] != is_ghost[w]) {
-        seeds.push_back(is_ghost[u] ? w : u);
-      }
-    }
-  }
-  DistanceFromSeeds(local, seeds, cap, boundary->dist_to_cut);
-
-  BoundaryExport& ex = boundary->export_data;
-  for (VertexId v = 0; v < local.NumVertices(); ++v) {
-    if (!is_ghost[v] && boundary->dist_to_cut[v] <= cap) {
-      ex.vertices.emplace_back(global_of[v], local.label(v));
-    }
-  }
-  for (VertexId u = 0; u < local.NumVertices(); ++u) {
-    const auto oi = out[u];
-    for (uint64_t i = oi.begin; i < oi.end; ++i) {
-      VertexId w = out.Slot(i);
-      if (is_ghost[u] != is_ghost[w]) {
-        ex.cut_edges.emplace_back(global_of[u], global_of[w]);
-      } else if (!is_ghost[u] && !is_ghost[w] &&
-                 boundary->dist_to_cut[u] <= cap &&
-                 boundary->dist_to_cut[w] <= cap) {
-        ex.edges.emplace_back(global_of[u], global_of[w]);
-      }
-      // Ghost-ghost edges cannot exist: a materialized cut edge has exactly
-      // one owned endpoint, and intra-shard edges have two.
-    }
-  }
-  return boundary;
 }
 
 uint32_t BoundaryRegion::DistOfGlobal(VertexId global) const {

@@ -3,16 +3,17 @@
 // A bfs-mode shard plan severs edges; ghost materialization (ExtractShard)
 // puts both endpoints of every cut edge in both incident shards, so each
 // worker sees the true global neighborhood of every owned vertex up to the
-// first cut crossing. This module computes the two derived structures the
-// exactness argument rests on:
+// first cut crossing. The exactness argument rests on two derived
+// structures:
 //
-//   * ComputeShardBoundary — worker side. Undirected distance-to-cut for
-//     every local vertex (capped at R = 2 * max locality radius) plus the
-//     BoundaryExport: the owned vertices within R of the cut, the edges
-//     among them, and the shard's incident cut edges, all in global ids.
-//     Workers drop answers anchored within rho of the cut (they may be
-//     wrong or missing locally); everything farther is provably exact on
-//     the shard alone, because its whole dependence ball is cut-free.
+//   * Worker side (ServingStack, shard/serving_stack.h): undirected
+//     distance-to-cut for every local vertex (capped at R = 2 * max
+//     locality radius) plus the BoundaryExport: the owned vertices within R
+//     of the cut, the edges among them, and the shard's incident cut edges,
+//     all in global ids. Workers drop answers anchored within rho of the
+//     cut (they may be wrong or missing locally); everything farther is
+//     provably exact on the shard alone, because its whole dependence ball
+//     is cut-free.
 //
 //   * AssembleBoundaryRegion — coordinator side. Glues the per-shard
 //     exports into one region graph (order-preserving global->region remap,
@@ -28,35 +29,20 @@
 #define BIGINDEX_SHARD_BOUNDARY_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <string>
-#include <utility>
 #include <vector>
 
-#include "engine/query_engine.h"
 #include "graph/graph.h"
 #include "server/query_service.h"
 #include "util/status.h"
 
 namespace bigindex {
 
-/// (name, LocalityRadius) of every algorithm registered on `engine`,
-/// ascending by name. Radius 0 marks an algorithm whose answer locality is
-/// unknown — it is excluded from boundary filtering and completion.
-std::vector<std::pair<std::string, uint32_t>> AlgorithmRadii(
-    const QueryEngine& engine);
-
-/// Computes one shard's boundary state from its local graph (`local`, with
-/// ghosts materialized), the local->global remap, the ghost local ids, and
-/// the per-algorithm locality radii (AlgorithmRadii of the worker's engine).
-/// The export cap is R = 2 * max radius. Ghost-free shards yield a state
-/// with an empty export (no cut: nothing filtered, nothing completed).
-/// Deterministic; the result is immutable and safe to share across threads.
-std::shared_ptr<const ShardBoundary> ComputeShardBoundary(
-    const Graph& local, std::span<const VertexId> global_of,
-    std::span<const VertexId> ghosts,
-    std::vector<std::pair<std::string, uint32_t>> algo_radius);
+/// Multi-source undirected BFS from `seeds` (all at distance 0), capped at
+/// `cap`: dist[v] = distance to the nearest seed, kInfDistance beyond the
+/// cap. Both sides measure distance-to-cut with it.
+void DistanceFromSeeds(const Graph& g, std::span<const VertexId> seeds,
+                       uint32_t cap, std::vector<uint32_t>& dist);
 
 /// The coordinator's assembled boundary region: the union of the per-shard
 /// exports under an order-preserving global->region remap.

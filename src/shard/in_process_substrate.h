@@ -1,9 +1,10 @@
-// InProcessSubstrate — every shard is a QueryEngine on its own thread pool
-// inside this process, fronted by its own admission-controlled
-// SearchService (per-shard queue and micro-batcher) and a
-// ShardRemapService so answers leave in global vertex ids. The shard
-// services run without an answer cache: the coordinator in front of them
-// caches each query's merged answer once (sharded_service.h).
+// InProcessSubstrate — every shard is a ServingStack (serving_stack.h)
+// inside this process: a QueryEngine on its own thread pool behind its own
+// admission-controlled SearchService (per-shard queue and micro-batcher),
+// with a live updater, answers leaving in global vertex ids and, on a
+// cut-incident shard, the near-cut answer filter. Shard stacks run without
+// an answer cache: the coordinator in front of them caches each query's
+// merged answer once (sharded_service.h).
 //
 // This is the single-process deployment of the shard substrate: the full
 // scatter-gather pipeline — coordinator fan-out, per-shard admission,
@@ -19,10 +20,9 @@
 
 #include "engine/query_engine.h"
 #include "server/query_service.h"
-#include "server/search_service.h"
+#include "shard/serving_stack.h"
 #include "shard/shard_build.h"
 #include "shard/substrate.h"
-#include "update/live_updater.h"
 
 namespace bigindex {
 
@@ -57,24 +57,13 @@ class InProcessSubstrate : public ShardSubstrate {
 
   /// The shard's serving stack (global-id view), e.g. to front one shard of
   /// this substrate with a TcpServer in tests.
-  QueryService* shard_service(size_t shard) {
-    return shards_[shard]->remapped.get();
-  }
+  QueryService* shard_service(size_t shard) { return shards_[shard].get(); }
 
  private:
-  struct Shard {
-    std::shared_ptr<const QueryEngine> engine;
-    std::unique_ptr<SearchService> service;
-    std::unique_ptr<ShardRemapService> remapped;
-    // Declared last: the updater's lambdas hold raw pointers to `service`,
-    // so it must be destroyed first.
-    std::unique_ptr<LiveUpdater> updater;
-  };
-
   InProcessSubstrate() = default;
   Status CheckShard(size_t shard) const;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<ServingStack>> shards_;
 };
 
 }  // namespace bigindex

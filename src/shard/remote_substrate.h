@@ -10,7 +10,7 @@
 // transparently on the next request.
 //
 // The wire already speaks global vertex ids (shard workers serve behind a
-// ShardRemapService), so this substrate does no id translation.
+// ServingStack), so this substrate does no id translation.
 
 #ifndef BIGINDEX_SHARD_REMOTE_SUBSTRATE_H_
 #define BIGINDEX_SHARD_REMOTE_SUBSTRATE_H_

@@ -20,7 +20,7 @@
 //
 // Boundary completion (DESIGN.md §9): under bfs-mode plans the fleet has a
 // cut, and workers withhold answers anchored within the algorithm's
-// locality radius rho of it (ShardRemapService's near-answer filter — those
+// locality radius rho of it (ServingStack's near-answer filter — those
 // answers could be wrong or missing locally). The coordinator lazily
 // assembles the per-shard BoundaryExports into one region graph, evaluates
 // the query on it with its own algorithm instances, and keeps exactly the

@@ -11,7 +11,7 @@
 //
 // Contracts every substrate implements:
 //   * Answers are in GLOBAL vertex ids. In-process shards translate through
-//     the shard's local->global remap (ShardRemapService); remote shard
+//     the shard's local->global remap (ServingStack); remote shard
 //     workers translate server-side, so the wire only ever carries global
 //     ids. Keyword label ids need no translation (ExtractShard preserves
 //     labels).

@@ -1,9 +1,9 @@
 // Serving-side live-update tests: IndexVersionStore publish/rollback
 // semantics, LiveUpdater outcome accounting and swap wiring, the UPDATE
-// verb through the line protocol (monolithic and shard-remapped), the
-// FormatUpdateLine/ParseUpdateOutcomeLine wire round-trip, and the
-// answer-cache epoch-invalidation race (a query racing an epoch swap must
-// never be served a pre-swap cached answer for a post-swap epoch).
+// verb through the line protocol, the FormatUpdateLine /
+// ParseUpdateOutcomeLine wire round-trip, and the answer-cache
+// epoch-invalidation race (a query racing an epoch swap must never be
+// served a pre-swap cached answer for a post-swap epoch).
 // tools/ci.sh re-runs this suite under ThreadSanitizer.
 
 #include <gtest/gtest.h>
@@ -24,6 +24,7 @@
 #include "obs/metrics.h"
 #include "server/line_protocol.h"
 #include "server/search_service.h"
+#include "shard/serving_stack.h"
 #include "update/delta.h"
 #include "update/live_updater.h"
 #include "update/version_store.h"
@@ -72,32 +73,24 @@ std::string Serialize(const BigIndex& index) {
   return out.str();
 }
 
-/// The whole write path in one harness: service + updater, swap wired.
+/// The whole write path in one harness: a whole-graph ServingStack, whose
+/// updater swaps successors into its service.
 struct UpdateFixture {
   Ontology ontology = MakeOntology();
-  std::shared_ptr<const BigIndex> index;
-  std::shared_ptr<const QueryEngine> engine;
-  SearchService service;
-  LiveUpdater updater;
+  ServingStack stack;
+  LiveUpdater& updater = stack.updater();
+  // The bootstrap generation.
+  std::shared_ptr<const BigIndex> index = updater.versions().Current()->index;
+  std::shared_ptr<const QueryEngine> engine =
+      updater.versions().Current()->engine;
 
   explicit UpdateFixture(Graph g = ToggleGraph(),
-                         SearchServiceOptions service_options = {},
                          LiveUpdaterOptions updater_options = {})
-      : index(std::make_shared<const BigIndex>(
-            std::move(BigIndex::Build(g, &ontology, {.max_layers = 2}))
-                .value())),
-        engine(std::make_shared<const QueryEngine>(index,
-                                                   QueryEngineOptions{})),
-        service(engine, service_options),
-        updater(index, engine, std::move(updater_options)) {
-    updater.set_swap([this](std::shared_ptr<const QueryEngine> next) {
-      return service.SwapEngine(std::move(next));
-    });
-    service.set_updater([this](std::span<const GraphUpdate> updates) {
-      return updater.Apply(updates);
-    });
-    service.set_rollbacker([this] { return updater.Rollback(); });
-  }
+      : stack(BuiltShard{std::move(BigIndex::Build(g, &ontology,
+                                                   {.max_layers = 2}))
+                             .value(),
+                         {}},
+              /*fingerprint=*/0, {}, std::move(updater_options)) {}
 
   EngineQuery ConnectivityQuery() {
     EngineQuery q;
@@ -188,7 +181,7 @@ TEST(LiveUpdater, OutcomeAccountingCoversWholeBatch) {
   EXPECT_EQ(outcome->skipped, 4u);
   EXPECT_NE(outcome->mode, UpdateOutcome::Mode::kNone);
   EXPECT_GT(outcome->layers_rebuilt, 0u);
-  EXPECT_EQ(outcome->epoch, fx.service.epoch());
+  EXPECT_EQ(outcome->epoch, fx.stack.epoch());
   // One sample per Apply in each histogram: lock wait and time under lock.
   EXPECT_EQ(UpdaterSamples("bigindex_update_apply_ms"), apply_before + 1);
   EXPECT_EQ(UpdaterSamples("bigindex_update_lock_wait_ms"), wait_before + 1);
@@ -197,7 +190,7 @@ TEST(LiveUpdater, OutcomeAccountingCoversWholeBatch) {
 TEST(LiveUpdater, NoopBatchPublishesNothing) {
   UpdateFixture fx;
   const uint64_t sequence = fx.updater.versions().Current()->sequence;
-  const uint64_t epoch = fx.service.epoch();
+  const uint64_t epoch = fx.stack.epoch();
   const uint64_t apply_before = UpdaterSamples("bigindex_update_apply_ms");
   const uint64_t wait_before = UpdaterSamples("bigindex_update_lock_wait_ms");
   auto outcome = fx.updater.Apply(std::vector<GraphUpdate>{Remove(5, 0)});
@@ -207,7 +200,7 @@ TEST(LiveUpdater, NoopBatchPublishesNothing) {
   EXPECT_EQ(outcome->mode, UpdateOutcome::Mode::kNone);
   EXPECT_EQ(outcome->epoch, 0u);  // sentinel: nothing was swapped
   EXPECT_EQ(fx.updater.versions().Current()->sequence, sequence);
-  EXPECT_EQ(fx.service.epoch(), epoch);
+  EXPECT_EQ(fx.stack.epoch(), epoch);
   EXPECT_EQ(UpdaterSamples("bigindex_update_apply_ms"), apply_before + 1);
   EXPECT_EQ(UpdaterSamples("bigindex_update_lock_wait_ms"), wait_before + 1);
 }
@@ -226,7 +219,7 @@ TEST(LiveUpdater, SuccessorMatchesRebuildAndSwapInstallsIt) {
   EXPECT_EQ(Serialize(*fx.updater.versions().Current()->index),
             Serialize(*rebuilt));
   // The serving engine now evaluates over the successor index.
-  EXPECT_EQ(fx.service.engine_snapshot()->index().base().NumEdges(),
+  EXPECT_EQ(fx.stack.service().engine_snapshot()->index().base().NumEdges(),
             updated->NumEdges());
 }
 
@@ -236,7 +229,7 @@ TEST(LiveUpdater, RollbackRestoresPreviousGeneration) {
   ASSERT_TRUE(fx.updater.Apply(std::vector<GraphUpdate>{Add(3, 4)}).ok());
   EXPECT_NE(Serialize(*fx.updater.versions().Current()->index), original);
 
-  const uint64_t epoch_before = fx.service.epoch();
+  const uint64_t epoch_before = fx.stack.epoch();
   auto rolled = fx.updater.Rollback();
   ASSERT_TRUE(rolled.ok());
   EXPECT_GT(*rolled, epoch_before);  // rollback swaps: readers see a bump
@@ -248,7 +241,7 @@ TEST(LiveUpdater, RollbackRestoresPreviousGeneration) {
 TEST(LiveUpdater, ZeroFallbackRatioReportsWholesaleMode) {
   LiveUpdaterOptions opts;
   opts.maintain.fallback_dirty_ratio = 0;
-  UpdateFixture fx(ToggleGraph(), {}, std::move(opts));
+  UpdateFixture fx(ToggleGraph(), std::move(opts));
   auto outcome = fx.updater.Apply(std::vector<GraphUpdate>{Add(3, 4)});
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->mode, UpdateOutcome::Mode::kWholesale);
@@ -272,22 +265,22 @@ TEST(ServiceUpdate, NoUpdaterWiredReturnsUnimplemented) {
 
 TEST(ServiceUpdate, CountersAndEpochAdvanceThroughService) {
   UpdateFixture fx;
-  const uint64_t epoch = fx.service.epoch();
+  const uint64_t epoch = fx.stack.epoch();
   auto outcome =
-      fx.service.ApplyUpdate(std::vector<GraphUpdate>{Remove(1, 2)});
+      fx.stack.ApplyUpdate(std::vector<GraphUpdate>{Remove(1, 2)});
   ASSERT_TRUE(outcome.ok());
   EXPECT_GT(outcome->epoch, epoch);
-  EXPECT_EQ(outcome->epoch, fx.service.epoch());
+  EXPECT_EQ(outcome->epoch, fx.stack.epoch());
 
   // No-net-effect batch through the service: epoch unchanged but reported
   // as the current one (the updater's 0 sentinel never escapes).
-  auto noop = fx.service.ApplyUpdate(std::vector<GraphUpdate>{Add(1, 1),
+  auto noop = fx.stack.ApplyUpdate(std::vector<GraphUpdate>{Add(1, 1),
                                                               Remove(1, 1)});
   ASSERT_TRUE(noop.ok());
   EXPECT_EQ(noop->mode, UpdateOutcome::Mode::kNone);
-  EXPECT_EQ(noop->epoch, fx.service.epoch());
+  EXPECT_EQ(noop->epoch, fx.stack.epoch());
 
-  ServiceStats stats = fx.service.Snapshot();
+  ServiceStats stats = fx.stack.Snapshot();
   EXPECT_EQ(stats.updates_applied, 1u);
   EXPECT_EQ(stats.updates_rejected, 0u);
   EXPECT_GE(stats.epoch_age_s, 0.0);
@@ -296,19 +289,19 @@ TEST(ServiceUpdate, CountersAndEpochAdvanceThroughService) {
 TEST(ServiceUpdate, QueriesSeeTheUpdatedGraph) {
   UpdateFixture fx;
   EngineQuery q = fx.ConnectivityQuery();
-  auto before = fx.service.Query(q);
+  auto before = fx.stack.Query(q);
   ASSERT_TRUE(before.ok());
   ASSERT_FALSE(before->answers.empty());  // 0 -> 1 -> 2 connects {0,2}
 
-  auto cut = fx.service.ApplyUpdate(std::vector<GraphUpdate>{Remove(1, 2)});
+  auto cut = fx.stack.ApplyUpdate(std::vector<GraphUpdate>{Remove(1, 2)});
   ASSERT_TRUE(cut.ok());
-  auto after = fx.service.Query(q);
+  auto after = fx.stack.Query(q);
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(after->answers.empty());
 
-  auto heal = fx.service.ApplyUpdate(std::vector<GraphUpdate>{Add(1, 2)});
+  auto heal = fx.stack.ApplyUpdate(std::vector<GraphUpdate>{Add(1, 2)});
   ASSERT_TRUE(heal.ok());
-  auto healed = fx.service.Query(q);
+  auto healed = fx.stack.Query(q);
   ASSERT_TRUE(healed.ok());
   EXPECT_EQ(healed->answers, before->answers);
 }
@@ -323,7 +316,7 @@ TEST(ServiceUpdate, QueriesSeeTheUpdatedGraph) {
 TEST(CacheEpochRace, PostSwapQueryNeverServedPreSwapCache) {
   UpdateFixture fx;
   EngineQuery q = fx.ConnectivityQuery();
-  auto connected = fx.service.Query(q);
+  auto connected = fx.stack.Query(q);
   ASSERT_TRUE(connected.ok());
   const std::vector<Answer> with_edge = connected->answers;
   ASSERT_FALSE(with_edge.empty());
@@ -333,7 +326,7 @@ TEST(CacheEpochRace, PostSwapQueryNeverServedPreSwapCache) {
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&fx, &q, &with_edge, &stop] {
       while (!stop.load(std::memory_order_relaxed)) {
-        auto result = fx.service.Query(q);
+        auto result = fx.stack.Query(q);
         ASSERT_TRUE(result.ok());
         // Every result is one of the two consistent states — never a
         // partial or mixed view.
@@ -346,12 +339,12 @@ TEST(CacheEpochRace, PostSwapQueryNeverServedPreSwapCache) {
   for (int i = 0; i < 12; ++i) {
     GraphUpdate toggle = present ? Remove(1, 2) : Add(1, 2);
     present = !present;
-    auto outcome = fx.service.ApplyUpdate(std::vector<GraphUpdate>{toggle});
+    auto outcome = fx.stack.ApplyUpdate(std::vector<GraphUpdate>{toggle});
     ASSERT_TRUE(outcome.ok());
     // Issued strictly after the swap: must reflect the new graph, even
     // though the pre-swap answer for this exact query is still cached
     // under the old epoch.
-    auto result = fx.service.Query(q);
+    auto result = fx.stack.Query(q);
     ASSERT_TRUE(result.ok());
     if (present) {
       ASSERT_EQ(result->answers, with_edge) << "iteration " << i;
@@ -397,14 +390,14 @@ TEST(UpdateProtocol, FormatAndParseRoundTrip) {
 
 TEST(UpdateVerb, EndToEndThroughLineHandler) {
   UpdateFixture fx;
-  LineHandler handler(&fx.service, nullptr);
+  LineHandler handler(&fx.stack, nullptr);
 
   LineHandler::Result r = handler.Handle("update remove:1:2 add:3:4");
   ASSERT_TRUE(r.response.starts_with("OK applied=2")) << r.response;
   UpdateOutcome outcome;
   std::string head = r.response.substr(0, r.response.find('\n'));
   ASSERT_TRUE(ParseUpdateOutcomeLine(head, &outcome).ok()) << head;
-  EXPECT_EQ(outcome.epoch, fx.service.epoch());
+  EXPECT_EQ(outcome.epoch, fx.stack.epoch());
   EXPECT_NE(outcome.mode, UpdateOutcome::Mode::kNone);
 
   // INFO reflects the applied batch and carries the epoch age.
@@ -439,9 +432,9 @@ TEST(RollbackVerb, NoRollbackerWiredReturnsUnimplemented) {
 
 TEST(RollbackVerb, EndToEndThroughLineHandler) {
   UpdateFixture fx;
-  LineHandler handler(&fx.service, nullptr);
+  LineHandler handler(&fx.stack, nullptr);
   EngineQuery q = fx.ConnectivityQuery();
-  auto before = fx.service.Query(q);
+  auto before = fx.stack.Query(q);
   ASSERT_TRUE(before.ok());
   ASSERT_FALSE(before->answers.empty());  // 0 -> 1 -> 2 connects {0,2}
 
@@ -455,15 +448,15 @@ TEST(RollbackVerb, EndToEndThroughLineHandler) {
   // epoch swap, never an in-place mutation).
   ASSERT_TRUE(
       handler.Handle("update remove:1:2").response.starts_with("OK"));
-  auto cut = fx.service.Query(q);
+  auto cut = fx.stack.Query(q);
   ASSERT_TRUE(cut.ok());
   EXPECT_TRUE(cut->answers.empty());
-  const uint64_t epoch_before = fx.service.epoch();
+  const uint64_t epoch_before = fx.stack.epoch();
 
   LineHandler::Result r = handler.Handle("rollback");
   ASSERT_TRUE(r.response.starts_with("OK epoch=")) << r.response;
-  EXPECT_GT(fx.service.epoch(), epoch_before);
-  auto restored = fx.service.Query(q);
+  EXPECT_GT(fx.stack.epoch(), epoch_before);
+  auto restored = fx.stack.Query(q);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->answers, before->answers);
 
@@ -476,40 +469,14 @@ TEST(RollbackVerb, EndToEndThroughLineHandler) {
   LineHandler::Result info = handler.Handle("info");
   EXPECT_NE(info.response.find("rollbacks=1"), std::string::npos)
       << info.response;
-  EXPECT_EQ(fx.service.Snapshot().rollbacks, 1u);
-}
-
-TEST(UpdateVerb, ShardRemapTranslatesAndSkipsUnowned) {
-  UpdateFixture fx;
-  // This "shard" owns global vertices {10,11,12,13,14,15} as locals
-  // {0..5}; everything else is unowned and must be skipped, not applied.
-  ShardRemapService remapped(&fx.service,
-                             std::vector<VertexId>{10, 11, 12, 13, 14, 15});
-  std::vector<GraphUpdate> batch = {
-      Remove(11, 12),  // both owned -> local remove:1:2
-      Add(10, 99),     // 99 unowned -> skipped
-      Add(7, 8),       // neither owned -> skipped
-  };
-  auto outcome = remapped.ApplyUpdate(batch);
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_EQ(outcome->applied, 1u);
-  EXPECT_EQ(outcome->skipped, 2u);
-  EXPECT_FALSE(fx.service.engine_snapshot()->index().base().HasEdge(1, 2));
-
-  // A batch with no owned endpoints never reaches the inner service.
-  auto all_foreign =
-      remapped.ApplyUpdate(std::vector<GraphUpdate>{Add(20, 21)});
-  ASSERT_TRUE(all_foreign.ok());
-  EXPECT_EQ(all_foreign->applied, 0u);
-  EXPECT_EQ(all_foreign->skipped, 1u);
-  EXPECT_EQ(all_foreign->epoch, fx.service.epoch());
+  EXPECT_EQ(fx.stack.Snapshot().rollbacks, 1u);
 }
 
 TEST(UpdateVerb, DefaultQueryServiceIsReadOnly) {
   UpdateFixture fx;
-  // ShardRemapService with an identity map passes through; a QueryService
-  // subclass that never overrides ApplyUpdate reports Unimplemented — the
-  // compiled-in default keeps read-only services read-only.
+  // A QueryService subclass that never overrides ApplyUpdate reports
+  // Unimplemented — the compiled-in default keeps read-only services
+  // read-only.
   class ReadOnly : public QueryService {
    public:
     explicit ReadOnly(QueryService* inner) : inner_(inner) {}
@@ -526,7 +493,7 @@ TEST(UpdateVerb, DefaultQueryServiceIsReadOnly) {
 
    private:
     QueryService* inner_;
-  } read_only(&fx.service);
+  } read_only(&fx.stack);
   EXPECT_EQ(read_only.ApplyUpdate(std::vector<GraphUpdate>{Add(0, 1)})
                 .status()
                 .code(),

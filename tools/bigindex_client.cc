@@ -7,11 +7,11 @@
 //       retry — an unreachable server exits with a kUnavailable message
 //       instead of hanging), forwards stdin lines, prints response blocks.
 //   bigindex_client --inprocess [dataset] [scale] [layers]
-//       Spins up the whole serving stack (dataset → index → engine →
-//       SearchService, live updater included so the UPDATE verb works)
-//       inside this process and feeds stdin lines straight to the
-//       LineHandler — the same protocol with no sockets, handy for
-//       scripted smoke tests and for exploring a dataset interactively.
+//       Spins up the whole serving stack (dataset → index → ServingStack,
+//       live updater included so the UPDATE verb works) inside this
+//       process and feeds stdin lines straight to the LineHandler — the
+//       same protocol with no sockets, handy for scripted smoke tests and
+//       for exploring a dataset interactively.
 //   bigindex_client --update <host> <port> (add:<u>:<v>|remove:<u>:<v>)...
 //       One-shot edge-update batch: sends a single UPDATE request and
 //       prints the outcome (applied/skipped/rebuilt/epoch/mode). Exits 0
@@ -71,23 +71,12 @@ int RunInProcess(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", index.status().ToString().c_str());
     return 1;
   }
-  const QueryEngineOptions engine_opts{
-      .num_threads = ExecutorPool::kHardwareConcurrency};
-  auto index_ptr = std::make_shared<const BigIndex>(std::move(index).value());
-  auto engine = std::make_shared<const QueryEngine>(index_ptr, engine_opts);
-  SearchService service(engine);
-  // Wire the write path so interactive `update add:0:1 ...` lines work.
-  LiveUpdaterOptions updater_opts;
-  updater_opts.engine = engine_opts;
-  LiveUpdater updater(std::move(index_ptr), engine, std::move(updater_opts));
-  updater.set_swap([&service](std::shared_ptr<const QueryEngine> next) {
-    return service.SwapEngine(std::move(next));
-  });
-  service.set_updater([&updater](std::span<const GraphUpdate> updates) {
-    return updater.Apply(updates);
-  });
-  service.set_rollbacker([&updater] { return updater.Rollback(); });
-  LineHandler handler(&service, ds->dict.get());
+  // The stack wires the write path, so interactive `update add:0:1 ...`
+  // lines work.
+  ServingStack stack(
+      BuiltShard{std::move(index).value(), {}}, /*fingerprint=*/0, {},
+      {.engine = {.num_threads = ExecutorPool::kHardwareConcurrency}});
+  LineHandler handler(&stack, ds->dict.get());
   std::fprintf(stderr, "in-process %s (|V|=%zu); type requests:\n",
                dataset_name.c_str(), ds->graph.NumVertices());
 

@@ -1,8 +1,9 @@
 // bigindex_serverd — long-lived keyword-search daemon.
 //
-// Builds (or loads) a dataset + BiG-index, wraps it in a QueryEngine and an
-// admission-controlled SearchService, and serves the line protocol over TCP
-// until SIGINT/SIGTERM. See DESIGN.md "Serving layer" for the pipeline and
+// Builds (or loads) a dataset + BiG-index, serves it through a ServingStack
+// (QueryEngine, admission-controlled SearchService, live updater; see
+// src/shard/serving_stack.h) and speaks the line protocol over TCP until
+// SIGINT/SIGTERM. See DESIGN.md "Serving layer" for the pipeline and
 // src/server/line_protocol.h for the wire format; `tools/bigindex_client`
 // is the matching client.
 //
@@ -40,25 +41,27 @@
 //   to milliseconds. If PATH does not exist yet, the index is built once and
 //   saved there, so the flag is self-priming across restarts. The dataset
 //   flags must match the ones the image was built with (the label
-//   dictionaries are cross-checked at load).
+//   dictionaries are cross-checked at load), and so must the shard flags:
+//   a shard image is never served as the whole graph, nor the other way
+//   round.
 //   --threads 0  = serial engine (no pool);  --cache N sizes the answer
 //   cache of a monolithic server or a coordinator (default 4096 entries;
 //   0 disables it).
 //   --build-threads parallelizes the startup index construction (0 = serial,
 //   the default; the built index is identical for any value).
-//   --metrics-port 0 (the default) disables the HTTP scrape endpoint; the
-//   line protocol's `metrics` verb works either way. --trace enables span
-//   collection from startup (covers index construction too); it can also be
-//   toggled at runtime with the `trace on|off` verb.
+//   --metrics-port N serves the HTTP scrape endpoint in every mode; 0 (the
+//   default) disables it, and the line protocol's `metrics` verb works
+//   either way. --trace enables span collection from startup (covers index
+//   construction too); it can also be toggled at runtime with the
+//   `trace on|off` verb.
 //
 // Live updates: monolithic servers and shard workers accept the UPDATE verb
 // (see src/server/line_protocol.h) and maintain the served index in place —
 // delta-propagating incremental refinement, RCU epoch-swapped publication.
 // --update-fallback-ratio F sets the dirty-frontier ratio above which a
 // layer is re-summarized wholesale (default 0.5, see docs/MAINTENANCE.md
-// for tuning); --no-live-updates
-// disables the write path entirely (UPDATE answers ERR Unimplemented).
-// Coordinators always accept UPDATE and broadcast it to their workers.
+// for tuning). Coordinators always accept UPDATE and broadcast it to their
+// workers.
 //
 // On shutdown the final ServiceStats snapshot is printed to stderr.
 
@@ -94,40 +97,8 @@ int Usage() {
       " [--shard-mode wcc|bfs] [--bfs-block N]]\n"
       "                        [--coordinator HOST:PORT,...]"
       " [--allow-partial] [--attach-retries N]\n"
-      "                        [--update-fallback-ratio F]"
-      " [--no-live-updates]\n");
+      "                        [--update-fallback-ratio F]\n");
   return 1;
-}
-
-/// Builds a LiveUpdater over `index`/`engine` and wires it to `service`
-/// (swap hook + write path + rollback path). Shared by the monolithic and
-/// shard-worker modes; the caller keeps the returned updater alive next to
-/// the service. `before_swap` (optional) runs on each successor engine
-/// before publication — shard workers use it to reinstall the boundary
-/// filter matching the new graph.
-std::unique_ptr<LiveUpdater> WireLiveUpdater(
-    std::shared_ptr<const BigIndex> index,
-    std::shared_ptr<const QueryEngine> engine,
-    const QueryEngineOptions& engine_opts, double fallback_ratio,
-    SearchService* service,
-    std::function<void(const QueryEngine&)> before_swap = {}) {
-  LiveUpdaterOptions opts;
-  opts.maintain.fallback_dirty_ratio = fallback_ratio;
-  opts.engine = engine_opts;
-  auto updater = std::make_unique<LiveUpdater>(std::move(index),
-                                               std::move(engine),
-                                               std::move(opts));
-  updater->set_swap([service, before_swap = std::move(before_swap)](
-                        std::shared_ptr<const QueryEngine> next) {
-    if (before_swap) before_swap(*next);
-    return service->SwapEngine(std::move(next));
-  });
-  LiveUpdater* raw = updater.get();
-  service->set_updater([raw](std::span<const GraphUpdate> updates) {
-    return raw->Apply(updates);
-  });
-  service->set_rollbacker([raw] { return raw->Rollback(); });
-  return updater;
 }
 
 /// Parses "host:port,host:port,..." into shard endpoints.
@@ -155,17 +126,96 @@ StatusOr<std::vector<ShardEndpoint>> ParseEndpoints(const std::string& spec) {
   return endpoints;
 }
 
-/// Blocks until SIGINT/SIGTERM, then stops the servers. Callers drain their
-/// own service and print final stats afterwards.
-void ServeUntilSignal(TcpServer& server, MetricsHttpServer* scrape) {
+/// Serves `service` over TCP, plus the HTTP scrape endpoint when
+/// `metrics_http.port` is set, until SIGINT/SIGTERM; then prints the final
+/// stats. `what` names the process in the startup line scripts wait for:
+/// "bigindex_serverd <what> on port <port><detail>".
+int ServeUntilSignal(QueryService* service, const LabelDictionary* dict,
+                     const TcpServerOptions& tcp,
+                     const MetricsHttpOptions& metrics_http,
+                     const std::string& what, const std::string& detail) {
+  TcpServer server(service, dict, tcp);
+  Status started = server.Start();
+  if (!started.ok()) {
+    std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
+    return 1;
+  }
+  std::fprintf(stderr, "bigindex_serverd %s on port %u%s\n", what.c_str(),
+               server.port(), detail.c_str());
+  MetricsHttpServer scrape(metrics_http);
+  if (metrics_http.port != 0) {
+    Status scrape_started = scrape.Start();
+    if (!scrape_started.ok()) {
+      std::fprintf(stderr, "error: %s\n", scrape_started.ToString().c_str());
+      return 1;
+    }
+    std::fprintf(stderr, "metrics on http://127.0.0.1:%u/metrics\n",
+                 scrape.port());
+  }
+
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
   while (!g_stop) {
     pause();  // wake on any signal; g_stop decides whether to exit
   }
   std::fprintf(stderr, "shutting down...\n");
-  if (scrape != nullptr) scrape->Stop();
+  scrape.Stop();
   server.Stop();
+  std::fprintf(stderr, "final stats: %s\n",
+               service->Snapshot().ToString().c_str());
+  return 0;
+}
+
+/// Loads the index image at `image_path` if there is one, else builds the
+/// index (the whole graph, or shard `want.shard_id` of `build.plan`) and
+/// saves it there when a path is given. A loaded image must hold the shard
+/// `want` names (0/0: the whole graph); `what` names it in the log.
+StatusOr<BuiltShard> LoadOrBuild(Dataset& ds, const std::string& image_path,
+                                 const ShardImageInfo& want,
+                                 const ShardBuildOptions& build,
+                                 const std::string& what) {
+  StatusOr<BuiltShard> built = Status::Unavailable("index not initialized");
+  if (!image_path.empty() && LooksLikeIndexImage(image_path)) {
+    Timer load_timer;
+    ShardImageInfo shard;
+    auto loaded = LoadIndexImage(image_path, *ds.dict,
+                                 &ds.ontology.ontology, {}, &shard);
+    if (!loaded.ok()) return loaded.status();
+    if (shard.shard_id != want.shard_id ||
+        shard.num_shards != want.num_shards) {
+      return Status::InvalidArgument(
+          image_path + " holds shard " + std::to_string(shard.shard_id) +
+          "/" + std::to_string(shard.num_shards) + ", flags say " +
+          std::to_string(want.shard_id) + "/" +
+          std::to_string(want.num_shards));
+    }
+    std::fprintf(stderr, "%s mmapped from %s in %.2f ms\n", what.c_str(),
+                 image_path.c_str(), load_timer.ElapsedMillis());
+    built = BuiltShard{std::move(loaded).value(), std::move(shard)};
+  } else {
+    Timer build_timer;
+    if (want.IsSharded()) {
+      built = BuildOneShard(ds.graph, &ds.ontology.ontology, build,
+                            want.shard_id);
+    } else {
+      auto index = BigIndex::Build(ds.graph, &ds.ontology.ontology,
+                                   build.index);
+      if (!index.ok()) return index.status();
+      built = BuiltShard{std::move(index).value(), {}};
+    }
+    if (!built.ok()) return built.status();
+    std::fprintf(stderr, "%s: |V|=%zu |E|=%zu, %zu layers, %.1f ms build\n",
+                 what.c_str(), built->index.base().NumVertices(),
+                 built->index.base().NumEdges(), built->index.NumLayers(),
+                 build_timer.ElapsedMillis());
+    if (!image_path.empty()) {
+      BIGINDEX_RETURN_IF_ERROR(SaveIndexImageFile(built->index, *ds.dict,
+                                                  built->shard, image_path));
+      std::fprintf(stderr, "saved %s image to %s (next start mmaps it)\n",
+                   what.c_str(), image_path.c_str());
+    }
+  }
+  return built;
 }
 
 int Run(int argc, char** argv) {
@@ -177,16 +227,14 @@ int Run(int argc, char** argv) {
   TcpServerOptions tcp;
   MetricsHttpOptions metrics_http;
   bool trace_from_start = false;
-  QueryEngineOptions engine_opts{.num_threads =
-                                     ExecutorPool::kHardwareConcurrency};
+  LiveUpdaterOptions updater_opts{
+      .engine = {.num_threads = ExecutorPool::kHardwareConcurrency}};
   SearchServiceOptions service_opts;
   ShardPlanOptions plan_opts;  // plan_opts.num_shards > 1 => worker mode
   int shard_of = -1;
   std::string coordinator_spec;
   bool allow_partial = false;
   size_t attach_retries = 10;
-  double update_fallback_ratio = 0.5;
-  bool live_updates = true;
   bool cache_flag = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -206,7 +254,7 @@ int Run(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--port") == 0) {
       tcp.port = static_cast<uint16_t>(std::atoi(next("--port")));
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      engine_opts.num_threads =
+      updater_opts.engine.num_threads =
           static_cast<size_t>(std::atoi(next("--threads")));
     } else if (std::strcmp(argv[i], "--build-threads") == 0) {
       build_threads = static_cast<size_t>(std::atoi(next("--build-threads")));
@@ -258,9 +306,8 @@ int Run(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--attach-retries") == 0) {
       attach_retries = static_cast<size_t>(std::atoi(next("--attach-retries")));
     } else if (std::strcmp(argv[i], "--update-fallback-ratio") == 0) {
-      update_fallback_ratio = std::atof(next("--update-fallback-ratio"));
-    } else if (std::strcmp(argv[i], "--no-live-updates") == 0) {
-      live_updates = false;
+      updater_opts.maintain.fallback_dirty_ratio =
+          std::atof(next("--update-fallback-ratio"));
     } else {
       std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
       return Usage();
@@ -308,7 +355,7 @@ int Run(int argc, char** argv) {
     }
     RemoteSubstrate substrate(std::move(endpoints).value());
     ShardedServiceOptions copts;
-    copts.fanout_threads = engine_opts.num_threads;
+    copts.fanout_threads = updater_opts.engine.num_threads;
     copts.cache = service_opts.cache;
     copts.default_deadline_ms = service_opts.default_deadline_ms;
     copts.allow_partial = allow_partial;
@@ -323,218 +370,55 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", attached.ToString().c_str());
       return 1;
     }
-    TcpServer server(&coordinator, ds->dict.get(), tcp);
-    Status started = server.Start();
-    if (!started.ok()) {
-      std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "bigindex_serverd coordinator on port %u over %zu shards\n",
-                 server.port(), coordinator.num_shards());
-    ServeUntilSignal(server, nullptr);
-    std::fprintf(stderr, "final stats: %s\n",
-                 coordinator.Snapshot().ToString().c_str());
-    return 0;
+    return ServeUntilSignal(
+        &coordinator, ds->dict.get(), tcp, metrics_http, "coordinator",
+        " over " + std::to_string(coordinator.num_shards()) + " shards");
   }
 
+  // The whole graph, or (shard worker) just our slice of the deterministic
+  // shard plan, served behind a local->global id remap.
+  ShardImageInfo want;
+  std::string what = "whole graph";
+  std::string image_path = index_image_path;
   if (shard_of >= 0) {
-    // Shard worker: build (or load) just our slice of the deterministic
-    // shard plan and serve it behind a local→global id remap.
-    ShardBuildOptions build_opts;
-    build_opts.plan = plan_opts;
-    build_opts.index = {.max_layers = layers,
-                        .build = {.num_threads = build_threads}};
-    const std::string image_path =
-        index_image_path.empty()
-            ? std::string()
-            : ShardImagePath(index_image_path,
-                             static_cast<uint32_t>(shard_of),
-                             static_cast<uint32_t>(plan_opts.num_shards));
-    StatusOr<BuiltShard> built = Status::Unavailable("shard not initialized");
-    if (!image_path.empty() && LooksLikeIndexImage(image_path)) {
-      Timer load_timer;
-      ShardImageInfo shard_info;
-      auto loaded = LoadIndexImage(image_path, *ds->dict,
-                                   &ds->ontology.ontology, {}, &shard_info);
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "error: %s\n",
-                     loaded.status().ToString().c_str());
-        return 1;
-      }
-      if (shard_info.shard_id != static_cast<uint32_t>(shard_of) ||
-          shard_info.num_shards != plan_opts.num_shards) {
-        std::fprintf(stderr,
-                     "error: %s holds shard %u/%u, flags say %d/%zu\n",
-                     image_path.c_str(), shard_info.shard_id,
-                     shard_info.num_shards, shard_of, plan_opts.num_shards);
-        return 1;
-      }
-      std::fprintf(stderr, "shard %d/%zu mmapped from %s in %.2f ms\n",
-                   shard_of, plan_opts.num_shards, image_path.c_str(),
-                   load_timer.ElapsedMillis());
-      built = BuiltShard{std::move(loaded).value(), std::move(shard_info)};
-    } else {
-      Timer build_timer;
-      built = BuildOneShard(ds->graph, &ds->ontology.ontology, build_opts,
-                            static_cast<uint32_t>(shard_of));
-      if (!built.ok()) {
-        std::fprintf(stderr, "error: %s\n",
-                     built.status().ToString().c_str());
-        return 1;
-      }
-      std::fprintf(stderr,
-                   "shard %d/%zu: |V|=%zu, %zu layers, %.1f ms build\n",
-                   shard_of, plan_opts.num_shards,
-                   built->shard.global_of.size(), built->index.NumLayers(),
-                   build_timer.ElapsedMillis());
-      if (!image_path.empty()) {
-        Status saved = SaveIndexImageFile(built->index, *ds->dict,
-                                          built->shard, image_path);
-        if (!saved.ok()) {
-          std::fprintf(stderr, "error: %s\n", saved.ToString().c_str());
-          return 1;
-        }
-        std::fprintf(stderr, "saved shard image to %s\n", image_path.c_str());
-      }
-    }
-    uint64_t fingerprint = 0;
+    want.shard_id = static_cast<uint32_t>(shard_of);
+    want.num_shards = static_cast<uint32_t>(plan_opts.num_shards);
+    what = "shard " + std::to_string(want.shard_id) + "/" +
+           std::to_string(want.num_shards);
     if (!image_path.empty()) {
-      auto info = InspectIndexImage(image_path);
-      if (info.ok()) fingerprint = info->fingerprint;
-    }
-    uint32_t num_layers = static_cast<uint32_t>(built->index.NumLayers());
-    auto shard_index = std::make_shared<const BigIndex>(
-        std::move(built->index));
-    auto engine =
-        std::make_shared<const QueryEngine>(shard_index, engine_opts);
-    service_opts.cache.capacity = 0;  // the coordinator is the cache tier
-    SearchService service(engine, service_opts);
-    service.set_identity(ServiceIdentity{
-        .fingerprint = fingerprint,
-        .num_layers = num_layers,
-        .shard_id = static_cast<uint32_t>(shard_of),
-        .num_shards = static_cast<uint32_t>(plan_opts.num_shards),
-    });
-    // The remap/ghost tables are shared with the updater's swap hook: every
-    // published successor graph gets a freshly computed boundary filter.
-    auto global_of = std::make_shared<const std::vector<VertexId>>(
-        std::move(built->shard.global_of));
-    auto ghosts = std::make_shared<const std::vector<VertexId>>(
-        std::move(built->shard.ghosts));
-    ShardRemapService remapped(&service, *global_of, *ghosts);
-    if (!ghosts->empty()) {
-      remapped.InstallBoundary(ComputeShardBoundary(
-          engine->index().base(), *global_of, *ghosts,
-          AlgorithmRadii(*engine)));
-      std::fprintf(stderr, "shard %d/%zu: %zu ghost vertices materialized\n",
-                   shard_of, plan_opts.num_shards, ghosts->size());
-    }
-    std::unique_ptr<LiveUpdater> updater;
-    if (live_updates) {
-      ShardRemapService* remapped_ptr = &remapped;
-      updater = WireLiveUpdater(
-          std::move(shard_index), engine, engine_opts, update_fallback_ratio,
-          &service,
-          [remapped_ptr, global_of, ghosts](const QueryEngine& next) {
-            if (ghosts->empty()) return;
-            remapped_ptr->InstallBoundary(ComputeShardBoundary(
-                next.index().base(), *global_of, *ghosts,
-                AlgorithmRadii(next)));
-          });
-    }
-    TcpServer server(&remapped, ds->dict.get(), tcp);
-    Status started = server.Start();
-    if (!started.ok()) {
-      std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "bigindex_serverd shard %d/%zu on port %u\n",
-                 shard_of, plan_opts.num_shards, server.port());
-    ServeUntilSignal(server, nullptr);
-    service.Shutdown();
-    std::fprintf(stderr, "final stats: %s\n",
-                 service.Snapshot().ToString().c_str());
-    return 0;
-  }
-
-  StatusOr<BigIndex> index = Status::Unavailable("index not initialized");
-  if (!index_image_path.empty() && LooksLikeIndexImage(index_image_path)) {
-    Timer load_timer;
-    index = LoadIndexImage(index_image_path, *ds->dict,
-                           &ds->ontology.ontology);
-    if (!index.ok()) {
-      std::fprintf(stderr, "error: %s\n", index.status().ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "index: |V|=%zu |E|=%zu, %zu layers, mmapped from %s in "
-                 "%.2f ms\n",
-                 ds->graph.NumVertices(), ds->graph.NumEdges(),
-                 index->NumLayers(), index_image_path.c_str(),
-                 load_timer.ElapsedMillis());
-  } else {
-    Timer build_timer;
-    index = BigIndex::Build(ds->graph, &ds->ontology.ontology,
-                            {.max_layers = layers,
-                             .build = {.num_threads = build_threads}});
-    if (!index.ok()) {
-      std::fprintf(stderr, "error: %s\n", index.status().ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "index: |V|=%zu |E|=%zu, %zu layers, %.1f ms build\n",
-                 ds->graph.NumVertices(), ds->graph.NumEdges(),
-                 index->NumLayers(), build_timer.ElapsedMillis());
-    if (!index_image_path.empty()) {
-      Status saved = SaveIndexImageFile(*index, *ds->dict, index_image_path);
-      if (!saved.ok()) {
-        std::fprintf(stderr, "error: %s\n", saved.ToString().c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "saved index image to %s (next start mmaps it)\n",
-                   index_image_path.c_str());
+      image_path = ShardImagePath(image_path, want.shard_id, want.num_shards);
     }
   }
-
-  auto index_ptr = std::make_shared<const BigIndex>(std::move(index).value());
-  auto engine = std::make_shared<const QueryEngine>(index_ptr, engine_opts);
-  SearchService service(engine, service_opts);
-  std::unique_ptr<LiveUpdater> updater;
-  if (live_updates) {
-    updater = WireLiveUpdater(std::move(index_ptr), engine, engine_opts,
-                              update_fallback_ratio, &service);
-  }
-  TcpServer server(&service, ds->dict.get(), tcp);
-  Status started = server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
+  auto built = LoadOrBuild(
+      *ds, image_path, want,
+      {.plan = plan_opts,
+       .index = {.max_layers = layers,
+                 .build = {.num_threads = build_threads}}},
+      what);
+  if (!built.ok()) {
+    std::fprintf(stderr, "error: %s\n", built.status().ToString().c_str());
     return 1;
   }
-  std::fprintf(stderr,
-               "bigindex_serverd listening on port %u "
-               "(threads=%zu queue=%zu max_batch=%zu cache=%zu)\n",
-               server.port(), engine->num_slots(),
-               service_opts.queue_capacity, service_opts.max_batch_size,
-               service_opts.cache.capacity);
-
-  MetricsHttpServer scrape(metrics_http);
-  if (metrics_http.port != 0) {
-    Status scrape_started = scrape.Start();
-    if (!scrape_started.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   scrape_started.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "metrics on http://127.0.0.1:%u/metrics\n",
-                 scrape.port());
+  uint64_t fingerprint = 0;
+  if (!image_path.empty()) {
+    auto info = InspectIndexImage(image_path);
+    if (info.ok()) fingerprint = info->fingerprint;
   }
-
-  ServeUntilSignal(server, &scrape);
-  service.Shutdown();
-  std::fprintf(stderr, "final stats: %s\n",
-               service.Snapshot().ToString().c_str());
-  return 0;
+  if (!built->shard.ghosts.empty()) {
+    std::fprintf(stderr, "%s: %zu ghost vertices materialized\n",
+                 what.c_str(), built->shard.ghosts.size());
+  }
+  ServingStack stack(std::move(built).value(), fingerprint, service_opts,
+                     std::move(updater_opts));
+  const SearchServiceOptions& serving = stack.service().options();
+  char detail[96];
+  std::snprintf(detail, sizeof(detail),
+                " (threads=%zu queue=%zu max_batch=%zu cache=%zu)",
+                stack.service().engine_snapshot()->num_slots(),
+                serving.queue_capacity, serving.max_batch_size,
+                serving.cache.capacity);
+  return ServeUntilSignal(&stack, ds->dict.get(), tcp, metrics_http, what,
+                          detail);
 }
 
 }  // namespace

@@ -11,7 +11,9 @@
 # the originals once the graph is restored. A second fleet then runs the
 # same differential under --shard-mode bfs: cut edges, ghost vertices, the
 # `boundary` verb, and the coordinator's completion pass (DESIGN.md §9),
-# end to end over real processes.
+# end to end over real processes. The bfs workers self-prime shard images,
+# one of them serves the HTTP metrics scrape, and a monolithic server must
+# refuse to serve a shard image as the whole graph.
 #
 #   tools/shard_integration.sh [build-dir]
 #
@@ -36,6 +38,7 @@ DATASET=(--dataset yago3 --scale 0.002 --layers 3)
 BASE="${BIGINDEX_SHARD_TEST_PORT_BASE:-$((21000 + RANDOM % 20000))}"
 P_MONO=$BASE P_W0=$((BASE + 1)) P_W1=$((BASE + 2)) P_COORD=$((BASE + 3))
 P_B0=$((BASE + 4)) P_B1=$((BASE + 5)) P_BCOORD=$((BASE + 6))
+P_BMETRICS=$((BASE + 7)) P_MISUSE=$((BASE + 8))
 
 TMP="$(mktemp -d)"
 PIDS=()
@@ -78,7 +81,14 @@ wait_ready "$TMP/coord.log" "coordinator on port $P_COORD over 2 shards"
 
 # The worker INFO must carry its shard identity; the coordinator presents a
 # whole-graph identity (shard=0/0) so clients need not know shards exist.
-echo "== info: worker identity and coordinator identity"
+# The monolithic server stamps its identity too: its layer count is real.
+echo "== info: monolithic, worker and coordinator identity"
+echo info | "$CLIENT" --connect 127.0.0.1 "$P_MONO" | tee "$TMP/info_mono" \
+  | grep -qE " layers=[1-9]" || {
+  echo "error: monolithic INFO should report its layer count" >&2
+  cat "$TMP/info_mono" >&2
+  exit 1
+}
 echo info | "$CLIENT" --connect 127.0.0.1 "$P_W0" | tee "$TMP/info_w0" \
   | grep -q "shard=0/2" || {
   echo "error: worker 0 INFO missing shard=0/2" >&2
@@ -204,15 +214,19 @@ fi
 # materialize ghosts and withhold cut-near answers, and the coordinator
 # stitches them back via the `boundary` verb + completion pass. The answer
 # differential against the monolithic server must hold just like wcc mode.
+# The workers self-prime their shard images under $TMP/bfs, and worker 0
+# also serves the HTTP metrics scrape.
 echo "== bfs mode: launching 2 bfs-block workers + coordinator"
 "$SERVERD" "${DATASET[@]}" --shards 2 --shard-of 0 --shard-mode bfs \
-  --bfs-block 128 --port "$P_B0" 2>"$TMP/b0.log" &
+  --bfs-block 128 --index-image "$TMP/bfs" --metrics-port "$P_BMETRICS" \
+  --port "$P_B0" 2>"$TMP/b0.log" &
 PIDS+=($!)
 "$SERVERD" "${DATASET[@]}" --shards 2 --shard-of 1 --shard-mode bfs \
-  --bfs-block 128 --port "$P_B1" 2>"$TMP/b1.log" &
+  --bfs-block 128 --index-image "$TMP/bfs" --port "$P_B1" 2>"$TMP/b1.log" &
 PIDS+=($!)
 wait_ready "$TMP/b0.log" "shard 0/2 on port $P_B0"
 wait_ready "$TMP/b1.log" "shard 1/2 on port $P_B1"
+wait_ready "$TMP/b0.log" "metrics on http://127.0.0.1:$P_BMETRICS/metrics"
 # A bfs plan on this instance has a real cut: the workers must say so.
 grep -q "ghost vertices materialized" "$TMP/b0.log" "$TMP/b1.log" || {
   echo "error: bfs workers materialized no ghosts (cut was empty?)" >&2
@@ -223,6 +237,30 @@ grep -q "ghost vertices materialized" "$TMP/b0.log" "$TMP/b1.log" || {
   --port "$P_BCOORD" 2>"$TMP/bcoord.log" &
 PIDS+=($!)
 wait_ready "$TMP/bcoord.log" "coordinator on port $P_BCOORD over 2 shards"
+
+echo "== bfs mode: worker 0 serves GET /metrics"
+exec 3<>"/dev/tcp/127.0.0.1/$P_BMETRICS"
+printf 'GET /metrics HTTP/1.0\r\nHost: 127.0.0.1\r\n\r\n' >&3
+cat <&3 >"$TMP/metrics_b0"
+exec 3<&-
+grep -q "^bigindex_server_requests_total" "$TMP/metrics_b0" || {
+  echo "error: worker scrape lacks bigindex_server_requests_total" >&2
+  head -n 20 "$TMP/metrics_b0" >&2
+  exit 1
+}
+
+# A shard image holds shard-local ids: serving it as the whole graph would
+# answer with the wrong vertices, so the server must refuse to start.
+echo "== shard image refused as a whole-graph index"
+misuse=0
+timeout 120 "$SERVERD" "${DATASET[@]}" --port "$P_MISUSE" \
+  --index-image "$TMP/bfs.shard0of2.img" 2>"$TMP/misuse.log" || misuse=$?
+if [[ "$misuse" -eq 0 || "$misuse" -eq 124 ]] \
+  || ! grep -q "holds shard 0/2, flags say 0/0" "$TMP/misuse.log"; then
+  echo "error: a monolithic server accepted a shard image (exit $misuse)" >&2
+  cat "$TMP/misuse.log" >&2
+  exit 1
+fi
 
 echo "== differential: bfs coordinator answers vs monolithic"
 "$CLIENT" --connect 127.0.0.1 "$P_BCOORD" <"$TMP/queries" >"$TMP/out_bfs"
