@@ -6,12 +6,10 @@
 // Comparisons reported (ISSUE 3 acceptance):
 //   1. answer cache ON vs OFF on a repeated-query workload — the cache
 //      should win by >= 2x;
-//   2. micro-batched dispatch (max_batch=64) vs one-query-per-Evaluate
-//      serial dispatch (max_batch=1) over the same 8-thread engine pool;
-//   3. an open-loop burst against a small admission queue with tight
+//   2. an open-loop burst against a small admission queue with tight
 //      deadlines — demonstrates non-blocking backpressure (rejections and
 //      deadline misses, no hangs, no partial answers);
-//   4. mixed read/update serving (ISSUE 8): 95% reads / 5% single-edge
+//   3. mixed read/update serving: 95% reads / 5% single-edge
 //      updates through the full LiveUpdater + RCU epoch-swap path — read
 //      tail latency must stay bounded while writers churn epochs, and
 //      every read completes against a consistent engine snapshot.
@@ -98,9 +96,8 @@ void PrintReport(const char* name, const LoadReport& r) {
 int main(int argc, char** argv) {
   bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   const double duration = smoke ? 0.25 : 2.0;
-  // More clients than pool slots: micro-batches then exceed the slot count,
-  // so the pool's dynamic scheduling amortizes per-query cost variance
-  // (a batch of exactly num_slots is bounded by its slowest member).
+  // More clients than strands, so the admission queue never runs dry and
+  // every strand stays busy.
   const size_t clients = 32;
 
   PrintHeader("SearchService load generator",
@@ -133,15 +130,14 @@ int main(int argc, char** argv) {
   // --- 1. cache ON vs OFF ------------------------------------------------
   double cached_qps = 0, uncached_qps = 0;
   {
-    SearchService service(engine, {.max_linger_ms = 0.2});
+    SearchService service(engine);
     for (const EngineQuery& q : queries) (void)service.Query(q);  // warm
     LoadReport r = RunClosedLoop(service, queries, clients, duration);
     PrintReport("cache on", r);
     cached_qps = r.qps;
   }
   {
-    SearchService service(engine,
-                          {.max_linger_ms = 0.2, .cache = {.capacity = 0}});
+    SearchService service(engine, {.cache = {.capacity = 0}});
     for (const EngineQuery& q : queries) (void)service.Query(q);  // warm
     LoadReport r = RunClosedLoop(service, queries, clients, duration);
     PrintReport("cache off", r);
@@ -151,35 +147,9 @@ int main(int argc, char** argv) {
               "queries)\n\n",
               uncached_qps > 0 ? cached_qps / uncached_qps : 0.0);
 
-  // --- 2. micro-batched vs serial dispatch (cache off for both) ----------
-  double batched_qps = 0, serial_qps = 0;
-  {
-    SearchService service(engine, {.max_batch_size = 64,
-                                   .max_linger_ms = 0.5,
-                                   .cache = {.capacity = 0}});
-    for (const EngineQuery& q : queries) (void)service.Query(q);
-    LoadReport r = RunClosedLoop(service, queries, clients, duration);
-    PrintReport("batched dispatch", r);
-    batched_qps = r.qps;
-  }
-  {
-    SearchService service(engine, {.max_batch_size = 1,
-                                   .max_linger_ms = 0,
-                                   .cache = {.capacity = 0}});
-    for (const EngineQuery& q : queries) (void)service.Query(q);
-    LoadReport r = RunClosedLoop(service, queries, clients, duration);
-    PrintReport("serial dispatch", r);
-    serial_qps = r.qps;
-  }
-  std::printf("  -> batching speedup: %.2fx (micro-batches fan out over "
-              "the pool; serial dispatch evaluates one query per "
-              "EvaluateBatch; ~1.0x expected on single-core hosts)\n\n",
-              serial_qps > 0 ? batched_qps / serial_qps : 0.0);
-
-  // --- 3. open-loop burst: backpressure + deadlines ----------------------
+  // --- 2. open-loop burst: backpressure + deadlines ----------------------
   {
     SearchService service(engine, {.queue_capacity = 64,
-                                   .max_linger_ms = 0.2,
                                    .cache = {.capacity = 0},
                                    .default_deadline_ms = 25});
     const size_t burst = smoke ? 400 : 4000;
@@ -212,14 +182,13 @@ int main(int argc, char** argv) {
     std::printf("final: %s\n", service.Snapshot().ToString().c_str());
   }
 
-  // --- 4. mixed read/update serving (95/5) -------------------------------
+  // --- 3. mixed read/update serving (95/5) -------------------------------
   {
     std::printf("\nmixed read/update (95/5): each client issues 1 update "
                 "per 20 ops; updates run delta maintenance + engine build "
                 "+ RCU epoch swap behind the writer mutex\n");
     ServingStack service(BuiltShard{BigIndex(*index), {}}, /*fingerprint=*/0,
-                         {.max_linger_ms = 0.2},
-                         {.engine = {.num_threads = 8}});
+                         {}, {.engine = {.num_threads = 8}});
 
     const auto edges = index->base().Edges();
     std::atomic<bool> stop{false};

@@ -3,7 +3,7 @@
 //
 // Three classes implement it:
 //   * SearchService — one QueryEngine behind admission control and
-//     micro-batching.
+//     work-conserving dispatch.
 //   * ServingStack (shard/serving_stack.h) — one served index, the whole
 //     graph or one shard of a plan: a SearchService with its live updater
 //     and, for a shard, the serving edge that rewrites shard-local vertex
@@ -14,7 +14,7 @@
 //     which fans a query out to N shard substrates and merges top-k.
 //
 // The interface deliberately excludes SubmitAsync: futures are an
-// implementation detail of SearchService's batcher; front ends only need
+// implementation detail of SearchService's strands; front ends only need
 // the synchronous call (one blocked connection thread per in-flight wire
 // request is the TcpServer model).
 

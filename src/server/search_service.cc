@@ -1,8 +1,5 @@
 #include "server/search_service.h"
 
-#include <algorithm>
-#include <chrono>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -19,15 +16,19 @@ SearchService::SearchService(std::shared_ptr<const QueryEngine> engine,
       rejected_overload_("bigindex_server_rejected_overload_total",
                          "Requests shed by the overload policy", {}),
       batches_("bigindex_server_batches_total",
-               "Micro-batches dispatched to the engine", {}),
+               "Engine evaluations dispatched by the strands", {}),
       batched_queries_("bigindex_server_batched_queries_total",
-                       "Unique queries across dispatched micro-batches", {}),
+                       "Unique queries dispatched to engines or shards", {}),
       queue_depth_(MetricsRegistry::Global().GetGauge(
           "bigindex_server_queue_depth",
           "Requests in the admission queue right now")) {
-  // Started here, not in the init list: the batcher touches counters
-  // declared after it.
-  batcher_ = std::thread([this] { BatcherLoop(); });
+  // Started here, not in the init list: the strands touch counters
+  // declared after them.
+  const size_t num_strands = engine_->num_slots();
+  strands_.reserve(num_strands);
+  for (size_t i = 0; i < num_strands; ++i) {
+    strands_.emplace_back([this] { StrandLoop(); });
+  }
 }
 
 SearchService::~SearchService() { Shutdown(); }
@@ -210,61 +211,42 @@ void SearchService::CompleteDeadline(Pending& p, const char* stage) {
       std::string("deadline expired ") + stage));
 }
 
-void SearchService::BatcherLoop() {
+void SearchService::StrandLoop() {
   std::unique_lock<std::mutex> lock(mutex_);
-  // Moves up to n requests off the queue front into `batch`.
-  auto take = [&](size_t n, std::vector<Pending>& batch) {
-    n = std::min(n, queue_.size());
-    for (size_t i = 0; i < n; ++i) {
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    }
-    queue_depth_.Set(static_cast<int64_t>(queue_.size()));
-  };
-
   while (true) {
     work_available_.wait(lock, [&] { return stop_ || !queue_.empty(); });
     if (stop_) break;  // Shutdown() resolves whatever is still queued
 
-    std::vector<Pending> batch;
-    take(options_.max_batch_size, batch);
-
-    // Linger only when the drained batch cannot occupy the pool by itself —
-    // and only *until* it can: once there is one query per pool slot the
-    // dispatch gains nothing from waiting longer, while a deep queue
-    // dispatches immediately at full size without entering the loop.
-    const size_t target =
-        std::min(options_.max_batch_size, engine_snapshot()->num_slots());
-    if (batch.size() < target && options_.max_linger_ms > 0) {
-      auto linger_until =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double, std::milli>(
-                  options_.max_linger_ms));
-      while (batch.size() < target) {
-        if (!work_available_.wait_until(
-                lock, linger_until,
-                [&] { return stop_ || !queue_.empty(); })) {
-          break;  // linger budget spent
+    // The front request, plus every queued duplicate of it: one evaluation
+    // answers them all.
+    std::vector<Pending> group;
+    group.push_back(std::move(queue_.front()));
+    queue_.pop_front();
+    if (!group.front().cache_key.empty()) {
+      for (auto it = queue_.begin(); it != queue_.end();) {
+        if (it->cache_key == group.front().cache_key) {
+          group.push_back(std::move(*it));
+          it = queue_.erase(it);
+        } else {
+          ++it;
         }
-        if (stop_) break;  // dispatch what we have, then exit above
-        take(options_.max_batch_size - batch.size(), batch);
       }
     }
+    queue_depth_.Set(static_cast<int64_t>(queue_.size()));
 
     lock.unlock();
-    ProcessBatch(std::move(batch));
+    EvaluateGroup(std::move(group));
     lock.lock();
   }
 }
 
-void SearchService::ProcessBatch(std::vector<Pending> batch) {
+void SearchService::EvaluateGroup(std::vector<Pending> group) {
   TRACE_SPAN("server/batch");
   // Deadline sweep: anything that expired while queued is resolved without
   // touching the engine.
   std::vector<Pending> live;
-  live.reserve(batch.size());
-  for (Pending& p : batch) {
+  live.reserve(group.size());
+  for (Pending& p : group) {
     if (p.query.eval.deadline.Expired()) {
       CompleteDeadline(p, "while queued");
     } else {
@@ -273,63 +255,42 @@ void SearchService::ProcessBatch(std::vector<Pending> batch) {
   }
   if (live.empty()) return;
 
-  // In-batch dedup: requests sharing a cache key are one evaluation. The
-  // leader runs with the *loosest* deadline of its group so a tight follower
-  // can never cancel work a looser member still wants.
-  std::vector<size_t> leader_of(live.size());
-  std::vector<size_t> leaders;
-  if (cache_.capacity() > 0) {
-    std::unordered_map<std::string, size_t> first_with_key;
-    for (size_t i = 0; i < live.size(); ++i) {
-      auto [it, inserted] =
-          first_with_key.emplace(live[i].cache_key, leaders.size());
-      leader_of[i] = it->second;
-      if (inserted) {
-        leaders.push_back(i);
-      } else {
-        Deadline& lead = live[leaders[it->second]].query.eval.deadline;
-        const Deadline& mine = live[i].query.eval.deadline;
-        if (mine.RemainingMillis() > lead.RemainingMillis()) lead = mine;
-      }
-    }
-  } else {
-    leaders.resize(live.size());
-    for (size_t i = 0; i < live.size(); ++i) {
-      leaders[i] = i;
-      leader_of[i] = i;
+  // The leader runs with the *loosest* deadline of its group so a tight
+  // member can never cancel work a looser member still wants.
+  EngineQuery query = live.front().query;
+  for (const Pending& p : live) {
+    if (p.query.eval.deadline.RemainingMillis() >
+        query.eval.deadline.RemainingMillis()) {
+      query.eval.deadline = p.query.eval.deadline;
     }
   }
-
-  std::vector<EngineQuery> queries;
-  queries.reserve(leaders.size());
-  for (size_t li : leaders) queries.push_back(live[li].query);
   batches_.Inc();
-  batched_queries_.Inc(queries.size());
+  batched_queries_.Inc();
 
-  // Pin the engine AFTER the batch is assembled: every member captured its
-  // cache-key epoch at admission (before this point), so the snapshot is at
-  // least as new as any epoch in the batch — the other half of SwapEngine's
-  // publish-then-bump ordering. The pin also keeps a concurrently swapped-out
-  // engine alive until this batch completes (RCU grace period).
+  // Pin the engine AFTER dequeue: every member captured its cache-key epoch
+  // at admission (before this point), so the snapshot is at least as new as
+  // any epoch in the group — the other half of SwapEngine's
+  // publish-then-bump ordering. The pin also keeps a concurrently
+  // swapped-out engine alive until this evaluation completes (RCU grace
+  // period).
   std::shared_ptr<const QueryEngine> engine = engine_snapshot();
-  StatusOr<std::vector<QueryResult>> results = engine->EvaluateBatch(queries);
-  if (!results.ok()) {
-    // Unreachable after per-request Validate(); resolve rather than wedge.
-    for (Pending& p : live) p.promise.set_value(results.status());
+  StatusOr<QueryResult> result = engine->Evaluate(query);
+  if (!result.ok()) {
+    const bool expired =
+        result.status().code() == StatusCode::kDeadlineExceeded;
+    for (Pending& p : live) {
+      if (expired) {
+        CompleteDeadline(p, "during evaluation");
+      } else {
+        // Unreachable after per-request Validate(); resolve, never wedge.
+        p.promise.set_value(result.status());
+      }
+    }
     return;
   }
 
-  for (size_t i = 0; i < live.size(); ++i) {
-    QueryResult& r = (*results)[leader_of[i]];
-    if (r.breakdown.deadline_expired) {
-      CompleteDeadline(live[i], "during evaluation");
-      continue;
-    }
-    if (cache_.capacity() > 0 && i == leaders[leader_of[i]]) {
-      cache_.Insert(live[i].cache_key, r);
-    }
-    CompleteOk(live[i], r);  // copies; the last copy could move, not worth it
-  }
+  if (cache_.capacity() > 0) cache_.Insert(live.front().cache_key, *result);
+  for (Pending& p : live) CompleteOk(p, *result);
 }
 
 ServiceStats SearchService::Snapshot() const {
@@ -356,7 +317,7 @@ void SearchService::Shutdown() {
       stop_ = true;
     }
     work_available_.notify_all();
-    batcher_.join();
+    for (std::thread& strand : strands_) strand.join();
     std::deque<Pending> drained;
     {
       std::lock_guard<std::mutex> lock(mutex_);

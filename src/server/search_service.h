@@ -1,11 +1,11 @@
-// SearchService — the admission-controlled, micro-batching front of the
+// SearchService — the admission-controlled, work-conserving front of the
 // query path. It turns a (re-entrant but call-shaped) QueryEngine into a
 // traffic-shaped component:
 //
 //   client → [validate + normalize + cache probe]          (caller's thread)
 //          → bounded admission queue                        (backpressure)
-//          → dynamic micro-batcher                          (batcher thread)
-//          → QueryEngine::EvaluateBatch over the ExecutorPool
+//          → one dispatch strand per engine slot            (strand threads)
+//          → QueryEngine::Evaluate on the strand's own thread
 //          → answer cache fill + promise completion
 //
 // Contracts:
@@ -16,19 +16,20 @@
 //     the door with QueryEngine::Validate()'s status, before consuming queue
 //     space.
 //   * Deadlines are enforced cooperatively at every stage: an expired
-//     request is dropped at admission, at batch assembly, or at the
-//     evaluator's next candidate-verification checkpoint — and always
-//     resolves to DeadlineExceeded with no partial answers.
+//     request is dropped at admission, at dequeue, or at the evaluator's
+//     next candidate-verification checkpoint — and always resolves to
+//     DeadlineExceeded with no partial answers.
 //   * The answer cache is keyed on (index epoch, algorithm, normalized
 //     keywords, semantic eval options). BumpEpoch() invalidates the whole
-//     cache in O(1) by making every live key unreachable. Requests that
-//     share a key inside one batch are evaluated once (in-batch dedup).
+//     cache in O(1) by making every live key unreachable. Queued requests
+//     that share a key are evaluated once, by whichever strand dequeues
+//     the first of them.
 //
-// The batcher sizes each EvaluateBatch call dynamically: it drains whatever
-// is queued (up to max_batch_size) and, only when that is too little to
-// occupy the engine's pool slots, lingers up to max_linger_ms for more
-// arrivals — deep queues get big batches with zero added latency, trickle
-// traffic pays at most the linger.
+// Dispatch is work-conserving: engine->num_slots() strands (fixed at
+// construction; 1 for a serial engine) each take the queue's front request
+// the moment they are free and evaluate it alone. A request waits only for
+// a free strand — never for more arrivals, and never for another request's
+// evaluation.
 
 #ifndef BIGINDEX_SERVER_SEARCH_SERVICE_H_
 #define BIGINDEX_SERVER_SEARCH_SERVICE_H_
@@ -70,17 +71,11 @@ struct SearchServiceOptions {
   /// Admission queue bound; arrivals beyond it trigger overload_policy.
   size_t queue_capacity = 1024;
 
-  /// Largest EvaluateBatch dispatch the micro-batcher assembles.
-  size_t max_batch_size = 64;
-
-  /// Longest the batcher waits for more arrivals when the queue alone cannot
-  /// fill the engine's pool slots. 0 disables lingering entirely.
-  double max_linger_ms = 1.0;
-
   OverloadPolicy overload_policy = OverloadPolicy::kRejectNewest;
 
   /// Answer cache sizing. capacity 0 switches the cache off, and with it
-  /// the cache key and in-batch dedup (requests lose their identity).
+  /// the cache key and queued-duplicate dedup (requests lose their
+  /// identity).
   AnswerCacheOptions cache;
 
   /// Deadline applied to requests that arrive without one; 0 = none.
@@ -94,8 +89,8 @@ class SearchService : public QueryService {
   SearchService(std::shared_ptr<const QueryEngine> engine,
                 SearchServiceOptions options = {});
 
-  /// Shuts down: in-flight batches complete, queued requests resolve with
-  /// Unavailable.
+  /// Shuts down: in-flight evaluations complete, queued requests resolve
+  /// with Unavailable.
   ~SearchService() override;
 
   SearchService(const SearchService&) = delete;
@@ -108,7 +103,7 @@ class SearchService : public QueryService {
   std::future<StatusOr<QueryResult>> SubmitAsync(EngineQuery query);
 
   /// Synchronous convenience: SubmitAsync + wait. Do not call from the
-  /// batcher's own threads.
+  /// service's own strands.
   StatusOr<QueryResult> Query(EngineQuery query) override;
 
   /// Current index epoch (starts at 1).
@@ -168,7 +163,7 @@ class SearchService : public QueryService {
   /// cache coherence: the engine is published BEFORE the bump, and readers
   /// pin their engine snapshot AFTER capturing their cache-key epoch — so a
   /// cache entry keyed with epoch E was always computed on the engine of
-  /// epoch E or newer. In-flight batches keep evaluating against the engine
+  /// epoch E or newer. In-flight evaluations keep running against the engine
   /// they pinned; the old engine is destroyed when the last of them drops
   /// its reference.
   uint64_t SwapEngine(std::shared_ptr<const QueryEngine> engine);
@@ -198,8 +193,8 @@ class SearchService : public QueryService {
     std::promise<StatusOr<QueryResult>> promise;
   };
 
-  void BatcherLoop();
-  void ProcessBatch(std::vector<Pending> batch);
+  void StrandLoop();
+  void EvaluateGroup(std::vector<Pending> group);
   void CompleteOk(Pending& p, QueryResult result);
   void CompleteDeadline(Pending& p, const char* stage);
 
@@ -216,7 +211,7 @@ class SearchService : public QueryService {
   std::deque<Pending> queue_;
   bool stop_ = false;
   std::once_flag shutdown_once_;
-  std::thread batcher_;  // started last in the constructor body
+  std::vector<std::thread> strands_;  // started last in the constructor body
 
   std::atomic<uint64_t> epoch_{1};
   ServiceCounters counters_;

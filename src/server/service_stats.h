@@ -40,8 +40,8 @@ struct ServiceStats {
   // Completion.
   uint64_t completed = 0;          // answered OK (cache hits included)
   uint64_t deadline_misses = 0;    // expired before or during evaluation
-  uint64_t batches = 0;            // EvaluateBatch dispatches
-  uint64_t batched_queries = 0;    // unique queries across those dispatches
+  uint64_t batches = 0;            // engine evaluations dispatched
+  uint64_t batched_queries = 0;    // unique queries across them (= batches)
   double mean_batch_size = 0;      // batched_queries / batches
 
   // Answer cache.

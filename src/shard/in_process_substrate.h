@@ -1,6 +1,6 @@
 // InProcessSubstrate — every shard is a ServingStack (serving_stack.h)
 // inside this process: a QueryEngine on its own thread pool behind its own
-// admission-controlled SearchService (per-shard queue and micro-batcher),
+// admission-controlled SearchService (per-shard queue and strands),
 // with a live updater, answers leaving in global vertex ids and, on a
 // cut-incident shard, the near-cut answer filter. Shard stacks run without
 // an answer cache: the coordinator in front of them caches each query's

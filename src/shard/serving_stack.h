@@ -9,7 +9,7 @@
 // InProcessSubstrate, bigindex_client --inprocess and bench_server's mixed
 // read/update phase. The stack owns every part and its lifecycle:
 //
-//   * the engine and the SearchService (admission, micro-batching, answer
+//   * the engine and the SearchService (admission, dispatch strands, answer
 //     cache). A shard serves without an answer cache: the coordinator in
 //     front of it caches each query's merged answer once.
 //   * the LiveUpdater and its three hooks: successor engines are swapped

@@ -22,7 +22,7 @@ ShardedSearchService::ShardedSearchService(ShardSubstrate* substrate,
       cache_(options.cache),
       counters_(kRole),
       shard_queries_("bigindex_server_batched_queries_total",
-                     "Unique queries across dispatched micro-batches", kRole),
+                     "Unique queries dispatched to engines or shards", kRole),
       shard_failures_("bigindex_server_shard_failures_total",
                       "Failed per-shard requests", kRole),
       partial_results_("bigindex_server_partial_results_total",

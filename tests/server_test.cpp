@@ -130,7 +130,7 @@ class BlockingAlgorithm : public KeywordSearchAlgorithm {
   std::vector<Answer> Evaluate(const Graph&, const std::vector<LabelId>&,
                                QueryContext&) const override {
     std::unique_lock<std::mutex> lock(mutex_);
-    started_ = true;
+    ++started_;
     cv_.notify_all();
     cv_.wait(lock, [&] { return released_; });
     return {};
@@ -143,10 +143,10 @@ class BlockingAlgorithm : public KeywordSearchAlgorithm {
     return std::nullopt;
   }
 
-  /// Blocks until some Evaluate() call is parked inside the engine.
-  void WaitUntilStarted() const {
+  /// Blocks until `count` Evaluate() calls have entered the engine.
+  void WaitUntilStarted(int count = 1) const {
     std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return started_; });
+    cv_.wait(lock, [&] { return started_ >= count; });
   }
 
   /// Releases every parked and future Evaluate() call.
@@ -159,7 +159,7 @@ class BlockingAlgorithm : public KeywordSearchAlgorithm {
  private:
   mutable std::mutex mutex_;
   mutable std::condition_variable cv_;
-  mutable bool started_ = false;
+  mutable int started_ = 0;
   mutable bool released_ = false;
 };
 
@@ -258,7 +258,7 @@ TEST(AnswerCacheTest, ZeroCapacityDisables) {
 
 TEST(SearchServiceTest, CacheHitReturnsAnswersIdenticalToColdEvaluation) {
   ServiceFixture fx(/*num_threads=*/2);
-  SearchService service(fx.engine, {.max_linger_ms = 0});
+  SearchService service(fx.engine);
 
   EngineQuery q = Q({0, 1});
   auto direct = fx.engine->Evaluate(q);
@@ -280,7 +280,7 @@ TEST(SearchServiceTest, CacheHitReturnsAnswersIdenticalToColdEvaluation) {
 
 TEST(SearchServiceTest, NormalizedKeywordVariantsShareOneCacheEntry) {
   ServiceFixture fx;
-  SearchService service(fx.engine, {.max_linger_ms = 0});
+  SearchService service(fx.engine);
 
   auto first = service.Query(Q({1, 0, 1}));
   ASSERT_TRUE(first.ok());
@@ -292,7 +292,7 @@ TEST(SearchServiceTest, NormalizedKeywordVariantsShareOneCacheEntry) {
 
 TEST(SearchServiceTest, EpochBumpInvalidatesCache) {
   ServiceFixture fx;
-  SearchService service(fx.engine, {.max_linger_ms = 0});
+  SearchService service(fx.engine);
 
   EngineQuery q = Q({0, 1});
   auto before = service.Query(q);
@@ -316,8 +316,7 @@ TEST(SearchServiceTest, EpochBumpInvalidatesCache) {
 
 TEST(SearchServiceTest, DisabledCacheNeverHits) {
   ServiceFixture fx;
-  SearchService service(fx.engine,
-                        {.max_linger_ms = 0, .cache = {.capacity = 0}});
+  SearchService service(fx.engine, {.cache = {.capacity = 0}});
   EngineQuery q = Q({0, 1});
   ASSERT_TRUE(service.Query(q).ok());
   ASSERT_TRUE(service.Query(q).ok());
@@ -336,8 +335,6 @@ TEST(SearchServiceTest, QueueOverflowRejectsNewestWithUnavailable) {
   fx.engine->Register(std::move(blocking));
 
   SearchService service(fx.engine, {.queue_capacity = 2,
-                                    .max_batch_size = 1,
-                                    .max_linger_ms = 0,
                                     .cache = {.capacity = 0}});
   auto mk = [&](LabelId kw) {
     EngineQuery q = Q({kw}, "blocking");
@@ -375,8 +372,6 @@ TEST(SearchServiceTest, RejectOldestPolicyDisplacesHeadOfQueue) {
 
   SearchService service(
       fx.engine, {.queue_capacity = 1,
-                  .max_batch_size = 1,
-                  .max_linger_ms = 0,
                   .overload_policy = OverloadPolicy::kRejectOldest,
                   .cache = {.capacity = 0}});
   auto mk = [&](LabelId kw) {
@@ -400,7 +395,7 @@ TEST(SearchServiceTest, RejectOldestPolicyDisplacesHeadOfQueue) {
 
 TEST(SearchServiceTest, InvalidQueriesRejectedAtAdmission) {
   ServiceFixture fx;
-  SearchService service(fx.engine, {.max_linger_ms = 0});
+  SearchService service(fx.engine);
 
   auto empty = service.Query(Q({}));
   EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument)
@@ -424,7 +419,7 @@ TEST(SearchServiceTest, ExpiredDeadlineReturnsWithoutEvaluating) {
   const CountingAlgorithm* counter = counting.get();
   fx.engine->Register(std::move(counting));
 
-  SearchService service(fx.engine, {.max_linger_ms = 0});
+  SearchService service(fx.engine);
   EngineQuery q = Q({0, 1}, "counting");
   q.eval.deadline = Deadline::After(-1);
 
@@ -452,10 +447,9 @@ TEST(SearchServiceTest, DeadlineExpiringWhileQueuedNeverReachesEngine) {
   fx.engine->Register(std::move(blocking));
   fx.engine->Register(std::move(counting));
 
-  SearchService service(fx.engine, {.max_batch_size = 1,
-                                    .max_linger_ms = 0,
-                                    .cache = {.capacity = 0}});
-  // Park the batcher, then queue a request whose deadline dies in the queue.
+  SearchService service(fx.engine, {.cache = {.capacity = 0}});
+  // Park the only strand, then queue a request whose deadline dies in the
+  // queue.
   EngineQuery blocker = Q({0}, "blocking");
   blocker.eval.forced_layer = 0;
   auto f1 = service.SubmitAsync(blocker);
@@ -495,9 +489,7 @@ TEST(SearchServiceTest, ConcurrentClientsAgreeWithSerialEvaluation) {
     expected[i] = std::move(r->answers);
   }
 
-  SearchService service(fx.engine, {.max_batch_size = 8,
-                                    .max_linger_ms = 0.2,
-                                    .cache = {.capacity = 16}});
+  SearchService service(fx.engine, {.cache = {.capacity = 16}});
   std::atomic<int> mismatches{0};
   std::vector<std::thread> clients;
   for (int t = 0; t < 4; ++t) {
@@ -523,39 +515,114 @@ TEST(SearchServiceTest, ConcurrentClientsAgreeWithSerialEvaluation) {
   EXPECT_GT(s.cache_evictions, 0u);
 }
 
-TEST(SearchServiceTest, ShutdownResolvesQueuedRequests) {
-  ServiceFixture fx;
+TEST(SearchServiceTest, SlowQueryDoesNotHoldOthers) {
+  ServiceFixture fx(/*num_threads=*/2);
   auto blocking = std::make_unique<BlockingAlgorithm>();
   const BlockingAlgorithm* block = blocking.get();
   fx.engine->Register(std::move(blocking));
+  fx.engine->Register(std::make_unique<CountingAlgorithm>());
 
-  auto service = std::make_unique<SearchService>(
-      fx.engine, SearchServiceOptions{.max_batch_size = 1,
-                                      .max_linger_ms = 0,
-                                      .cache = {.capacity = 0}});
-  EngineQuery q = Q({0}, "blocking");
-  q.eval.forced_layer = 0;
-  auto f1 = service->SubmitAsync(q);
+  SearchService service(fx.engine);
+  // Declared after the service, so it releases the blocker on every path
+  // before the service's destructor joins the strands.
+  struct ReleaseOnExit {
+    const BlockingAlgorithm* block;
+    ~ReleaseOnExit() { block->Release(); }
+  } release{block};
+
+  EngineQuery blocker = Q({0}, "blocking");
+  blocker.eval.forced_layer = 0;
+  auto slow = service.SubmitAsync(blocker);
   block->WaitUntilStarted();
-  auto f2 = service->SubmitAsync(q);  // still queued
 
-  std::thread shutdown([&] { service->Shutdown(); });
-  // Give Shutdown() a moment to raise the stop flag; the release below
-  // unblocks the in-flight batch so the join can finish.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // The second strand answers while the first is still parked.
+  auto fast = service.SubmitAsync(Q({0, 1}, "counting"));
+  ASSERT_EQ(fast.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+  auto r = fast.get();
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(slow.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+}
+
+TEST(SearchServiceTest, QueuedDuplicatesEvaluateOnce) {
+  ServiceFixture fx;  // serial engine: one strand
+  auto blocking = std::make_unique<BlockingAlgorithm>();
+  const BlockingAlgorithm* block = blocking.get();
+  auto counting = std::make_unique<CountingAlgorithm>();
+  const CountingAlgorithm* counter = counting.get();
+  fx.engine->Register(std::move(blocking));
+  fx.engine->Register(std::move(counting));
+
+  SearchService service(fx.engine);
+  EngineQuery blocker = Q({0}, "blocking");
+  blocker.eval.forced_layer = 0;
+  auto f0 = service.SubmitAsync(blocker);
+  block->WaitUntilStarted();
+
+  auto mk = [](std::vector<LabelId> keywords) {
+    EngineQuery q = Q(std::move(keywords), "counting");
+    q.eval.forced_layer = 0;  // exactly one Evaluate() per evaluation
+    return q;
+  };
+  std::vector<std::future<StatusOr<QueryResult>>> dups;
+  for (int i = 0; i < 3; ++i) dups.push_back(service.SubmitAsync(mk({0, 1})));
+  auto other = service.SubmitAsync(mk({2, 3}));
+
   block->Release();
-  shutdown.join();
+  EXPECT_TRUE(f0.get().ok());
+  std::vector<StatusOr<QueryResult>> answers;
+  for (auto& f : dups) {
+    answers.push_back(f.get());
+    ASSERT_TRUE(answers.back().ok()) << answers.back().status().ToString();
+  }
+  EXPECT_TRUE(other.get().ok());
+  EXPECT_EQ(counter->evaluations.load(), 2);
+  EXPECT_EQ(answers[1]->answers, answers[0]->answers);
+  EXPECT_EQ(answers[2]->answers, answers[0]->answers);
+}
 
-  EXPECT_TRUE(f1.get().ok());  // in-flight work completed
-  // f2 either drained with Unavailable or slipped into the final batch —
-  // both are legal; what shutdown guarantees is that it resolves.
-  auto r2 = f2.get();
-  EXPECT_TRUE(r2.ok() || r2.status().code() == StatusCode::kUnavailable)
-      << r2.status().ToString();
+TEST(SearchServiceTest, ShutdownResolvesQueuedRequests) {
+  // A serial engine (one strand), then two strands both parked.
+  for (size_t num_threads : {0, 2}) {
+    SCOPED_TRACE(num_threads);
+    ServiceFixture fx(num_threads);
+    auto blocking = std::make_unique<BlockingAlgorithm>();
+    const BlockingAlgorithm* block = blocking.get();
+    fx.engine->Register(std::move(blocking));
 
-  // Post-shutdown submissions resolve immediately with Unavailable.
-  auto f3 = service->SubmitAsync(Q({0, 1}));
-  EXPECT_EQ(f3.get().status().code(), StatusCode::kUnavailable);
+    auto service = std::make_unique<SearchService>(
+        fx.engine, SearchServiceOptions{.cache = {.capacity = 0}});
+    EngineQuery q = Q({0}, "blocking");
+    q.eval.forced_layer = 0;
+    const int strands = static_cast<int>(fx.engine->num_slots());
+    std::vector<std::future<StatusOr<QueryResult>>> in_flight;
+    for (int i = 0; i < strands; ++i) {
+      in_flight.push_back(service->SubmitAsync(q));
+    }
+    block->WaitUntilStarted(strands);
+    auto queued = service->SubmitAsync(q);  // every strand is parked
+
+    std::thread shutdown([&] { service->Shutdown(); });
+    // Give Shutdown() a moment to raise the stop flag; the release below
+    // unblocks the in-flight evaluations so the joins can finish.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    block->Release();
+    shutdown.join();
+
+    for (auto& f : in_flight) {
+      EXPECT_TRUE(f.get().ok());  // in-flight work completed
+    }
+    // The queued request either drained with Unavailable or was dequeued by
+    // a strand before it saw the stop flag — both are legal; what shutdown
+    // guarantees is that it resolves.
+    auto r = queued.get();
+    EXPECT_TRUE(r.ok() || r.status().code() == StatusCode::kUnavailable)
+        << r.status().ToString();
+
+    // Post-shutdown submissions resolve immediately with Unavailable.
+    auto late = service->SubmitAsync(Q({0, 1}));
+    EXPECT_EQ(late.get().status().code(), StatusCode::kUnavailable);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -563,7 +630,7 @@ TEST(SearchServiceTest, ShutdownResolvesQueuedRequests) {
 
 TEST(LineProtocolTest, CommandsAndErrors) {
   ServiceFixture fx;
-  SearchService service(fx.engine, {.max_linger_ms = 0});
+  SearchService service(fx.engine);
   LineHandler handler(&service);
 
   EXPECT_EQ(handler.Handle("ping").response, "OK pong\n.\n");
@@ -593,7 +660,7 @@ TEST(LineProtocolTest, CommandsAndErrors) {
 
 TEST(LineProtocolTest, QueryAnswersMatchEngine) {
   ServiceFixture fx;
-  SearchService service(fx.engine, {.max_linger_ms = 0});
+  SearchService service(fx.engine);
   LineHandler handler(&service);
 
   auto direct = fx.engine->Evaluate(Q({0, 1}));
@@ -644,7 +711,7 @@ std::map<std::string, double> ParsePrometheus(const std::string& text) {
 
 TEST(LineProtocolTest, MetricsVerbParsesAndIsMonotone) {
   ServiceFixture fx;
-  SearchService service(fx.engine, {.max_linger_ms = 0});
+  SearchService service(fx.engine);
   LineHandler handler(&service);
 
   ASSERT_TRUE(service.Query(Q({0, 1})).ok());
@@ -683,7 +750,7 @@ TEST(LineProtocolTest, MetricsVerbParsesAndIsMonotone) {
 
 TEST(LineProtocolTest, TraceVerbsRoundTrip) {
   ServiceFixture fx;
-  SearchService service(fx.engine, {.max_linger_ms = 0});
+  SearchService service(fx.engine);
   LineHandler handler(&service);
 
   EXPECT_EQ(handler.Handle("trace clear").response, "OK cleared\n.\n");
@@ -716,7 +783,7 @@ TEST(LineProtocolTest, TraceVerbsRoundTrip) {
 
 TEST(TcpServerTest, ServesLineProtocolOverLoopback) {
   ServiceFixture fx;
-  SearchService service(fx.engine, {.max_linger_ms = 0});
+  SearchService service(fx.engine);
   TcpServer server(&service, nullptr, {.port = 0});
   Status started = server.Start();
   if (!started.ok()) {

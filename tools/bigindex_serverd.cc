@@ -10,9 +10,8 @@
 //   bigindex_serverd [--dataset yago3] [--scale 0.01] [--layers 4]
 //                    [--port 7419] [--threads N] [--build-threads N]
 //                    [--index-image PATH]
-//                    [--queue N] [--max-batch N] [--linger-ms F] [--cache N]
-//                    [--deadline-ms F] [--reject-oldest]
-//                    [--metrics-port N] [--trace]
+//                    [--queue N] [--cache N] [--deadline-ms F]
+//                    [--reject-oldest] [--metrics-port N] [--trace]
 //                    [--shards N --shard-of K [--shard-mode wcc|bfs]
 //                     [--bfs-block N]]
 //                    [--coordinator HOST:PORT,HOST:PORT,...]
@@ -89,8 +88,7 @@ int Usage() {
       "usage: bigindex_serverd [--dataset NAME] [--scale F] [--layers N]\n"
       "                        [--port N] [--threads N] [--build-threads N]\n"
       "                        [--index-image PATH]\n"
-      "                        [--queue N] [--max-batch N] [--linger-ms F]\n"
-      "                        [--cache N] [--deadline-ms F]\n"
+      "                        [--queue N] [--cache N] [--deadline-ms F]\n"
       "                        [--reject-oldest] [--metrics-port N]"
       " [--trace]\n"
       "                        [--shards N --shard-of K"
@@ -263,11 +261,6 @@ int Run(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--queue") == 0) {
       service_opts.queue_capacity =
           static_cast<size_t>(std::atoi(next("--queue")));
-    } else if (std::strcmp(argv[i], "--max-batch") == 0) {
-      service_opts.max_batch_size =
-          static_cast<size_t>(std::atoi(next("--max-batch")));
-    } else if (std::strcmp(argv[i], "--linger-ms") == 0) {
-      service_opts.max_linger_ms = std::atof(next("--linger-ms"));
     } else if (std::strcmp(argv[i], "--cache") == 0) {
       service_opts.cache.capacity =
           static_cast<size_t>(std::atoi(next("--cache")));
@@ -413,10 +406,9 @@ int Run(int argc, char** argv) {
   const SearchServiceOptions& serving = stack.service().options();
   char detail[96];
   std::snprintf(detail, sizeof(detail),
-                " (threads=%zu queue=%zu max_batch=%zu cache=%zu)",
+                " (threads=%zu queue=%zu cache=%zu)",
                 stack.service().engine_snapshot()->num_slots(),
-                serving.queue_capacity, serving.max_batch_size,
-                serving.cache.capacity);
+                serving.queue_capacity, serving.cache.capacity);
   return ServeUntilSignal(&stack, ds->dict.get(), tcp, metrics_http, what,
                           detail);
 }
