@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
     if (queries.size() >= 24) break;
   }
   std::printf("workload: %zu distinct queries, %zu closed-loop clients, "
-              "%.2fs per config, 8-thread engine pool "
+              "%.2fs per config, 8 engine slots "
               "(hardware concurrency: %u)\n\n",
               queries.size(), clients, duration,
               std::thread::hardware_concurrency());

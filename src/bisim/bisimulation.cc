@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <numeric>
 #include <unordered_map>
 
@@ -160,10 +159,7 @@ BisimResult ComputeBisimulation(const Graph& g, const BisimOptions& options) {
   }
   auto chunk_begin = [n, num_chunks](size_t c) { return n * c / num_chunks; };
 
-  const bool use_out = options.direction != BisimDirection::kPredecessor;
-  const bool use_in = options.direction != BisimDirection::kSuccessor;
   const CsrView out = g.Out();
-  const CsrView in = g.In();
 
   std::vector<SignatureInterner> locals(num_chunks);
   SignatureInterner global;
@@ -181,24 +177,13 @@ BisimResult ComputeBisimulation(const Graph& g, const BisimOptions& options) {
       std::vector<uint32_t> sig;
       const size_t begin = chunk_begin(c), end = chunk_begin(c + 1);
       for (VertexId v = begin; v < end; ++v) {
+        // Signature: [block[v], sorted unique out-neighbor blocks].
         sig.clear();
         sig.push_back(block[v]);
-        if (use_out) {
-          size_t first = sig.size();
-          const auto [b, e] = out[v];
-          for (uint64_t i = b; i < e; ++i) sig.push_back(block[out.Slot(i)]);
-          std::sort(sig.begin() + first, sig.end());
-          sig.erase(std::unique(sig.begin() + first, sig.end()), sig.end());
-          // Separator keeps out- and in-sets from blending into one run.
-          if (use_in) sig.push_back(std::numeric_limits<uint32_t>::max());
-        }
-        if (use_in) {
-          size_t first = sig.size();
-          const auto [b, e] = in[v];
-          for (uint64_t i = b; i < e; ++i) sig.push_back(block[in.Slot(i)]);
-          std::sort(sig.begin() + first, sig.end());
-          sig.erase(std::unique(sig.begin() + first, sig.end()), sig.end());
-        }
+        const auto [b, e] = out[v];
+        for (uint64_t i = b; i < e; ++i) sig.push_back(block[out.Slot(i)]);
+        std::sort(sig.begin() + 1, sig.end());
+        sig.erase(std::unique(sig.begin() + 1, sig.end()), sig.end());
         next_block[v] = local.Intern(sig, HashSignature(sig));
       }
     };

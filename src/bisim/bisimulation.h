@@ -93,27 +93,12 @@ struct BisimResult {
   size_t refinement_rounds = 0;  // rounds until fixpoint (diagnostics)
 };
 
-/// Which adjacency the bisimulation relation observes. The paper adopts the
-/// successor-based relation (its Sec. 2 definition and Example 2.1); the
-/// other variants realize the "other summarization formalisms" of the
-/// conclusion's future work. All three quotients are path-preserving —
-/// F&B (kBoth) is the finest, so it preserves the most structure and
-/// compresses the least.
-enum class BisimDirection {
-  kSuccessor,    // u ~ v iff same label and matching out-neighbor blocks
-  kPredecessor,  // ... matching in-neighbor blocks
-  kBoth,         // F&B-bisimulation: both sides must match
-};
-
 /// Options for ComputeBisimulation.
 struct BisimOptions {
   /// Hard cap on refinement rounds; 0 means run to fixpoint. A capped run
   /// yields a partition that is *coarser* than maximal bisimulation and NOT
   /// guaranteed stable — only the ablation bench uses caps.
   size_t max_rounds = 0;
-
-  /// Relation variant (see BisimDirection).
-  BisimDirection direction = BisimDirection::kSuccessor;
 
   /// Worker pool for per-round parallel signature computation; nullptr (or a
   /// pool with no workers) runs serially. The refined partition is

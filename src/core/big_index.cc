@@ -1,7 +1,6 @@
 #include "core/big_index.h"
 
 #include <cassert>
-#include <optional>
 
 #include "engine/executor.h"
 #include "obs/metrics.h"
@@ -10,22 +9,6 @@
 
 namespace bigindex {
 namespace {
-
-/// Construction pool owned for the duration of one Build call.
-/// num_threads == 0 creates no pool at all (fully serial, no thread
-/// machinery); a pool with <= 1 workers is also reported as null because
-/// every parallel site falls back to serial below that.
-class BuildPool {
- public:
-  explicit BuildPool(size_t num_threads) {
-    if (num_threads != 0) pool_.emplace(num_threads);
-  }
-  ExecutorPool* get() { return pool_ ? &*pool_ : nullptr; }
-  size_t num_workers() { return pool_ ? pool_->num_workers() : 0; }
-
- private:
-  std::optional<ExecutorPool> pool_;
-};
 
 Gauge& BuildThreadsGauge() {
   static Gauge& g = MetricsRegistry::Global().GetGauge(
@@ -53,12 +36,14 @@ StatusOr<BigIndex> BigIndex::Build(Graph base, const Ontology* ontology,
   }
   BigIndex index(std::move(base), ontology, options);
 
-  BuildPool pool(options.build.num_threads);
+  // Every parallel site runs serially on a pool with fewer than 2 workers;
+  // ExecutorPool(0) starts no threads at all.
+  ExecutorPool pool(options.build.num_threads);
   BuildThreadsGauge().Set(static_cast<int64_t>(pool.num_workers()));
   ConfigSearchOptions search_opts = options.config_search;
-  search_opts.cost.pool = pool.get();
+  search_opts.cost.pool = &pool;
   search_opts.cost.seed = options.build.seed;
-  const BisimOptions bisim_opts{.pool = pool.get()};
+  const BisimOptions bisim_opts{.pool = &pool};
 
   const Graph* current = &index.base_;
   for (size_t i = 1; i <= options.max_layers; ++i) {

@@ -21,10 +21,13 @@ Gauge& QueueDepthGauge() {
 
 }  // namespace
 
+size_t ExecutorPool::ResolveThreadCount(size_t num_threads) {
+  if (num_threads != kHardwareConcurrency) return num_threads;
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 ExecutorPool::ExecutorPool(size_t num_threads) {
-  if (num_threads == kHardwareConcurrency) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
+  num_threads = ResolveThreadCount(num_threads);
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });

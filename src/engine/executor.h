@@ -1,8 +1,9 @@
 // Fixed-size thread pool with a serial fallback — the execution substrate of
-// the QueryEngine's batch evaluation.
+// parallel index construction, the shard coordinator's fan-out and the
+// batch front ends (bigindex_cli batch, bench_engine).
 //
 // Design: persistent worker threads pulling from one mutex-guarded task
-// queue. ParallelFor() is the primitive batch evaluation uses: it carves an
+// queue. ParallelFor() is the primitive those callers use: it carves an
 // index range into dynamically load-balanced chunks (workers race on an
 // atomic cursor, so skewed per-item costs — some queries are 100× slower
 // than others — don't idle workers), tags every invocation with a stable
@@ -33,8 +34,13 @@ class ExecutorPool {
   /// Sentinel for "one worker per hardware thread".
   static constexpr size_t kHardwareConcurrency = static_cast<size_t>(-1);
 
-  /// Spawns `num_threads` workers. 0 = serial fallback: all work runs inline
-  /// on the calling thread and no threads are created.
+  /// `num_threads` with kHardwareConcurrency replaced by the hardware thread
+  /// count (at least 1). The one place that rule lives: QueryEngine sizes
+  /// its slots with it too.
+  static size_t ResolveThreadCount(size_t num_threads);
+
+  /// Spawns ResolveThreadCount(num_threads) workers. 0 = serial fallback:
+  /// all work runs inline on the calling thread and no threads are created.
   explicit ExecutorPool(size_t num_threads);
   ~ExecutorPool();
 

@@ -122,9 +122,9 @@ QueryEngine::QueryEngine(BigIndex index, QueryEngineOptions options)
 QueryEngine::QueryEngine(std::shared_ptr<const BigIndex> index,
                          QueryEngineOptions options)
     : index_(std::move(index)),
-      options_(options),
-      pool_(options.num_threads) {
-  if (options_.register_default_algorithms) {
+      num_slots_(std::max<size_t>(
+          1, ExecutorPool::ResolveThreadCount(options.num_threads))) {
+  if (options.register_default_algorithms) {
     for (std::string_view name : kDefaultAlgorithms) {
       Register(MakeDefaultAlgorithm(name));
     }
@@ -188,44 +188,6 @@ StatusOr<QueryResult> QueryEngine::Evaluate(const EngineQuery& query) const {
     return Status::DeadlineExceeded("deadline expired during evaluation");
   }
   return result;
-}
-
-StatusOr<std::vector<QueryResult>> QueryEngine::EvaluateBatch(
-    std::span<const EngineQuery> queries) const {
-  // Validate everything up front: the batch either runs fully or not at
-  // all, and workers then touch only read-only state plus their own slot.
-  std::vector<const KeywordSearchAlgorithm*> fs(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    BIGINDEX_RETURN_IF_ERROR(Validate(queries[i]));
-    fs[i] = algorithm(queries[i].algorithm);
-  }
-
-  std::vector<std::unique_ptr<ContextLease>> leases;
-  leases.reserve(pool_.num_slots());
-  for (size_t s = 0; s < pool_.num_slots(); ++s) {
-    leases.push_back(std::make_unique<ContextLease>(*this));
-  }
-
-  static Counter& batches = MetricsRegistry::Global().GetCounter(
-      "bigindex_engine_batches_total", "EvaluateBatch dispatches");
-  static Histogram& batch_size = MetricsRegistry::Global().GetHistogram(
-      "bigindex_engine_batch_size", "Queries per EvaluateBatch dispatch");
-  batches.Inc();
-  batch_size.Record(static_cast<double>(queries.size()));
-
-  std::vector<QueryResult> results(queries.size());
-  pool_.ParallelFor(queries.size(), [&](size_t slot, size_t i) {
-    TRACE_SPAN("engine/evaluate");
-    const EngineQuery& q = queries[i];
-    QueryResult& r = results[i];
-    r.algorithm = q.algorithm;
-    Timer timer;
-    r.answers = EvaluateWithIndex(*index_, *fs[i], q.keywords, q.eval,
-                                  **leases[slot], &r.breakdown);
-    r.wall_ms = timer.ElapsedMillis();
-    RecordQueryMetrics(q.algorithm, r);
-  });
-  return results;
 }
 
 }  // namespace bigindex

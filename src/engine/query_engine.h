@@ -3,11 +3,9 @@
 // The engine owns (or shares) one immutable BigIndex plus a registry of
 // KeywordSearchAlgorithm implementations keyed by Name(), and evaluates
 // keyword queries through the hierarchical evaluator (eval_Ont, Algorithm 2).
-// Two entry points:
-//
-//   Evaluate(query)        — one query, runs on the calling thread;
-//   EvaluateBatch(queries) — fans the batch out across the engine's
-//                            ExecutorPool, one QueryContext per worker slot.
+// Evaluate(query) runs one query on the calling thread; the engine starts no
+// threads of its own. Callers that want parallelism bring their own (the
+// serving layer's dispatch strands, or an ExecutorPool's ParallelFor).
 //
 // Re-entrancy: the index and the registered algorithms are shared read-only
 // state (algorithm-internal per-graph caches are mutex-guarded); every
@@ -21,7 +19,6 @@
 
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,8 +35,9 @@ namespace bigindex {
 
 /// Engine construction knobs.
 struct QueryEngineOptions {
-  /// Worker threads for EvaluateBatch; 0 = serial (no threads are created).
-  /// ExecutorPool::kHardwareConcurrency = one per hardware thread.
+  /// How many evaluations the caller intends to run concurrently (see
+  /// num_slots()); 0 = one. ExecutorPool::kHardwareConcurrency = one per
+  /// hardware thread. The engine itself starts no threads.
   size_t num_threads = 0;
 
   /// Register the four built-in algorithms (bkws, blinks, r-clique,
@@ -94,8 +92,8 @@ class QueryEngine {
   /// outlive the engine.
   explicit QueryEngine(BigIndex index, QueryEngineOptions options = {});
 
-  /// Shares an index (e.g. several engines with different thread counts over
-  /// one index, as bench_engine does).
+  /// Shares an index (e.g. several engines over one index, as bench_engine
+  /// does).
   explicit QueryEngine(std::shared_ptr<const BigIndex> index,
                        QueryEngineOptions options = {});
 
@@ -103,11 +101,10 @@ class QueryEngine {
   QueryEngine& operator=(const QueryEngine&) = delete;
 
   const BigIndex& index() const { return *index_; }
-  const QueryEngineOptions& options() const { return options_; }
 
   /// Registers `algorithm` under its Name(), replacing any previous
   /// registration of that name. Not thread-safe against concurrent
-  /// Evaluate()/EvaluateBatch() — register before serving queries.
+  /// Evaluate() — register before serving queries.
   void Register(std::unique_ptr<KeywordSearchAlgorithm> algorithm);
 
   /// The registered algorithm of that name, or nullptr.
@@ -129,25 +126,16 @@ class QueryEngine {
   /// concurrently from many threads.
   StatusOr<QueryResult> Evaluate(const EngineQuery& query) const;
 
-  /// Evaluates a batch, fanned out across the pool (serial when
-  /// num_threads = 0). Results are in input order. The whole batch fails
-  /// with Validate()'s status if any query is malformed (checked up front —
-  /// no partial evaluation). Per-query deadlines do NOT fail the batch:
-  /// an expired query yields an empty result whose
-  /// breakdown.deadline_expired is set; callers decide how to surface it.
-  StatusOr<std::vector<QueryResult>> EvaluateBatch(
-      std::span<const EngineQuery> queries) const;
-
-  /// Slots the batch path fans out over (>= 1; 1 in serial mode).
-  size_t num_slots() const { return pool_.num_slots(); }
+  /// Concurrent evaluations the engine is sized for: num_threads resolved
+  /// like ExecutorPool's (>= 1). The serving layer runs this many strands.
+  size_t num_slots() const { return num_slots_; }
 
  private:
   class ContextLease;
 
   std::shared_ptr<const BigIndex> index_;
-  QueryEngineOptions options_;
+  size_t num_slots_;
   std::vector<std::unique_ptr<KeywordSearchAlgorithm>> algorithms_;
-  mutable ExecutorPool pool_;
 
   // Free list of warm contexts; leased per evaluation, returned after.
   mutable std::mutex context_mutex_;

@@ -1,6 +1,6 @@
 // InProcessSubstrate — every shard is a ServingStack (serving_stack.h)
-// inside this process: a QueryEngine on its own thread pool behind its own
-// admission-controlled SearchService (per-shard queue and strands),
+// inside this process: a QueryEngine behind its own admission-controlled
+// SearchService (per-shard queue and dispatch strands),
 // with a live updater, answers leaving in global vertex ids and, on a
 // cut-incident shard, the near-cut answer filter. Shard stacks run without
 // an answer cache: the coordinator in front of them caches each query's
@@ -27,7 +27,8 @@
 namespace bigindex {
 
 struct InProcessSubstrateOptions {
-  /// Per-shard engine pool threads (see QueryEngineOptions::num_threads).
+  /// Per-shard concurrent evaluations, i.e. each shard service's dispatch
+  /// strands (see QueryEngineOptions::num_threads).
   size_t engine_threads = 0;
 
   /// Optional hook run on each shard's engine after construction, before

@@ -4,8 +4,8 @@
 // A substrate exposes N shards, each serving the BiG-index of one slice of
 // the data graph. The coordinator (sharded_service.h) fans every query out
 // to all shards through this interface and merges the per-shard top-k; it
-// never knows whether a shard is a QueryEngine on a thread pool in this
-// process (InProcessSubstrate), a bigindex_serverd process on this machine,
+// never knows whether a shard is a ServingStack in this process
+// (InProcessSubstrate), a bigindex_serverd process on this machine,
 // or a remote node across the network (RemoteSubstrate — the transport is
 // the line protocol either way).
 //

@@ -46,7 +46,7 @@ struct LiveUpdaterOptions {
   /// Knobs for the incremental maintenance pass (fallback ratio etc.).
   MaintainOptions maintain;
 
-  /// Options for each successor QueryEngine (thread count, default
+  /// Options for each successor QueryEngine (slot count, default
   /// algorithm registration).
   QueryEngineOptions engine;
 

@@ -1,7 +1,6 @@
 #include "update/maintain.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "core/config_search.h"
@@ -224,10 +223,8 @@ StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
     return rebuilt;
   }
 
-  std::optional<ExecutorPool> owned_pool;
-  if (opts.build.num_threads != 0) owned_pool.emplace(opts.build.num_threads);
-  ExecutorPool* pool = owned_pool ? &*owned_pool : nullptr;
-  const BisimOptions wholesale_opts{.pool = pool};
+  ExecutorPool pool(opts.build.num_threads);
+  const BisimOptions wholesale_opts{.pool = &pool};
 
   std::vector<IndexLayer> new_layers;
   new_layers.reserve(opts.max_layers);
@@ -334,7 +331,7 @@ StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
           merged.num_classes = patched.NumVertices();
           merged.localized = true;
         } else {
-          merged = DetectMerges(patched, SortedUniqueSources(sdelta), pool);
+          merged = DetectMerges(patched, SortedUniqueSources(sdelta), &pool);
         }
         lrep.stats.dirty_seed = dirty.size();
         lrep.stats.quotient_vertices = patched.NumVertices();
@@ -465,7 +462,7 @@ StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
         // the old partition is a true maximal bisimulation and `dirty`
         // covers every behavior drift (changed set + lost-member rule).
         IncrementalBisimOptions iopts;
-        iopts.pool = pool;
+        iopts.pool = &pool;
         iopts.labels = glabels;
         iopts.seed_id_bound = old_num + n;
         iopts.merge_changed = core;

@@ -308,63 +308,14 @@ TEST(MaintenanceTest, EdgeInsertionCanMergeBlocks) {
 }
 
 
-// ---- direction variants (future-work summarization formalisms) ----
-
-TEST(BisimDirectionTest, PredecessorVariantSplitsByInEdges) {
-  // 0 -> 2, 1 has no edge; 2 and 3 share a label. Successor bisim merges
-  // 2 and 3 (no out-edges); predecessor bisim splits them (different
-  // in-neighbor structure).
+TEST(BisimTest, SuccessorRelationSplitsByOutEdges) {
+  // 0 -> 2, 1 has no edge; 2 and 3 share a label. The successor relation
+  // merges 2 and 3 (neither has out-edges) and splits 0 from 1 (only 0
+  // reaches a label-1 block).
   Graph g = BuildGraph(4, {0, 0, 1, 1}, {{0, 2}});
   BisimResult succ = ComputeBisimulation(g);
   EXPECT_EQ(succ.mapping.SuperOf(2), succ.mapping.SuperOf(3));
-
-  BisimOptions opt;
-  opt.direction = BisimDirection::kPredecessor;
-  BisimResult pred = ComputeBisimulation(g, opt);
-  EXPECT_NE(pred.mapping.SuperOf(2), pred.mapping.SuperOf(3));
-  // And conversely 0 and 1 split under successor, merge under predecessor.
   EXPECT_NE(succ.mapping.SuperOf(0), succ.mapping.SuperOf(1));
-  EXPECT_EQ(pred.mapping.SuperOf(0), pred.mapping.SuperOf(1));
-}
-
-TEST(BisimDirectionTest, FnBIsFinest) {
-  for (uint64_t seed : {21, 22, 23}) {
-    RandomGraphCase c{seed, 120, 360, 4};
-    Graph g = RandomGraph(c);
-    BisimResult succ = ComputeBisimulation(g);
-    BisimOptions both_opt;
-    both_opt.direction = BisimDirection::kBoth;
-    BisimResult both = ComputeBisimulation(g, both_opt);
-    BisimOptions pred_opt;
-    pred_opt.direction = BisimDirection::kPredecessor;
-    BisimResult pred = ComputeBisimulation(g, pred_opt);
-    // F&B refines both one-sided variants: at least as many blocks.
-    EXPECT_GE(both.summary.NumVertices(), succ.summary.NumVertices());
-    EXPECT_GE(both.summary.NumVertices(), pred.summary.NumVertices());
-    // And two F&B-equivalent vertices are equivalent under both variants.
-    for (VertexId v = 0; v + 1 < g.NumVertices(); ++v) {
-      if (both.mapping.SuperOf(v) == both.mapping.SuperOf(v + 1)) {
-        EXPECT_EQ(succ.mapping.SuperOf(v), succ.mapping.SuperOf(v + 1));
-        EXPECT_EQ(pred.mapping.SuperOf(v), pred.mapping.SuperOf(v + 1));
-      }
-    }
-  }
-}
-
-TEST(BisimDirectionTest, AllVariantsPathPreserving) {
-  RandomGraphCase c{31, 100, 300, 3};
-  Graph g = RandomGraph(c);
-  for (BisimDirection dir :
-       {BisimDirection::kSuccessor, BisimDirection::kPredecessor,
-        BisimDirection::kBoth}) {
-    BisimOptions opt;
-    opt.direction = dir;
-    BisimResult r = ComputeBisimulation(g, opt);
-    for (const auto& [u, v] : g.Edges()) {
-      EXPECT_TRUE(
-          r.summary.HasEdge(r.mapping.SuperOf(u), r.mapping.SuperOf(v)));
-    }
-  }
 }
 
 }  // namespace

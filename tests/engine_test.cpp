@@ -1,11 +1,13 @@
 // Tests of the engine layer: ExecutorPool scheduling, QueryContext scratch
-// invariants, and the QueryEngine facade — above all that EvaluateBatch over
-// a shared index returns answer sets identical to serial Evaluate for every
-// algorithm and every forced layer (the re-entrancy contract under real
-// thread interleavings).
+// invariants, and the QueryEngine facade — above all that concurrent
+// Evaluate callers over a shared index return answer sets identical to
+// serial Evaluate for every algorithm and every forced layer (the
+// re-entrancy contract under real thread interleavings), and that building
+// an engine starts no threads.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <stdexcept>
@@ -22,6 +24,7 @@
 #include "search/bkws.h"
 #include "search/blinks.h"
 #include "search/rclique.h"
+#include "testing/thread_count.h"
 #include "util/random.h"
 
 namespace bigindex {
@@ -191,7 +194,7 @@ struct EngineFixture {
 
 std::vector<EngineQuery> MakeWorkload(int forced_layer) {
   // Queries per registered default algorithm; d_max etc. are the defaults the
-  // engine registers, identical for the serial and batch paths.
+  // engine registers, identical for the serial and concurrent callers.
   std::vector<std::vector<LabelId>> keyword_sets = {
       {0, 1}, {2, 3}, {0, 4, 5}, {1, 2, 3}, {4, 5}, {0, 3}};
   std::vector<std::string> algorithms = {"bkws", "blinks", "r-clique",
@@ -209,67 +212,105 @@ std::vector<EngineQuery> MakeWorkload(int forced_layer) {
   return queries;
 }
 
+TEST(QueryEngineTest, ConstructionStartsNoThreads) {
+  EngineFixture fx;
+  const int before = testing::ProcessThreadCount();
+  if (before < 0) GTEST_SKIP() << "/proc/self/status is unreadable";
+  QueryEngine engine(fx.index, {.num_threads = 4});
+  EXPECT_EQ(testing::ProcessThreadCount(), before);
+
+  // num_threads only sizes the slots, resolved like ExecutorPool's.
+  EXPECT_EQ(engine.num_slots(), 4u);
+  EXPECT_EQ(QueryEngine(fx.index).num_slots(), 1u);
+  EXPECT_EQ(QueryEngine(fx.index,
+                        {.num_threads = ExecutorPool::kHardwareConcurrency})
+                .num_slots(),
+            std::max(1u, std::thread::hardware_concurrency()));
+}
+
 TEST(QueryEngineTest, BatchMatchesSerialForAllAlgorithmsAndLayers) {
   EngineFixture fx;
   QueryEngine serial(fx.index);  // num_threads = 0
   QueryEngine pooled(fx.index, {.num_threads = 4});
+  // A batch is a ParallelFor of Evaluate calls, as `bigindex_cli batch` runs it.
+  ExecutorPool pool(4);
 
   // Forced layers 0..h plus the cost-model choice (-1).
   for (int layer = -1;
        layer <= static_cast<int>(fx.index->NumLayers()); ++layer) {
     auto queries = MakeWorkload(layer);
-    auto batch = pooled.EvaluateBatch(queries);
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    ASSERT_EQ(batch->size(), queries.size());
+    std::vector<StatusOr<QueryResult>> batch(queries.size(),
+                                             Status::FailedPrecondition("not run"));
+    pool.ParallelFor(queries.size(), [&](size_t, size_t i) {
+      batch[i] = pooled.Evaluate(queries[i]);
+    });
     for (size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_TRUE(batch[i].ok()) << batch[i].status().ToString();
       auto one = serial.Evaluate(queries[i]);
       ASSERT_TRUE(one.ok()) << one.status().ToString();
-      EXPECT_EQ((*batch)[i].answers, one->answers)
+      EXPECT_EQ(batch[i]->answers, one->answers)
           << "query " << i << " (" << queries[i].algorithm << ") at layer "
           << layer;
     }
   }
 }
 
-TEST(QueryEngineTest, BatchIsDeterministicAcrossRuns) {
-  EngineFixture fx(7, 300, 700);
-  QueryEngine pooled(fx.index, {.num_threads = 4});
-  auto queries = MakeWorkload(-1);
-  auto first = pooled.EvaluateBatch(queries);
-  ASSERT_TRUE(first.ok());
-  for (int run = 0; run < 3; ++run) {
-    auto again = pooled.EvaluateBatch(queries);
-    ASSERT_TRUE(again.ok());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ((*again)[i].answers, (*first)[i].answers) << "query " << i;
+TEST(QueryEngineTest, ConcurrentEvaluateCallersAgreeWithSerial) {
+  EngineFixture fx;
+  QueryEngine serial(fx.index);
+  // A second engine, so the callers race on cold per-graph search indexes.
+  QueryEngine shared(fx.index, {.num_threads = 4});
+
+  // Every algorithm at forced layers 0..h plus the cost-model choice (-1).
+  std::vector<EngineQuery> queries;
+  std::vector<int> layer_of;
+  for (int layer = -1;
+       layer <= static_cast<int>(fx.index->NumLayers()); ++layer) {
+    for (EngineQuery& q : MakeWorkload(layer)) {
+      queries.push_back(std::move(q));
+      layer_of.push_back(layer);
     }
   }
-}
-
-TEST(QueryEngineTest, ConcurrentEvaluateCallersAgreeWithSerial) {
-  EngineFixture fx(9, 300, 700);
-  QueryEngine engine(fx.index);
-  auto queries = MakeWorkload(-1);
-
   std::vector<std::vector<Answer>> expected(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    auto r = engine.Evaluate(queries[i]);
-    ASSERT_TRUE(r.ok());
+    auto r = serial.Evaluate(queries[i]);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
     expected[i] = std::move(r->answers);
   }
 
-  std::atomic<bool> mismatch{false};
+  // Each caller runs the whole workload twice, starting at its own offset
+  // so different queries overlap; answers are checked on this thread.
+  constexpr size_t kCallers = 4;
+  constexpr size_t kRounds = 2;
+  const size_t n = queries.size();
+  std::vector<std::vector<std::vector<Answer>>> got(
+      kCallers, std::vector<std::vector<Answer>>(kRounds * n));
+  std::vector<std::vector<Status>> failures(kCallers,
+                                            std::vector<Status>(kRounds * n));
   std::vector<std::thread> callers;
-  for (int t = 0; t < 4; ++t) {
-    callers.emplace_back([&] {
-      for (size_t i = 0; i < queries.size(); ++i) {
-        auto r = engine.Evaluate(queries[i]);
-        if (!r.ok() || r->answers != expected[i]) mismatch = true;
+  for (size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      for (size_t k = 0; k < kRounds * n; ++k) {
+        const size_t i = (t * n / kCallers + k) % n;
+        auto r = shared.Evaluate(queries[i]);
+        if (r.ok()) {
+          got[t][k] = std::move(r->answers);
+        } else {
+          failures[t][k] = r.status();
+        }
       }
     });
   }
   for (auto& t : callers) t.join();
-  EXPECT_FALSE(mismatch.load());
+  for (size_t t = 0; t < kCallers; ++t) {
+    for (size_t k = 0; k < kRounds * n; ++k) {
+      const size_t i = (t * n / kCallers + k) % n;
+      ASSERT_TRUE(failures[t][k].ok()) << failures[t][k].ToString();
+      EXPECT_EQ(got[t][k], expected[i])
+          << "caller " << t << " query " << i << " (" << queries[i].algorithm
+          << ") at layer " << layer_of[i];
+    }
+  }
 }
 
 TEST(QueryEngineTest, UnknownAlgorithmIsNotFound) {
@@ -281,12 +322,6 @@ TEST(QueryEngineTest, UnknownAlgorithmIsNotFound) {
   auto one = engine.Evaluate(q);
   EXPECT_EQ(one.status().code(), StatusCode::kNotFound)
       << one.status().ToString();
-
-  auto queries = MakeWorkload(-1);
-  queries.push_back(q);
-  auto batch = engine.EvaluateBatch(queries);
-  EXPECT_EQ(batch.status().code(), StatusCode::kNotFound)
-      << batch.status().ToString();
 }
 
 TEST(QueryEngineTest, ValidateRejectsBadQueriesBeforeEvaluation) {
@@ -308,10 +343,6 @@ TEST(QueryEngineTest, ValidateRejectsBadQueriesBeforeEvaluation) {
   good.keywords = {0, 1};
   good.algorithm = "bkws";
   EXPECT_TRUE(engine.Validate(good).ok());
-
-  // A batch containing one invalid query fails whole before any evaluation.
-  auto batch = engine.EvaluateBatch(std::vector<EngineQuery>{good, empty});
-  EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(QueryEngineTest, NormalizeKeywordsSortsAndDeduplicates) {
@@ -373,11 +404,11 @@ TEST(QueryEngineTest, ResultsCarryPerQueryStats) {
   EXPECT_EQ(r->breakdown.final_answers, r->answers.size());
   EXPECT_LE(r->breakdown.layer, fx.index->NumLayers());
 
-  auto batch = engine.EvaluateBatch(std::vector<EngineQuery>{q, q, q});
-  ASSERT_TRUE(batch.ok());
-  for (const QueryResult& br : *batch) {
-    EXPECT_EQ(br.breakdown.layer, r->breakdown.layer);
-    EXPECT_EQ(br.answers, r->answers);
+  for (int again = 0; again < 3; ++again) {
+    auto rerun = engine.Evaluate(q);
+    ASSERT_TRUE(rerun.ok());
+    EXPECT_EQ(rerun->breakdown.layer, r->breakdown.layer);
+    EXPECT_EQ(rerun->answers, r->answers);
   }
 }
 

@@ -1,8 +1,8 @@
 // ServingStack tests: the identity every stack reports, the shard serving
 // edge (global <-> local id remap, ownership and ghost skips on UPDATE) and
 // the boundary state of a cut-incident shard, which must follow the served
-// graph across UPDATE and ROLLBACK. tools/ci.sh re-runs this suite under
-// ThreadSanitizer.
+// graph across UPDATE and ROLLBACK, and that UPDATEs start no threads.
+// tools/ci.sh re-runs this suite under ThreadSanitizer.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include "shard/serving_stack.h"
 #include "shard/shard_build.h"
 #include "testing/random_graph.h"
+#include "testing/thread_count.h"
 #include "update/delta.h"
 
 namespace bigindex {
@@ -216,6 +217,25 @@ TEST(ServingStack, BoundaryReinstalledAcrossUpdate) {
   auto restored = stack.Boundary();
   ASSERT_TRUE(restored.ok());
   ExpectSameExport(*restored, *before);
+}
+
+TEST(ServingStackTest, UpdatesStartNoThreads) {
+  // num_threads = 2 sizes every engine for two concurrent evaluations; the
+  // version store keeps the previous engine for ROLLBACK, so an engine that
+  // started its own threads would leave them idle here after each UPDATE.
+  Ontology ontology = MakeOntology();
+  ServingStack stack(BuiltShard{BuildIndex(PathGraph(), &ontology), {}}, 0,
+                     {}, {.engine = {.num_threads = 2}});
+  const int constructed = testing::ProcessThreadCount();
+  if (constructed < 0) GTEST_SKIP() << "/proc/self/status is unreadable";
+
+  for (int i = 0; i < 20; ++i) {
+    const GraphUpdate op = i % 2 == 0 ? Add(2, 3) : Remove(2, 3);
+    auto outcome = stack.ApplyUpdate(std::vector<GraphUpdate>{op});
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    ASSERT_EQ(outcome->applied, 1u) << "update " << i;
+  }
+  EXPECT_EQ(testing::ProcessThreadCount(), constructed);
 }
 
 }  // namespace

@@ -17,7 +17,9 @@
 //   batch   <graph.in> <ontology.in> <index.in> <algo> <queries.txt>
 //           [threads] [top_k]
 //           Evaluate a batch of queries (one comma-separated keyword list
-//           per line) through the QueryEngine's thread pool.
+//           per line): `threads` pool workers (0 = serial, the default)
+//           each call QueryEngine::Evaluate; results print in input order
+//           and the first failing query fails the run.
 //   inspect <index.img>
 //           Dump the header and section table of a flat index image,
 //           including the shard identity and content fingerprint.
@@ -44,6 +46,8 @@
 // Query evaluation goes through the QueryEngine: the CLI registers the
 // selected algorithm with its configured options and submits EngineQuery
 // records, so single-shot `query` and pooled `batch` share one code path.
+// Count arguments (threads, layers, top_k, shard counts) take only plain
+// decimal digits; anything else is a usage error.
 //
 // Exit status: 0 on success, 1 on any error (message on stderr).
 
@@ -59,6 +63,7 @@
 #include <vector>
 
 #include "bigindex.h"
+#include "count_flag.h"
 
 namespace bigindex {
 namespace {
@@ -180,15 +185,19 @@ int CmdBuild(int argc, char** argv) {
         std::fprintf(stderr, "error: --build-threads needs a value\n");
         return Usage();
       }
-      opt.build.num_threads = static_cast<size_t>(std::atoi(argv[++i]));
+      if (!ParseCount("--build-threads", argv[++i], &opt.build.num_threads)) {
+        return Usage();
+      }
     } else {
       pos.push_back(argv[i]);
     }
   }
   if (pos.size() < 3) return Usage();
+  if (pos.size() > 3 && !ParseCount("layers", pos[3], &opt.max_layers)) {
+    return Usage();
+  }
   auto loaded = LoadGraphAndOntology(pos[0], pos[1]);
   if (!loaded.ok()) return Fail(loaded.status());
-  if (pos.size() > 3) opt.max_layers = static_cast<size_t>(std::atoi(pos[3]));
   Timer t;
   auto index =
       BigIndex::Build(loaded->graph, &loaded->ontology, opt);
@@ -227,7 +236,8 @@ int CmdQuery(int argc, char** argv) {
   if (!index.ok()) return Fail(index.status());
 
   std::string algo_name = argv[3];
-  size_t top_k = argc > 5 ? static_cast<size_t>(std::atoi(argv[5])) : 10;
+  size_t top_k = 10;
+  if (argc > 5 && !ParseCount("top_k", argv[5], &top_k)) return Usage();
   std::unique_ptr<KeywordSearchAlgorithm> algo = MakeAlgorithm(algo_name,
                                                                top_k);
   if (!algo) return Usage();
@@ -276,8 +286,10 @@ int CmdBatch(int argc, char** argv) {
   if (!index.ok()) return Fail(index.status());
 
   std::string algo_name = argv[3];
-  size_t threads = argc > 5 ? static_cast<size_t>(std::atoi(argv[5])) : 0;
-  size_t top_k = argc > 6 ? static_cast<size_t>(std::atoi(argv[6])) : 10;
+  size_t threads = 0;
+  size_t top_k = 10;
+  if (argc > 5 && !ParseCount("threads", argv[5], &threads)) return Usage();
+  if (argc > 6 && !ParseCount("top_k", argv[6], &top_k)) return Usage();
   std::unique_ptr<KeywordSearchAlgorithm> algo = MakeAlgorithm(algo_name,
                                                                top_k);
   if (!algo) return Usage();
@@ -304,18 +316,29 @@ int CmdBatch(int argc, char** argv) {
   }
 
   QueryEngine engine(std::move(index).value(),
-                     {.num_threads = threads,
-                      .register_default_algorithms = false});
+                     {.register_default_algorithms = false});
   engine.Register(std::move(algo));
+  ExecutorPool pool(threads);
+  std::vector<QueryResult> results(queries.size());
+  std::vector<Status> failures(queries.size());
   Timer t;
-  auto results = engine.EvaluateBatch(queries);
+  pool.ParallelFor(queries.size(), [&](size_t, size_t i) {
+    auto r = engine.Evaluate(queries[i]);
+    if (r.ok()) {
+      results[i] = std::move(r).value();
+    } else {
+      failures[i] = r.status();
+    }
+  });
   double total_ms = t.ElapsedMillis();
-  if (!results.ok()) return Fail(results.status());
+  for (const Status& failure : failures) {
+    if (!failure.ok()) return Fail(failure);
+  }
 
   double sum_ms = 0;
   size_t total_answers = 0;
-  for (size_t i = 0; i < results->size(); ++i) {
-    const QueryResult& r = (*results)[i];
+  for (size_t i = 0; i < results.size(); ++i) {
+    const QueryResult& r = results[i];
     sum_ms += r.wall_ms;
     total_answers += r.answers.size();
     std::printf("query %zu: %zu answer(s) in %.2f ms (layer %zu)\n", i,
@@ -388,20 +411,23 @@ int CmdShard(int argc, char** argv) {
         return Usage();
       }
     } else if (std::strcmp(argv[i], "--bfs-block") == 0) {
-      opt.plan.bfs_block_size = static_cast<size_t>(std::atoi(next(
-          "--bfs-block")));
+      if (!ParseCount("--bfs-block", next("--bfs-block"),
+                      &opt.plan.bfs_block_size)) {
+        return Usage();
+      }
     } else {
       pos.push_back(argv[i]);
     }
   }
   if (pos.size() < 3) return Usage();
+  if (!ParseCount("num_shards", pos[2], &opt.plan.num_shards) ||
+      (pos.size() > 4 &&
+       !ParseCount("layers", pos[4], &opt.index.max_layers))) {
+    return Usage();
+  }
   auto loaded = LoadGraphAndOntology(pos[0], pos[1]);
   if (!loaded.ok()) return Fail(loaded.status());
-  opt.plan.num_shards = static_cast<size_t>(std::atoi(pos[2]));
   std::string prefix = pos.size() > 3 ? pos[3] : "";
-  if (pos.size() > 4) {
-    opt.index.max_layers = static_cast<size_t>(std::atoi(pos[4]));
-  }
 
   auto plan = PlanShards(loaded->graph, opt.plan);
   if (!plan.ok()) return Fail(plan.status());

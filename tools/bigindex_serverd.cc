@@ -43,9 +43,12 @@
 //   dictionaries are cross-checked at load), and so must the shard flags:
 //   a shard image is never served as the whole graph, nor the other way
 //   round.
-//   --threads 0  = serial engine (no pool);  --cache N sizes the answer
-//   cache of a monolithic server or a coordinator (default 4096 entries;
-//   0 disables it).
+//   --threads N sets how many queries evaluate at once (0 = one; default one
+//   per hardware thread); the engine itself starts no threads, the service
+//   runs that many dispatch strands. --cache N sizes the answer cache of a
+//   monolithic server or a coordinator (default 4096 entries; 0 disables
+//   it). Every count flag takes only plain decimal digits (ports at most
+//   65535); anything else is a usage error.
 //   --build-threads parallelizes the startup index construction (0 = serial,
 //   the default; the built index is identical for any value).
 //   --metrics-port N serves the HTTP scrape endpoint in every mode; 0 (the
@@ -66,7 +69,9 @@
 
 #include <unistd.h>
 
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -74,6 +79,7 @@
 #include <string>
 
 #include "bigindex.h"
+#include "count_flag.h"
 
 namespace bigindex {
 namespace {
@@ -114,10 +120,14 @@ StatusOr<std::vector<ShardEndpoint>> ParseEndpoints(const std::string& spec) {
     }
     ShardEndpoint ep;
     ep.host = entry.substr(0, colon);
-    ep.port = static_cast<uint16_t>(std::atoi(entry.c_str() + colon + 1));
-    if (ep.host.empty() || ep.port == 0) {
+    size_t port = 0;
+    if (ep.host.empty() ||
+        !ParseCount("--coordinator port", entry.c_str() + colon + 1, &port,
+                    kMaxPort) ||
+        port == 0) {
       return Status::InvalidArgument("bad endpoint '" + entry + "'");
     }
+    ep.port = static_cast<uint16_t>(port);
     endpoints.push_back(std::move(ep));
     start = comma + 1;
   }
@@ -243,27 +253,29 @@ int Run(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto count = [&](const char* flag, size_t max = SIZE_MAX) -> size_t {
+      size_t value = 0;
+      if (!ParseCount(flag, next(flag), &value, max)) std::exit(Usage());
+      return value;
+    };
     if (std::strcmp(argv[i], "--dataset") == 0) {
       dataset_name = next("--dataset");
     } else if (std::strcmp(argv[i], "--scale") == 0) {
       scale = std::atof(next("--scale"));
     } else if (std::strcmp(argv[i], "--layers") == 0) {
-      layers = static_cast<size_t>(std::atoi(next("--layers")));
+      layers = count("--layers");
     } else if (std::strcmp(argv[i], "--port") == 0) {
-      tcp.port = static_cast<uint16_t>(std::atoi(next("--port")));
+      tcp.port = static_cast<uint16_t>(count("--port", kMaxPort));
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      updater_opts.engine.num_threads =
-          static_cast<size_t>(std::atoi(next("--threads")));
+      updater_opts.engine.num_threads = count("--threads");
     } else if (std::strcmp(argv[i], "--build-threads") == 0) {
-      build_threads = static_cast<size_t>(std::atoi(next("--build-threads")));
+      build_threads = count("--build-threads");
     } else if (std::strcmp(argv[i], "--index-image") == 0) {
       index_image_path = next("--index-image");
     } else if (std::strcmp(argv[i], "--queue") == 0) {
-      service_opts.queue_capacity =
-          static_cast<size_t>(std::atoi(next("--queue")));
+      service_opts.queue_capacity = count("--queue");
     } else if (std::strcmp(argv[i], "--cache") == 0) {
-      service_opts.cache.capacity =
-          static_cast<size_t>(std::atoi(next("--cache")));
+      service_opts.cache.capacity = count("--cache");
       cache_flag = true;
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
       service_opts.default_deadline_ms = std::atof(next("--deadline-ms"));
@@ -271,14 +283,13 @@ int Run(int argc, char** argv) {
       service_opts.overload_policy = OverloadPolicy::kRejectOldest;
     } else if (std::strcmp(argv[i], "--metrics-port") == 0) {
       metrics_http.port =
-          static_cast<uint16_t>(std::atoi(next("--metrics-port")));
+          static_cast<uint16_t>(count("--metrics-port", kMaxPort));
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       trace_from_start = true;
     } else if (std::strcmp(argv[i], "--shards") == 0) {
-      plan_opts.num_shards =
-          static_cast<size_t>(std::atoi(next("--shards")));
+      plan_opts.num_shards = count("--shards");
     } else if (std::strcmp(argv[i], "--shard-of") == 0) {
-      shard_of = std::atoi(next("--shard-of"));
+      shard_of = static_cast<int>(count("--shard-of", INT_MAX));
     } else if (std::strcmp(argv[i], "--shard-mode") == 0) {
       const char* mode = next("--shard-mode");
       if (std::strcmp(mode, "wcc") == 0) {
@@ -290,14 +301,13 @@ int Run(int argc, char** argv) {
         return Usage();
       }
     } else if (std::strcmp(argv[i], "--bfs-block") == 0) {
-      plan_opts.bfs_block_size =
-          static_cast<size_t>(std::atoi(next("--bfs-block")));
+      plan_opts.bfs_block_size = count("--bfs-block");
     } else if (std::strcmp(argv[i], "--coordinator") == 0) {
       coordinator_spec = next("--coordinator");
     } else if (std::strcmp(argv[i], "--allow-partial") == 0) {
       allow_partial = true;
     } else if (std::strcmp(argv[i], "--attach-retries") == 0) {
-      attach_retries = static_cast<size_t>(std::atoi(next("--attach-retries")));
+      attach_retries = count("--attach-retries");
     } else if (std::strcmp(argv[i], "--update-fallback-ratio") == 0) {
       updater_opts.maintain.fallback_dirty_ratio =
           std::atof(next("--update-fallback-ratio"));

@@ -10,8 +10,10 @@
 # taxonomy), a metrics-overhead smoke, a parallel-construction smoke, an
 # index-image cold-start smoke, the shard scatter-gather throughput gate,
 # a maintenance differential smoke, a CLI maintenance round trip that must
-# keep the image's layer cap, a short serving-layer load smoke (with
-# the mixed read/update phase), and the over-the-wire bench_e2e smoke.
+# keep the image's layer cap, a CLI batch smoke (same answers at 0 and 2
+# threads), a check that the daemon rejects hostile count flags, a short
+# serving-layer load smoke (with the mixed read/update phase), and the
+# over-the-wire bench_e2e smoke.
 #
 #   tools/ci.sh [jobs]
 #
@@ -37,7 +39,8 @@ cmake --build build-tsan -j"$JOBS" --target bigindex_tests bigindex_serverd \
 # shard modes (wcc and bfs with boundary completion); the ghost-manifest
 # invariants, coordinator fan-out, substrates, protocol client, live
 # updater, the cache-epoch race test, Blinks (stateless, so shared across
-# engine pool threads) and the per-graph cache's unlocked builds run in full.
+# concurrent Evaluate callers) and the per-graph cache's unlocked builds run
+# in full.
 TSAN_OPTIONS="halt_on_error=1" BIGINDEX_SHARD_GATE_SEEDS=5 \
   BIGINDEX_UPDATE_GATE_SEEDS=5 \
   ./build-tsan/tests/bigindex_tests \
@@ -123,7 +126,49 @@ grep -q '^maintained 2 -> 2 layer' "$CLI_DIR/update.txt" || {
   echo "FAIL: update did not keep the 2-layer cap" >&2
   exit 1
 }
+
+echo
+echo "=== smoke: CLI batch gives the same answers at 0 and 2 threads ==="
+# Six two-keyword queries over the graph's twelve most frequent labels; the
+# per-query answer lines must match once the timings are stripped.
+grep -oE '^[A-Za-z0-9]+_T[0-9]+_[0-9]+$' "$CLI_DIR/g.txt" | sort | uniq -c |
+  sort -k1,1nr -k2,2 | head -12 | awk '{print $2}' | paste -d, - - \
+  >"$CLI_DIR/queries.txt"
+[[ "$(wc -l <"$CLI_DIR/queries.txt")" -eq 6 ]] || {
+  echo "FAIL: could not pick 6 queries from the generated graph" >&2
+  exit 1
+}
+for threads in 0 2; do
+  ./build/tools/bigindex_cli batch "$CLI_DIR/g.txt" "$CLI_DIR/o.txt" \
+    "$CLI_DIR/idx.img" bkws "$CLI_DIR/queries.txt" "$threads" |
+    grep -E '^query [0-9]+: [0-9]+ answer\(s\)' | sed -E 's/ in [0-9.]+ ms//' \
+    >"$CLI_DIR/batch$threads.txt"
+done
+cat "$CLI_DIR/batch0.txt"
+[[ "$(wc -l <"$CLI_DIR/batch0.txt")" -eq 6 ]] &&
+  diff "$CLI_DIR/batch0.txt" "$CLI_DIR/batch2.txt" || {
+  echo "FAIL: batch answers differ between 0 and 2 threads" >&2
+  exit 1
+}
 rm -rf "$CLI_DIR"
+
+echo
+echo "=== smoke: serverd rejects hostile count flags ==="
+# A negative thread count must not become a request for ~2^64 threads, nor a
+# port above 65535 wrap around: both are usage errors before any work.
+for flags in "--threads -2" "--port 70000"; do
+  # shellcheck disable=SC2086  # word-split the flag and its value
+  if out="$(timeout 10 ./build/tools/bigindex_serverd $flags 2>&1)"; then
+    echo "FAIL: bigindex_serverd $flags exited 0" >&2
+    exit 1
+  fi
+  grep -q "^error: ${flags%% *} wants" <<<"$out" || {
+    echo "FAIL: bigindex_serverd $flags printed no error line:" >&2
+    echo "$out" >&2
+    exit 1
+  }
+  echo "rejected: bigindex_serverd $flags"
+done
 
 echo
 echo "=== gate: maintenance speedup (>= 2x at small batches) ==="
@@ -134,8 +179,8 @@ echo "=== gate: maintenance speedup (>= 2x at small batches) ==="
 
 echo
 echo "=== smoke: serving-layer load generator (~2s) ==="
-# Tiny instance; exercises the full service pipeline (admission, batching,
-# cache, deadlines, backpressure, mixed read/update serving with live epoch
+# Tiny instance; exercises the full service pipeline (admission, dispatch
+# strands, cache, deadlines, backpressure, mixed read/update serving with live epoch
 # swaps) end to end without benchmarking anything.
 BIGINDEX_BENCH_SCALE="${BIGINDEX_BENCH_SCALE:-0.002}" \
   ./build/bench/bench_server --smoke
