@@ -19,7 +19,8 @@ bool Graph::HasEdge(VertexId u, VertexId v) const {
 }
 
 std::span<const VertexId> Graph::VerticesWithLabel(LabelId label) const {
-  if (label + 1 >= label_offsets_.size()) return {};
+  // size_t: kInvalidLabel + 1 must not wrap to 0.
+  if (size_t{label} + 1 >= label_offsets_.size()) return {};
   return {label_vertices_.data() + label_offsets_[label],
           label_offsets_[label + 1] - label_offsets_[label]};
 }

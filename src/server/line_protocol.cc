@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
-#include <limits>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,30 +14,96 @@
 namespace bigindex {
 namespace {
 
-std::vector<std::string> Tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream in(line);
-  std::string tok;
-  while (in >> tok) tokens.push_back(tok);
-  return tokens;
+constexpr std::string_view kSpace = " \t\n\v\f\r";
+
+/// The tokenizer: pops the next whitespace-delimited token off the front of
+/// *rest; empty once no token is left.
+std::string_view NextToken(std::string_view* rest) {
+  const size_t begin = rest->find_first_not_of(kSpace);
+  if (begin == std::string_view::npos) {
+    *rest = {};
+    return {};
+  }
+  const size_t end = std::min(rest->find_first_of(kSpace, begin),
+                              rest->size());
+  const std::string_view token = rest->substr(begin, end - begin);
+  rest->remove_prefix(end);
+  return token;
 }
 
-bool AllDigits(const std::string& s) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
+/// The key=value splitter: false when `token` holds no '='.
+bool SplitKeyValue(std::string_view token, std::string_view* key,
+                   std::string_view* value) {
+  const size_t eq = token.find('=');
+  if (eq == std::string_view::npos) return false;
+  *key = token.substr(0, eq);
+  *value = token.substr(eq + 1);
+  return true;
+}
+
+/// Calls `item` on each ','-separated item of `list` (none when `list` is
+/// empty); false as soon as `item` rejects one.
+template <typename Fn>
+bool ForEachItem(std::string_view list, Fn&& item) {
+  while (!list.empty()) {
+    const size_t comma = list.find(',');
+    if (!item(list.substr(0, comma))) return false;
+    list.remove_prefix(comma == std::string_view::npos ? list.size()
+                                                       : comma + 1);
   }
   return true;
 }
 
-/// Parses a decimal vertex id. False unless `s` is all digits and fits
-/// VertexId, so an oversized id is rejected rather than wrapped.
-bool ParseVertexId(const std::string& s, VertexId* out) {
-  if (!AllDigits(s)) return false;
-  const unsigned long long v = std::strtoull(s.c_str(), nullptr, 10);
-  if (v > std::numeric_limits<VertexId>::max()) return false;
-  *out = static_cast<VertexId>(v);
-  return true;
+bool ParseVertexList(std::string_view list, std::vector<VertexId>* out) {
+  return ForEachItem(list, [out](std::string_view item) {
+    VertexId v = 0;
+    if (!ParseNumber(item, &v)) return false;
+    out->push_back(v);
+    return true;
+  });
+}
+
+bool ReadAnswerField(std::string_view key, std::string_view value,
+                     Answer* out) {
+  if (key == "root") {
+    out->root = kInvalidVertex;
+    return value == "-" || ParseNumber(value, &out->root);
+  }
+  if (key == "score") return ParseNumber(value, &out->score);
+  if (key == "kw") return ParseVertexList(value, &out->keyword_vertices);
+  if (key == "v") return ParseVertexList(value, &out->vertices);
+  return false;
+}
+
+/// Reads the key=value fields of an "OK ..." reply head. `field(key,
+/// value)` returns false on a bad value and skips keys it does not know;
+/// tokens without '=' are skipped here. Every key in `required` must occur.
+template <typename Fn>
+Status ReadHead(std::string_view head, const char* what,
+                std::initializer_list<std::string_view> required, Fn&& field) {
+  std::string_view rest = head;
+  if (NextToken(&rest) != "OK") {
+    return Status::IOError(std::string("not a ") + what + " response: '" +
+                           std::string(head) + "'");
+  }
+  uint64_t seen = 0;  // bit i: required[i] occurred
+  std::string_view key, value;
+  for (std::string_view t = NextToken(&rest); !t.empty();
+       t = NextToken(&rest)) {
+    if (!SplitKeyValue(t, &key, &value)) continue;
+    if (!field(key, value)) {
+      return Status::IOError(std::string("bad field '") + std::string(t) +
+                             "' in " + what + " response");
+    }
+    const auto it = std::find(required.begin(), required.end(), key);
+    if (it != required.end()) seen |= uint64_t{1} << (it - required.begin());
+  }
+  if (seen + 1 != uint64_t{1} << required.size()) {
+    return Status::IOError(std::string(what) +
+                           " response missing required fields: '" +
+                           std::string(head) + "'");
+  }
+  return Status::OK();
 }
 
 std::string ErrBlock(const Status& status) {
@@ -49,68 +114,76 @@ std::string ErrBlock(const std::string& message) {
   return ErrBlock(Status::InvalidArgument(message));
 }
 
-/// Parses "kw1,kw2,..." into label ids — by dictionary name when available,
-/// numeric fallback either way.
-Status ParseKeywords(const std::string& spec, const LabelDictionary* dict,
+/// `format(*r)` when `r` holds a value, else its ERR block.
+template <typename T, typename Fn>
+std::string Reply(const StatusOr<T>& r, Fn&& format) {
+  return r.ok() ? format(*r) : ErrBlock(r.status());
+}
+
+/// Parses "kw1,kw2,..." into label ids: by dictionary name when available,
+/// else as a numeric id below kInvalidLabel.
+Status ParseKeywords(std::string_view spec, const LabelDictionary* dict,
                      std::vector<LabelId>* out) {
-  std::stringstream kws(spec);
-  std::string kw;
-  while (std::getline(kws, kw, ',')) {
-    if (kw.empty()) continue;
-    if (dict != nullptr) {
-      LabelId l = dict->Find(kw);
-      if (l != kInvalidLabel) {
-        out->push_back(l);
-        continue;
-      }
+  std::string_view bad;
+  const bool ok = ForEachItem(spec, [&](std::string_view kw) {
+    if (kw.empty()) return true;
+    LabelId l = dict != nullptr ? dict->Find(kw) : kInvalidLabel;
+    if (l == kInvalidLabel && (!ParseNumber(kw, &l) || l == kInvalidLabel)) {
+      bad = kw;
+      return false;
     }
-    if (!AllDigits(kw)) {
-      return Status::InvalidArgument("unknown keyword '" + kw + "'");
-    }
-    out->push_back(static_cast<LabelId>(std::strtoul(kw.c_str(), nullptr,
-                                                     10)));
+    out->push_back(l);
+    return true;
+  });
+  if (!ok) {
+    return Status::InvalidArgument("unknown keyword '" + std::string(bad) +
+                                   "'");
   }
   if (out->empty()) {
-    return Status::InvalidArgument("no keywords in '" + spec + "'");
+    return Status::InvalidArgument("no keywords in '" + std::string(spec) +
+                                   "'");
   }
   return Status::OK();
 }
 
-/// Applies one "key=value" option token to the query; false = unknown key
-/// or bad value.
-bool ApplyOption(const std::string& token, EngineQuery* q,
-                 std::string* error) {
-  size_t eq = token.find('=');
-  if (eq == std::string::npos) {
-    *error = "malformed option '" + token + "' (want key=value)";
-    return false;
+/// Applies one "key=value" option token to the query.
+Status ApplyOption(std::string_view token, EngineQuery* q) {
+  std::string_view key, value;
+  if (!SplitKeyValue(token, &key, &value)) {
+    return Status::InvalidArgument("malformed option '" + std::string(token) +
+                                   "' (want key=value)");
   }
-  std::string key = token.substr(0, eq);
-  std::string value = token.substr(eq + 1);
+  bool ok = false;
   if (key == "top_k") {
-    q->eval.top_k = static_cast<size_t>(std::strtoul(value.c_str(), nullptr,
-                                                     10));
+    ok = ParseNumber(value, &q->eval.top_k);
   } else if (key == "layer") {
-    q->eval.forced_layer = std::atoi(value.c_str());
+    ok = ParseNumber(value, &q->eval.forced_layer);
   } else if (key == "deadline_ms") {
-    q->eval.deadline = Deadline::After(std::atof(value.c_str()));
+    double ms = 0;
+    ok = ParseNumber(value, &ms);
+    q->eval.deadline = Deadline::After(ms);
   } else if (key == "exact") {
-    q->eval.exact_verification = value != "0";
+    ok = value == "0" || value == "1";
+    q->eval.exact_verification = value == "1";
   } else if (key == "beta") {
-    q->eval.beta = std::atof(value.c_str());
+    ok = ParseNumber(value, &q->eval.beta);
   } else {
-    *error = "unknown option '" + key + "'";
-    return false;
+    return Status::InvalidArgument("unknown option '" + std::string(key) +
+                                   "'");
   }
-  return true;
+  if (!ok) {
+    return Status::InvalidArgument("bad value in option '" +
+                                   std::string(token) + "'");
+  }
+  return Status::OK();
 }
 
-std::string HandleTrace(const std::vector<std::string>& tokens) {
-  if (tokens.size() != 2) {
+std::string HandleTrace(std::string_view args) {
+  const std::string_view sub = NextToken(&args);
+  if (sub.empty() || !NextToken(&args).empty()) {
     return ErrBlock("usage: trace on|off|status|dump|clear");
   }
   Tracer& tracer = Tracer::Global();
-  const std::string& sub = tokens[1];
   if (sub == "on") {
     tracer.SetEnabled(true);
     return "OK trace=on\n.\n";
@@ -134,31 +207,132 @@ std::string HandleTrace(const std::vector<std::string>& tokens) {
     tracer.Clear();
     return "OK cleared\n.\n";
   }
-  return ErrBlock("unknown trace subcommand '" + sub + "'");
+  return ErrBlock("unknown trace subcommand '" + std::string(sub) + "'");
 }
 
 std::string HandleQuery(QueryService& service, const LabelDictionary* dict,
-                        const std::vector<std::string>& tokens) {
-  if (tokens.size() < 3) {
-    return ErrBlock("usage: query <algo> <kw1,kw2,...> [top_k=N] [layer=M] "
-                    "[deadline_ms=D] [exact=0|1] [beta=F]");
-  }
+                        std::string_view line) {
   EngineQuery q;
-  q.algorithm = tokens[1];
-  Status parsed = ParseKeywords(tokens[2], dict, &q.keywords);
+  Status parsed = ParseQueryLine(line, dict, &q);
   if (!parsed.ok()) return ErrBlock(parsed);
-  for (size_t i = 3; i < tokens.size(); ++i) {
-    std::string error;
-    if (!ApplyOption(tokens[i], &q, &error)) return ErrBlock(error);
+  return Reply(service.Query(std::move(q)), FormatQueryReply);
+}
+
+std::string HandleUpdate(QueryService& service, std::string_view ops) {
+  std::vector<GraphUpdate> updates;
+  for (std::string_view t = NextToken(&ops); !t.empty(); t = NextToken(&ops)) {
+    GraphUpdate up;
+    Status parsed = ParseUpdateOp(t, &up);
+    if (!parsed.ok()) return ErrBlock(parsed);
+    updates.push_back(up);
   }
+  if (updates.empty()) {
+    return ErrBlock("usage: update (add:<u>:<v>|remove:<u>:<v>)...");
+  }
+  return Reply(service.ApplyUpdate(updates), FormatUpdateReply);
+}
 
-  StatusOr<QueryResult> result = service.Query(std::move(q));
-  if (!result.ok()) return ErrBlock(result.status());
-
+/// Round-trip double formatting (beta and deadline_ms on the wire).
+std::string FormatDouble(double v) {
   std::ostringstream out;
-  out << "OK n=" << result->answers.size() << " ms=" << result->wall_ms
-      << " layer=" << result->breakdown.layer << "\n";
-  for (const Answer& a : result->answers) {
+  out.precision(17);
+  out << v;
+  return out.str();
+}
+
+void AppendList(std::ostringstream& out, const auto& items) {
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (i) out << ',';
+    out << items[i];
+  }
+}
+
+}  // namespace
+
+LineHandler::Result LineHandler::Handle(std::string_view line) {
+  std::string_view args = line;
+  std::string cmd(NextToken(&args));
+  if (cmd.empty()) return {ErrBlock("empty request"), false};
+  std::transform(cmd.begin(), cmd.end(), cmd.begin(), [](unsigned char c) {
+    return static_cast<char>(std::tolower(c));
+  });
+
+  QueryService& service = *service_;
+  if (cmd == "query") return {HandleQuery(service, dict_, line), false};
+  if (cmd == "stats") {
+    return {"OK " + service.Snapshot().ToString() + "\n.\n", false};
+  }
+  if (cmd == "metrics") {
+    return {"OK\n" + MetricsRegistry::Global().RenderPrometheus() + ".\n",
+            false};
+  }
+  if (cmd == "trace") return {HandleTrace(args), false};
+  if (cmd == "bump") return {FormatEpochReply(service.BumpEpoch()), false};
+  if (cmd == "update") return {HandleUpdate(service, args), false};
+  if (cmd == "rollback") {
+    return {Reply(service.Rollback(), FormatEpochReply), false};
+  }
+  if (cmd == "boundary") {
+    return {Reply(service.Boundary(), FormatBoundaryReply), false};
+  }
+  if (cmd == "algos") {
+    std::string out = "OK";
+    for (const std::string& name : service.AlgorithmNames()) {
+      out += ' ';
+      out += name;
+    }
+    return {out + "\n.\n", false};
+  }
+  if (cmd == "info") {
+    return {FormatInfoReply(InfoOf(service), service.Snapshot()), false};
+  }
+  if (cmd == "ping") return {"OK pong\n.\n", false};
+  if (cmd == "quit") return {"OK bye\n.\n", true};
+  return {ErrBlock("unknown command '" + cmd + "'"), false};
+}
+
+// ---------------------------------------------------------------------------
+// Records
+// ---------------------------------------------------------------------------
+
+std::string FormatQueryLine(const EngineQuery& q) {
+  std::ostringstream out;
+  out << "query " << q.algorithm << ' ';
+  AppendList(out, q.keywords);
+  out << " top_k=" << q.eval.top_k << " layer=" << q.eval.forced_layer
+      << " exact=" << (q.eval.exact_verification ? 1 : 0)
+      << " beta=" << FormatDouble(q.eval.beta);
+  if (!q.eval.deadline.IsNever()) {
+    out << " deadline_ms=" << FormatDouble(q.eval.deadline.RemainingMillis());
+  }
+  return out.str();
+}
+
+Status ParseQueryLine(std::string_view line, const LabelDictionary* dict,
+                      EngineQuery* out) {
+  *out = EngineQuery{};
+  NextToken(&line);  // the verb
+  const std::string_view algo = NextToken(&line);
+  const std::string_view keywords = NextToken(&line);
+  if (keywords.empty()) {
+    return Status::InvalidArgument(
+        "usage: query <algo> <kw1,kw2,...> [top_k=N] [layer=M] "
+        "[deadline_ms=D] [exact=0|1] [beta=F]");
+  }
+  out->algorithm = std::string(algo);
+  BIGINDEX_RETURN_IF_ERROR(ParseKeywords(keywords, dict, &out->keywords));
+  for (std::string_view t = NextToken(&line); !t.empty();
+       t = NextToken(&line)) {
+    BIGINDEX_RETURN_IF_ERROR(ApplyOption(t, out));
+  }
+  return Status::OK();
+}
+
+std::string FormatQueryReply(const QueryResult& result) {
+  std::ostringstream out;
+  out << "OK n=" << result.answers.size() << " ms=" << result.wall_ms
+      << " layer=" << result.breakdown.layer << "\n";
+  for (const Answer& a : result.answers) {
     out << "A root=";
     if (a.root == kInvalidVertex) {
       out << '-';
@@ -166,33 +340,78 @@ std::string HandleQuery(QueryService& service, const LabelDictionary* dict,
       out << a.root;
     }
     out << " score=" << a.score << " kw=";
-    for (size_t i = 0; i < a.keyword_vertices.size(); ++i) {
-      if (i) out << ',';
-      out << a.keyword_vertices[i];
-    }
+    AppendList(out, a.keyword_vertices);
     out << " v=";
-    for (size_t i = 0; i < a.vertices.size(); ++i) {
-      if (i) out << ',';
-      out << a.vertices[i];
-    }
+    AppendList(out, a.vertices);
     out << "\n";
   }
   out << ".\n";
   return out.str();
 }
 
-std::string HandleInfo(QueryService& service) {
-  ServiceIdentity id = service.Identity();
-  ServiceStats stats = service.Snapshot();
-  std::ostringstream out;
-  out << "OK epoch=" << service.epoch() << " checksum=" << std::hex
-      << id.fingerprint << std::dec << " layers=" << id.num_layers
-      << " shard=" << id.shard_id << '/' << id.num_shards << " algos=";
-  std::vector<std::string> algos = service.AlgorithmNames();
-  for (size_t i = 0; i < algos.size(); ++i) {
-    if (i) out << ',';
-    out << algos[i];
+Status ParseQueryBlock(std::span<const std::string> lines,
+                       QueryResult* out) {
+  *out = QueryResult{};
+  if (lines.empty()) return Status::IOError("empty query response");
+  size_t n = 0;
+  auto field = [&](std::string_view key, std::string_view value) {
+    if (key == "n") return ParseNumber(value, &n);
+    if (key == "ms") return ParseNumber(value, &out->wall_ms);
+    if (key == "layer") return ParseNumber(value, &out->breakdown.layer);
+    return true;
+  };
+  BIGINDEX_RETURN_IF_ERROR(ReadHead(lines[0], "query", {"n"}, field));
+  if (n != lines.size() - 1) {
+    return Status::IOError("query response announces n=" + std::to_string(n) +
+                           " but carries " + std::to_string(lines.size() - 1) +
+                           " answer lines");
   }
+  out->answers.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    BIGINDEX_RETURN_IF_ERROR(ParseAnswerLine(lines[i + 1], &out->answers[i]));
+  }
+  out->breakdown.final_answers = n;
+  return Status::OK();
+}
+
+Status ParseAnswerLine(std::string_view line, Answer* out) {
+  *out = Answer{};
+  std::string_view rest = line;
+  if (NextToken(&rest) != "A") {
+    return Status::IOError("not an answer line: '" + std::string(line) + "'");
+  }
+  std::string_view key, value;
+  for (std::string_view t = NextToken(&rest); !t.empty();
+       t = NextToken(&rest)) {
+    if (!SplitKeyValue(t, &key, &value) || !ReadAnswerField(key, value, out)) {
+      return Status::IOError("malformed answer field '" + std::string(t) +
+                             "'");
+    }
+  }
+  return Status::OK();
+}
+
+Status ParseErrLine(std::string_view line) {
+  if (!line.starts_with("ERR")) return Status::OK();
+  const std::string_view rest = line.substr(std::min<size_t>(4, line.size()));
+  const size_t colon = std::min(rest.find(':'), rest.size());
+  std::string_view message = rest.substr(std::min(colon + 1, rest.size()));
+  if (message.starts_with(' ')) message.remove_prefix(1);
+  for (int c = 1; c <= static_cast<int>(StatusCode::kUnavailable); ++c) {
+    const auto code = static_cast<StatusCode>(c);
+    if (rest.substr(0, colon) == StatusCodeName(code)) {
+      return Status(code, std::string(message));
+    }
+  }
+  return Status::IOError("server error: " + std::string(rest));
+}
+
+std::string FormatInfoReply(const ShardInfo& info, const ServiceStats& stats) {
+  std::ostringstream out;
+  out << "OK epoch=" << info.epoch << " checksum=" << std::hex
+      << info.fingerprint << std::dec << " layers=" << info.num_layers
+      << " shard=" << info.shard_id << '/' << info.num_shards << " algos=";
+  AppendList(out, info.algorithms);
   // Live-update health; older ParseInfoLine implementations skip unknown
   // keys, so these are backward-compatible additions.
   out << " updates=" << stats.updates_applied << '/' << stats.updates_rejected
@@ -204,274 +423,38 @@ std::string HandleInfo(QueryService& service) {
   return out.str();
 }
 
-std::string HandleUpdate(QueryService& service,
-                         const std::vector<std::string>& tokens) {
-  if (tokens.size() < 2) {
-    return ErrBlock("usage: update (add:<u>:<v>|remove:<u>:<v>)...");
-  }
-  std::vector<GraphUpdate> updates;
-  updates.reserve(tokens.size() - 1);
-  for (size_t i = 1; i < tokens.size(); ++i) {
-    GraphUpdate up;
-    Status parsed = ParseUpdateOp(tokens[i], &up);
-    if (!parsed.ok()) return ErrBlock(parsed);
-    updates.push_back(up);
-  }
-  StatusOr<UpdateOutcome> outcome = service.ApplyUpdate(updates);
-  if (!outcome.ok()) return ErrBlock(outcome.status());
-  std::ostringstream out;
-  out << "OK applied=" << outcome->applied << " skipped=" << outcome->skipped
-      << " rebuilt=" << outcome->layers_rebuilt
-      << " epoch=" << outcome->epoch << " mode=" << UpdateModeName(
-             outcome->mode) << "\n.\n";
-  return out.str();
-}
-
-std::string HandleBoundary(QueryService& service) {
-  StatusOr<BoundaryExport> ex = service.Boundary();
-  if (!ex.ok()) return ErrBlock(ex.status());
-  std::ostringstream out;
-  out << "OK vertices=" << ex->vertices.size() << " edges="
-      << ex->edges.size() << " cut=" << ex->cut_edges.size()
-      << " radius=" << ex->radius_cap << "\n";
-  for (const auto& [id, label] : ex->vertices) {
-    out << "v " << id << ' ' << label << "\n";
-  }
-  for (const auto& [u, v] : ex->edges) out << "e " << u << ' ' << v << "\n";
-  for (const auto& [u, v] : ex->cut_edges) {
-    out << "c " << u << ' ' << v << "\n";
-  }
-  out << ".\n";
-  return out.str();
-}
-
-}  // namespace
-
-LineHandler::Result LineHandler::Handle(const std::string& line) {
-  std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.empty()) return {ErrBlock("empty request"), false};
-  std::string cmd = tokens[0];
-  std::transform(cmd.begin(), cmd.end(), cmd.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-
-  if (cmd == "query") {
-    return {HandleQuery(*service_, dict_, tokens), false};
-  }
-  if (cmd == "stats") {
-    return {"OK " + service_->Snapshot().ToString() + "\n.\n", false};
-  }
-  if (cmd == "metrics") {
-    return {"OK\n" + MetricsRegistry::Global().RenderPrometheus() + ".\n",
-            false};
-  }
-  if (cmd == "trace") {
-    return {HandleTrace(tokens), false};
-  }
-  if (cmd == "bump") {
-    return {"OK epoch=" + std::to_string(service_->BumpEpoch()) + "\n.\n",
-            false};
-  }
-  if (cmd == "update") {
-    return {HandleUpdate(*service_, tokens), false};
-  }
-  if (cmd == "rollback") {
-    StatusOr<uint64_t> epoch = service_->Rollback();
-    if (!epoch.ok()) return {ErrBlock(epoch.status()), false};
-    return {"OK epoch=" + std::to_string(*epoch) + "\n.\n", false};
-  }
-  if (cmd == "boundary") {
-    return {HandleBoundary(*service_), false};
-  }
-  if (cmd == "algos") {
-    std::string out = "OK";
-    for (const std::string& name : service_->AlgorithmNames()) {
-      out += ' ';
-      out += name;
+Status ParseInfoLine(std::string_view line, ShardInfo* out) {
+  *out = ShardInfo{};
+  auto field = [&](std::string_view key, std::string_view value) {
+    if (key == "epoch") return ParseNumber(value, &out->epoch);
+    if (key == "checksum") return ParseNumber(value, &out->fingerprint, 16);
+    if (key == "layers") return ParseNumber(value, &out->num_layers);
+    if (key == "shard") {
+      const size_t slash = value.find('/');
+      return slash != std::string_view::npos &&
+             ParseNumber(value.substr(0, slash), &out->shard_id) &&
+             ParseNumber(value.substr(slash + 1), &out->num_shards);
     }
-    return {out + "\n.\n", false};
-  }
-  if (cmd == "info") {
-    return {HandleInfo(*service_), false};
-  }
-  if (cmd == "ping") {
-    return {"OK pong\n.\n", false};
-  }
-  if (cmd == "quit") {
-    return {"OK bye\n.\n", true};
-  }
-  return {ErrBlock("unknown command '" + cmd + "'"), false};
-}
-
-// ---------------------------------------------------------------------------
-// Client-side wire helpers
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Round-trip double formatting (beta on the wire).
-std::string FormatDouble(double v) {
-  std::ostringstream out;
-  out.precision(17);
-  out << v;
-  return out.str();
-}
-
-Status ParseVertexList(const std::string& spec, std::vector<VertexId>* out) {
-  std::stringstream in(spec);
-  std::string tok;
-  while (std::getline(in, tok, ',')) {
-    VertexId v = kInvalidVertex;
-    if (!ParseVertexId(tok, &v)) {
-      return Status::IOError("bad vertex id '" + tok + "' in answer line");
+    if (key == "algos") {
+      ForEachItem(value, [out](std::string_view name) {
+        if (!name.empty()) out->algorithms.emplace_back(name);
+        return true;
+      });
     }
-    out->push_back(v);
-  }
-  return Status::OK();
+    return true;
+  };
+  return ReadHead(line, "INFO", {"epoch", "shard"}, field);
 }
 
-}  // namespace
-
-Status ParseUpdateOp(const std::string& token, GraphUpdate* out) {
-  size_t c1 = token.find(':');
-  size_t c2 = c1 == std::string::npos ? std::string::npos
-                                      : token.find(':', c1 + 1);
-  if (c2 == std::string::npos) {
-    return Status::InvalidArgument("malformed update op '" + token +
-                                   "' (want add:<u>:<v> or remove:<u>:<v>)");
-  }
-  std::string kind = token.substr(0, c1);
-  std::string u = token.substr(c1 + 1, c2 - c1 - 1);
-  std::string v = token.substr(c2 + 1);
-  if (kind == "add") {
-    out->kind = GraphUpdate::Kind::kAddEdge;
-  } else if (kind == "remove") {
-    out->kind = GraphUpdate::Kind::kRemoveEdge;
-  } else {
-    return Status::InvalidArgument("unknown update op kind '" + kind + "'");
-  }
-  if (!ParseVertexId(u, &out->source) || !ParseVertexId(v, &out->target)) {
-    return Status::InvalidArgument("bad vertex id in update op '" + token +
-                                   "'");
-  }
-  return Status::OK();
+std::string FormatEpochReply(uint64_t epoch) {
+  return "OK epoch=" + std::to_string(epoch) + "\n.\n";
 }
 
-std::string FormatQueryLine(const EngineQuery& q) {
-  std::ostringstream out;
-  out << "query " << q.algorithm << ' ';
-  for (size_t i = 0; i < q.keywords.size(); ++i) {
-    if (i) out << ',';
-    out << q.keywords[i];
-  }
-  out << " top_k=" << q.eval.top_k << " layer=" << q.eval.forced_layer
-      << " exact=" << (q.eval.exact_verification ? 1 : 0)
-      << " beta=" << FormatDouble(q.eval.beta);
-  if (!q.eval.deadline.IsNever()) {
-    out << " deadline_ms=" << FormatDouble(q.eval.deadline.RemainingMillis());
-  }
-  return out.str();
-}
-
-Status ParseAnswerLine(const std::string& line, Answer* out) {
-  *out = Answer{};
-  std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.empty() || tokens[0] != "A") {
-    return Status::IOError("not an answer line: '" + line + "'");
-  }
-  for (size_t i = 1; i < tokens.size(); ++i) {
-    size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      return Status::IOError("malformed answer field '" + tokens[i] + "'");
-    }
-    std::string key = tokens[i].substr(0, eq);
-    std::string value = tokens[i].substr(eq + 1);
-    if (key == "root") {
-      if (value == "-") {
-        out->root = kInvalidVertex;
-      } else if (!ParseVertexId(value, &out->root)) {
-        return Status::IOError("bad root '" + value + "'");
-      }
-    } else if (key == "score") {
-      if (!AllDigits(value)) return Status::IOError("bad score '" + value + "'");
-      out->score = static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr,
-                                                      10));
-    } else if (key == "kw") {
-      BIGINDEX_RETURN_IF_ERROR(ParseVertexList(value, &out->keyword_vertices));
-    } else if (key == "v") {
-      BIGINDEX_RETURN_IF_ERROR(ParseVertexList(value, &out->vertices));
-    } else {
-      return Status::IOError("unknown answer field '" + key + "'");
-    }
-  }
-  return Status::OK();
-}
-
-Status ParseErrLine(const std::string& line) {
-  if (!line.starts_with("ERR")) return Status::OK();
-  std::string rest = line.size() > 4 ? line.substr(4) : "";
-  std::string code = rest, message;
-  size_t colon = rest.find(':');
-  if (colon != std::string::npos) {
-    code = rest.substr(0, colon);
-    message = rest.substr(colon + 1);
-    if (!message.empty() && message.front() == ' ') message.erase(0, 1);
-  }
-  if (code == "InvalidArgument") return Status::InvalidArgument(message);
-  if (code == "NotFound") return Status::NotFound(message);
-  if (code == "Corruption") return Status::Corruption(message);
-  if (code == "IOError") return Status::IOError(message);
-  if (code == "FailedPrecondition") return Status::FailedPrecondition(message);
-  if (code == "OutOfRange") return Status::OutOfRange(message);
-  if (code == "Unimplemented") return Status::Unimplemented(message);
-  if (code == "DeadlineExceeded") return Status::DeadlineExceeded(message);
-  if (code == "Unavailable") return Status::Unavailable(message);
-  return Status::IOError("server error: " + rest);
-}
-
-Status ParseInfoLine(const std::string& line, WireInfo* out) {
-  *out = WireInfo{};
-  std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.empty() || tokens[0] != "OK") {
-    return Status::IOError("not an INFO response: '" + line + "'");
-  }
-  bool saw_epoch = false, saw_shard = false;
-  for (size_t i = 1; i < tokens.size(); ++i) {
-    size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) continue;
-    std::string key = tokens[i].substr(0, eq);
-    std::string value = tokens[i].substr(eq + 1);
-    if (key == "epoch") {
-      saw_epoch = true;
-      out->epoch = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "checksum") {
-      out->fingerprint = std::strtoull(value.c_str(), nullptr, 16);
-    } else if (key == "layers") {
-      out->num_layers =
-          static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (key == "shard") {
-      saw_shard = true;
-      size_t slash = value.find('/');
-      if (slash == std::string::npos) {
-        return Status::IOError("malformed shard field '" + value + "'");
-      }
-      out->shard_id =
-          static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-      out->num_shards = static_cast<uint32_t>(
-          std::strtoul(value.c_str() + slash + 1, nullptr, 10));
-    } else if (key == "algos") {
-      std::stringstream in(value);
-      std::string name;
-      while (std::getline(in, name, ',')) {
-        if (!name.empty()) out->algorithms.push_back(name);
-      }
-    }
-  }
-  if (!saw_epoch || !saw_shard) {
-    return Status::IOError("INFO response missing required fields: '" +
-                           line + "'");
-  }
-  return Status::OK();
+Status ParseEpochLine(std::string_view line, uint64_t* epoch) {
+  auto field = [&](std::string_view key, std::string_view value) {
+    return key != "epoch" || ParseNumber(value, epoch);
+  };
+  return ReadHead(line, "epoch", {"epoch"}, field);
 }
 
 std::string FormatUpdateLine(std::span<const GraphUpdate> updates) {
@@ -484,100 +467,104 @@ std::string FormatUpdateLine(std::span<const GraphUpdate> updates) {
   return out.str();
 }
 
-Status ParseUpdateOutcomeLine(const std::string& line, UpdateOutcome* out) {
-  *out = UpdateOutcome{};
-  std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.empty() || tokens[0] != "OK") {
-    return Status::IOError("not an UPDATE response: '" + line + "'");
+Status ParseUpdateOp(std::string_view token, GraphUpdate* out) {
+  const size_t c1 = token.find(':');
+  const size_t c2 = c1 == std::string_view::npos ? c1 : token.find(':', c1 + 1);
+  if (c2 == std::string_view::npos) {
+    return Status::InvalidArgument("malformed update op '" +
+                                   std::string(token) +
+                                   "' (want add:<u>:<v> or remove:<u>:<v>)");
   }
-  bool saw_applied = false, saw_epoch = false;
-  for (size_t i = 1; i < tokens.size(); ++i) {
-    size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) continue;
-    std::string key = tokens[i].substr(0, eq);
-    std::string value = tokens[i].substr(eq + 1);
-    if (key == "applied") {
-      saw_applied = true;
-      out->applied = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "skipped") {
-      out->skipped = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "rebuilt") {
-      out->layers_rebuilt = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "epoch") {
-      saw_epoch = true;
-      out->epoch = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "mode") {
-      if (value == "none") {
-        out->mode = UpdateOutcome::Mode::kNone;
-      } else if (value == "incremental") {
-        out->mode = UpdateOutcome::Mode::kIncremental;
-      } else if (value == "wholesale") {
-        out->mode = UpdateOutcome::Mode::kWholesale;
-      } else if (value == "rebuild") {
-        out->mode = UpdateOutcome::Mode::kRebuild;
-      } else {
-        return Status::IOError("unknown update mode '" + value + "'");
-      }
-    }
+  const std::string_view kind = token.substr(0, c1);
+  if (kind == "add") {
+    out->kind = GraphUpdate::Kind::kAddEdge;
+  } else if (kind == "remove") {
+    out->kind = GraphUpdate::Kind::kRemoveEdge;
+  } else {
+    return Status::InvalidArgument("unknown update op kind '" +
+                                   std::string(kind) + "'");
   }
-  if (!saw_applied || !saw_epoch) {
-    return Status::IOError("UPDATE response missing required fields: '" +
-                           line + "'");
+  if (!ParseNumber(token.substr(c1 + 1, c2 - c1 - 1), &out->source) ||
+      !ParseNumber(token.substr(c2 + 1), &out->target)) {
+    return Status::InvalidArgument("bad vertex id in update op '" +
+                                   std::string(token) + "'");
   }
   return Status::OK();
+}
+
+std::string FormatUpdateReply(const UpdateOutcome& outcome) {
+  std::ostringstream out;
+  out << "OK applied=" << outcome.applied << " skipped=" << outcome.skipped
+      << " rebuilt=" << outcome.layers_rebuilt << " epoch=" << outcome.epoch
+      << " mode=" << UpdateModeName(outcome.mode) << "\n.\n";
+  return out.str();
+}
+
+Status ParseUpdateOutcomeLine(std::string_view line, UpdateOutcome* out) {
+  *out = UpdateOutcome{};
+  auto field = [&](std::string_view key, std::string_view value) {
+    if (key == "applied") return ParseNumber(value, &out->applied);
+    if (key == "skipped") return ParseNumber(value, &out->skipped);
+    if (key == "rebuilt") return ParseNumber(value, &out->layers_rebuilt);
+    if (key == "epoch") return ParseNumber(value, &out->epoch);
+    if (key != "mode") return true;
+    using Mode = UpdateOutcome::Mode;
+    for (Mode mode : {Mode::kNone, Mode::kIncremental, Mode::kWholesale,
+                      Mode::kRebuild}) {
+      if (value == UpdateModeName(mode)) {
+        out->mode = mode;
+        return true;
+      }
+    }
+    return false;
+  };
+  return ReadHead(line, "UPDATE", {"applied", "epoch"}, field);
+}
+
+std::string FormatBoundaryReply(const BoundaryExport& ex) {
+  std::ostringstream out;
+  out << "OK vertices=" << ex.vertices.size() << " edges=" << ex.edges.size()
+      << " cut=" << ex.cut_edges.size() << " radius=" << ex.radius_cap << "\n";
+  for (const auto& [id, label] : ex.vertices) {
+    out << "v " << id << ' ' << label << "\n";
+  }
+  for (const auto& [u, v] : ex.edges) out << "e " << u << ' ' << v << "\n";
+  for (const auto& [u, v] : ex.cut_edges) out << "c " << u << ' ' << v << "\n";
+  out << ".\n";
+  return out.str();
 }
 
 Status ParseBoundaryBlock(std::span<const std::string> lines,
                           BoundaryExport* out) {
   *out = BoundaryExport{};
   if (lines.empty()) return Status::IOError("empty BOUNDARY response");
-  std::vector<std::string> head = Tokenize(lines[0]);
-  if (head.empty() || head[0] != "OK") {
-    return Status::IOError("not a BOUNDARY response: '" + lines[0] + "'");
-  }
   size_t want_vertices = 0, want_edges = 0, want_cut = 0;
-  bool saw_vertices = false, saw_cut = false;
-  for (size_t i = 1; i < head.size(); ++i) {
-    size_t eq = head[i].find('=');
-    if (eq == std::string::npos) continue;
-    std::string key = head[i].substr(0, eq);
-    const char* value = head[i].c_str() + eq + 1;
-    if (key == "vertices") {
-      saw_vertices = true;
-      want_vertices = std::strtoull(value, nullptr, 10);
-    } else if (key == "edges") {
-      want_edges = std::strtoull(value, nullptr, 10);
-    } else if (key == "cut") {
-      saw_cut = true;
-      want_cut = std::strtoull(value, nullptr, 10);
-    } else if (key == "radius") {
-      out->radius_cap =
-          static_cast<uint32_t>(std::strtoul(value, nullptr, 10));
-    }
-  }
-  if (!saw_vertices || !saw_cut) {
-    return Status::IOError("BOUNDARY response missing required fields: '" +
-                           lines[0] + "'");
-  }
+  auto field = [&](std::string_view key, std::string_view value) {
+    if (key == "vertices") return ParseNumber(value, &want_vertices);
+    if (key == "edges") return ParseNumber(value, &want_edges);
+    if (key == "cut") return ParseNumber(value, &want_cut);
+    if (key == "radius") return ParseNumber(value, &out->radius_cap);
+    return true;
+  };
+  BIGINDEX_RETURN_IF_ERROR(
+      ReadHead(lines[0], "BOUNDARY", {"vertices", "cut"}, field));
   for (size_t i = 1; i < lines.size(); ++i) {
-    std::vector<std::string> tokens = Tokenize(lines[i]);
-    if (tokens.size() != 3 ||
-        !AllDigits(tokens[1]) || !AllDigits(tokens[2])) {
+    std::string_view rest = lines[i];
+    const std::string_view kind = NextToken(&rest);
+    VertexId first = 0, second = 0;
+    if (!ParseNumber(NextToken(&rest), &first) ||
+        !ParseNumber(NextToken(&rest), &second) || !NextToken(&rest).empty()) {
       return Status::IOError("malformed boundary record '" + lines[i] + "'");
     }
-    auto first = static_cast<VertexId>(
-        std::strtoul(tokens[1].c_str(), nullptr, 10));
-    auto second = static_cast<VertexId>(
-        std::strtoul(tokens[2].c_str(), nullptr, 10));
-    if (tokens[0] == "v") {
+    if (kind == "v") {
       out->vertices.emplace_back(first, static_cast<LabelId>(second));
-    } else if (tokens[0] == "e") {
+    } else if (kind == "e") {
       out->edges.emplace_back(first, second);
-    } else if (tokens[0] == "c") {
+    } else if (kind == "c") {
       out->cut_edges.emplace_back(first, second);
     } else {
-      return Status::IOError("unknown boundary record kind '" + tokens[0] +
-                             "'");
+      return Status::IOError("unknown boundary record kind '" +
+                             std::string(kind) + "'");
     }
   }
   if (out->vertices.size() != want_vertices ||

@@ -15,6 +15,8 @@
 #include <thread>
 #include <utility>
 
+#include "server/line_protocol.h"
+
 namespace bigindex {
 
 ProtocolClient::ProtocolClient(std::string host, uint16_t port,
@@ -144,6 +146,20 @@ StatusOr<std::vector<std::string>> ProtocolClient::Request(
     }
     buffer_.append(chunk, static_cast<size_t>(n));
   }
+}
+
+StatusOr<std::vector<std::string>> ProtocolClient::Call(
+    const std::string& line) {
+  StatusOr<std::vector<std::string>> block = Request(line);
+  if (!block.ok()) return block;
+  const std::string verb = line.substr(0, line.find(' '));
+  if (block->empty()) return Status::IOError("empty " + verb + " response");
+  const std::string& head = block->front();
+  if (head.starts_with("ERR")) return ParseErrLine(head);
+  if (head != "OK" && !head.starts_with("OK ")) {
+    return Status::IOError("unexpected " + verb + " response: '" + head + "'");
+  }
+  return block;
 }
 
 }  // namespace bigindex

@@ -59,6 +59,11 @@ class ProtocolClient {
   /// loss.
   StatusOr<std::vector<std::string>> Request(const std::string& line);
 
+  /// Request() plus the check every typed reply needs: an empty block or a
+  /// head other than "OK ..." fails, an ERR head as the Status it encodes.
+  /// On success front() is the OK head.
+  StatusOr<std::vector<std::string>> Call(const std::string& line);
+
   /// Closes the connection (re-openable by the next Connect()/Request()).
   void Disconnect();
 

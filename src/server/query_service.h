@@ -83,6 +83,21 @@ struct ServiceIdentity {
                          const ServiceIdentity&) = default;
 };
 
+/// What a service reports about itself: the INFO verb's payload, and what
+/// a shard substrate returns per shard. The coordinator verifies these at
+/// attach time: shard ids must form an exact cover 0..N-1 of a common
+/// num_shards, and layer counts and algorithm sets must agree, so a
+/// misassembled fleet fails fast instead of silently merging answers from
+/// incompatible indexes.
+struct ShardInfo {
+  uint64_t epoch = 0;
+  uint64_t fingerprint = 0;  // index-image checksum; 0 for built-in-memory
+  uint32_t num_layers = 0;
+  uint32_t shard_id = 0;
+  uint32_t num_shards = 0;  // 0 = the service is a monolithic index
+  std::vector<std::string> algorithms;
+};
+
 /// Result of applying one edge-update batch through a service (the UPDATE
 /// verb). `applied` counts net edge changes, `skipped` the rest of the
 /// batch (redundant ops, and — on shard workers — edges owned by another
@@ -169,6 +184,13 @@ class QueryService {
     return BoundaryExport{};
   }
 };
+
+/// `service`'s INFO payload: its epoch, identity and algorithm names.
+inline ShardInfo InfoOf(const QueryService& service) {
+  const ServiceIdentity id = service.Identity();
+  return {service.epoch(), id.fingerprint, id.num_layers, id.shard_id,
+          id.num_shards, service.AlgorithmNames()};
+}
 
 }  // namespace bigindex
 

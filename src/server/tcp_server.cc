@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <string>
@@ -102,14 +103,24 @@ void TcpServer::ServeConnection(int fd) {
       break;  // client gone or Stop() shut the socket down
     }
     buffer.append(chunk, static_cast<size_t>(n));
-    size_t nl;
-    while (open && (nl = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, nl);
-      buffer.erase(0, nl + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      LineHandler::Result result = handler.Handle(line);
-      if (!WriteAll(fd, result.response) || result.close) open = false;
+    while (open) {
+      const size_t nl = buffer.find('\n');
+      if (std::min(nl, buffer.size()) > kMaxRequestLineBytes) {
+        WriteAll(fd, "ERR InvalidArgument: request line exceeds " +
+                         std::to_string(kMaxRequestLineBytes) +
+                         " bytes\n.\n");
+        open = false;
+      } else if (nl == std::string::npos) {
+        break;
+      } else {
+        std::string_view line(buffer.data(), nl);
+        if (line.ends_with('\r')) line.remove_suffix(1);
+        if (!line.empty()) {
+          LineHandler::Result result = handler.Handle(line);
+          if (!WriteAll(fd, result.response) || result.close) open = false;
+        }
+        buffer.erase(0, nl + 1);
+      }
     }
   }
   ::shutdown(fd, SHUT_RDWR);

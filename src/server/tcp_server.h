@@ -22,6 +22,11 @@
 
 namespace bigindex {
 
+/// The longest request line a connection reads, newline excluded. A longer
+/// one answers ERR InvalidArgument and the server closes that connection,
+/// so a client that never sends '\n' cannot grow its buffer without limit.
+inline constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
+
 struct TcpServerOptions {
   /// 0 = pick an ephemeral port (read it back with port()).
   uint16_t port = 7419;

@@ -40,16 +40,7 @@ Status InProcessSubstrate::CheckShard(size_t shard) const {
 
 StatusOr<ShardInfo> InProcessSubstrate::Info(size_t shard) {
   BIGINDEX_RETURN_IF_ERROR(CheckShard(shard));
-  QueryService& service = *shards_[shard];
-  ServiceIdentity id = service.Identity();
-  ShardInfo info;
-  info.epoch = service.epoch();
-  info.fingerprint = id.fingerprint;
-  info.num_layers = id.num_layers;
-  info.shard_id = id.shard_id;
-  info.num_shards = id.num_shards;
-  info.algorithms = service.AlgorithmNames();
-  return info;
+  return InfoOf(*shards_[shard]);
 }
 
 StatusOr<QueryResult> InProcessSubstrate::Query(size_t shard,

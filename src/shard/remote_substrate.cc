@@ -1,12 +1,21 @@
 #include "shard/remote_substrate.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "server/line_protocol.h"
 
 namespace bigindex {
+namespace {
+
+/// The epoch of a checked BUMP or ROLLBACK reply.
+StatusOr<uint64_t> EpochOf(const StatusOr<std::vector<std::string>>& lines) {
+  if (!lines.ok()) return lines.status();
+  uint64_t epoch = 0;
+  BIGINDEX_RETURN_IF_ERROR(ParseEpochLine(lines->front(), &epoch));
+  return epoch;
+}
+
+}  // namespace
 
 RemoteSubstrate::RemoteSubstrate(std::vector<ShardEndpoint> endpoints,
                                  ProtocolClientOptions client_options) {
@@ -16,125 +25,56 @@ RemoteSubstrate::RemoteSubstrate(std::vector<ShardEndpoint> endpoints,
   }
 }
 
-Status RemoteSubstrate::CheckShard(size_t shard) const {
+StatusOr<std::vector<std::string>> RemoteSubstrate::Call(
+    size_t shard, const std::string& line) {
   if (shard >= shards_.size()) {
     return Status::OutOfRange("shard " + std::to_string(shard) +
                               " out of range (substrate has " +
                               std::to_string(shards_.size()) + ")");
   }
-  return Status::OK();
-}
-
-StatusOr<std::vector<std::string>> RemoteSubstrate::RequestLocked(
-    size_t shard, const std::string& line) {
   Shard& s = *shards_[shard];
   std::lock_guard<std::mutex> lock(s.mutex);
-  return s.client.Request(line);
+  return s.client.Call(line);
 }
 
 StatusOr<ShardInfo> RemoteSubstrate::Info(size_t shard) {
-  BIGINDEX_RETURN_IF_ERROR(CheckShard(shard));
-  auto lines = RequestLocked(shard, "info");
+  auto lines = Call(shard, "info");
   if (!lines.ok()) return lines.status();
-  if (lines->empty()) return Status::IOError("empty INFO response");
-  const std::string& head = lines->front();
-  if (head.starts_with("ERR")) return ParseErrLine(head);
-  WireInfo wire;
-  BIGINDEX_RETURN_IF_ERROR(ParseInfoLine(head, &wire));
   ShardInfo info;
-  info.epoch = wire.epoch;
-  info.fingerprint = wire.fingerprint;
-  info.num_layers = wire.num_layers;
-  info.shard_id = wire.shard_id;
-  info.num_shards = wire.num_shards;
-  info.algorithms = std::move(wire.algorithms);
+  BIGINDEX_RETURN_IF_ERROR(ParseInfoLine(lines->front(), &info));
   return info;
 }
 
 StatusOr<QueryResult> RemoteSubstrate::Query(size_t shard,
                                              const EngineQuery& query) {
-  BIGINDEX_RETURN_IF_ERROR(CheckShard(shard));
-  auto lines = RequestLocked(shard, FormatQueryLine(query));
+  auto lines = Call(shard, FormatQueryLine(query));
   if (!lines.ok()) return lines.status();
-  if (lines->empty()) return Status::IOError("empty query response");
-  const std::string& head = lines->front();
-  if (head.starts_with("ERR")) return ParseErrLine(head);
-  if (!head.starts_with("OK")) {
-    return Status::IOError("unexpected response head: '" + head + "'");
-  }
   QueryResult result;
+  BIGINDEX_RETURN_IF_ERROR(ParseQueryBlock(*lines, &result));
   result.algorithm = query.algorithm;
-  // Head fields: n= is implied by the A-line count; ms= and layer= are the
-  // shard's own measurements.
-  for (const char* key : {" ms=", " layer="}) {
-    size_t at = head.find(key);
-    if (at == std::string::npos) continue;
-    const char* value = head.c_str() + at + std::strlen(key);
-    if (key[1] == 'm') {
-      result.wall_ms = std::atof(value);
-    } else {
-      result.breakdown.layer = static_cast<size_t>(std::atoll(value));
-    }
-  }
-  result.answers.reserve(lines->size() - 1);
-  for (size_t i = 1; i < lines->size(); ++i) {
-    Answer a;
-    BIGINDEX_RETURN_IF_ERROR(ParseAnswerLine((*lines)[i], &a));
-    result.answers.push_back(std::move(a));
-  }
-  result.breakdown.final_answers = result.answers.size();
   return result;
 }
 
 StatusOr<UpdateOutcome> RemoteSubstrate::Update(
     size_t shard, std::span<const GraphUpdate> updates) {
-  BIGINDEX_RETURN_IF_ERROR(CheckShard(shard));
-  auto lines = RequestLocked(shard, FormatUpdateLine(updates));
+  auto lines = Call(shard, FormatUpdateLine(updates));
   if (!lines.ok()) return lines.status();
-  if (lines->empty()) return Status::IOError("empty update response");
-  const std::string& head = lines->front();
-  if (head.starts_with("ERR")) return ParseErrLine(head);
   UpdateOutcome outcome;
-  BIGINDEX_RETURN_IF_ERROR(ParseUpdateOutcomeLine(head, &outcome));
+  BIGINDEX_RETURN_IF_ERROR(ParseUpdateOutcomeLine(lines->front(), &outcome));
   return outcome;
 }
 
 StatusOr<uint64_t> RemoteSubstrate::BumpEpoch(size_t shard) {
-  BIGINDEX_RETURN_IF_ERROR(CheckShard(shard));
-  auto lines = RequestLocked(shard, "bump");
-  if (!lines.ok()) return lines.status();
-  if (lines->empty()) return Status::IOError("empty bump response");
-  const std::string& head = lines->front();
-  if (head.starts_with("ERR")) return ParseErrLine(head);
-  size_t at = head.find("epoch=");
-  if (!head.starts_with("OK") || at == std::string::npos) {
-    return Status::IOError("unexpected bump response: '" + head + "'");
-  }
-  return static_cast<uint64_t>(
-      std::strtoull(head.c_str() + at + 6, nullptr, 10));
+  return EpochOf(Call(shard, "bump"));
 }
 
 StatusOr<uint64_t> RemoteSubstrate::Rollback(size_t shard) {
-  BIGINDEX_RETURN_IF_ERROR(CheckShard(shard));
-  auto lines = RequestLocked(shard, "rollback");
-  if (!lines.ok()) return lines.status();
-  if (lines->empty()) return Status::IOError("empty rollback response");
-  const std::string& head = lines->front();
-  if (head.starts_with("ERR")) return ParseErrLine(head);
-  size_t at = head.find("epoch=");
-  if (!head.starts_with("OK") || at == std::string::npos) {
-    return Status::IOError("unexpected rollback response: '" + head + "'");
-  }
-  return static_cast<uint64_t>(
-      std::strtoull(head.c_str() + at + 6, nullptr, 10));
+  return EpochOf(Call(shard, "rollback"));
 }
 
 StatusOr<BoundaryExport> RemoteSubstrate::Boundary(size_t shard) {
-  BIGINDEX_RETURN_IF_ERROR(CheckShard(shard));
-  auto lines = RequestLocked(shard, "boundary");
+  auto lines = Call(shard, "boundary");
   if (!lines.ok()) return lines.status();
-  if (lines->empty()) return Status::IOError("empty boundary response");
-  if (lines->front().starts_with("ERR")) return ParseErrLine(lines->front());
   BoundaryExport ex;
   BIGINDEX_RETURN_IF_ERROR(ParseBoundaryBlock(*lines, &ex));
   return ex;

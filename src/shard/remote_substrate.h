@@ -57,10 +57,10 @@ class RemoteSubstrate : public ShardSubstrate {
         : client(ep.host, ep.port, opts) {}
   };
 
-  Status CheckShard(size_t shard) const;
-  /// Locks the shard and runs one lockstep request.
-  StatusOr<std::vector<std::string>> RequestLocked(size_t shard,
-                                                   const std::string& line);
+  /// Checks the shard index, locks the shard and runs one checked
+  /// lockstep call (ProtocolClient::Call).
+  StatusOr<std::vector<std::string>> Call(size_t shard,
+                                          const std::string& line);
 
   std::vector<std::unique_ptr<Shard>> shards_;
 };

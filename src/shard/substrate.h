@@ -35,20 +35,6 @@
 
 namespace bigindex {
 
-/// What one shard reports about itself (the protocol INFO verb's payload).
-/// The coordinator verifies these at attach time: shard ids must form an
-/// exact cover 0..N-1 of a common num_shards, and layer counts and
-/// algorithm sets must agree, so a misassembled fleet fails fast instead of
-/// silently merging answers from incompatible indexes.
-struct ShardInfo {
-  uint64_t epoch = 0;
-  uint64_t fingerprint = 0;  // index-image checksum; 0 for built-in-memory
-  uint32_t num_layers = 0;
-  uint32_t shard_id = 0;
-  uint32_t num_shards = 0;  // 0 = the worker serves a monolithic index
-  std::vector<std::string> algorithms;
-};
-
 class ShardSubstrate {
  public:
   virtual ~ShardSubstrate() = default;

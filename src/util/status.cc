@@ -1,9 +1,8 @@
 #include "util/status.h"
 
 namespace bigindex {
-namespace {
 
-const char* CodeName(StatusCode code) {
+const char* StatusCodeName(StatusCode code) {
   switch (code) {
     case StatusCode::kOk:
       return "OK";
@@ -29,11 +28,9 @@ const char* CodeName(StatusCode code) {
   return "Unknown";
 }
 
-}  // namespace
-
 std::string Status::ToString() const {
   if (ok()) return "OK";
-  std::string result = CodeName(code_);
+  std::string result = StatusCodeName(code_);
   if (!message_.empty()) {
     result += ": ";
     result += message_;

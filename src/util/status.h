@@ -27,6 +27,9 @@ enum class StatusCode {
   kUnavailable,
 };
 
+/// The code's name as Status::ToString() and the wire's ERR lines spell it.
+const char* StatusCodeName(StatusCode code);
+
 /// Result of a fallible operation: an error code plus human-readable message.
 ///
 /// A default-constructed Status is OK. Statuses are cheap to copy (the message
@@ -34,6 +37,8 @@ enum class StatusCode {
 class Status {
  public:
   Status() : code_(StatusCode::kOk) {}
+  Status(StatusCode code, std::string msg)
+      : code_(code), message_(std::move(msg)) {}
 
   static Status OK() { return Status(); }
   static Status InvalidArgument(std::string msg) {
@@ -76,9 +81,6 @@ class Status {
   std::string ToString() const;
 
  private:
-  Status(StatusCode code, std::string msg)
-      : code_(code), message_(std::move(msg)) {}
-
   StatusCode code_;
   std::string message_;
 };

@@ -4,6 +4,7 @@
 #ifndef BIGINDEX_UTIL_TIMER_H_
 #define BIGINDEX_UTIL_TIMER_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <limits>
@@ -47,7 +48,10 @@ class Deadline {
   Deadline() : deadline_(Clock::time_point::max()) {}
 
   /// Expires `budget_ms` from now. A non-positive budget is already expired.
+  /// The budget is clamped to +-kMaxBudgetMs (~31 years), so any double,
+  /// including one read off the wire, converts to a clock offset safely.
   static Deadline After(double budget_ms) {
+    budget_ms = std::clamp(budget_ms, -kMaxBudgetMs, kMaxBudgetMs);
     Deadline d;
     d.deadline_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                      std::chrono::duration<double, std::milli>(
@@ -73,6 +77,7 @@ class Deadline {
 
  private:
   using Clock = std::chrono::steady_clock;
+  static constexpr double kMaxBudgetMs = 1e12;
   Clock::time_point deadline_;
 };
 

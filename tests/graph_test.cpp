@@ -135,6 +135,15 @@ TEST(GraphTest, LabelIndex) {
   EXPECT_TRUE(g.VerticesWithLabel(99).empty());
 }
 
+TEST(GraphTest, LabelIndexRejectsTheLargestIds) {
+  // kInvalidLabel + 1 wraps to 0 in 32 bits; the bound check must not.
+  Graph g = Diamond();
+  EXPECT_TRUE(g.VerticesWithLabel(kInvalidLabel).empty());
+  EXPECT_TRUE(g.VerticesWithLabel(kInvalidLabel - 1).empty());
+  EXPECT_EQ(g.LabelCount(kInvalidLabel), 0u);
+  EXPECT_TRUE(Graph().VerticesWithLabel(kInvalidLabel).empty());
+}
+
 TEST(GraphTest, DistinctLabelsSorted) {
   Graph g = Diamond();
   auto labels = g.DistinctLabels();

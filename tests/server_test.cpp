@@ -676,6 +676,55 @@ TEST(LineProtocolTest, QueryAnswersMatchEngine) {
   EXPECT_EQ(lines, direct->answers.size());
 }
 
+TEST(LineProtocolTest, OutOfRangeKeywordIdsAnswerInvalidArgument) {
+  ServiceFixture fx;
+  SearchService service(fx.engine);
+  LineHandler handler(&service);
+
+  // kInvalidLabel itself, and one past LabelId's range (which used to wrap
+  // to label 0), are both refused before the engine sees them.
+  for (const char* line : {"query bkws 4294967295", "query bkws 4294967296",
+                           "query bkws 0,4294967295", "query bkws -1"}) {
+    EXPECT_EQ(handler.Handle(line).response.substr(0, 20),
+              "ERR InvalidArgument:")
+        << line;
+  }
+  // The largest id in range is served (no vertex carries it).
+  EXPECT_EQ(handler.Handle("query bkws 4294967294").response.substr(0, 5),
+            "OK n=");
+  EXPECT_EQ(handler.Handle("query bkws 0,1").response.substr(0, 5), "OK n=");
+}
+
+TEST(LineProtocolTest, MalformedOptionsAnswerInvalidArgument) {
+  ServiceFixture fx;
+  SearchService service(fx.engine);
+  LineHandler handler(&service);
+
+  for (const char* option :
+       {"top_k=abc", "top_k=-1", "top_k=", "top_k=3x", "layer=xyz",
+        "layer=99999999999", "layer=1.5", "exact=2", "exact=", "exact=yes",
+        "deadline_ms=abc", "deadline_ms=nan", "deadline_ms=inf",
+        "deadline_ms=", "beta=nan", "beta=0.5x", "beta=", "top_k=abc layer=xyz",
+        "nope=3", "top_k"}) {
+    const std::string line = std::string("query bkws 0,1 ") + option;
+    EXPECT_EQ(handler.Handle(line).response.substr(0, 20),
+              "ERR InvalidArgument:")
+        << line;
+  }
+  // Well-formed values are served; a finite negative deadline is already
+  // expired, as the coordinator may forward one.
+  EXPECT_EQ(handler.Handle("query bkws 0,1 top_k=3 layer=-1 exact=0 "
+                           "beta=0.25 deadline_ms=60000")
+                .response.substr(0, 5),
+            "OK n=");
+  EXPECT_EQ(handler.Handle("query bkws 0,1 deadline_ms=-2.5")
+                .response.substr(0, 20),
+            "ERR DeadlineExceeded");
+  EXPECT_EQ(handler.Handle("query bkws 0,1 deadline_ms=1e300")
+                .response.substr(0, 5),
+            "OK n=");
+}
+
 /// Parses a Prometheus exposition into name{labels} -> value, asserting the
 /// structural rules on the way (comment lines are HELP/TYPE; sample lines
 /// end in one parseable finite value).
@@ -825,6 +874,70 @@ TEST(TcpServerTest, ServesLineProtocolOverLoopback) {
   server.Stop();
   ServiceStats s = service.Snapshot();
   EXPECT_GE(s.submitted, 2u);
+}
+
+int DialLoopback(uint16_t port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Everything the server sends until it closes the connection.
+std::string ReadToEof(int fd) {
+  std::string response;
+  char chunk[1024];
+  ssize_t n;
+  while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
+    response.append(chunk, static_cast<size_t>(n));
+  }
+  return response;
+}
+
+TEST(TcpServerTest, OverlongLineClosesOnlyItsConnection) {
+  ServiceFixture fx;
+  SearchService service(fx.engine);
+  TcpServer server(&service, nullptr, {.port = 0});
+  Status started = server.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "cannot bind loopback socket: " << started.ToString();
+  }
+  const int bystander = DialLoopback(server.port());
+  const int hostile = DialLoopback(server.port());
+  ASSERT_GE(bystander, 0);
+  ASSERT_GE(hostile, 0);
+
+  // One byte past the cap, with no newline: the server answers once and
+  // closes this connection instead of buffering on.
+  const std::string flood(kMaxRequestLineBytes + 1, 'x');
+  size_t sent = 0;
+  while (sent < flood.size()) {
+    ssize_t n = ::send(hostile, flood.data() + sent, flood.size() - sent,
+                       MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<size_t>(n);
+  }
+  EXPECT_EQ(sent, flood.size());
+  EXPECT_EQ(ReadToEof(hostile).substr(0, 20), "ERR InvalidArgument:");
+  ::close(hostile);
+
+  // The other connection, and a new one, are still served.
+  for (int fd : {bystander, DialLoopback(server.port())}) {
+    ASSERT_GE(fd, 0);
+    const std::string request = "ping\nquit\n";
+    ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(request.size()));
+    EXPECT_EQ(ReadToEof(fd), "OK pong\n.\nOK bye\n.\n");
+    ::close(fd);
+  }
+  server.Stop();
 }
 
 }  // namespace

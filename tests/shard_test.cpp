@@ -562,7 +562,7 @@ TEST(InfoVerb, RoundTripsIdentityOverTheWire) {
 }
 
 TEST(InfoVerb, ParseInfoLineRejectsGarbage) {
-  WireInfo info;
+  ShardInfo info;
   EXPECT_FALSE(ParseInfoLine("OK nope", &info).ok());
   EXPECT_FALSE(ParseInfoLine("", &info).ok());
   Status ok = ParseInfoLine(

@@ -47,7 +47,8 @@
 // selected algorithm with its configured options and submits EngineQuery
 // records, so single-shot `query` and pooled `batch` share one code path.
 // Count arguments (threads, layers, top_k, shard counts) take only plain
-// decimal digits; anything else is a usage error.
+// decimal digits, and the scale and --fallback-ratio only a finite number
+// >= 0; anything else is a usage error.
 //
 // Exit status: 0 on success, 1 on any error (message on stderr).
 
@@ -145,7 +146,8 @@ std::vector<LabelId> ParseKeywords(const std::string& spec,
 int CmdGen(int argc, char** argv) {
   if (argc < 4) return Usage();
   std::string name = argv[0];
-  double scale = std::atof(argv[1]);
+  double scale = 0;
+  if (!ParseReal("scale", argv[1], &scale)) return Usage();
   auto ds = MakeDataset(name, scale);
   if (!ds.ok()) return Fail(ds.status());
   BIGINDEX_RETURN_IF_ERROR_CLI(SaveGraphFile(ds->graph, *ds->dict, argv[2]));
@@ -505,7 +507,10 @@ int CmdUpdate(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--check") == 0) {
       check = true;
     } else if (std::strcmp(argv[i], "--fallback-ratio") == 0) {
-      mopt.fallback_dirty_ratio = std::atof(next("--fallback-ratio"));
+      if (!ParseReal("--fallback-ratio", next("--fallback-ratio"),
+                     &mopt.fallback_dirty_ratio)) {
+        return Usage();
+      }
     } else {
       pos.push_back(argv[i]);
     }

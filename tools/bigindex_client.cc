@@ -26,6 +26,7 @@
 // Reads requests from stdin (one per line; '#' comments and blank lines are
 // skipped) until EOF or a `quit` command.
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,6 +35,7 @@
 #include <string>
 
 #include "bigindex.h"
+#include "count_flag.h"
 
 namespace bigindex {
 namespace {
@@ -51,26 +53,38 @@ int Usage() {
   return 1;
 }
 
+int Fail(const Status& status) {
+  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+  return 1;
+}
+
 bool SkippableLine(const std::string& line) {
   return line.empty() || line[0] == '#';
 }
 
+/// Reads the <host> <port> arguments every network mode starts with.
+bool ParseHostPort(char** argv, std::string* host, uint16_t* port) {
+  size_t value = 0;
+  if (!ParseCount("port", argv[1], &value, kMaxPort)) return false;
+  *host = argv[0];
+  *port = static_cast<uint16_t>(value);
+  return true;
+}
+
 int RunInProcess(int argc, char** argv) {
   std::string dataset_name = argc > 0 ? argv[0] : "yago3";
-  double scale = argc > 1 ? std::atof(argv[1]) : 0.01;
-  size_t layers = argc > 2 ? static_cast<size_t>(std::atoi(argv[2])) : 4;
+  double scale = 0.01;
+  size_t layers = 4;
+  if ((argc > 1 && !ParseReal("scale", argv[1], &scale)) ||
+      (argc > 2 && !ParseCount("layers", argv[2], &layers))) {
+    return Usage();
+  }
 
   auto ds = MakeDataset(dataset_name, scale);
-  if (!ds.ok()) {
-    std::fprintf(stderr, "error: %s\n", ds.status().ToString().c_str());
-    return 1;
-  }
+  if (!ds.ok()) return Fail(ds.status());
   auto index = BigIndex::Build(ds->graph, &ds->ontology.ontology,
                                {.max_layers = layers});
-  if (!index.ok()) {
-    std::fprintf(stderr, "error: %s\n", index.status().ToString().c_str());
-    return 1;
-  }
+  if (!index.ok()) return Fail(index.status());
   // The stack wires the write path, so interactive `update add:0:1 ...`
   // lines work.
   ServingStack stack(
@@ -92,9 +106,9 @@ int RunInProcess(int argc, char** argv) {
 }
 
 int RunConnect(int argc, char** argv) {
-  if (argc < 2) return Usage();
-  const std::string host = argv[0];
-  const uint16_t port = static_cast<uint16_t>(std::atoi(argv[1]));
+  std::string host;
+  uint16_t port = 0;
+  if (argc < 2 || !ParseHostPort(argv, &host, &port)) return Usage();
   ProtocolClientOptions options;
   for (int i = 2; i < argc; ++i) {
     auto next = [&](const char* flag) -> const char* {
@@ -105,11 +119,18 @@ int RunConnect(int argc, char** argv) {
       return argv[++i];
     };
     if (std::strcmp(argv[i], "--connect-timeout-ms") == 0) {
-      options.connect_timeout_ms = std::atoi(next("--connect-timeout-ms"));
+      if (!ParseReal("--connect-timeout-ms", next("--connect-timeout-ms"),
+                     &options.connect_timeout_ms)) {
+        return Usage();
+      }
     } else if (std::strcmp(argv[i], "--connect-retries") == 0) {
       // N retries = 1 initial attempt + N backed-off re-dials.
-      options.max_attempts =
-          1 + static_cast<size_t>(std::atoi(next("--connect-retries")));
+      size_t retries = 0;
+      if (!ParseCount("--connect-retries", next("--connect-retries"),
+                      &retries, INT_MAX - 1)) {
+        return Usage();
+      }
+      options.max_attempts = 1 + static_cast<int>(retries);
     } else {
       std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
       return Usage();
@@ -118,10 +139,7 @@ int RunConnect(int argc, char** argv) {
 
   ProtocolClient client(host, port, options);
   Status connected = client.Connect();
-  if (!connected.ok()) {
-    std::fprintf(stderr, "error: %s\n", connected.ToString().c_str());
-    return 1;
-  }
+  if (!connected.ok()) return Fail(connected);
 
   // Request/response lockstep: send a line, then print the response block
   // (the client strips the terminating '.'; re-add it so scripted consumers
@@ -135,10 +153,7 @@ int RunConnect(int argc, char** argv) {
       break;
     }
     auto block = client.Request(line);
-    if (!block.ok()) {
-      std::fprintf(stderr, "error: %s\n", block.status().ToString().c_str());
-      return 1;
-    }
+    if (!block.ok()) return Fail(block.status());
     for (const std::string& resp : *block) std::printf("%s\n", resp.c_str());
     std::printf(".\n");
     std::fflush(stdout);
@@ -147,9 +162,9 @@ int RunConnect(int argc, char** argv) {
 }
 
 int RunUpdate(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  const std::string host = argv[0];
-  const uint16_t port = static_cast<uint16_t>(std::atoi(argv[1]));
+  std::string host;
+  uint16_t port = 0;
+  if (argc < 3 || !ParseHostPort(argv, &host, &port)) return Usage();
   std::string line = "update";
   for (int i = 2; i < argc; ++i) {
     line += ' ';
@@ -157,31 +172,11 @@ int RunUpdate(int argc, char** argv) {
   }
 
   ProtocolClient client(host, port);
-  Status connected = client.Connect();
-  if (!connected.ok()) {
-    std::fprintf(stderr, "error: %s\n", connected.ToString().c_str());
-    return 1;
-  }
-  auto block = client.Request(line);
-  if (!block.ok()) {
-    std::fprintf(stderr, "error: %s\n", block.status().ToString().c_str());
-    return 1;
-  }
-  if (block->empty()) {
-    std::fprintf(stderr, "error: empty update response\n");
-    return 1;
-  }
-  const std::string& head = block->front();
-  if (head.starts_with("ERR")) {
-    std::fprintf(stderr, "error: %s\n", ParseErrLine(head).ToString().c_str());
-    return 1;
-  }
+  auto block = client.Call(line);
+  if (!block.ok()) return Fail(block.status());
   UpdateOutcome outcome;
-  Status parsed = ParseUpdateOutcomeLine(head, &outcome);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "error: %s\n", parsed.ToString().c_str());
-    return 1;
-  }
+  Status parsed = ParseUpdateOutcomeLine(block->front(), &outcome);
+  if (!parsed.ok()) return Fail(parsed);
   std::printf("applied=%llu skipped=%llu rebuilt=%llu epoch=%llu mode=%s\n",
               static_cast<unsigned long long>(outcome.applied),
               static_cast<unsigned long long>(outcome.skipped),
@@ -192,38 +187,18 @@ int RunUpdate(int argc, char** argv) {
 }
 
 int RunRollback(int argc, char** argv) {
-  if (argc < 2) return Usage();
-  const std::string host = argv[0];
-  const uint16_t port = static_cast<uint16_t>(std::atoi(argv[1]));
+  std::string host;
+  uint16_t port = 0;
+  if (argc < 2 || !ParseHostPort(argv, &host, &port)) return Usage();
 
   ProtocolClient client(host, port);
-  Status connected = client.Connect();
-  if (!connected.ok()) {
-    std::fprintf(stderr, "error: %s\n", connected.ToString().c_str());
-    return 1;
-  }
-  auto block = client.Request("rollback");
-  if (!block.ok()) {
-    std::fprintf(stderr, "error: %s\n", block.status().ToString().c_str());
-    return 1;
-  }
-  if (block->empty()) {
-    std::fprintf(stderr, "error: empty rollback response\n");
-    return 1;
-  }
-  const std::string& head = block->front();
-  if (head.starts_with("ERR")) {
-    std::fprintf(stderr, "error: %s\n", ParseErrLine(head).ToString().c_str());
-    return 1;
-  }
-  // Head is "OK epoch=E".
-  const size_t eq = head.find("epoch=");
-  if (eq == std::string::npos) {
-    std::fprintf(stderr, "error: malformed rollback response '%s'\n",
-                 head.c_str());
-    return 1;
-  }
-  std::printf("rolled back, epoch=%s\n", head.c_str() + eq + 6);
+  auto block = client.Call("rollback");
+  if (!block.ok()) return Fail(block.status());
+  uint64_t epoch = 0;
+  Status parsed = ParseEpochLine(block->front(), &epoch);
+  if (!parsed.ok()) return Fail(parsed);
+  std::printf("rolled back, epoch=%llu\n",
+              static_cast<unsigned long long>(epoch));
   return 0;
 }
 

@@ -258,10 +258,15 @@ int Run(int argc, char** argv) {
       if (!ParseCount(flag, next(flag), &value, max)) std::exit(Usage());
       return value;
     };
+    auto real = [&](const char* flag) -> double {
+      double value = 0;
+      if (!ParseReal(flag, next(flag), &value)) std::exit(Usage());
+      return value;
+    };
     if (std::strcmp(argv[i], "--dataset") == 0) {
       dataset_name = next("--dataset");
     } else if (std::strcmp(argv[i], "--scale") == 0) {
-      scale = std::atof(next("--scale"));
+      scale = real("--scale");
     } else if (std::strcmp(argv[i], "--layers") == 0) {
       layers = count("--layers");
     } else if (std::strcmp(argv[i], "--port") == 0) {
@@ -278,7 +283,7 @@ int Run(int argc, char** argv) {
       service_opts.cache.capacity = count("--cache");
       cache_flag = true;
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
-      service_opts.default_deadline_ms = std::atof(next("--deadline-ms"));
+      service_opts.default_deadline_ms = real("--deadline-ms");
     } else if (std::strcmp(argv[i], "--reject-oldest") == 0) {
       service_opts.overload_policy = OverloadPolicy::kRejectOldest;
     } else if (std::strcmp(argv[i], "--metrics-port") == 0) {
@@ -310,7 +315,7 @@ int Run(int argc, char** argv) {
       attach_retries = count("--attach-retries");
     } else if (std::strcmp(argv[i], "--update-fallback-ratio") == 0) {
       updater_opts.maintain.fallback_dirty_ratio =
-          std::atof(next("--update-fallback-ratio"));
+          real("--update-fallback-ratio");
     } else {
       std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
       return Usage();

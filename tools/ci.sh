@@ -5,15 +5,15 @@
 # cross-thread sharing, including the update differential gate and the
 # cache-epoch race test) plus the multi-process coordinator/shard
 # integration test (which now drives the UPDATE verb end to end), then an
-# ASan+UBSan pass over the index-image fuzz suite (hostile-bytes paths),
-# then the docs checks (dead links, protocol verbs, metric catalog, span
-# taxonomy), a metrics-overhead smoke, a parallel-construction smoke, an
-# index-image cold-start smoke, the shard scatter-gather throughput gate,
-# a maintenance differential smoke, a CLI maintenance round trip that must
-# keep the image's layer cap, a CLI batch smoke (same answers at 0 and 2
-# threads), a check that the daemon rejects hostile count flags, a short
-# serving-layer load smoke (with the mixed read/update phase), and the
-# over-the-wire bench_e2e smoke.
+# ASan+UBSan pass over the index-image and line-protocol fuzz suites
+# (hostile-bytes paths), then the docs checks (dead links, protocol verbs,
+# metric catalog, span taxonomy), a metrics-overhead smoke, a
+# parallel-construction smoke, an index-image cold-start smoke, the shard
+# scatter-gather throughput gate, a maintenance differential smoke, a CLI
+# maintenance round trip that must keep the image's layer cap, a CLI batch
+# smoke (same answers at 0 and 2 threads), a check that the daemon and
+# client reject hostile flags, a short serving-layer load smoke (with the
+# mixed read/update phase), and the over-the-wire bench_e2e smoke.
 #
 #   tools/ci.sh [jobs]
 #
@@ -53,14 +53,15 @@ echo "=== tsan: multi-process coordinator/shard integration ==="
 tools/shard_integration.sh build-tsan
 
 echo
-echo "=== asan+ubsan: index-image fuzz (build-asan/) ==="
+echo "=== asan+ubsan: index-image and line-protocol fuzz (build-asan/) ==="
 cmake -B build-asan -S . -DBIGINDEX_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$JOBS" --target bigindex_tests
-# The fuzz suite feeds truncated/corrupted images through the mmap loader;
-# any out-of-bounds read or UB under hostile bytes is a hard failure.
+# The fuzz suites feed truncated/corrupted images through the mmap loader
+# and truncated/hostile lines through the wire codec and a LineHandler; any
+# out-of-bounds read or UB under hostile bytes is a hard failure.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   ./build-asan/tests/bigindex_tests \
-  --gtest_filter='IndexImageFuzz*'
+  --gtest_filter='IndexImageFuzz*:LineProtocolFuzz*'
 
 echo
 echo "=== docs: no dead relative links in *.md ==="
@@ -153,24 +154,30 @@ cat "$CLI_DIR/batch0.txt"
 rm -rf "$CLI_DIR"
 
 echo
-echo "=== smoke: serverd rejects hostile count flags ==="
-# A negative thread count must not become a request for ~2^64 threads, nor a
-# port above 65535 wrap around: both are usage errors before any work.
-for flags in "--threads -2" "--port 70000"; do
-  # shellcheck disable=SC2086  # word-split the flag and its value
-  if out="$(timeout 10 ./build/tools/bigindex_serverd $flags 2>&1)"; then
-    echo "FAIL: bigindex_serverd $flags exited 0" >&2
+echo "=== smoke: serverd and client reject hostile flags ==="
+# A negative thread count must not become a request for ~2^64 threads, a
+# port above 65535 must not wrap around, and a ratio that is not a number
+# must not become 0: each is a usage error before any work. Each case is
+# "binary|arguments|flag named in the error line".
+while IFS='|' read -r bin args flag; do
+  # shellcheck disable=SC2086  # word-split the arguments
+  if out="$(timeout 10 "./build/tools/$bin" $args 2>&1 </dev/null)"; then
+    echo "FAIL: $bin $args exited 0" >&2
     exit 1
   fi
-  grep -q "^error: ${flags%% *} wants" <<<"$out" || {
-    echo "FAIL: bigindex_serverd $flags printed no error line:" >&2
+  grep -q "^error: $flag wants" <<<"$out" || {
+    echo "FAIL: $bin $args printed no error line:" >&2
     echo "$out" >&2
     exit 1
   }
-  echo "rejected: bigindex_serverd $flags"
-done
+  echo "rejected: $bin $args"
+done <<'CASES'
+bigindex_serverd|--threads -2|--threads
+bigindex_serverd|--port 70000|--port
+bigindex_serverd|--update-fallback-ratio abc|--update-fallback-ratio
+bigindex_client|--connect 127.0.0.1 70000|port
+CASES
 
-echo
 echo "=== gate: maintenance speedup (>= 2x at small batches) ==="
 # Measures maintained-vs-rebuilt wall clock at batch sizes 1 and 4 and fails
 # unless incremental maintenance beats a from-scratch rebuild by >= 2x while

@@ -1,20 +1,21 @@
-// ParseCount — strict parsing of the non-negative integer values the command
-// line tools take (thread counts, capacities, ports, layer caps).
+// ParseCount / ParseReal — strict parsing of the numeric values the
+// command-line tools take (thread counts, capacities, ports, layer caps,
+// scales, ratios, timeouts).
 //
-// std::atoi accepts "-2", "12abc" and "" without complaint, and a cast of
-// its result to an unsigned type turns "-2" into a count near 2^64. Every
-// count flag goes through ParseCount instead, which accepts only a plain
-// run of decimal digits whose value is at most `max`.
+// Both are built on the line protocol's checked number reader
+// (ParseNumber in server/line_protocol.h), so a flag accepts exactly what
+// the wire does: the whole value must be one in-range number. "-2",
+// "12abc", "abc" and "" are usage errors, never a count near 2^64 or a
+// silent 0.
 
 #ifndef BIGINDEX_TOOLS_COUNT_FLAG_H_
 #define BIGINDEX_TOOLS_COUNT_FLAG_H_
 
-#include <charconv>
 #include <cstddef>
 #include <cstdio>
-#include <cstring>
 #include <limits>
-#include <system_error>
+
+#include "server/line_protocol.h"
 
 namespace bigindex {
 
@@ -27,12 +28,8 @@ inline constexpr size_t kMaxPort = 65535;
 /// caller then exits with its usage status.
 inline bool ParseCount(const char* flag, const char* text, size_t* out,
                        size_t max = std::numeric_limits<size_t>::max()) {
-  const char* end = text + std::strlen(text);
   size_t value = 0;
-  // from_chars on an unsigned type takes neither a sign nor whitespace, and
-  // reports an empty or overflowing value as an error.
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || ptr != end || value > max) {
+  if (!ParseNumber(text, &value) || value > max) {
     if (max == std::numeric_limits<size_t>::max()) {
       std::fprintf(stderr,
                    "error: %s wants a non-negative integer, got '%s'\n", flag,
@@ -42,6 +39,19 @@ inline bool ParseCount(const char* flag, const char* text, size_t* out,
                    "error: %s wants an integer from 0 to %zu, got '%s'\n",
                    flag, max, text);
     }
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+/// Parses `text` (the value of `flag`) as a finite number >= 0 into *out,
+/// reporting a bad value the way ParseCount does.
+inline bool ParseReal(const char* flag, const char* text, double* out) {
+  double value = 0;
+  if (!ParseNumber(text, &value) || value < 0) {
+    std::fprintf(stderr, "error: %s wants a non-negative number, got '%s'\n",
+                 flag, text);
     return false;
   }
   *out = value;
