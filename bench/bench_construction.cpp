@@ -16,13 +16,21 @@
 // Speedups only materialize with real cores; the preamble prints the
 // hardware concurrency so single-core CI numbers are read correctly.
 //
+// The per-layer split traces serial builds of yago3 at the bench scale
+// (4 layers) and attributes each layer's time from the build spans:
+// configuration (build/config), the generalized label view
+// (build/generalize), refinement rounds (bisim/compute minus its
+// bisim/materialize) and the quotient build (bisim/materialize).
+//
 //   bench_construction [--smoke]
 //
 // --smoke: tiny preset, 2 build threads; verifies the parallel build is
 // byte-identical to the serial one and exits non-zero if not. Used by
 // tools/ci.sh to exercise the parallel construction path cheaply.
 
+#include <cstdlib>
 #include <cstring>
+#include <string_view>
 #include <thread>
 
 #include "bench_util.h"
@@ -74,6 +82,76 @@ int RunSmoke() {
               "(|V|=%zu, %zu layers)\n",
               ds->graph.NumVertices(), serial->NumLayers());
   return 0;
+}
+
+// Per-layer phase times (ms) of one traced build, read from the spans in
+// close order: a layer's phases all close before its build/layer span.
+struct LayerSplit {
+  double config = 0, label_view = 0, refine = 0, quotient = 0, total = 0;
+};
+
+std::vector<LayerSplit> TracedLayerSplit(const Dataset& ds,
+                                         const BigIndexOptions& opt) {
+  Tracer& tracer = Tracer::Global();
+  tracer.Clear();
+  tracer.SetEnabled(true);
+  BuildMs(ds, opt);
+  tracer.SetEnabled(false);
+  const std::string json = tracer.DumpJson();
+
+  std::vector<LayerSplit> layers;
+  LayerSplit cur;
+  constexpr std::string_view kName = "{\"name\":\"";
+  constexpr std::string_view kDur = "\"dur\":";
+  for (size_t at = json.find(kName); at != std::string::npos;
+       at = json.find(kName, at + 1)) {
+    const size_t begin = at + kName.size();
+    const std::string_view name(json.data() + begin,
+                                json.find('"', begin) - begin);
+    const size_t dur_at = json.find(kDur, begin) + kDur.size();
+    const double ms = std::strtod(json.c_str() + dur_at, nullptr) / 1000.0;
+    if (name == "build/config") cur.config += ms;
+    if (name == "build/generalize") cur.label_view += ms;
+    if (name == "bisim/compute") cur.refine += ms;
+    if (name == "bisim/materialize") cur.quotient += ms;
+    if (name == "build/layer") {
+      cur.refine -= cur.quotient;  // bisim/materialize nests in compute
+      cur.total = ms;
+      layers.push_back(cur);
+      cur = {};
+    }
+  }
+  tracer.Clear();
+  return layers;
+}
+
+void RunLayerSplit(double scale) {
+  auto ds = MakeDataset("yago3", scale);
+  if (!ds.ok()) return;
+  constexpr int kRuns = 7;
+  BigIndexOptions opt;
+  opt.max_layers = 4;
+  std::vector<std::vector<LayerSplit>> runs;
+  for (int r = 0; r < kRuns; ++r) runs.push_back(TracedLayerSplit(*ds, opt));
+  std::printf("\n--- per-layer split: yago3 |V|=%zu, serial default build, "
+              "4 layers, median of %d traced builds (ms) ---\n",
+              ds->graph.NumVertices(), kRuns);
+  std::printf("  %5s %8s %11s %8s %9s %8s\n", "layer", "config",
+              "label-view", "refine", "quotient", "layer");
+  auto median = [&](size_t layer, double LayerSplit::*field) {
+    std::vector<double> v;
+    for (const auto& run : runs) v.push_back(run[layer].*field);
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  for (size_t l = 0; l < runs.front().size(); ++l) {
+    std::printf("  %5zu %8.2f %11.2f %8.2f %9.2f %8.2f\n", l + 1,
+                median(l, &LayerSplit::config),
+                median(l, &LayerSplit::label_view),
+                median(l, &LayerSplit::refine),
+                median(l, &LayerSplit::quotient),
+                median(l, &LayerSplit::total));
+  }
 }
 
 void RunSpeedup() {
@@ -167,6 +245,7 @@ int main(int argc, char** argv) {
     }
   }
 
+  RunLayerSplit(scale);
   RunSpeedup();
   return 0;
 }

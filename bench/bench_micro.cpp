@@ -23,7 +23,7 @@ const Dataset& SharedDataset() {
 void BM_Bisimulation(benchmark::State& state) {
   const Graph& g = SharedDataset().graph;
   for (auto _ : state) {
-    BisimResult r = ComputeBisimulation(g);
+    BisimResult r = ComputeBisimulation(g, g.labels());
     benchmark::DoNotOptimize(r.summary.NumVertices());
   }
   state.SetItemsProcessed(state.iterations() * g.Size());

@@ -81,7 +81,8 @@ int main() {
     Graph gen = Generalize(g, config);
     for (size_t cap : {1, 2, 4, 0}) {
       Timer t;
-      BisimResult r = ComputeBisimulation(gen, {.max_rounds = cap});
+      BisimResult r =
+          ComputeBisimulation(gen, gen.labels(), {.max_rounds = cap});
       std::printf("  max_rounds %zu: ratio %.4f, rounds %zu, %.1f ms%s\n",
                   cap, static_cast<double>(r.summary.Size()) / g.Size(),
                   r.refinement_rounds, t.ElapsedMillis(),

@@ -5,66 +5,12 @@
 #include <numeric>
 #include <unordered_map>
 
+#include "bisim/signature.h"
 #include "engine/executor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace bigindex {
-namespace {
-
-// FNV-1a over a word sequence; exactness of the partition does not depend on
-// this (collisions are resolved by full comparison in the bucket map).
-uint64_t HashSignature(std::span<const uint32_t> v) {
-  uint64_t h = 1469598103934665603ULL;
-  for (uint32_t x : v) {
-    h ^= x;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-// Assigns dense ids to distinct signatures in first-insertion order.
-// Signatures are bucketed by their 64-bit hash; a bucket holds the ids of
-// every signature sharing that hash, resolved by full comparison.
-class SignatureInterner {
- public:
-  /// Id of `sig` (hash must be HashSignature(sig)); copies the signature into
-  /// the interner only on first sight.
-  uint32_t Intern(std::span<const uint32_t> sig, uint64_t hash) {
-    std::vector<uint32_t>& bucket = buckets_[hash];
-    for (uint32_t id : bucket) {
-      const std::vector<uint32_t>& known = sigs_[id];
-      if (known.size() == sig.size() &&
-          std::equal(known.begin(), known.end(), sig.begin())) {
-        return id;
-      }
-    }
-    uint32_t id = static_cast<uint32_t>(sigs_.size());
-    sigs_.emplace_back(sig.begin(), sig.end());
-    hashes_.push_back(hash);
-    bucket.push_back(id);
-    return id;
-  }
-
-  size_t size() const { return sigs_.size(); }
-
-  /// Distinct signatures in id order (and their hashes), for merging.
-  const std::vector<std::vector<uint32_t>>& sigs() const { return sigs_; }
-  uint64_t hash(uint32_t id) const { return hashes_[id]; }
-
-  void Reset() {
-    buckets_.clear();
-    sigs_.clear();
-    hashes_.clear();
-  }
-
- private:
-  std::unordered_map<uint64_t, std::vector<uint32_t>> buckets_;
-  std::vector<std::vector<uint32_t>> sigs_;
-  std::vector<uint64_t> hashes_;
-};
-
-}  // namespace
 
 namespace {
 constexpr uint64_t kZeroOffsets[1] = {0};
@@ -110,7 +56,9 @@ BisimMapping BisimMapping::FromStorage(
   return m;
 }
 
-BisimResult ComputeBisimulation(const Graph& g, const BisimOptions& options) {
+BisimResult ComputeBisimulation(const Graph& g,
+                                std::span<const LabelId> labels,
+                                const BisimOptions& options) {
   TRACE_SPAN("bisim/compute");
   static Counter& runs = MetricsRegistry::Global().GetCounter(
       "bigindex_bisim_runs_total", "Bisimulation summarizations computed");
@@ -129,7 +77,7 @@ BisimResult ComputeBisimulation(const Graph& g, const BisimOptions& options) {
   runs.Inc();
 
   const size_t n = g.NumVertices();
-  BisimResult result;
+  assert(labels.size() == n);
 
   // Round 0: partition by label, densely renumbered.
   std::vector<uint32_t> block(n);
@@ -138,7 +86,7 @@ BisimResult ComputeBisimulation(const Graph& g, const BisimOptions& options) {
     std::unordered_map<LabelId, uint32_t> label_rank;
     for (VertexId v = 0; v < n; ++v) {
       auto [it, inserted] =
-          label_rank.try_emplace(g.label(v), static_cast<uint32_t>(num_blocks));
+          label_rank.try_emplace(labels[v], static_cast<uint32_t>(num_blocks));
       if (inserted) ++num_blocks;
       block[v] = it->second;
     }
@@ -184,7 +132,7 @@ BisimResult ComputeBisimulation(const Graph& g, const BisimOptions& options) {
         for (uint64_t i = b; i < e; ++i) sig.push_back(block[out.Slot(i)]);
         std::sort(sig.begin() + 1, sig.end());
         sig.erase(std::unique(sig.begin() + 1, sig.end()), sig.end());
-        next_block[v] = local.Intern(sig, HashSignature(sig));
+        next_block[v] = local.Intern(sig);
       }
     };
     if (pool != nullptr && num_chunks > 1) {
@@ -205,11 +153,11 @@ BisimResult ComputeBisimulation(const Graph& g, const BisimOptions& options) {
     global.Reset();
     std::vector<std::vector<uint32_t>> remap(num_chunks);
     for (size_t c = 0; c < num_chunks; ++c) {
-      const auto& sigs = locals[c].sigs();
-      remap[c].resize(sigs.size());
-      for (uint32_t local_id = 0; local_id < sigs.size(); ++local_id) {
+      const SignatureInterner& local = locals[c];
+      remap[c].resize(local.size());
+      for (uint32_t local_id = 0; local_id < local.size(); ++local_id) {
         remap[c][local_id] =
-            global.Intern(sigs[local_id], locals[c].hash(local_id));
+            global.Intern(local.Sig(local_id), local.hash(local_id));
       }
     }
 
@@ -233,33 +181,82 @@ BisimResult ComputeBisimulation(const Graph& g, const BisimOptions& options) {
     block.swap(next_block);
     if (stable) break;
   }
-  result.refinement_rounds = rounds;
   rounds_total.Inc(rounds);
   signatures.Inc(static_cast<uint64_t>(rounds) * n);
 
-  // The interner's ids are dense but arbitrary; keep them (supernode ids are
-  // layer-local anyway).
-  result.mapping = BisimMapping(block, num_blocks);
+  // Block ids are already in first-occurrence order (the merge above
+  // assigns them so), so the quotient builder's renumbering is the identity.
+  BisimResult result = MaterializeQuotient(g, labels, std::move(block),
+                                           num_blocks);
+  result.refinement_rounds = rounds;
+  return result;
+}
 
-  // Materialize the quotient graph. Supernode label = label of any member
-  // (identical within a block by construction).
+BisimResult MaterializeQuotient(const Graph& g,
+                                std::span<const LabelId> labels,
+                                std::vector<uint32_t> partition,
+                                size_t id_bound,
+                                std::vector<uint32_t>* old_to_final) {
   TRACE_SPAN("bisim/materialize");
-  GraphBuilder builder;
-  builder.Reserve(num_blocks, g.NumEdges());
-  {
-    std::vector<LabelId> super_label(num_blocks, kInvalidLabel);
-    for (VertexId v = 0; v < n; ++v) super_label[block[v]] = g.label(v);
-    for (size_t s = 0; s < num_blocks; ++s) builder.AddVertex(super_label[s]);
+  constexpr uint32_t kUnset = UINT32_MAX;
+  const size_t n = g.NumVertices();
+  std::vector<uint32_t> dense(id_bound, kUnset);
+  uint32_t num_blocks = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    uint32_t& d = dense[partition[v]];
+    if (d == kUnset) d = num_blocks++;
+    partition[v] = d;
   }
-  for (VertexId u = 0; u < n; ++u) {
-    const auto [b, e] = out[u];
-    for (uint64_t i = b; i < e; ++i) {
-      builder.AddEdge(block[u], block[out.Slot(i)]);  // dups collapse in Build
+
+  BisimResult result;
+  result.mapping = BisimMapping(partition, num_blocks);
+  const BisimMapping& mapping = result.mapping;
+
+  // Each block's out-edges once: the stamp marks the target blocks already
+  // seen for the current block, and each block's targets are sorted in
+  // place, so the quotient's CSR is written directly — ~|E_q| entries, no
+  // sort over |E|. The graph is the one every vertex-level edge would give.
+  std::vector<LabelId> block_labels(num_blocks);
+  std::vector<uint64_t> offsets(num_blocks + 1, 0);
+  std::vector<VertexId> targets;
+  targets.reserve(g.NumEdges());
+  const CsrView out = g.Out();
+  std::vector<uint32_t> stamp(num_blocks, kUnset);
+  for (uint32_t s = 0; s < num_blocks; ++s) {
+    block_labels[s] = labels[mapping.Members(s).front()];
+    const size_t first = targets.size();
+    for (VertexId u : mapping.Members(s)) {
+      const auto [b, e] = out[u];
+      for (uint64_t i = b; i < e; ++i) {
+        const uint32_t t = partition[out.Slot(i)];
+        if (stamp[t] != s) {
+          stamp[t] = s;
+          targets.push_back(t);
+        }
+      }
     }
+    std::sort(targets.begin() + first, targets.end());
+    offsets[s + 1] = targets.size();
   }
-  auto built = builder.Build();
-  assert(built.ok());
-  result.summary = std::move(built).value();
+  result.summary = Graph::FromAdjacency(block_labels, offsets, targets);
+  if (old_to_final != nullptr) *old_to_final = std::move(dense);
+  return result;
+}
+
+BisimResult CoarsenQuotient(const BisimResult& fine,
+                            std::span<const uint32_t> coarse, size_t id_bound,
+                            std::vector<uint32_t>* old_to_final) {
+  // Every edge of g/(coarse ∘ fine) is the coarse image of an edge of g/fine,
+  // and a coarse block's first member over g lies in its lowest fine block,
+  // so renumbering over the summary's scan gives the same ids.
+  const Graph& q = fine.summary;
+  BisimResult result = MaterializeQuotient(
+      q, q.labels(), {coarse.begin(), coarse.end()}, id_bound, old_to_final);
+  std::vector<VertexId> composed(fine.mapping.NumVertices());
+  for (VertexId v = 0; v < composed.size(); ++v) {
+    composed[v] = result.mapping.SuperOf(fine.mapping.SuperOf(v));
+  }
+  result.mapping = BisimMapping(composed, result.mapping.NumSupernodes());
   return result;
 }
 

@@ -1,5 +1,9 @@
 // Maximal bisimulation summarization (Sec. 2, "Graph bisimulation" and
-// "Graph summarization Bisim(G)").
+// "Graph summarization Bisim(G)") — the one home of "summarize a graph under
+// a labelling". The index function χ(G, C) = Bisim(Gen(G, C)) is one call:
+// ComputeBisimulation(g, GeneralizedLabels(g, C, &storage)), which reads the
+// generalized labels as a per-vertex view over g's structure, so no caller
+// materializes Gen(G, C).
 //
 // Two vertices are bisimilar iff they carry the same label and their successor
 // sets match up block-wise (the relation of Sec. 2; Example 2.1's "their child
@@ -11,8 +15,9 @@
 // is a block-count comparison.
 //
 // The quotient is materialized as another Graph (supernodes, edges
-// {([u],[v]) | (u,v) in E}); the hash-table reverse mapping Bisim^-1 of the
-// paper is the BisimMapping CSR (supernode -> members).
+// {([u],[v]) | (u,v) in E}) by MaterializeQuotient, the one quotient builder
+// (incremental maintenance uses it too); the hash-table reverse mapping
+// Bisim^-1 of the paper is the BisimMapping CSR (supernode -> members).
 //
 // Rounds parallelize per block-signature (cf. Rau et al.'s k-bisimulation
 // analysis): vertex ranges are hashed and locally deduplicated on an
@@ -113,8 +118,38 @@ struct BisimOptions {
   size_t min_chunk_vertices = 2048;
 };
 
-/// Computes the maximal bisimulation summary of `g`.
-BisimResult ComputeBisimulation(const Graph& g, const BisimOptions& options = {});
+/// Computes the maximal bisimulation summary of `g` with vertex v labelled
+/// `labels[v]` (one entry per vertex): pass g.labels() to summarize g as it
+/// is, or ontology/config.h's GeneralizedLabels view to summarize Gen(g, C).
+BisimResult ComputeBisimulation(const Graph& g,
+                                std::span<const LabelId> labels,
+                                const BisimOptions& options = {});
+
+/// The quotient of `g` under `partition` (one entry per vertex, arbitrary
+/// ids < id_bound, label-uniform under `labels`): blocks are renumbered in
+/// first-occurrence order over the vertex scan — the numbering
+/// ComputeBisimulation's rounds produce — and each block's out-edges are fed
+/// to the builder once, deduplicated with a stamp over its members. The
+/// summary label of a block is its members' label. `old_to_final`, when
+/// non-null, receives the id_bound-sized renumbering table (ids that occur
+/// in no vertex map to UINT32_MAX). refinement_rounds is left 0.
+BisimResult MaterializeQuotient(const Graph& g,
+                                std::span<const LabelId> labels,
+                                std::vector<uint32_t> partition,
+                                size_t id_bound,
+                                std::vector<uint32_t>* old_to_final = nullptr);
+
+/// The quotient of the same graph under a coarser partition, built from
+/// `fine`'s summary: `coarse` maps each supernode of `fine` to an id <
+/// id_bound. Equal to MaterializeQuotient(g, labels, coarse ∘ fine, ...)
+/// when fine's supernode ids are in first-occurrence order over g (every
+/// MaterializeQuotient result qualifies), but costs O(|fine.summary|)
+/// instead of O(|g|): it runs MaterializeQuotient on the summary and
+/// composes the mappings. `old_to_final` is as for MaterializeQuotient,
+/// over the coarse ids.
+BisimResult CoarsenQuotient(const BisimResult& fine,
+                            std::span<const uint32_t> coarse, size_t id_bound,
+                            std::vector<uint32_t>* old_to_final = nullptr);
 
 /// Verifies that `mapping` is a stable bisimulation partition of `g`:
 /// members of a block share a label, and whenever u has an edge into block B,

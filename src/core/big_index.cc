@@ -19,6 +19,15 @@ Gauge& BuildThreadsGauge() {
 
 }  // namespace
 
+bool EndsHierarchy(const GeneralizationConfig& config, const Graph& input,
+                   const Graph& summary) {
+  const double ratio =
+      input.Size() == 0
+          ? 1.0
+          : static_cast<double>(summary.Size()) / input.Size();
+  return config.empty() && ratio > kStopRatio;
+}
+
 StatusOr<BigIndex> BigIndex::Build(Graph base, const Ontology* ontology,
                                    const BigIndexOptions& options) {
   TRACE_SPAN("build/index");
@@ -42,8 +51,8 @@ StatusOr<BigIndex> BigIndex::Build(Graph base, const Ontology* ontology,
   BuildThreadsGauge().Set(static_cast<int64_t>(pool.num_workers()));
   ConfigSearchOptions search_opts = options.config_search;
   search_opts.cost.pool = &pool;
-  search_opts.cost.seed = options.build.seed;
   const BisimOptions bisim_opts{.pool = &pool};
+  std::vector<LabelId> label_storage;
 
   const Graph* current = &index.base_;
   for (size_t i = 1; i <= options.max_layers; ++i) {
@@ -58,20 +67,15 @@ StatusOr<BigIndex> BigIndex::Build(Graph base, const Ontology* ontology,
     }
     BIGINDEX_RETURN_IF_ERROR(config.Validate(*ontology));
 
-    Graph generalized;
+    std::span<const LabelId> labels;
     {
       TRACE_SPAN("build/generalize");
-      generalized = Generalize(*current, config);
+      labels = GeneralizedLabels(*current, config, &label_storage);
     }
-    BisimResult bisim = ComputeBisimulation(generalized, bisim_opts);
+    BisimResult bisim = ComputeBisimulation(*current, labels, bisim_opts);
     layer_ms.Record(layer_timer.ElapsedMillis());
 
-    double ratio = current->Size() == 0
-                       ? 1.0
-                       : static_cast<double>(bisim.summary.Size()) /
-                             current->Size();
-    // Nothing left to gain: no labels moved and no structural compression.
-    if (config.empty() && ratio > kStopRatio) break;
+    if (EndsHierarchy(config, *current, bisim.summary)) break;
 
     IndexLayer layer;
     layer.config = std::move(config);

@@ -26,17 +26,12 @@ namespace bigindex {
 /// BigIndex::Build (Bisim refinement, cost-model sampling/estimation, and
 /// Algorithm 1 candidate scoring). Construction output is byte-identical for
 /// every thread count: block ids, sample RNG streams, and score reductions
-/// are all deterministic functions of the input and `seed` alone.
+/// are all deterministic functions of the input and the cost model's seed
+/// (ConfigSearchOptions::cost.seed) alone.
 struct BuildOptions {
   /// Worker threads for construction; 0 = fully serial (no pool is created),
   /// ExecutorPool::kHardwareConcurrency = one per hardware thread.
   size_t num_threads = 0;
-
-  /// Master seed for cost-model subgraph sampling. Every per-sample RNG
-  /// stream is derived from it, so a fixed seed reproduces the same index
-  /// bit for bit across runs and thread counts. Takes precedence over
-  /// ConfigSearchOptions::cost.seed during Build.
-  uint64_t seed = 42;
 };
 
 /// Build stops early when a new layer shrinks the previous one by less than
@@ -44,6 +39,13 @@ struct BuildOptions {
 /// |G^i| / |G^{i-1}| must be <= kStopRatio to keep going once the
 /// configuration is empty.
 inline constexpr double kStopRatio = 0.999;
+
+/// Build's stop test, which MaintainIndex shares so both stop at the same
+/// layer: true when `summary` = χ(`input`, `config`) is not worth keeping —
+/// no label moved and the summary is not smaller than kStopRatio of the
+/// input.
+bool EndsHierarchy(const GeneralizationConfig& config, const Graph& input,
+                   const Graph& summary);
 
 /// Construction knobs.
 struct BigIndexOptions {

@@ -20,10 +20,10 @@ Counter& SampleBisimsCounter() {
   return c;
 }
 
-double SummaryRatio(const Graph& g) {
+double SummaryRatio(const Graph& g, std::span<const LabelId> labels) {
   if (g.Size() == 0) return 1.0;
   SampleBisimsCounter().Inc();
-  BisimResult r = ComputeBisimulation(g);
+  BisimResult r = ComputeBisimulation(g, labels);
   return static_cast<double>(r.summary.Size()) / g.Size();
 }
 
@@ -47,7 +47,8 @@ CostModel::CostModel(const Graph& g, const CostModelOptions& options)
   if (options_.pool != nullptr && options_.pool->num_workers() > 1) {
     TRACE_SPAN("build/parallel/baselines");
     options_.pool->ParallelFor(samples_.size(), [this](size_t, size_t i) {
-      baseline_ratio_[i] = SummaryRatio(samples_[i].graph);
+      baseline_ratio_[i] = SummaryRatio(samples_[i].graph,
+                                        samples_[i].graph.labels());
     });
   }
 
@@ -68,7 +69,10 @@ CostModel::CostModel(const Graph& g, const CostModelOptions& options)
 
 double CostModel::BaselineRatio(size_t sample_index) const {
   double& cached = baseline_ratio_[sample_index];
-  if (cached < 0) cached = SummaryRatio(samples_[sample_index].graph);
+  if (cached < 0) {
+    const Graph& sg = samples_[sample_index].graph;
+    cached = SummaryRatio(sg, sg.labels());
+  }
   return cached;
 }
 
@@ -93,12 +97,8 @@ double CostModel::EstimateCompress(
   auto rate_sample = [&](size_t, size_t i) {
     const Graph& sg = samples_[i].graph;
     if (sg.Size() == 0) return;
-    if (affected.count(i)) {
-      Graph generalized = Generalize(sg, config);
-      ratio[i] = SummaryRatio(generalized);
-    } else {
-      ratio[i] = BaselineRatio(i);
-    }
+    ratio[i] =
+        affected.count(i) ? ExactCompress(sg, config) : BaselineRatio(i);
   };
   if (options_.pool != nullptr && options_.pool->num_workers() > 1) {
     TRACE_SPAN("build/parallel/estimate");
@@ -137,9 +137,8 @@ double CostModel::Distort(const GeneralizationConfig& config) const {
 
 double CostModel::ExactCompress(const Graph& g,
                                 const GeneralizationConfig& config) {
-  if (g.Size() == 0) return 1.0;
-  Graph generalized = Generalize(g, config);
-  return SummaryRatio(generalized);
+  std::vector<LabelId> storage;
+  return SummaryRatio(g, GeneralizedLabels(g, config, &storage));
 }
 
 IncrementalCost::IncrementalCost(const CostModel& model) : model_(model) {

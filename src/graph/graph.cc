@@ -81,18 +81,37 @@ StatusOr<Graph> GraphBuilder::Build() {
     }
   }
 
-  // Collapse duplicate edges.
+  // Collapse duplicate edges, then lay the sorted pairs out as CSR.
   std::sort(edges_.begin(), edges_.end());
   edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-  const size_t m = edges_.size();
+  std::vector<uint64_t> out_offsets(n + 1, 0);
+  for (const auto& [u, v] : edges_) out_offsets[u + 1]++;
+  std::partial_sum(out_offsets.begin(), out_offsets.end(),
+                   out_offsets.begin());
+  std::vector<VertexId> out_targets(edges_.size());
+  for (size_t i = 0; i < edges_.size(); ++i) {
+    out_targets[i] = edges_[i].second;
+  }
+
+  Graph g = Graph::FromAdjacency(labels_, out_offsets, out_targets);
+  labels_.clear();
+  edges_.clear();
+  return g;
+}
+
+Graph Graph::FromAdjacency(std::span<const LabelId> vertex_labels,
+                           std::span<const uint64_t> adjacency_offsets,
+                           std::span<const VertexId> adjacency_targets) {
+  const size_t n = vertex_labels.size();
+  const size_t m = adjacency_targets.size();
 
   // Pre-compute the label histogram so every array size (and therefore the
   // single arena allocation) is known before any array is written.
   LabelId max_label = 0;
-  for (LabelId l : labels_) max_label = std::max(max_label, l);
+  for (LabelId l : vertex_labels) max_label = std::max(max_label, l);
   const size_t slots = n == 0 ? 0 : static_cast<size_t>(max_label) + 1;
   std::vector<uint64_t> label_count(slots, 0);
-  for (LabelId l : labels_) label_count[l]++;
+  for (LabelId l : vertex_labels) label_count[l]++;
   size_t num_distinct = 0;
   for (uint64_t c : label_count) num_distinct += c > 0 ? 1 : 0;
 
@@ -116,25 +135,25 @@ StatusOr<Graph> GraphBuilder::Build() {
   std::span<VertexId> label_vertices = arena->Carve<VertexId>(n);
   std::span<LabelId> distinct_labels = arena->Carve<LabelId>(num_distinct);
 
-  std::copy(labels_.begin(), labels_.end(), labels.begin());
+  std::copy(vertex_labels.begin(), vertex_labels.end(), labels.begin());
+  std::copy(adjacency_offsets.begin(), adjacency_offsets.end(),
+            out_offsets.begin());
+  std::copy(adjacency_targets.begin(), adjacency_targets.end(),
+            out_targets.begin());
 
-  // Out-adjacency: edges_ is already sorted by (source, target).
-  std::fill(out_offsets.begin(), out_offsets.end(), 0);
-  for (const auto& [u, v] : edges_) out_offsets[u + 1]++;
-  std::partial_sum(out_offsets.begin(), out_offsets.end(),
-                   out_offsets.begin());
-  for (size_t i = 0; i < m; ++i) out_targets[i] = edges_[i].second;
-
-  // In-adjacency via counting sort by target.
+  // In-adjacency via counting sort by target. Sources are visited in
+  // ascending order, so each in-neighbor list comes out sorted.
   std::fill(in_offsets.begin(), in_offsets.end(), 0);
-  for (const auto& [u, v] : edges_) in_offsets[v + 1]++;
+  for (VertexId v : out_targets) in_offsets[v + 1]++;
   std::partial_sum(in_offsets.begin(), in_offsets.end(), in_offsets.begin());
   {
     std::vector<uint64_t> cursor(in_offsets.begin(), in_offsets.end() - 1);
-    for (const auto& [u, v] : edges_) in_sources[cursor[v]++] = u;
+    for (VertexId u = 0; u < n; ++u) {
+      for (uint64_t i = out_offsets[u]; i < out_offsets[u + 1]; ++i) {
+        in_sources[cursor[out_targets[i]]++] = u;
+      }
+    }
   }
-  // Sources arrive in ascending order already (edges_ sorted by source), so
-  // each in-neighbor list is sorted.
 
   // Inverted label index from the histogram.
   label_offsets[0] = 0;
@@ -154,11 +173,9 @@ StatusOr<Graph> GraphBuilder::Build() {
     }
   }
 
-  labels_.clear();
-  edges_.clear();
-  return Graph::FromStorage(std::move(arena), labels, out_offsets,
-                            out_targets, in_offsets, in_sources, label_offsets,
-                            label_vertices, distinct_labels);
+  return FromStorage(std::move(arena), labels, out_offsets, out_targets,
+                     in_offsets, in_sources, label_offsets, label_vertices,
+                     distinct_labels);
 }
 
 }  // namespace bigindex

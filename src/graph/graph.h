@@ -112,6 +112,15 @@ class Graph {
   /// search/per_graph_cache.h).
   const StorageHandle& storage() const { return storage_; }
 
+  /// Builds a Graph from per-vertex labels and an out-adjacency in CSR form
+  /// (`adjacency_offsets` has |V|+1 entries; each vertex's targets are
+  /// ascending, distinct and < |V|), deriving the in-adjacency and the label
+  /// index. No checks: GraphBuilder::Build, the quotient builder and
+  /// ApplyDelta produce their edges in this form and finish here.
+  static Graph FromAdjacency(std::span<const LabelId> vertex_labels,
+                             std::span<const uint64_t> adjacency_offsets,
+                             std::span<const VertexId> adjacency_targets);
+
   /// Wires a Graph directly over externally owned arrays (the mmap'd index
   /// image). `storage` keeps the backing memory alive for the Graph's
   /// lifetime. The caller (core/index_image) is responsible for having

@@ -63,20 +63,17 @@ Graph Generalize(const Graph& g, const GeneralizationConfig& config) {
   return std::move(built).value();
 }
 
-StatusOr<Graph> SpecializeWithLabels(
-    const Graph& generalized, std::span<const LabelId> original_labels) {
-  if (original_labels.size() != generalized.NumVertices()) {
-    return Status::InvalidArgument("label count mismatch");
+std::span<const LabelId> GeneralizedLabels(const Graph& g,
+                                           const GeneralizationConfig& config,
+                                           std::vector<LabelId>* storage) {
+  if (config.empty()) return g.labels();
+  storage->assign(g.labels().begin(), g.labels().end());
+  for (LabelId label : g.DistinctLabels()) {
+    const LabelId to = config.Generalize(label);
+    if (to == label) continue;
+    for (VertexId v : g.VerticesWithLabel(label)) (*storage)[v] = to;
   }
-  GraphBuilder builder;
-  builder.Reserve(generalized.NumVertices(), generalized.NumEdges());
-  for (VertexId v = 0; v < generalized.NumVertices(); ++v) {
-    builder.AddVertex(original_labels[v]);
-  }
-  for (VertexId u = 0; u < generalized.NumVertices(); ++u) {
-    for (VertexId v : generalized.OutNeighbors(u)) builder.AddEdge(u, v);
-  }
-  return builder.Build();
+  return *storage;
 }
 
 }  // namespace bigindex

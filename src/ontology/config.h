@@ -74,15 +74,18 @@ class GeneralizationConfig {
   mutable bool reverse_dirty_ = false;
 };
 
-/// Graph generalization Gen(G, C): same structure, labels rewritten.
+/// Graph generalization Gen(G, C): same structure, labels rewritten. The
+/// index never builds this graph (it summarizes g under GeneralizedLabels);
+/// it stays as the reference that view is tested against.
 Graph Generalize(const Graph& g, const GeneralizationConfig& config);
 
-/// Graph specialization Spec(G_C, C): exact inverse of Generalize *only* for
-/// graphs whose per-vertex original labels are known; on bare graphs the label
-/// preimage is ambiguous, so this variant takes the original labels.
-/// Primarily used by tests for the Gen/Spec round-trip property.
-StatusOr<Graph> SpecializeWithLabels(const Graph& generalized,
-                                     std::span<const LabelId> original_labels);
+/// The per-vertex labels of Gen(g, C) as a view over g's structure, which
+/// bisim/ComputeBisimulation summarizes: g.labels() itself under an empty
+/// config, else `storage` rewritten through g's label index in
+/// O(|V| + |Σ(g)|) — no table over the label-id range.
+std::span<const LabelId> GeneralizedLabels(const Graph& g,
+                                           const GeneralizationConfig& config,
+                                           std::vector<LabelId>* storage);
 
 }  // namespace bigindex
 

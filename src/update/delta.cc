@@ -1,7 +1,6 @@
 #include "update/delta.h"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
 #include <utility>
 
@@ -42,20 +41,31 @@ StatusOr<UpdateDelta> NormalizeUpdates(const Graph& g,
 }
 
 Graph ApplyDelta(const Graph& g, const UpdateDelta& delta) {
+  // Splice each vertex's sorted out-list: drop its removed edges (present in
+  // g) and merge in its added ones (absent from g). Both delta lists are
+  // sorted by (source, target), so one pass over g's CSR does it.
   const size_t n = g.NumVertices();
-  GraphBuilder builder;
-  builder.Reserve(n, g.NumEdges() + delta.added.size());
-  for (VertexId v = 0; v < n; ++v) builder.AddVertex(g.label(v));
-  for (const auto& [u, v] : g.Edges()) {
-    if (!std::binary_search(delta.removed.begin(), delta.removed.end(),
-                            std::make_pair(u, v))) {
-      builder.AddEdge(u, v);
+  std::vector<uint64_t> offsets(n + 1, 0);
+  std::vector<VertexId> targets;
+  targets.reserve(g.NumEdges() + delta.added.size());
+  auto added = delta.added.begin();
+  auto removed = delta.removed.begin();
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v : g.OutNeighbors(u)) {
+      const std::pair<VertexId, VertexId> edge(u, v);
+      for (; added != delta.added.end() && *added < edge; ++added) {
+        targets.push_back(added->second);
+      }
+      while (removed != delta.removed.end() && *removed < edge) ++removed;
+      if (removed != delta.removed.end() && *removed == edge) continue;
+      targets.push_back(v);
     }
+    for (; added != delta.added.end() && added->first == u; ++added) {
+      targets.push_back(added->second);
+    }
+    offsets[u + 1] = targets.size();
   }
-  for (const auto& [u, v] : delta.added) builder.AddEdge(u, v);
-  auto built = builder.Build();
-  assert(built.ok());  // endpoints validated by NormalizeUpdates
-  return std::move(built).value();
+  return Graph::FromAdjacency(g.labels(), offsets, targets);
 }
 
 StatusOr<Graph> ApplyUpdates(const Graph& g,

@@ -47,8 +47,9 @@ struct UpdateDelta {
 StatusOr<UpdateDelta> NormalizeUpdates(const Graph& g,
                                        std::span<const GraphUpdate> updates);
 
-/// Applies `delta` (as produced by NormalizeUpdates against `g`) and returns
-/// the updated graph.
+/// Applies `delta` (as produced by NormalizeUpdates or ProjectDeltaToSummary
+/// against `g`: both lists sorted, removed edges present in `g`, added edges
+/// absent) and returns the updated graph.
 Graph ApplyDelta(const Graph& g, const UpdateDelta& delta);
 
 /// Applies `updates` in order and returns the updated graph. Removing an

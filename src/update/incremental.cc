@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "bisim/signature.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -22,31 +23,10 @@ constexpr uint32_t kUnset32 = std::numeric_limits<uint32_t>::max();
 // MaintainOptions::fallback_dirty_ratio, which guards O(V+E) passes.
 constexpr double kMergeScanFallbackRatio = 0.75;
 
-// FNV-1a over a word sequence (same scheme as bisim/bisimulation.cc);
-// collisions are resolved by full comparison in the group map.
-uint64_t HashWords(std::span<const uint32_t> v) {
-  uint64_t h = 1469598103934665603ULL;
-  for (uint32_t x : v) {
-    h ^= x;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-struct SigKey {
-  std::vector<uint32_t> words;
-  uint64_t hash;
-  bool operator==(const SigKey& o) const {
-    return hash == o.hash && words == o.words;
-  }
-};
-
-struct SigKeyHash {
-  size_t operator()(const SigKey& k) const { return k.hash; }
-};
-
 // Working partition for SplitToStability. `block`/`members_of` are mutually
-// consistent (members ascending within each block); `origin_of`/`fragmented`
+// consistent (members ascending within each block), except that a block of
+// one member may keep an empty list: SplitToStability never splits a block
+// of fewer than two members, so it never reads one; `origin_of`/`fragmented`
 // carry initial-block provenance: every working block descends from exactly
 // one initial block (splits preserve the origin, splitting never merges),
 // and an initial block fragments the first time any block of its line
@@ -79,6 +59,7 @@ size_t SplitToStability(const Graph& g, std::span<const LabelId> labels,
   std::vector<char> touched_flag(rs.members_of.size(), 0);
   std::vector<uint32_t> touched;
   std::vector<VertexId> moved;
+  std::vector<uint32_t> sig;
   size_t rounds = 0;
   while (!frontier.empty()) {
     TRACE_SPAN("update/split_round");
@@ -104,26 +85,18 @@ size_t SplitToStability(const Graph& g, std::span<const LabelId> labels,
 
       // Group members by signature, first-occurrence group order (members
       // are ascending, so group 0 holds mem[0] and keeps the id).
-      std::unordered_map<SigKey, uint32_t, SigKeyHash> group_of;
+      SignatureInterner group_of;
       std::vector<std::vector<VertexId>> groups;
-      SigKey key;
       for (VertexId v : mem) {
-        key.words.clear();
-        key.words.push_back(labels[v]);
-        const size_t first = key.words.size();
+        sig.clear();
+        sig.push_back(labels[v]);
         const auto [s, e] = out[v];
-        for (uint64_t i = s; i < e; ++i) {
-          key.words.push_back(rs.block[out.Slot(i)]);
-        }
-        std::sort(key.words.begin() + first, key.words.end());
-        key.words.erase(
-            std::unique(key.words.begin() + first, key.words.end()),
-            key.words.end());
-        key.hash = HashWords(key.words);
-        auto [it, inserted] =
-            group_of.try_emplace(key, static_cast<uint32_t>(groups.size()));
-        if (inserted) groups.emplace_back();
-        groups[it->second].push_back(v);
+        for (uint64_t i = s; i < e; ++i) sig.push_back(rs.block[out.Slot(i)]);
+        std::sort(sig.begin() + 1, sig.end());
+        sig.erase(std::unique(sig.begin() + 1, sig.end()), sig.end());
+        const uint32_t group = group_of.Intern(sig);
+        if (group == groups.size()) groups.emplace_back();
+        groups[group].push_back(v);
       }
       if (resigned != nullptr) *resigned += mem.size();
       if (groups.size() <= 1) continue;
@@ -168,7 +141,7 @@ uint64_t OneStepInvariant(const Graph& q, VertexId v,
   std::sort(scratch.begin() + fixed, scratch.end());
   scratch.erase(std::unique(scratch.begin() + fixed, scratch.end()),
                 scratch.end());
-  return HashWords(scratch);
+  return HashSignature(scratch);
 }
 
 }  // namespace
@@ -234,9 +207,9 @@ MergeScan DetectMerges(const Graph& q, std::span<const VertexId> changed,
       kMergeScanFallbackRatio * static_cast<double>(m)) {
     // The working set covers most of the graph — the localized refinement
     // would approximate a wholesale pass anyway.
-    BisimResult merged = ComputeBisimulation(q, {.pool = pool});
-    scan.block_of.resize(m);
-    for (VertexId v = 0; v < m; ++v) scan.block_of[v] = merged.mapping.SuperOf(v);
+    BisimResult merged = ComputeBisimulation(q, q.labels(), {.pool = pool});
+    const auto super = merged.mapping.VertexToSuper();
+    scan.block_of.assign(super.begin(), super.end());
     scan.num_classes = merged.mapping.NumSupernodes();
     scan.rounds = merged.refinement_rounds;
     scan.localized = false;
@@ -262,8 +235,9 @@ MergeScan DetectMerges(const Graph& q, std::span<const VertexId> changed,
         rs.members_of[it->second].push_back(v);
         frontier.push_back(v);
       } else {
+        // A singleton outside the active set keeps an empty member list.
         rs.block[v] = static_cast<uint32_t>(rs.members_of.size());
-        rs.members_of.push_back({v});
+        rs.members_of.emplace_back();
       }
     }
   }
@@ -283,53 +257,6 @@ MergeScan DetectMerges(const Graph& q, std::span<const VertexId> changed,
     scan.block_of[v] = d;
   }
   return scan;
-}
-
-BisimResult MaterializePartition(const Graph& g,
-                                 std::span<const LabelId> labels,
-                                 std::vector<uint32_t> partition,
-                                 size_t id_bound, size_t rounds,
-                                 std::vector<uint32_t>* old_to_final) {
-  // Renumber in first-occurrence order over the vertex scan — the numbering
-  // ComputeBisimulation's final interner round produces — then materialize
-  // the summary exactly as bisim/bisimulation.cc does, so serialized results
-  // are byte-identical to a from-scratch run.
-  const size_t n = g.NumVertices();
-  std::vector<uint32_t> dense(id_bound, kUnset32);
-  size_t num_blocks = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    uint32_t& d = dense[partition[v]];
-    if (d == kUnset32) d = static_cast<uint32_t>(num_blocks++);
-    partition[v] = d;
-  }
-
-  BisimResult result;
-  result.refinement_rounds = rounds;
-  result.mapping = BisimMapping(partition, num_blocks);
-
-  TRACE_SPAN("bisim/materialize");
-  GraphBuilder builder;
-  builder.Reserve(num_blocks, g.NumEdges());
-  {
-    std::vector<LabelId> super_label(num_blocks, kInvalidLabel);
-    for (VertexId v = 0; v < n; ++v) {
-      super_label[partition[v]] = labels[v];
-    }
-    for (size_t s = 0; s < num_blocks; ++s) builder.AddVertex(super_label[s]);
-  }
-  const CsrView out = g.Out();
-  for (VertexId u = 0; u < n; ++u) {
-    const auto [b, e] = out[u];
-    for (uint64_t i = b; i < e; ++i) {
-      // Duplicate block edges collapse in Build.
-      builder.AddEdge(partition[u], partition[out.Slot(i)]);
-    }
-  }
-  auto built = builder.Build();
-  assert(built.ok());
-  result.summary = std::move(built).value();
-  if (old_to_final != nullptr) *old_to_final = std::move(dense);
-  return result;
 }
 
 StatusOr<BisimResult> IncrementalBisimulation(
@@ -368,7 +295,8 @@ StatusOr<BisimResult> IncrementalBisimulation(
 
   // Densify the seed into block ids 0..B-1 (first-occurrence order; the
   // final renumber makes the choice here irrelevant to output) and build
-  // block -> members lists, members ascending.
+  // block -> members lists, members ascending. Most seed blocks of a
+  // summary-sized layer are singletons; they keep an empty list.
   RefineState rs;
   rs.block.resize(n);
   std::vector<VertexId> seed_value_of;
@@ -380,14 +308,23 @@ StatusOr<BisimResult> IncrementalBisimulation(
     }
     uint32_t& d = seed_dense[s];
     if (d == kUnset32) {
-      d = static_cast<uint32_t>(rs.members_of.size());
-      rs.members_of.emplace_back();
+      d = static_cast<uint32_t>(seed_value_of.size());
       seed_value_of.push_back(s);
     }
     rs.block[v] = d;
-    rs.members_of[d].push_back(v);
   }
-  const size_t num_seeds = rs.members_of.size();
+  const size_t num_seeds = seed_value_of.size();
+  {
+    std::vector<uint32_t> seed_size(num_seeds, 0);
+    for (VertexId v = 0; v < n; ++v) ++seed_size[rs.block[v]];
+    rs.members_of.resize(num_seeds);
+    for (uint32_t b = 0; b < num_seeds; ++b) {
+      if (seed_size[b] > 1) rs.members_of[b].reserve(seed_size[b]);
+    }
+    for (VertexId v = 0; v < n; ++v) {
+      if (seed_size[rs.block[v]] > 1) rs.members_of[rs.block[v]].push_back(v);
+    }
+  }
   rs.origin_of.resize(num_seeds);
   for (uint32_t b = 0; b < num_seeds; ++b) rs.origin_of[b] = b;
   rs.fragmented.assign(num_seeds, 0);
@@ -414,53 +351,16 @@ StatusOr<BisimResult> IncrementalBisimulation(
   // maximal bisimulation (updates can *merge* blocks). P is stable and
   // label-uniform, so max-bisim(g) is the pullback of max-bisim(g/P):
   // quotient, scan the (summary-sized) quotient for merges, compose.
-  std::vector<uint32_t> p1(n);
-  std::vector<uint32_t> p1_origin;
-  std::vector<uint32_t> p1_work;  // p1 block -> working block (members list)
-  size_t p1_blocks = 0;
-  {
-    std::vector<uint32_t> dense(rs.members_of.size(), kUnset32);
-    for (VertexId v = 0; v < n; ++v) {
-      uint32_t& d = dense[rs.block[v]];
-      if (d == kUnset32) {
-        d = static_cast<uint32_t>(p1_blocks++);
-        p1_origin.push_back(rs.origin_of[rs.block[v]]);
-        p1_work.push_back(rs.block[v]);
-      }
-      p1[v] = d;
-    }
+  const size_t num_work = rs.members_of.size();
+  std::vector<uint32_t> work_to_p1;
+  BisimResult p1 = MaterializeQuotient(g, labels, std::move(rs.block),
+                                       num_work, &work_to_p1);
+  const size_t p1_blocks = p1.mapping.NumSupernodes();
+  std::vector<uint32_t> p1_origin(p1_blocks);
+  for (uint32_t w = 0; w < num_work; ++w) {
+    if (work_to_p1[w] != kUnset32) p1_origin[work_to_p1[w]] = rs.origin_of[w];
   }
   st.quotient_vertices = p1_blocks;
-
-  const CsrView out = g.Out();
-  Graph quotient;
-  {
-    TRACE_SPAN("update/quotient");
-    GraphBuilder qb;
-    qb.Reserve(p1_blocks, g.NumEdges());
-    std::vector<LabelId> qlabel(p1_blocks, kInvalidLabel);
-    for (VertexId v = 0; v < n; ++v) qlabel[p1[v]] = labels[v];
-    for (size_t s = 0; s < p1_blocks; ++s) qb.AddVertex(qlabel[s]);
-    // Pre-dedupe block edges with a stamp array so Build's sort works on
-    // ~|E_q| entries instead of |E| — Build sorts and uniques regardless, so
-    // the result is byte-identical to feeding every vertex-level edge.
-    std::vector<uint32_t> stamp(p1_blocks, kUnset32);
-    for (uint32_t b = 0; b < p1_blocks; ++b) {
-      for (VertexId u : rs.members_of[p1_work[b]]) {
-        const auto [s, e] = out[u];
-        for (uint64_t i = s; i < e; ++i) {
-          const uint32_t t = p1[out.Slot(i)];
-          if (stamp[t] != b) {
-            stamp[t] = b;
-            qb.AddEdge(b, t);
-          }
-        }
-      }
-    }
-    auto built = qb.Build();
-    assert(built.ok());
-    quotient = std::move(built).value();
-  }
 
   // The seed came from a maximal bisimulation, so the old quotient was
   // *reduced* (no two blocks bisimilar) and merge classes are confined to
@@ -471,9 +371,10 @@ StatusOr<BisimResult> IncrementalBisimulation(
   {
     std::vector<char> qflag(p1_blocks, 0);
     for (VertexId v : options.merge_changed) {
-      if (!qflag[p1[v]]) {
-        qflag[p1[v]] = 1;
-        qchanged.push_back(p1[v]);
+      const VertexId b = p1.mapping.SuperOf(v);
+      if (!qflag[b]) {
+        qflag[b] = 1;
+        qchanged.push_back(b);
       }
     }
     for (uint32_t b = 0; b < p1_blocks; ++b) {
@@ -483,62 +384,43 @@ StatusOr<BisimResult> IncrementalBisimulation(
       }
     }
   }
-  MergeScan scan = DetectMerges(quotient, qchanged, options.pool);
+  MergeScan scan = DetectMerges(p1.summary, qchanged, options.pool);
   st.merge_active = scan.active;
   st.merge_localized = scan.localized;
 
-  if (scan.num_classes == p1_blocks) {
-    // Discrete: P1 is the maximal bisimulation. `quotient` was built by
-    // the exact builder-call sequence MaterializePartition would issue
-    // for this partition (p1 is already in first-occurrence order), so it
-    // IS the byte-identical summary — no second full-graph pass.
-    BisimResult result;
-    result.refinement_rounds = rounds + scan.rounds;
-    result.mapping = BisimMapping(p1, p1_blocks);
-    result.summary = std::move(quotient);
-    if (trace != nullptr) {
-      trace->seed_of_final.assign(p1_blocks, kInvalidVertex);
-      trace->intact.assign(p1_blocks, 0);
-      for (uint32_t b = 0; b < p1_blocks; ++b) {
-        const uint32_t origin = p1_origin[b];
-        trace->seed_of_final[b] = seed_value_of[origin];
-        trace->intact[b] = !rs.fragmented[origin];
-      }
-    }
-    return result;
-  }
-
-  // Blocks merged (rare): compose and materialize as usual.
-  std::vector<uint32_t> final_block(n);
-  for (VertexId v = 0; v < n; ++v) final_block[v] = scan.block_of[p1[v]];
-  std::vector<uint32_t> merged_to_final;
-  BisimResult result = MaterializePartition(
-      g, labels, std::move(final_block), scan.num_classes,
-      rounds + scan.rounds, trace != nullptr ? &merged_to_final : nullptr);
+  // Discrete (no merges): P1 is the maximal bisimulation and its quotient
+  // is the summary. Otherwise the summary is P1's quotient coarsened by the
+  // merge classes — no second pass over the layer graph either way.
+  const bool merged = scan.num_classes != p1_blocks;
+  std::vector<uint32_t> class_to_final;
+  BisimResult result =
+      merged ? CoarsenQuotient(p1, scan.block_of, scan.num_classes,
+                               &class_to_final)
+             : std::move(p1);
+  result.refinement_rounds = rounds + scan.rounds;
 
   if (trace != nullptr) {
-    std::vector<std::vector<uint32_t>> cls(scan.num_classes);
-    for (uint32_t b = 0; b < p1_blocks; ++b) {
-      cls[scan.block_of[b]].push_back(b);
-    }
+    // A final block keeps its seed when all its P1 blocks descend from one
+    // seed. Intact = the seed never split and nothing merged in: the final
+    // block's member set is exactly the seed block's. Two fragments of one
+    // seed re-merging in phase 2 is conservatively non-intact (members may
+    // still differ from the seed's).
     const size_t num_final = result.mapping.NumSupernodes();
+    std::vector<uint32_t> parts(num_final, 0);
     trace->seed_of_final.assign(num_final, kInvalidVertex);
     trace->intact.assign(num_final, 0);
-    for (uint32_t f = 0; f < scan.num_classes; ++f) {
-      const std::vector<uint32_t>& p1s = cls[f];
-      const uint32_t origin = p1_origin[p1s[0]];
-      bool single_origin = true;
-      for (size_t j = 1; j < p1s.size() && single_origin; ++j) {
-        single_origin = p1_origin[p1s[j]] == origin;
+    for (uint32_t b = 0; b < p1_blocks; ++b) {
+      const uint32_t t = merged ? class_to_final[scan.block_of[b]] : b;
+      const VertexId seed = seed_value_of[p1_origin[b]];
+      if (parts[t]++ == 0) {
+        trace->seed_of_final[t] = seed;
+        trace->intact[t] = !rs.fragmented[p1_origin[b]];
+      } else {
+        if (trace->seed_of_final[t] != seed) {
+          trace->seed_of_final[t] = kInvalidVertex;  // mixed seeds
+        }
+        trace->intact[t] = 0;
       }
-      if (!single_origin) continue;  // mixed: stays kInvalidVertex
-      const uint32_t t = merged_to_final[f];
-      trace->seed_of_final[t] = seed_value_of[origin];
-      // Intact = the seed never split and nothing merged in: the final
-      // block's member set is exactly the seed block's member set. Two
-      // fragments of one seed re-merging in phase 2 is conservatively
-      // non-intact (members may still differ from the seed's).
-      trace->intact[t] = p1s.size() == 1 && !rs.fragmented[origin];
     }
   }
   return result;

@@ -25,12 +25,12 @@
 //   returned as the summary directly, skipping the final full-graph
 //   materialization.
 //
-// The composed partition is renumbered in first-occurrence order over the
-// vertex scan and the summary is materialized exactly as
-// bisim/bisimulation.cc does, so the returned BisimResult is byte-identical
-// (summary + mapping) to a from-scratch ComputeBisimulation of the updated
-// graph — the differential harness in tests/update_differential_test.cpp
-// holds this to serialized-image equality over random update streams.
+// Both quotients (P1 and the merged partition) come from bisim's
+// MaterializeQuotient, which renumbers in first-occurrence order over the
+// vertex scan, so the returned BisimResult is byte-identical (summary +
+// mapping) to a from-scratch ComputeBisimulation of the updated graph — the
+// differential harness in tests/update_differential_test.cpp holds this to
+// serialized-image equality over random update streams.
 //
 // Whether a layer is worth refining locally at all is the caller's call:
 // MaintainIndex compares the dirty set with
@@ -59,11 +59,9 @@ struct IncrementalBisimOptions {
   /// construction). Output is byte-identical for every pool size.
   ExecutorPool* pool = nullptr;
 
-  /// Per-vertex label (one entry per vertex of `g`). Signatures, the
-  /// quotient, and the materialized summary use labels[v] instead of
-  /// g.label(v) — this lets maintenance refine against Gen(G, C) without
-  /// ever materializing the generalized graph (the output is byte-identical
-  /// to running on Generalize(g, config)). Pass g.labels() for no override.
+  /// Per-vertex label (one entry per vertex of `g`), as for
+  /// ComputeBisimulation: g.labels(), or the GeneralizedLabels view that
+  /// lets maintenance refine against Gen(G, C) without materializing it.
   std::span<const LabelId> labels;
 
   /// Exclusive upper bound on seed_partition values (maintenance knows one:
@@ -95,19 +93,6 @@ struct IncrementalBisimTrace {
   /// into it (phase 2). Intact blocks inherit the seed block's identity.
   std::vector<char> intact;
 };
-
-/// Renumbers `partition` (one entry per vertex of `g`, arbitrary ids
-/// < id_bound) in first-occurrence order over the vertex scan and
-/// materializes the quotient summary exactly as bisim/bisimulation.cc does,
-/// so results are byte-identical to ComputeBisimulation when `partition` is
-/// the maximal bisimulation. `labels` holds one label per vertex (see
-/// IncrementalBisimOptions::labels). `old_to_final`, when non-null, receives
-/// the id_bound-sized renumbering table (untouched ids map to UINT32_MAX).
-/// `rounds` is copied into the result's diagnostics field.
-BisimResult MaterializePartition(const Graph& g, std::span<const LabelId> labels,
-                                 std::vector<uint32_t> partition,
-                                 size_t id_bound, size_t rounds,
-                                 std::vector<uint32_t>* old_to_final = nullptr);
 
 /// Diagnostics from one IncrementalBisimulation call.
 struct IncrementalBisimStats {
@@ -167,8 +152,9 @@ MergeScan DetectMerges(const Graph& q, std::span<const VertexId> changed,
 /// yield a partition coarser than maximal bisimulation; it is not checked
 /// at runtime — the differential tests guard it.
 ///
-/// Returns a BisimResult byte-identical to ComputeBisimulation(g) with
-/// default options (refinement_rounds is diagnostics-only and differs).
+/// Returns a BisimResult byte-identical to
+/// ComputeBisimulation(g, options.labels) with default options
+/// (refinement_rounds is diagnostics-only and differs).
 ///
 /// `trace`, when non-null, is filled with per-final-block seed provenance.
 StatusOr<BisimResult> IncrementalBisimulation(

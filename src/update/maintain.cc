@@ -68,32 +68,6 @@ size_t CountMode(const MaintainReport& rep, LayerMaintenance mode) {
   return n;
 }
 
-// label -> generalized-label table covering `slots` label ids (identity for
-// unmapped labels), O(#labels).
-std::vector<LabelId> GenTable(const GeneralizationConfig& config,
-                              size_t slots) {
-  std::vector<LabelId> table(slots);
-  for (size_t l = 0; l < slots; ++l) table[l] = static_cast<LabelId>(l);
-  for (const LabelMapping& m : config.mappings()) {
-    if (m.from < slots) table[m.from] = m.to;
-  }
-  return table;
-}
-
-// Per-vertex labels of Gen(g, config) without materializing it: g's own
-// labels under an empty config, else `storage` filled from the table.
-std::span<const LabelId> GeneralizedLabels(const Graph& g,
-                                           const GeneralizationConfig& config,
-                                           std::vector<LabelId>* storage) {
-  if (config.empty()) return g.labels();
-  const std::vector<LabelId> table = GenTable(config, g.LabelSlots());
-  storage->resize(g.NumVertices());
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    (*storage)[v] = table[g.label(v)];
-  }
-  return *storage;
-}
-
 // The link above a re-partitioned layer, given the old -> new supernode
 // correspondence `next`. Changed: blocks without an old counterpart, their
 // summary in-neighbors (whose mapped out-neighborhood now refers to a
@@ -133,7 +107,7 @@ LevelLink LinkAbove(const BisimResult& bisim, Correspondence next,
 bool PartitionSurvivesDelta(const Graph& g, std::span<const VertexId> seed,
                             const BisimMapping& mapping,
                             std::span<const VertexId> dirty,
-                            const std::vector<LabelId>& gen_table) {
+                            const GeneralizationConfig& config) {
   std::vector<char> seen(mapping.NumSupernodes(), 0);
   std::vector<uint32_t> ref, sig;
   for (VertexId v : dirty) {
@@ -145,7 +119,7 @@ bool PartitionSurvivesDelta(const Graph& g, std::span<const VertexId> seed,
     bool first = true;
     for (VertexId m : members) {
       sig.clear();
-      sig.push_back(gen_table[g.label(m)]);
+      sig.push_back(config.Generalize(g.label(m)));
       const size_t fixed = sig.size();
       for (VertexId w : g.OutNeighbors(m)) sig.push_back(seed[w]);
       std::sort(sig.begin() + fixed, sig.end());
@@ -310,14 +284,9 @@ StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
       const std::span<const VertexId> seed = old_layer.mapping.VertexToSuper();
       const std::vector<VertexId>& dirty = link.changed;
 
-      Timer t_gen;
-      const std::vector<LabelId> table =
-          GenTable(config, cur_new->LabelSlots());
-      lrep.generalize_ms += t_gen.ElapsedMillis();
-
       Timer t_ref;
       if (PartitionSurvivesDelta(*cur_new, seed, old_layer.mapping, dirty,
-                                 table)) {
+                                 config)) {
         UpdateDelta sdelta = ProjectDeltaToSummary(*cur_new, seed,
                                                    old_layer.graph, link.delta);
         Graph patched = sdelta.empty() ? old_layer.graph
@@ -355,20 +324,16 @@ StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
           above.delta = std::move(sdelta);
           lrep.correspondence_ms += t_corr.ElapsedMillis();
         } else {
-          // Blocks merged (splits are ruled out by the probe). Compose
-          // seed ∘ merged and materialize; an old supernode survives iff
+          // Blocks merged (splits are ruled out by the probe), so the
+          // patched summary is the quotient under the old partition:
+          // coarsen it by the merge classes. An old supernode survives iff
           // its merge class is a singleton.
-          std::vector<LabelId> glabels_storage;
-          const std::span<const LabelId> glabels =
-              GeneralizedLabels(*cur_new, config, &glabels_storage);
-          std::vector<uint32_t> composed(n);
-          for (VertexId v = 0; v < n; ++v) {
-            composed[v] = merged.block_of[seed[v]];
-          }
           std::vector<uint32_t> old_to_final;
-          bisim = MaterializePartition(*cur_new, glabels, std::move(composed),
-                                       merged.num_classes, merged.rounds,
-                                       &old_to_final);
+          bisim = CoarsenQuotient({.summary = std::move(patched),
+                                   .mapping = old_layer.mapping},
+                                  merged.block_of, merged.num_classes,
+                                  &old_to_final);
+          bisim.refinement_rounds = merged.rounds;
           lrep.mode = LayerMaintenance::kIncremental;
 
           Timer t_corr;
@@ -507,24 +472,20 @@ StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
     // is wholesale too.
     if (!done) {
       Timer t_gen;
-      Graph generalized;
+      std::vector<LabelId> glabels_storage;
+      std::span<const LabelId> glabels;
       {
         TRACE_SPAN("build/generalize");
-        generalized = Generalize(*cur_new, config);
+        glabels = GeneralizedLabels(*cur_new, config, &glabels_storage);
       }
       lrep.generalize_ms += t_gen.ElapsedMillis();
       Timer t_ref;
-      bisim = ComputeBisimulation(generalized, wholesale_opts);
+      bisim = ComputeBisimulation(*cur_new, glabels, wholesale_opts);
       lrep.refine_ms += t_ref.ElapsedMillis();
       lrep.mode = LayerMaintenance::kWholesale;
     }
 
-    // Build's exact stop test.
-    const double ratio =
-        cur_new->Size() == 0
-            ? 1.0
-            : static_cast<double>(bisim.summary.Size()) / cur_new->Size();
-    if (config.empty() && ratio > kStopRatio) break;
+    if (EndsHierarchy(config, *cur_new, bisim.summary)) break;
 
     IndexLayer layer;
     layer.config = std::move(config);

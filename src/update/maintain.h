@@ -3,21 +3,22 @@
 // propagating the update delta up the layer hierarchy only while block
 // signatures actually change (Sec. 3.2; ROADMAP open item 4).
 //
-// The loop mirrors BigIndex::Build layer by layer — configuration,
-// generalization, summarization, Build's exact stop test — so the result is
-// byte-identical to BigIndex::Build on the updated base graph even when the
-// layer count drifts. Unlike Build, every per-layer step is delta-localized
-// when the batch allows it (docs/MAINTENANCE.md has the full cost model):
+// The loop mirrors BigIndex::Build layer by layer — configuration, the
+// generalized label view, summarization, Build's stop test (EndsHierarchy)
+// — so the result is byte-identical to BigIndex::Build on the updated base
+// graph even when the layer count drifts. Unlike Build, every per-layer step
+// is delta-localized when the batch allows it (docs/MAINTENANCE.md has the
+// full cost model):
 //
 //   * configuration: FullOneStepConfiguration is a pure function of the
 //     distinct-label set, and edge-only updates cannot change labels, so the
 //     stored (already validated) layer config is reused whenever the
 //     distinct-label sets match (SameFullConfiguration) — no per-layer
 //     ontology walk;
-//   * generalization: the generalized layer graph is never materialized on
-//     the localized paths — refinement runs against the structural graph
-//     plus a label-override table (IncrementalBisimOptions::labels), built
-//     from the config in O(#labels);
+//   * generalization: the generalized layer graph is never materialized —
+//     every tier summarizes the structural graph under the per-vertex
+//     GeneralizedLabels view (ontology/config.h), and the patched tier's
+//     probe generalizes only the labels of the dirty blocks' members;
 //   * dirtiness: seeded from the delta's endpoints only (the sources of net
 //     added/removed edges, then the provenance-tracked changed set per
 //     layer), never from an O(V+E) drift scan;
@@ -34,8 +35,9 @@
 //   * verbatim copy of the old tail when the correspondence below is the
 //     identity and the propagated delta is empty — Build is deterministic,
 //     so everything above is provably unchanged;
-//   * wholesale ComputeBisimulation otherwise (config drift, new layers
-//     beyond the old stack, or a dirty frontier past fallback_dirty_ratio).
+//   * wholesale ComputeBisimulation over the label view otherwise (config
+//     drift, new layers beyond the old stack, or a dirty frontier past
+//     fallback_dirty_ratio).
 //     A wholesale layer carries no provenance, so every layer above it is
 //     wholesale as well.
 //
@@ -100,8 +102,8 @@ struct MaintainLayerReport {
   bool config_reused = false;
 
   /// Wall-clock breakdown of the four per-layer steps (ms). configure =
-  /// config reuse check / recompute + validate; generalize = label-table or
-  /// generalized-graph construction; correspondence = seed/dirty transport +
+  /// config reuse check / recompute + validate; generalize = building the
+  /// GeneralizedLabels view; correspondence = seed/dirty transport +
   /// next-level correspondence derivation; refine = probe + patch/seeded
   /// refinement/wholesale summarization.
   double configure_ms = 0;

@@ -33,7 +33,7 @@ TEST(BisimTest, CollapsesIdenticalPersons) {
   for (VertexId v = 0; v < 10; ++v) edges.push_back({v, 10});
   Graph g = BuildGraph(11, labels, edges);
 
-  BisimResult r = ComputeBisimulation(g);
+  BisimResult r = ComputeBisimulation(g, g.labels());
   EXPECT_EQ(r.summary.NumVertices(), 2u);
   EXPECT_EQ(r.summary.NumEdges(), 1u);
   // All persons share one supernode.
@@ -45,14 +45,14 @@ TEST(BisimTest, CollapsesIdenticalPersons) {
 
 TEST(BisimTest, DifferentLabelsNeverMerge) {
   Graph g = BuildGraph(2, {0, 1}, {});
-  BisimResult r = ComputeBisimulation(g);
+  BisimResult r = ComputeBisimulation(g, g.labels());
   EXPECT_EQ(r.summary.NumVertices(), 2u);
 }
 
 TEST(BisimTest, DifferentSuccessorsSplit) {
   // 0 and 1 share label 0; 0 -> 2 (label 1), 1 -> 3 (label 2).
   Graph g = BuildGraph(4, {0, 0, 1, 2}, {{0, 2}, {1, 3}});
-  BisimResult r = ComputeBisimulation(g);
+  BisimResult r = ComputeBisimulation(g, g.labels());
   EXPECT_NE(r.mapping.SuperOf(0), r.mapping.SuperOf(1));
   EXPECT_EQ(r.summary.NumVertices(), 4u);
 }
@@ -61,7 +61,7 @@ TEST(BisimTest, ChainSplitsByDepth) {
   // A directed path of 5 same-label vertices: successor structure differs at
   // every depth, so no two merge.
   Graph g = BuildGraph(5, {0, 0, 0, 0, 0}, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
-  BisimResult r = ComputeBisimulation(g);
+  BisimResult r = ComputeBisimulation(g, g.labels());
   EXPECT_EQ(r.summary.NumVertices(), 5u);
   EXPECT_GE(r.refinement_rounds, 4u);
 }
@@ -70,7 +70,7 @@ TEST(BisimTest, CycleOfEquivalentVertices) {
   // A 4-cycle with one label: every vertex has the same infinite behaviour,
   // so all collapse to one supernode with a self-loop.
   Graph g = BuildGraph(4, {0, 0, 0, 0}, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
-  BisimResult r = ComputeBisimulation(g);
+  BisimResult r = ComputeBisimulation(g, g.labels());
   EXPECT_EQ(r.summary.NumVertices(), 1u);
   EXPECT_TRUE(r.summary.HasEdge(0, 0));
 }
@@ -78,7 +78,7 @@ TEST(BisimTest, CycleOfEquivalentVertices) {
 TEST(BisimTest, SummaryLabelsMatchMembers) {
   Graph g = BuildGraph(6, {0, 0, 1, 1, 2, 2},
                        {{0, 2}, {1, 3}, {2, 4}, {3, 5}});
-  BisimResult r = ComputeBisimulation(g);
+  BisimResult r = ComputeBisimulation(g, g.labels());
   for (VertexId s = 0; s < r.summary.NumVertices(); ++s) {
     for (VertexId v : r.mapping.Members(s)) {
       EXPECT_EQ(r.summary.label(s), g.label(v));
@@ -89,7 +89,7 @@ TEST(BisimTest, SummaryLabelsMatchMembers) {
 TEST(BisimTest, EmptyGraph) {
   GraphBuilder b;
   Graph g = std::move(b.Build()).value();
-  BisimResult r = ComputeBisimulation(g);
+  BisimResult r = ComputeBisimulation(g, g.labels());
   EXPECT_EQ(r.summary.NumVertices(), 0u);
   EXPECT_EQ(r.mapping.NumSupernodes(), 0u);
 }
@@ -97,7 +97,7 @@ TEST(BisimTest, EmptyGraph) {
 TEST(BisimTest, ResultIsStable) {
   Graph g = BuildGraph(6, {0, 0, 1, 1, 2, 2},
                        {{0, 2}, {1, 2}, {2, 4}, {3, 5}, {0, 3}});
-  BisimResult r = ComputeBisimulation(g);
+  BisimResult r = ComputeBisimulation(g, g.labels());
   EXPECT_TRUE(IsStableBisimulation(g, r.mapping));
 }
 
@@ -109,8 +109,8 @@ TEST(BisimTest, IdempotentOnSummary) {
   for (VertexId v = 0; v < 10; ++v) edges.push_back({v, VertexId(10 + v % 2)});
   edges.push_back({10, 11});
   Graph g = BuildGraph(20, labels, edges);
-  BisimResult r1 = ComputeBisimulation(g);
-  BisimResult r2 = ComputeBisimulation(r1.summary);
+  BisimResult r1 = ComputeBisimulation(g, g.labels());
+  BisimResult r2 = ComputeBisimulation(r1.summary, r1.summary.labels());
   EXPECT_EQ(r2.summary.NumVertices(), r1.summary.NumVertices());
   EXPECT_EQ(r2.summary.NumEdges(), r1.summary.NumEdges());
 }
@@ -120,7 +120,7 @@ TEST(BisimTest, MaxRoundsCapCoarsens) {
   Graph g = BuildGraph(5, {0, 0, 0, 0, 0}, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
   BisimOptions opt;
   opt.max_rounds = 1;
-  BisimResult r = ComputeBisimulation(g, opt);
+  BisimResult r = ComputeBisimulation(g, g.labels(), opt);
   EXPECT_LT(r.summary.NumVertices(), 5u);
 }
 
@@ -150,14 +150,14 @@ Graph RandomGraph(const RandomGraphCase& c) {
 
 TEST_P(BisimPropertyTest, PartitionIsStable) {
   Graph g = RandomGraph(GetParam());
-  BisimResult r = ComputeBisimulation(g);
+  BisimResult r = ComputeBisimulation(g, g.labels());
   EXPECT_TRUE(IsStableBisimulation(g, r.mapping));
 }
 
 TEST_P(BisimPropertyTest, PathPreserving) {
   // Def 2.1: every edge (and hence path) of G maps to an edge of Bisim(G).
   Graph g = RandomGraph(GetParam());
-  BisimResult r = ComputeBisimulation(g);
+  BisimResult r = ComputeBisimulation(g, g.labels());
   for (const auto& [u, v] : g.Edges()) {
     EXPECT_TRUE(r.summary.HasEdge(r.mapping.SuperOf(u), r.mapping.SuperOf(v)));
   }
@@ -181,7 +181,7 @@ TEST_P(BisimPropertyTest, PathPreserving) {
 TEST_P(BisimPropertyTest, ReachabilityPreserved) {
   // Prop 5.1: reach(u, v, G) implies reach(Bisim(u), Bisim(v), Bisim(G)).
   Graph g = RandomGraph(GetParam());
-  BisimResult r = ComputeBisimulation(g);
+  BisimResult r = ComputeBisimulation(g, g.labels());
   Rng rng(GetParam().seed ^ 0xABCD);
   BfsScratch scratch;
   for (int trial = 0; trial < 5; ++trial) {
@@ -197,7 +197,7 @@ TEST_P(BisimPropertyTest, ReachabilityPreserved) {
 TEST_P(BisimPropertyTest, DistanceContraction) {
   // Prop 5.2: dist(Bisim(u), Bisim(v)) <= dist(u, v).
   Graph g = RandomGraph(GetParam());
-  BisimResult r = ComputeBisimulation(g);
+  BisimResult r = ComputeBisimulation(g, g.labels());
   Rng rng(GetParam().seed ^ 0x1234);
   BfsScratch scratch;
   for (int trial = 0; trial < 5; ++trial) {
@@ -213,7 +213,7 @@ TEST_P(BisimPropertyTest, DistanceContraction) {
 
 TEST_P(BisimPropertyTest, MembersPartitionVertexSet) {
   Graph g = RandomGraph(GetParam());
-  BisimResult r = ComputeBisimulation(g);
+  BisimResult r = ComputeBisimulation(g, g.labels());
   std::vector<bool> seen(g.NumVertices(), false);
   for (VertexId s = 0; s < r.mapping.NumSupernodes(); ++s) {
     for (VertexId v : r.mapping.Members(s)) {
@@ -269,21 +269,22 @@ TEST(MaintenanceTest, DetectsUnchangedSummary) {
   // Two bisimilar persons pointing at the same target; adding a *parallel*
   // structure edge that already exists in summary form leaves it unchanged.
   Graph g = BuildGraph(3, {0, 0, 1}, {{0, 2}});
-  BisimResult r = ComputeBisimulation(g);
+  BisimResult r = ComputeBisimulation(g, g.labels());
   EXPECT_EQ(r.summary.NumVertices(), 3u);  // 0 has an edge, 1 does not
 
   // Adding 1 -> 2 makes 0 and 1 bisimilar: summary changes.
   std::vector<GraphUpdate> ups = {{GraphUpdate::Kind::kAddEdge, 1, 2}};
   auto g2 = ApplyUpdates(g, ups);
   ASSERT_TRUE(g2.ok());
-  BisimResult r2 = ComputeBisimulation(*g2);
+  BisimResult r2 = ComputeBisimulation(*g2, g2->labels());
   EXPECT_FALSE(GraphsIdentical(r2.summary, r.summary));
   EXPECT_EQ(r2.summary.NumVertices(), 2u);
 
   // Re-running with no updates: summary unchanged.
   auto g3 = ApplyUpdates(*g2, {});
   ASSERT_TRUE(g3.ok());
-  EXPECT_TRUE(GraphsIdentical(ComputeBisimulation(*g3).summary, r2.summary));
+  EXPECT_TRUE(GraphsIdentical(ComputeBisimulation(*g3, g3->labels()).summary,
+                              r2.summary));
 }
 
 TEST(MaintenanceTest, GraphsIdenticalDetectsLabelDiff) {
@@ -298,12 +299,12 @@ TEST(MaintenanceTest, EdgeInsertionCanMergeBlocks) {
   // The "previous partition is not reusable" scenario from DESIGN: adding an
   // edge merges previously distinct blocks. Exercises full recompute path.
   Graph g = BuildGraph(4, {0, 0, 1, 2}, {{0, 2}, {0, 3}, {1, 2}});
-  BisimResult before = ComputeBisimulation(g);
+  BisimResult before = ComputeBisimulation(g, g.labels());
   EXPECT_NE(before.mapping.SuperOf(0), before.mapping.SuperOf(1));
   std::vector<GraphUpdate> ups = {{GraphUpdate::Kind::kAddEdge, 1, 3}};
   auto g2 = ApplyUpdates(g, ups);
   ASSERT_TRUE(g2.ok());
-  BisimResult after = ComputeBisimulation(*g2);
+  BisimResult after = ComputeBisimulation(*g2, g2->labels());
   EXPECT_EQ(after.mapping.SuperOf(0), after.mapping.SuperOf(1));
 }
 
@@ -313,7 +314,7 @@ TEST(BisimTest, SuccessorRelationSplitsByOutEdges) {
   // merges 2 and 3 (neither has out-edges) and splits 0 from 1 (only 0
   // reaches a label-1 block).
   Graph g = BuildGraph(4, {0, 0, 1, 1}, {{0, 2}});
-  BisimResult succ = ComputeBisimulation(g);
+  BisimResult succ = ComputeBisimulation(g, g.labels());
   EXPECT_EQ(succ.mapping.SuperOf(2), succ.mapping.SuperOf(3));
   EXPECT_NE(succ.mapping.SuperOf(0), succ.mapping.SuperOf(1));
 }

@@ -239,33 +239,6 @@ TEST(ConfigTest, LabelPreservingProperty) {
   }
 }
 
-TEST(ConfigTest, SpecializeWithLabelsRoundTrip) {
-  Fixture f;
-  GraphBuilder b;
-  b.AddVertex(f.academics);
-  b.AddVertex(f.univ);
-  b.AddEdge(0, 1);
-  Graph g = std::move(b.Build()).value();
-  GeneralizationConfig c;
-  ASSERT_TRUE(c.AddMapping(f.academics, f.person).ok());
-  Graph gc = Generalize(g, c);
-
-  std::vector<LabelId> original(g.labels().begin(), g.labels().end());
-  auto back = SpecializeWithLabels(gc, original);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->label(0), f.academics);
-  EXPECT_EQ(back->Edges(), g.Edges());
-}
-
-TEST(ConfigTest, SpecializeWithWrongLabelCountFails) {
-  Fixture f;
-  GraphBuilder b;
-  b.AddVertex(f.person);
-  Graph g = std::move(b.Build()).value();
-  std::vector<LabelId> wrong = {f.person, f.univ};
-  EXPECT_FALSE(SpecializeWithLabels(g, wrong).ok());
-}
-
 // --- ontology I/O ---
 
 TEST(OntologyIoTest, RoundTrip) {

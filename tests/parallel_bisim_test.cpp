@@ -72,14 +72,14 @@ TEST(ParallelBisimTest, MatchesSerialOnRandomGraphs) {
     opt.label_skew = (seed % 3) * 0.6;
     Graph g = MakeRandomGraph(opt);
 
-    BisimResult serial = ComputeBisimulation(g);
+    BisimResult serial = ComputeBisimulation(g, g.labels());
     EXPECT_TRUE(IsStableBisimulation(g, serial.mapping)) << "seed " << seed;
 
     for (ExecutorPool* pool : pools) {
       BisimOptions par;
       par.pool = pool;
       par.min_chunk_vertices = 16;
-      BisimResult parallel = ComputeBisimulation(g, par);
+      BisimResult parallel = ComputeBisimulation(g, g.labels(), par);
       ExpectSameBisim(serial, parallel,
                       "seed " + std::to_string(seed) + " threads " +
                           std::to_string(pool->num_workers()));
@@ -98,9 +98,9 @@ TEST(ParallelBisimTest, MatchesSerialAtDefaultChunkThreshold) {
   opt.label_skew = 0.8;
   Graph g = MakeRandomGraph(opt);
 
-  BisimResult serial = ComputeBisimulation(g);
+  BisimResult serial = ComputeBisimulation(g, g.labels());
   ExecutorPool pool(8);
-  BisimResult parallel = ComputeBisimulation(g, {.pool = &pool});
+  BisimResult parallel = ComputeBisimulation(g, g.labels(), {.pool = &pool});
   ExpectSameBisim(serial, parallel, "default-threshold 6000 vertices");
 }
 
@@ -139,11 +139,11 @@ TEST(ParallelBisimTest, EdgeCases) {
   }
   for (const Case& c : cases) {
     Graph g = MakeRandomGraph(c.opt);
-    BisimResult serial = ComputeBisimulation(g);
+    BisimResult serial = ComputeBisimulation(g, g.labels());
     BisimOptions par;
     par.pool = &pool;
     par.min_chunk_vertices = 1;
-    BisimResult parallel = ComputeBisimulation(g, par);
+    BisimResult parallel = ComputeBisimulation(g, g.labels(), par);
     ExpectSameBisim(serial, parallel, c.name);
   }
 }
@@ -160,7 +160,7 @@ std::string SerializeBuild(const Dataset& ds, size_t num_threads,
   opt.config_search.theta = 0.9;
   opt.config_search.cost.sample_count = 40;
   opt.build.num_threads = num_threads;
-  opt.build.seed = seed;
+  opt.config_search.cost.seed = seed;
   auto index = BigIndex::Build(ds.graph, &ds.ontology.ontology, opt);
   EXPECT_TRUE(index.ok()) << index.status().ToString();
   std::ostringstream out;

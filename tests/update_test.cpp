@@ -226,7 +226,7 @@ TEST(IncrementalBisimTest, RemovalCanMergeBlocks) {
   // a->b, c: removing a->b makes all three bisimilar — splitting alone can
   // never produce that; the quotient merge phase must.
   Graph g0 = MakeGraph(3, 5, {{0, 1}});
-  BisimResult before = ComputeBisimulation(g0);
+  BisimResult before = ComputeBisimulation(g0, g0.labels());
   ASSERT_EQ(before.mapping.NumSupernodes(), 2u);
 
   auto g1 = ApplyUpdates(g0, std::vector<GraphUpdate>{Remove(0, 1)});
@@ -236,13 +236,14 @@ TEST(IncrementalBisimTest, RemovalCanMergeBlocks) {
       IncrementalBisimulation(*g1, in.seed, in.dirty, in.options);
   ASSERT_TRUE(incremental.ok());
   EXPECT_EQ(incremental->mapping.NumSupernodes(), 1u);
-  ExpectSameBisim(ComputeBisimulation(*g1), *incremental, "removal merge");
+  ExpectSameBisim(ComputeBisimulation(*g1, g1->labels()), *incremental,
+                  "removal merge");
 }
 
 TEST(IncrementalBisimTest, AdditionCanMergeBlocks) {
   // a->b plus isolated c,d: adding c->d makes a ~ c and b ~ d.
   Graph g0 = MakeGraph(4, 5, {{0, 1}});
-  BisimResult before = ComputeBisimulation(g0);
+  BisimResult before = ComputeBisimulation(g0, g0.labels());
   auto g1 = ApplyUpdates(g0, std::vector<GraphUpdate>{Add(2, 3)});
   ASSERT_TRUE(g1.ok());
   const SeededInput in = Seeded(*g1, before, {2});
@@ -250,7 +251,8 @@ TEST(IncrementalBisimTest, AdditionCanMergeBlocks) {
       IncrementalBisimulation(*g1, in.seed, in.dirty, in.options);
   ASSERT_TRUE(incremental.ok());
   EXPECT_EQ(incremental->mapping.NumSupernodes(), 2u);
-  ExpectSameBisim(ComputeBisimulation(*g1), *incremental, "addition merge");
+  ExpectSameBisim(ComputeBisimulation(*g1, g1->labels()), *incremental,
+                  "addition merge");
 }
 
 TEST(IncrementalBisimTest, MatchesWholesaleOnRandomUpdateStreams) {
@@ -265,7 +267,7 @@ TEST(IncrementalBisimTest, MatchesWholesaleOnRandomUpdateStreams) {
     Graph g = MakeRandomGraph(opt);
 
     // Chain several batches so seeds themselves come from incremental runs.
-    BisimResult current = ComputeBisimulation(g);
+    BisimResult current = ComputeBisimulation(g, g.labels());
     for (int step = 0; step < 3; ++step) {
       auto batch = MakeRandomBatch(g, 1 + (seed + step) % 12,
                                    seed * 97 + step + 1);
@@ -279,7 +281,7 @@ TEST(IncrementalBisimTest, MatchesWholesaleOnRandomUpdateStreams) {
       ASSERT_TRUE(incremental.ok());
       ++incremental_runs;
 
-      BisimResult wholesale = ComputeBisimulation(next);
+      BisimResult wholesale = ComputeBisimulation(next, next.labels());
       ExpectSameBisim(wholesale, *incremental,
                       "seed " + std::to_string(seed) + " step " +
                           std::to_string(step));
@@ -292,7 +294,7 @@ TEST(IncrementalBisimTest, MatchesWholesaleOnRandomUpdateStreams) {
 
 TEST(IncrementalBisimTest, RejectsMalformedInput) {
   Graph g = MakeGraph(3, 0, {});
-  const SeededInput in = Seeded(g, ComputeBisimulation(g), {0});
+  const SeededInput in = Seeded(g, ComputeBisimulation(g, g.labels()), {0});
   ASSERT_TRUE(IncrementalBisimulation(g, in.seed, in.dirty, in.options).ok());
   EXPECT_FALSE(IncrementalBisimulation(g, std::vector<VertexId>{0, 1},
                                        in.dirty, in.options)

@@ -145,7 +145,7 @@ TEST(GraphGenTest, GeneralizationUnlocksCompression) {
   opt.num_edges = 9000;
   opt.noise_fraction = 0.1;
   Graph g = GenerateKnowledgeGraph(ont, opt);
-  BisimResult plain = ComputeBisimulation(g);
+  BisimResult plain = ComputeBisimulation(g, g.labels());
   double plain_ratio = static_cast<double>(plain.summary.Size()) / g.Size();
   GeneralizationConfig c = FullOneStepConfiguration(g, ont.ontology);
   double gen_ratio = CostModel::ExactCompress(g, c);

@@ -38,13 +38,14 @@ cmake --build build-tsan -j"$JOBS" --target bigindex_tests bigindex_serverd \
 # strength in the tier-1 pass above) — ShardDifferentialGate covers BOTH
 # shard modes (wcc and bfs with boundary completion); the ghost-manifest
 # invariants, coordinator fan-out, substrates, protocol client, live
-# updater, the cache-epoch race test, Blinks (stateless, so shared across
+# updater, the summarization kernel's pooled label-view rounds, the
+# cache-epoch race test, Blinks (stateless, so shared across
 # concurrent Evaluate callers) and the per-graph cache's unlocked builds run
 # in full.
 TSAN_OPTIONS="halt_on_error=1" BIGINDEX_SHARD_GATE_SEEDS=5 \
   BIGINDEX_UPDATE_GATE_SEEDS=5 \
   ./build-tsan/tests/bigindex_tests \
-  --gtest_filter='ExecutorPool*:QueryContext*:QueryEngine*:Deadline*:AnswerCache*:SearchService*:LineProtocol*:TcpServer*:Metrics*:Trace*:ParallelBisim*:BuildDeterminism*:CsrDifferential*:ShardCoordinator*:ShardSubstrate*:ShardDifferentialGate*:ExtractShard*:GhostManifest*:ShardImage*:ProtocolClient*:InfoVerb*:NormalizeUpdates*:IncrementalBisim*:MaintainIndex*:VersionStore*:LiveUpdater*:ServiceUpdate*:ServingStack*:CacheEpochRace*:UpdateProtocol*:UpdateVerb*:ShardedUpdate*:UpdateDifferentialGate*:Blinks*:PerGraphCache*'
+  --gtest_filter='ExecutorPool*:QueryContext*:QueryEngine*:Deadline*:AnswerCache*:SearchService*:LineProtocol*:TcpServer*:Metrics*:Trace*:ParallelBisim*:SummarizeKernel*:BuildDeterminism*:CsrDifferential*:ShardCoordinator*:ShardSubstrate*:ShardDifferentialGate*:ExtractShard*:GhostManifest*:ShardImage*:ProtocolClient*:InfoVerb*:NormalizeUpdates*:IncrementalBisim*:MaintainIndex*:VersionStore*:LiveUpdater*:ServiceUpdate*:ServingStack*:CacheEpochRace*:UpdateProtocol*:UpdateVerb*:ShardedUpdate*:UpdateDifferentialGate*:Blinks*:PerGraphCache*'
 
 echo
 echo "=== tsan: multi-process coordinator/shard integration ==="
