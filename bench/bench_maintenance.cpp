@@ -1,18 +1,17 @@
-// Live-update maintenance cost: incremental (delta-propagating) refinement
-// vs wholesale re-summarization (fallback ratio 0) vs a full from-scratch
-// rebuild, as a function of the dirty-set size (net edge changes per batch).
+// Live-update maintenance cost: incremental maintenance (the kernel's cone
+// re-sign per layer) vs wholesale re-summarization (fallback ratio 0) vs a
+// full from-scratch rebuild, as a function of the batch size (net edge
+// changes per batch).
 //
 // The paper (Sec. 3.2) adopts incremental bisimulation maintenance and
 // notes the index "can be recomputed occasionally"; the numbers to check
-// here are (a) how many layers stay on a fast path (patched or seeded
-// localized refinement, update/incremental.h) as the dirty set grows
-// (the fallback_dirty_ratio knob trips past the crossover), and (b) the
-// wall-clock speedup over a from-scratch rebuild — small batches avoid
-// every layer-sized re-derivation (delta patching, localized merge scan,
-// quotient-as-summary shortcut), so maintenance beats rebuild by 2x+
-// until the propagated changed set saturates the summaries (see
-// docs/MAINTENANCE.md for the cost model and EXPERIMENTS.md for numbers).
-// All three paths produce byte-identical indexes; the differential gate in
+// here are (a) how many layers stay on a fast path (copied, patched or
+// incremental) as the batch grows, and (b) the wall-clock speedup over a
+// from-scratch rebuild — a small batch re-signs only small ancestor cones
+// and splices their rows into the old summaries, so maintenance beats
+// rebuild by 2x+ until the cones cover the layers (see docs/MAINTENANCE.md
+// for the cost model and EXPERIMENTS.md for numbers). All three paths
+// produce byte-identical indexes; the differential gate in
 // tests/update_differential_test.cpp enforces that, and --smoke re-checks
 // it here on every CI run.
 //
@@ -76,8 +75,8 @@ BigIndex MustMaintain(const BigIndex& index,
 /// Fallback ratio 0: every layer is re-summarized wholesale.
 constexpr MaintainOptions kWholesale{.fallback_dirty_ratio = 0};
 
-/// Layers that avoided wholesale re-summarization: patched (projected
-/// block-level delta), seeded localized refinement, or copied verbatim.
+/// Layers that avoided wholesale re-summarization: copied, patched (cone
+/// moved nothing) or incremental (cone re-signed and spliced).
 size_t FastLayers(const MaintainReport& report) {
   size_t fast = 0;
   for (const MaintainLayerReport& lr : report.layers) {
@@ -281,7 +280,7 @@ int main(int argc, char** argv) {
                 rebuild_ms, FastLayers(report), report.layers.size(),
                 inc_ms > 0 ? rebuild_ms / inc_ms : 0.0);
   }
-  std::printf("\ninc-layers: layers maintained on a fast path (patched, "
-              "seeded localized, or copied; rest: wholesale).\n");
+  std::printf("\ninc-layers: layers maintained on a fast path (copied, "
+              "patched or incremental; rest: wholesale).\n");
   return 0;
 }

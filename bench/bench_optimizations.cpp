@@ -1,13 +1,11 @@
-// Figs. 17, 18 + extra ablations: effectiveness of the answer-generation
-// optimizations of Sec. 4.3.
+// Figs. 17, 18: effectiveness of the answer-generation optimizations of
+// Sec. 4.3.
 //
 // Paper references:
 //  * Fig. 17: the specialization-order optimization (Sec. 4.3.2) improves
 //    query time by 14.8% on average on YAGO3.
 //  * Fig. 18: path-based answer generation (Sec. 4.3.3, Algorithm 4) improves
 //    query time by 21.7% on average over vertex-at-a-time (Algorithm 3).
-// Extra beyond the paper (a design-choice check from DESIGN.md):
-// bisimulation refinement-cap coarsening.
 
 #include "bench_util.h"
 
@@ -70,24 +68,5 @@ int main() {
               "%.2f ms -> improvement %.1f%% (paper: 21.7%%)\n",
               vertex_ms, path_ms,
               vertex_ms > 0 ? 100.0 * (vertex_ms - path_ms) / vertex_ms : 0);
-
-  // Extra ablation: capped bisimulation refinement (coarser, larger
-  // blocks): how much summary quality the fixpoint buys.
-  std::printf("\nExtra — refinement-cap ablation (yago3 layer-1 summary):\n");
-  {
-    const Graph& g = inst.index->base();
-    GeneralizationConfig config = FullOneStepConfiguration(
-        g, inst.dataset.ontology.ontology);
-    Graph gen = Generalize(g, config);
-    for (size_t cap : {1, 2, 4, 0}) {
-      Timer t;
-      BisimResult r =
-          ComputeBisimulation(gen, gen.labels(), {.max_rounds = cap});
-      std::printf("  max_rounds %zu: ratio %.4f, rounds %zu, %.1f ms%s\n",
-                  cap, static_cast<double>(r.summary.Size()) / g.Size(),
-                  r.refinement_rounds, t.ElapsedMillis(),
-                  cap == 0 ? " (fixpoint)" : "");
-    }
-  }
   return 0;
 }

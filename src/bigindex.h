@@ -69,7 +69,6 @@
 #include "shard/sharded_service.h"  // IWYU pragma: export
 #include "shard/substrate.h"        // IWYU pragma: export
 #include "update/delta.h"           // IWYU pragma: export
-#include "update/incremental.h"     // IWYU pragma: export
 #include "update/live_updater.h"    // IWYU pragma: export
 #include "update/maintain.h"        // IWYU pragma: export
 #include "update/version_store.h"   // IWYU pragma: export

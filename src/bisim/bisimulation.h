@@ -7,23 +7,31 @@
 //
 // Two vertices are bisimilar iff they carry the same label and their successor
 // sets match up block-wise (the relation of Sec. 2; Example 2.1's "their child
-// node is bisimilar"). We compute the *maximal* bisimulation — the coarsest
-// stable partition refining the label partition — by iterated signature
-// refinement: each round re-partitions vertices by
-// (current block, {blocks of out-neighbors}), and the fixpoint is reached when
-// no round splits a block. Refinement only ever splits, so fixpoint detection
-// is a block-count comparison.
+// node is bisimilar"). We compute the *maximal* bisimulation: the coarsest
+// stable partition refining the label partition.
+//
+// The kernel is rank-ordered (Hellings, Fletcher and Haverkort, arXiv
+// 1112.0857; Dovier, Piazza and Policriti's rank-based bisimulation). A
+// vertex from which no path reaches a cycle (a *well-founded* vertex) has a
+// block that depends only on its label and its successors' blocks, so it is
+// signed exactly once, after all of its successors, as
+// (label, sorted unique successor blocks), and that block is final. Only the
+// cyclic remainder (vertices that reach a cycle; self-loops count) is refined
+// in rounds to a fixpoint, with the well-founded blocks pinned. The split is
+// exact because a vertex that reaches a cycle is never bisimilar to a
+// well-founded one. On a DAG the remainder is empty.
+//
+// Incremental maintenance runs the same signer on the *ancestor cone* of the
+// vertices whose label or out-edges changed (ResignCone): every vertex outside
+// the cone keeps its previous block, the previous summary serves as the
+// signature table, and the summary is spliced from its unchanged rows
+// (Luo, Fletcher et al.'s localized maintenance, arXiv 1210.0748).
 //
 // The quotient is materialized as another Graph (supernodes, edges
-// {([u],[v]) | (u,v) in E}) by MaterializeQuotient, the one quotient builder
-// (incremental maintenance uses it too); the hash-table reverse mapping
-// Bisim^-1 of the paper is the BisimMapping CSR (supernode -> members).
-//
-// Rounds parallelize per block-signature (cf. Rau et al.'s k-bisimulation
-// analysis): vertex ranges are hashed and locally deduplicated on an
-// ExecutorPool, then a serial merge assigns global block ids in
-// first-occurrence order, so every pool size yields the exact partition the
-// serial scan produces (see BisimOptions::pool).
+// {([u],[v]) | (u,v) in E}) by MaterializeQuotient, which numbers blocks in
+// first-occurrence order over the vertex scan; the hash-table reverse mapping
+// Bisim^-1 of the paper is the BisimMapping CSR (supernode -> members). The
+// kernel is serial.
 
 #ifndef BIGINDEX_BISIM_BISIMULATION_H_
 #define BIGINDEX_BISIM_BISIMULATION_H_
@@ -34,10 +42,9 @@
 #include "graph/csr.h"
 #include "graph/graph.h"
 #include "graph/types.h"
+#include "util/status.h"
 
 namespace bigindex {
-
-class ExecutorPool;
 
 /// The vertex <-> supernode correspondence of one Bisim application
 /// (the paper's equiv(v) / [v]_equiv and its reverse Bisim^-1).
@@ -95,66 +102,91 @@ class BisimMapping {
 struct BisimResult {
   Graph summary;        // Bisim(G), supernode labels = member labels
   BisimMapping mapping;  // v <-> [v]_equiv
-  size_t refinement_rounds = 0;  // rounds until fixpoint (diagnostics)
-};
-
-/// Options for ComputeBisimulation.
-struct BisimOptions {
-  /// Hard cap on refinement rounds; 0 means run to fixpoint. A capped run
-  /// yields a partition that is *coarser* than maximal bisimulation and NOT
-  /// guaranteed stable — only the ablation bench uses caps.
-  size_t max_rounds = 0;
-
-  /// Worker pool for per-round parallel signature computation; nullptr (or a
-  /// pool with no workers) runs serially. The refined partition is
-  /// byte-identical for every pool size: block ids are always assigned in
-  /// first-occurrence order of the signatures over the vertex scan, which is
-  /// invariant under the chunking the pool introduces.
-  ExecutorPool* pool = nullptr;
-
-  /// Minimum vertices per chunk before the pool is engaged; graphs smaller
-  /// than two chunks run serially because the fan-out would cost more than
-  /// the round. Tests lower it to force the chunked path on tiny graphs.
-  size_t min_chunk_vertices = 2048;
 };
 
 /// Computes the maximal bisimulation summary of `g` with vertex v labelled
 /// `labels[v]` (one entry per vertex): pass g.labels() to summarize g as it
 /// is, or ontology/config.h's GeneralizedLabels view to summarize Gen(g, C).
 BisimResult ComputeBisimulation(const Graph& g,
-                                std::span<const LabelId> labels,
-                                const BisimOptions& options = {});
+                                std::span<const LabelId> labels);
+
+/// Number of vertices of `g` from which no path reaches a cycle (self-loops
+/// count as cycles): the vertices ComputeBisimulation signs exactly once.
+size_t CountWellFounded(const Graph& g);
+
+/// Outcome of ResignCone.
+struct ConeResult {
+  /// False when the cone held more than `max_cone` vertices; the caller
+  /// then summarizes the graph from scratch. Only `cone` is set then (a
+  /// lower bound: the walk stops at the limit).
+  bool applied = false;
+
+  /// Byte-identical to ComputeBisimulation(g, labels).
+  BisimResult bisim;
+
+  /// True when the cone held a cycle, so the whole kernel re-ran on g and
+  /// the next layer's link was read off the members of its supernodes.
+  bool rerun = false;
+
+  /// True when bisim is `prior` itself, reused verbatim: the vertex
+  /// numbering is the identity and no cone vertex moved.
+  bool reused = false;
+
+  /// The next layer's ResignCone inputs, over bisim.summary's vertices.
+  /// `next_to_prior` maps each supernode to the previous supernode it stands
+  /// in for, or kInvalidVertex (empty when it would be the identity); after
+  /// a splice a new block stands in for the previous supernode of its own
+  /// number if that one has no members any more. `next_changed` (ascending)
+  /// lists the supernodes whose label or row, read through that map, is not
+  /// their previous supernode's: after a splice, exactly the new blocks.
+  std::vector<VertexId> next_to_prior;
+  std::vector<VertexId> next_changed;
+
+  size_t cone = 0;   // the changed vertices and their ancestors
+  size_t moved = 0;  // vertices whose block differs from their previous one
+};
+
+/// The maximal bisimulation of `g` given that of a graph it was derived from:
+/// `prior` (that graph's summary and mapping) and `to_prior` (g vertex ->
+/// that graph's vertex; empty means the identity over the same vertex
+/// count). `changed` must list every vertex of g whose label or out-edges
+/// (read through to_prior) differ from its counterpart's, and every vertex
+/// without a counterpart (to_prior value kInvalidVertex).
+///
+/// Only the ancestor cone of `changed` is re-signed, successors first; every
+/// other vertex keeps its previous block, whose signature is its row in
+/// prior.summary: (label(s), OutNeighbors(s)). A re-signed vertex that meets
+/// a previous signature joins that block (a merge); one with a new signature
+/// opens a block (a split). The summary is the previous one with the changed
+/// blocks' rows spliced in, renumbered in one pass over g's vertices. Cost:
+/// the cone's edges plus O(|V(g)| + |summary|), or only the cone when nothing
+/// moved. A cone that holds a cycle cannot be signed successors first: then
+/// ComputeBisimulation runs on g (`rerun`). InvalidArgument on malformed
+/// input.
+StatusOr<ConeResult> ResignCone(const Graph& g, std::span<const LabelId> labels,
+                                const BisimResult& prior,
+                                std::span<const VertexId> to_prior,
+                                std::span<const VertexId> changed,
+                                size_t max_cone);
 
 /// The quotient of `g` under `partition` (one entry per vertex, arbitrary
 /// ids < id_bound, label-uniform under `labels`): blocks are renumbered in
-/// first-occurrence order over the vertex scan — the numbering
-/// ComputeBisimulation's rounds produce — and each block's out-edges are fed
-/// to the builder once, deduplicated with a stamp over its members. The
-/// summary label of a block is its members' label. `old_to_final`, when
-/// non-null, receives the id_bound-sized renumbering table (ids that occur
-/// in no vertex map to UINT32_MAX). refinement_rounds is left 0.
+/// first-occurrence order over the vertex scan — the canonical numbering of
+/// every summary — and each block's out-edges are fed to the builder once,
+/// deduplicated with a stamp over its members. The summary label of a block
+/// is its members' label. `old_to_final`, when non-null, receives the
+/// id_bound-sized renumbering table (ids that occur in no vertex map to
+/// UINT32_MAX).
 BisimResult MaterializeQuotient(const Graph& g,
                                 std::span<const LabelId> labels,
                                 std::vector<uint32_t> partition,
                                 size_t id_bound,
                                 std::vector<uint32_t>* old_to_final = nullptr);
 
-/// The quotient of the same graph under a coarser partition, built from
-/// `fine`'s summary: `coarse` maps each supernode of `fine` to an id <
-/// id_bound. Equal to MaterializeQuotient(g, labels, coarse ∘ fine, ...)
-/// when fine's supernode ids are in first-occurrence order over g (every
-/// MaterializeQuotient result qualifies), but costs O(|fine.summary|)
-/// instead of O(|g|): it runs MaterializeQuotient on the summary and
-/// composes the mappings. `old_to_final` is as for MaterializeQuotient,
-/// over the coarse ids.
-BisimResult CoarsenQuotient(const BisimResult& fine,
-                            std::span<const uint32_t> coarse, size_t id_bound,
-                            std::vector<uint32_t>* old_to_final = nullptr);
-
 /// Verifies that `mapping` is a stable bisimulation partition of `g`:
 /// members of a block share a label, and whenever u has an edge into block B,
-/// every u' in u's block has an edge into B. Used by tests and the
-/// maintenance path. O(|E| log |E|).
+/// every u' in u's block has an edge into B. Used by tests.
+/// O(|E| log |E|).
 bool IsStableBisimulation(const Graph& g, const BisimMapping& mapping);
 
 }  // namespace bigindex

@@ -51,7 +51,6 @@ StatusOr<BigIndex> BigIndex::Build(Graph base, const Ontology* ontology,
   BuildThreadsGauge().Set(static_cast<int64_t>(pool.num_workers()));
   ConfigSearchOptions search_opts = options.config_search;
   search_opts.cost.pool = &pool;
-  const BisimOptions bisim_opts{.pool = &pool};
   std::vector<LabelId> label_storage;
 
   const Graph* current = &index.base_;
@@ -72,7 +71,7 @@ StatusOr<BigIndex> BigIndex::Build(Graph base, const Ontology* ontology,
       TRACE_SPAN("build/generalize");
       labels = GeneralizedLabels(*current, config, &label_storage);
     }
-    BisimResult bisim = ComputeBisimulation(*current, labels, bisim_opts);
+    BisimResult bisim = ComputeBisimulation(*current, labels);
     layer_ms.Record(layer_timer.ElapsedMillis());
 
     if (EndsHierarchy(config, *current, bisim.summary)) break;

@@ -22,15 +22,15 @@
 
 namespace bigindex {
 
-/// Parallel-construction knobs, threaded through every stage of
-/// BigIndex::Build (Bisim refinement, cost-model sampling/estimation, and
-/// Algorithm 1 candidate scoring). Construction output is byte-identical for
-/// every thread count: block ids, sample RNG streams, and score reductions
-/// are all deterministic functions of the input and the cost model's seed
-/// (ConfigSearchOptions::cost.seed) alone.
+/// Parallel-construction knobs of BigIndex::Build (cost-model
+/// sampling/estimation and Algorithm 1 candidate scoring). Construction
+/// output is byte-identical for every thread count: sample RNG streams and
+/// score reductions are deterministic functions of the input and the cost
+/// model's seed (ConfigSearchOptions::cost.seed) alone.
 struct BuildOptions {
-  /// Worker threads for construction; 0 = fully serial (no pool is created),
-  /// ExecutorPool::kHardwareConcurrency = one per hardware thread.
+  /// Worker threads for Algorithm 1's cost-model sampling and candidate
+  /// scoring (summarization itself is serial); 0 = fully serial (no pool is
+  /// created), ExecutorPool::kHardwareConcurrency = one per hardware thread.
   size_t num_threads = 0;
 };
 

@@ -86,8 +86,11 @@ class Arena {
     return (count * sizeof(T) + (kAlign - 1)) & ~(kAlign - 1);
   }
 
+  /// The bytes are not zeroed: every builder writes each array it carves in
+  /// full, and the image writer pads arrays with its own zeros, so padding
+  /// is never read.
   explicit Arena(size_t bytes)
-      : data_(bytes == 0 ? nullptr : new std::byte[bytes]()), size_(bytes) {}
+      : data_(bytes == 0 ? nullptr : new std::byte[bytes]), size_(bytes) {}
 
   /// Allots `count` elements of T. The caller must have sized the arena to
   /// cover every carve (checked by assert).

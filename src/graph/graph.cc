@@ -99,6 +99,131 @@ StatusOr<Graph> GraphBuilder::Build() {
   return g;
 }
 
+Graph Graph::SpliceRows(const Graph& g, std::span<const VertexId> rows,
+                        std::span<const uint64_t> row_offsets,
+                        std::span<const VertexId> row_targets) {
+  const size_t n = g.NumVertices();
+  auto new_row = [&](size_t k) {
+    return row_targets.subspan(row_offsets[k],
+                               row_offsets[k + 1] - row_offsets[k]);
+  };
+
+  // Every (target, source, added?) in-list change, ordered by target then
+  // source: the set differences of each replaced row's old and new targets.
+  struct Change {
+    VertexId target, source;
+    bool added;
+  };
+  std::vector<Change> changes;
+  size_t m = g.NumEdges();
+  for (size_t k = 0; k < rows.size(); ++k) {
+    const std::span<const VertexId> before = g.OutNeighbors(rows[k]);
+    const std::span<const VertexId> after = new_row(k);
+    m = m - before.size() + after.size();
+    size_t i = 0, j = 0;
+    while (i < before.size() || j < after.size()) {
+      if (j == after.size() || (i < before.size() && before[i] < after[j])) {
+        changes.push_back({before[i++], rows[k], false});
+      } else if (i == before.size() || after[j] < before[i]) {
+        changes.push_back({after[j++], rows[k], true});
+      } else {
+        ++i, ++j;
+      }
+    }
+  }
+  std::sort(changes.begin(), changes.end(),
+            [](const Change& a, const Change& b) {
+              return a.target != b.target ? a.target < b.target
+                                          : a.source < b.source;
+            });
+
+  const size_t slots = g.LabelSlots();
+  const size_t num_distinct = g.DistinctLabels().size();
+  auto arena = std::make_shared<Arena>(
+      Arena::AlignedSize<LabelId>(n) + Arena::AlignedSize<uint64_t>(n + 1) +
+      Arena::AlignedSize<VertexId>(m) + Arena::AlignedSize<uint64_t>(n + 1) +
+      Arena::AlignedSize<VertexId>(m) +
+      Arena::AlignedSize<uint64_t>(slots + 1) +
+      Arena::AlignedSize<VertexId>(n) +
+      Arena::AlignedSize<LabelId>(num_distinct));
+  std::span<LabelId> out_labels = arena->Carve<LabelId>(n);
+  std::span<uint64_t> out_offsets = arena->Carve<uint64_t>(n + 1);
+  std::span<VertexId> out_targets = arena->Carve<VertexId>(m);
+  std::span<uint64_t> in_offsets = arena->Carve<uint64_t>(n + 1);
+  std::span<VertexId> in_sources = arena->Carve<VertexId>(m);
+  std::span<uint64_t> label_offsets = arena->Carve<uint64_t>(slots + 1);
+  std::span<VertexId> label_vertices = arena->Carve<VertexId>(n);
+  std::span<LabelId> distinct_labels = arena->Carve<LabelId>(num_distinct);
+  std::ranges::copy(g.labels(), out_labels.begin());
+  std::ranges::copy(g.LabelOffsets(), label_offsets.begin());
+  std::ranges::copy(g.LabelVertices(), label_vertices.begin());
+  std::ranges::copy(g.DistinctLabels(), distinct_labels.begin());
+
+  // Out-adjacency: g's rows, with the replaced ones swapped in. Between
+  // two replaced rows, g's rows are one contiguous run, copied whole with
+  // their offsets shifted.
+  const std::span<const uint64_t> g_out = g.OutOffsets();
+  const std::span<const VertexId> g_targets = g.OutTargets();
+  uint64_t at = 0;
+  VertexId from = 0;  // first vertex of the pending run of g's rows
+  auto copy_out_run = [&](VertexId to) {
+    const int64_t shift = static_cast<int64_t>(at - g_out[from]);
+    for (VertexId v = from; v < to; ++v) out_offsets[v] = g_out[v] + shift;
+    std::copy(g_targets.begin() + g_out[from], g_targets.begin() + g_out[to],
+              out_targets.begin() + at);
+    at += g_out[to] - g_out[from];
+  };
+  for (size_t k = 0; k < rows.size(); ++k) {
+    copy_out_run(rows[k]);
+    out_offsets[rows[k]] = at;
+    const std::span<const VertexId> row = new_row(k);
+    std::ranges::copy(row, out_targets.begin() + at);
+    at += row.size();
+    from = rows[k] + 1;
+  }
+  copy_out_run(static_cast<VertexId>(n));
+  out_offsets[n] = at;
+
+  // In-adjacency likewise: runs of g's in-lists, and each changed target's
+  // list merged with its changes (both ascending by source).
+  const std::span<const uint64_t> g_in = g.InOffsets();
+  const std::span<const VertexId> g_sources = g.InSources();
+  at = 0;
+  from = 0;
+  auto copy_in_run = [&](VertexId to) {
+    const int64_t shift = static_cast<int64_t>(at - g_in[from]);
+    for (VertexId v = from; v < to; ++v) in_offsets[v] = g_in[v] + shift;
+    std::copy(g_sources.begin() + g_in[from], g_sources.begin() + g_in[to],
+              in_sources.begin() + at);
+    at += g_in[to] - g_in[from];
+  };
+  for (size_t c = 0; c < changes.size();) {
+    const VertexId v = changes[c].target;
+    copy_in_run(v);
+    in_offsets[v] = at;
+    uint64_t i = g_in[v];
+    for (; c < changes.size() && changes[c].target == v; ++c) {
+      for (; i < g_in[v + 1] && g_sources[i] < changes[c].source; ++i) {
+        in_sources[at++] = g_sources[i];
+      }
+      if (changes[c].added) {
+        in_sources[at++] = changes[c].source;
+      } else {
+        ++i;  // the removed source
+      }
+    }
+    std::copy(g_sources.begin() + i, g_sources.begin() + g_in[v + 1],
+              in_sources.begin() + at);
+    at += g_in[v + 1] - i;
+    from = v + 1;
+  }
+  copy_in_run(static_cast<VertexId>(n));
+  in_offsets[n] = at;
+  return FromStorage(std::move(arena), out_labels, out_offsets, out_targets,
+                     in_offsets, in_sources, label_offsets, label_vertices,
+                     distinct_labels);
+}
+
 Graph Graph::FromAdjacency(std::span<const LabelId> vertex_labels,
                            std::span<const uint64_t> adjacency_offsets,
                            std::span<const VertexId> adjacency_targets) {

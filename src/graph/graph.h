@@ -121,6 +121,16 @@ class Graph {
                              std::span<const uint64_t> adjacency_offsets,
                              std::span<const VertexId> adjacency_targets);
 
+  /// `g` with the out-rows of `rows` (ascending, distinct) replaced: row
+  /// rows[k] becomes row_targets[row_offsets[k] .. row_offsets[k + 1])
+  /// (ascending, distinct, < |V|). Labels and the label index are copied,
+  /// the unchanged ranges of the adjacency arrays are copied in runs, and
+  /// only the in-lists of targets gained or lost are merged — no CSR is
+  /// rebuilt (ApplyDelta's splice).
+  static Graph SpliceRows(const Graph& g, std::span<const VertexId> rows,
+                          std::span<const uint64_t> row_offsets,
+                          std::span<const VertexId> row_targets);
+
   /// Wires a Graph directly over externally owned arrays (the mmap'd index
   /// image). `storage` keeps the backing memory alive for the Graph's
   /// lifetime. The caller (core/index_image) is responsible for having

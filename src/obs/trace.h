@@ -1,7 +1,7 @@
 // Scoped-span tracing with per-thread ring buffers and a chrome://tracing
 // JSON dump.
 //
-//   TRACE_SPAN("bisim/round");         // RAII: records [ctor, dtor)
+//   TRACE_SPAN("bisim/compute");       // RAII: records [ctor, dtor)
 //
 // Disabled (the default) a span is one relaxed atomic load and a branch —
 // no clock read, no store, nothing visible to the hot path. Enabled, the

@@ -53,6 +53,13 @@
 
 namespace bigindex {
 
+/// The longest line either end of a connection reads, newline excluded. A
+/// longer request answers ERR InvalidArgument and the server closes that
+/// connection; a longer reply line fails ProtocolClient::Request with
+/// IOError and the client disconnects. So a peer that never sends '\n'
+/// cannot grow the other end's buffer without limit.
+inline constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
+
 /// The checked number reader. True only when all of `text` is one number
 /// in T's range: decimal digits for an unsigned T (hex digits with
 /// base 16), an optional leading '-' for a signed T, and a finite decimal

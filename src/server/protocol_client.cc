@@ -129,15 +129,25 @@ StatusOr<std::vector<std::string>> ProtocolClient::Request(
 
   std::vector<std::string> lines;
   char chunk[4096];
+  size_t scanned = 0;  // leading bytes of buffer_ known to hold no '\n'
+  auto too_long = [this] {
+    Disconnect();
+    return Status::IOError("reply line longer than " +
+                           std::to_string(kMaxRequestLineBytes) + " bytes");
+  };
   while (true) {
     size_t nl;
-    while ((nl = buffer_.find('\n')) != std::string::npos) {
+    while ((nl = buffer_.find('\n', scanned)) != std::string::npos) {
+      if (nl > kMaxRequestLineBytes) return too_long();
       std::string resp = buffer_.substr(0, nl);
       buffer_.erase(0, nl + 1);
+      scanned = 0;
       if (!resp.empty() && resp.back() == '\r') resp.pop_back();
       if (resp == ".") return lines;
       lines.push_back(std::move(resp));
     }
+    scanned = buffer_.size();
+    if (scanned > kMaxRequestLineBytes) return too_long();
     ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;

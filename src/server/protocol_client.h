@@ -56,7 +56,8 @@ class ProtocolClient {
   /// block; returns the response lines *without* the terminating ".".
   /// Auto-connects (with the same retry policy) if not connected, and after
   /// an I/O error the next Request() reconnects. Unavailable on connection
-  /// loss.
+  /// loss; IOError, and the connection closed, on a reply line longer than
+  /// kMaxRequestLineBytes.
   StatusOr<std::vector<std::string>> Request(const std::string& line);
 
   /// Request() plus the check every typed reply needs: an empty block or a

@@ -108,7 +108,7 @@ struct UpdateOutcome {
   /// service, worst shard for a coordinator).
   enum class Mode {
     kNone,         // batch had no net effect; no new index version
-    kIncremental,  // every rebuilt layer used seeded localized refinement
+    kIncremental,  // every rebuilt layer took the cone re-sign
     kWholesale,    // >= 1 layer re-summarized wholesale
     kRebuild,      // full BigIndex::Build (greedy-config indexes)
   };

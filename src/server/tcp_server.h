@@ -17,15 +17,11 @@
 #include <vector>
 
 #include "graph/label_dictionary.h"
+#include "server/line_protocol.h"
 #include "server/query_service.h"
 #include "util/status.h"
 
 namespace bigindex {
-
-/// The longest request line a connection reads, newline excluded. A longer
-/// one answers ERR InvalidArgument and the server closes that connection,
-/// so a client that never sends '\n' cannot grow its buffer without limit.
-inline constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
 
 struct TcpServerOptions {
   /// 0 = pick an ephemeral port (read it back with port()).

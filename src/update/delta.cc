@@ -41,31 +41,40 @@ StatusOr<UpdateDelta> NormalizeUpdates(const Graph& g,
 }
 
 Graph ApplyDelta(const Graph& g, const UpdateDelta& delta) {
-  // Splice each vertex's sorted out-list: drop its removed edges (present in
-  // g) and merge in its added ones (absent from g). Both delta lists are
-  // sorted by (source, target), so one pass over g's CSR does it.
-  const size_t n = g.NumVertices();
-  std::vector<uint64_t> offsets(n + 1, 0);
+  // Each touched source's sorted out-list minus its removed edges (present
+  // in g) merged with its added ones (absent from g); both delta lists are
+  // sorted by (source, target). Every other row is copied as it is.
+  std::vector<VertexId> rows;
+  std::vector<uint64_t> offsets = {0};
   std::vector<VertexId> targets;
-  targets.reserve(g.NumEdges() + delta.added.size());
   auto added = delta.added.begin();
   auto removed = delta.removed.begin();
-  for (VertexId u = 0; u < n; ++u) {
+  while (added != delta.added.end() || removed != delta.removed.end()) {
+    const VertexId u =
+        removed == delta.removed.end() ||
+                (added != delta.added.end() && added->first < removed->first)
+            ? added->first
+            : removed->first;
     for (VertexId v : g.OutNeighbors(u)) {
-      const std::pair<VertexId, VertexId> edge(u, v);
-      for (; added != delta.added.end() && *added < edge; ++added) {
+      for (; added != delta.added.end() && added->first == u &&
+             added->second < v;
+           ++added) {
         targets.push_back(added->second);
       }
-      while (removed != delta.removed.end() && *removed < edge) ++removed;
-      if (removed != delta.removed.end() && *removed == edge) continue;
+      if (removed != delta.removed.end() && *removed == std::pair(u, v)) {
+        ++removed;
+        continue;
+      }
       targets.push_back(v);
     }
     for (; added != delta.added.end() && added->first == u; ++added) {
       targets.push_back(added->second);
     }
-    offsets[u + 1] = targets.size();
+    while (removed != delta.removed.end() && removed->first == u) ++removed;
+    rows.push_back(u);
+    offsets.push_back(targets.size());
   }
-  return Graph::FromAdjacency(g.labels(), offsets, targets);
+  return Graph::SpliceRows(g, rows, offsets, targets);
 }
 
 StatusOr<Graph> ApplyUpdates(const Graph& g,
@@ -86,47 +95,6 @@ bool GraphsIdentical(const Graph& a, const Graph& b) {
     if (!std::equal(na.begin(), na.end(), nb.begin(), nb.end())) return false;
   }
   return true;
-}
-
-UpdateDelta ProjectDeltaToSummary(const Graph& g,
-                                  std::span<const VertexId> partition,
-                                  const Graph& old_summary,
-                                  const UpdateDelta& delta) {
-  // Candidate block pairs: only pairs under a delta edge can change. Keep
-  // one representative source per pair — stability makes every member of the
-  // source block equivalent for the presence test.
-  struct Candidate {
-    VertexId bu, bv, rep;
-  };
-  std::vector<Candidate> pairs;
-  pairs.reserve(delta.added.size() + delta.removed.size());
-  for (const auto& [u, v] : delta.added) {
-    pairs.push_back({partition[u], partition[v], u});
-  }
-  for (const auto& [u, v] : delta.removed) {
-    pairs.push_back({partition[u], partition[v], u});
-  }
-  std::sort(pairs.begin(), pairs.end(), [](const Candidate& a,
-                                           const Candidate& b) {
-    return a.bu != b.bu ? a.bu < b.bu : a.bv < b.bv;
-  });
-
-  UpdateDelta out;
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    const Candidate& c = pairs[i];
-    if (i > 0 && pairs[i - 1].bu == c.bu && pairs[i - 1].bv == c.bv) continue;
-    const bool before = old_summary.HasEdge(c.bu, c.bv);
-    bool after = false;
-    for (VertexId w : g.OutNeighbors(c.rep)) {
-      if (partition[w] == c.bv) {
-        after = true;
-        break;
-      }
-    }
-    if (after && !before) out.added.emplace_back(c.bu, c.bv);
-    if (before && !after) out.removed.emplace_back(c.bu, c.bv);
-  }
-  return out;  // pair order is sorted, so added/removed are too
 }
 
 }  // namespace bigindex

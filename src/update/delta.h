@@ -1,8 +1,7 @@
 // Edge updates to a data graph and their net effect (Sec. 3.2,
 // "Maintenance of BiG-index"): the shared batch semantics every update path
-// normalizes through, applying a normalized delta, and projecting a delta
-// onto a stable summary. update/maintain.h builds whole-index maintenance on
-// top of these.
+// normalizes through, and applying a normalized delta. update/maintain.h
+// builds whole-index maintenance on top of these.
 
 #ifndef BIGINDEX_UPDATE_DELTA_H_
 #define BIGINDEX_UPDATE_DELTA_H_
@@ -47,9 +46,9 @@ struct UpdateDelta {
 StatusOr<UpdateDelta> NormalizeUpdates(const Graph& g,
                                        std::span<const GraphUpdate> updates);
 
-/// Applies `delta` (as produced by NormalizeUpdates or ProjectDeltaToSummary
-/// against `g`: both lists sorted, removed edges present in `g`, added edges
-/// absent) and returns the updated graph.
+/// Applies `delta` (as produced by NormalizeUpdates against `g`: both lists
+/// sorted, removed edges present in `g`, added edges absent) and returns the
+/// updated graph.
 Graph ApplyDelta(const Graph& g, const UpdateDelta& delta);
 
 /// Applies `updates` in order and returns the updated graph. Removing an
@@ -61,24 +60,6 @@ StatusOr<Graph> ApplyUpdates(const Graph& g,
 /// True iff a and b are the same graph: identical vertex labels and edge
 /// sets under identical vertex numbering.
 bool GraphsIdentical(const Graph& a, const Graph& b);
-
-/// Projects a base-level edge delta onto the summary of a partition that is
-/// stable for the *updated* graph `g`. Under stability a summary edge
-/// (B_u, B_v) exists iff any one member of B_u has an out-edge into B_v, so
-/// only block pairs touched by a delta edge can flip and each is decided by
-/// one O(deg) scan of its representative source — the projection costs
-/// O(|delta| * max_deg), independent of |V| + |E|.
-///
-/// `partition[x]` is x's block id, already in `old_summary`'s vertex
-/// numbering; `old_summary` is the pre-update summary of the same partition.
-/// The result obeys UpdateDelta's contract (sorted by (source, target),
-/// disjoint, each edge at most once). Calling this with a partition that is
-/// NOT stable for `g` yields garbage — maintenance only uses it after the
-/// no-split probe proves stability.
-UpdateDelta ProjectDeltaToSummary(const Graph& g,
-                                  std::span<const VertexId> partition,
-                                  const Graph& old_summary,
-                                  const UpdateDelta& delta);
 
 }  // namespace bigindex
 

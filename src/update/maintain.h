@@ -6,46 +6,37 @@
 // The loop mirrors BigIndex::Build layer by layer — configuration, the
 // generalized label view, summarization, Build's stop test (EndsHierarchy)
 // — so the result is byte-identical to BigIndex::Build on the updated base
-// graph even when the layer count drifts. Unlike Build, every per-layer step
-// is delta-localized when the batch allows it (docs/MAINTENANCE.md has the
-// full cost model):
+// graph even when the layer count drifts. Unlike Build, a layer is
+// summarized by the kernel's cone re-sign (bisim/bisimulation.h, ResignCone)
+// whenever the batch allows it (docs/MAINTENANCE.md has the cost model):
 //
 //   * configuration: FullOneStepConfiguration is a pure function of the
 //     distinct-label set, and edge-only updates cannot change labels, so the
 //     stored (already validated) layer config is reused whenever the
-//     distinct-label sets match (SameFullConfiguration) — no per-layer
-//     ontology walk;
-//   * generalization: the generalized layer graph is never materialized —
-//     every tier summarizes the structural graph under the per-vertex
-//     GeneralizedLabels view (ontology/config.h), and the patched tier's
-//     probe generalizes only the labels of the dirty blocks' members;
-//   * dirtiness: seeded from the delta's endpoints only (the sources of net
-//     added/removed edges, then the provenance-tracked changed set per
-//     layer), never from an O(V+E) drift scan;
-//   * summarization, strongest case ("patched", LayerMaintenance::kPatched):
-//     when the partition provably survives the delta (no-split probe over
-//     the dirty blocks + discrete merge check), the summary is patched
-//     directly from the projected block-level delta (ProjectDeltaToSummary +
-//     ApplyDelta) and the old mapping is reused verbatim — per-layer cost is
-//     O(|delta| * deg + |summary|), independent of the layer graph size;
-//   * summarization, general case: seeded IncrementalBisimulation re-splits
-//     only touched blocks; its seed-provenance trace yields the next
-//     layer's vertex correspondence in O(#blocks) instead of the old
-//     O(V + members) member-set rematch;
-//   * verbatim copy of the old tail when the correspondence below is the
-//     identity and the propagated delta is empty — Build is deterministic,
-//     so everything above is provably unchanged;
-//   * wholesale ComputeBisimulation over the label view otherwise (config
-//     drift, new layers beyond the old stack, or a dirty frontier past
-//     fallback_dirty_ratio).
-//     A wholesale layer carries no provenance, so every layer above it is
-//     wholesale as well.
+//     distinct-label sets match (SameFullConfiguration);
+//   * changed set: at the base, the sources of the net added and removed
+//     edges; above it, the supernodes whose row matches no previous row —
+//     nothing is found by a drift scan;
+//   * summarization: only the ancestor cone of the changed set is re-signed,
+//     successors first, with every other vertex's block pinned and the old
+//     summary as the signature table. A cone that moved no vertex reuses the
+//     layer verbatim (LayerMaintenance::kPatched); otherwise the old summary
+//     with the changed blocks' rows spliced in is renumbered in one pass
+//     (kIncremental);
+//   * verbatim copy of the old tail once a layer comes out with its old
+//     numbering and no changed supernode — Build is deterministic, so
+//     everything above is provably unchanged;
+//   * a cone that holds a cycle cannot be signed successors first: the
+//     kernel re-runs on the whole layer, and the next layer's correspondence
+//     is read off the members of the new supernodes (still kIncremental);
+//   * wholesale ComputeBisimulation over the label view otherwise: config
+//     drift, new layers beyond the old stack, or a cone past
+//     fallback_dirty_ratio of the layer. A wholesale layer carries no
+//     correspondence, so every layer above it is wholesale as well.
 //
-// Correspondence persistence across batches: the successor preserves vertex
-// numbering on every intact block (first-occurrence renumbering over an
-// unchanged membership is the identity), so the base-level correspondence
-// between consecutive generations is the identity *by construction* — batch
-// N+1 starts exactly where batch N left off with no whole-graph rematch.
+// Correspondence persistence across batches: a successor layer numbers its
+// supernodes in first-occurrence order, as Build does, so batch N+1 starts
+// from batch N's index with the identity at the base and no rematch.
 //
 // Greedy-config indexes (use_greedy_config) fall back to a full
 // BigIndex::Build: Algorithm 1's cost model samples the graph, so layer
@@ -66,46 +57,55 @@
 #include "core/big_index.h"
 #include "ontology/config.h"
 #include "update/delta.h"
-#include "update/incremental.h"
 #include "util/status.h"
 
 namespace bigindex {
 
 /// Options for MaintainIndex.
 struct MaintainOptions {
-  /// Dirty-frontier ratio above which a layer (and so every layer above
-  /// it) is re-summarized wholesale. The localized split pass is
-  /// worklist-driven — a large dirty set that causes few splits settles
-  /// after one cheap re-sign round — so the threshold tolerates the
-  /// in-neighbor widening the changed-set propagation applies to hub
-  /// blocks. 0 makes every layer wholesale. Output is byte-identical on
-  /// either side of the knob; see docs/MAINTENANCE.md for tuning.
-  double fallback_dirty_ratio = 0.5;
+  /// Cone-size ratio above which a layer (and so every layer above it) is
+  /// re-summarized wholesale. The default 1 never trips: even a cone that
+  /// covers the layer costs about one summarization, and unlike a wholesale
+  /// layer it keeps the layers above on the cone path. 0 makes every layer
+  /// with a changed vertex wholesale. Output is byte-identical on either
+  /// side of the knob; see docs/MAINTENANCE.md.
+  double fallback_dirty_ratio = 1.0;
 };
 
 /// How one layer of the successor index was produced.
 enum class LayerMaintenance {
-  kPatched,      // partition unchanged: summary patched from the projected
-                 // delta, mapping reused verbatim
-  kIncremental,  // seeded localized refinement
+  kPatched,      // cone re-signed, no vertex moved: layer reused verbatim
+  kIncremental,  // cone re-signed, summary spliced and renumbered (or the
+                 // kernel re-ran on a cone with a cycle)
   kWholesale,    // full ComputeBisimulation of the generalized layer
-  kCopied,       // old layer reused verbatim (provably unchanged)
+  kCopied,       // old layer reused verbatim above an unchanged one
 };
 
 /// Per-layer maintenance diagnostics.
 struct MaintainLayerReport {
   LayerMaintenance mode = LayerMaintenance::kWholesale;
-  IncrementalBisimStats stats;  // meaningful for kPatched/kIncremental
+
+  /// Cone re-sign counts (kPatched/kIncremental): changed vertices of the
+  /// layer below, vertices re-signed (the changed set and its ancestors),
+  /// and re-signed vertices whose block differs from the old one.
+  size_t changed = 0;
+  size_t cone = 0;
+  size_t moved = 0;
+
+  /// True for a kIncremental layer whose cone held a cycle: the kernel
+  /// re-ran on the whole layer (ConeResult::rerun).
+  bool rerun = false;
 
   /// True when the stored layer configuration was reused via the
   /// distinct-label-set check instead of being re-derived.
   bool config_reused = false;
 
-  /// Wall-clock breakdown of the four per-layer steps (ms). configure =
-  /// config reuse check / recompute + validate; generalize = building the
-  /// GeneralizedLabels view; correspondence = seed/dirty transport +
-  /// next-level correspondence derivation; refine = probe + patch/seeded
-  /// refinement/wholesale summarization.
+  /// Wall-clock breakdown of the per-layer steps (ms). configure = config
+  /// reuse check / recompute + validate; generalize = building the
+  /// GeneralizedLabels view; refine = the cone re-sign (which also derives
+  /// the next layer's correspondence) or the wholesale summarization.
+  /// correspondence is always 0, since refine covers that step; the field
+  /// stays because bench_e2e reports it.
   double configure_ms = 0;
   double generalize_ms = 0;
   double correspondence_ms = 0;

@@ -6,9 +6,14 @@
 // at every byte and with each number replaced by a hostile token ("", -1,
 // 1x, 99999999999999999999, nan), parses to a Status and never crashes;
 // hostile query requests also go through a LineHandler over a real engine.
-// tools/ci.sh runs this suite under ASan+UBSan with halt_on_error=1.
+// A fake server that answers with one endless line shows ProtocolClient
+// stops reading at kMaxRequestLineBytes. tools/ci.sh runs this suite under
+// ASan+UBSan with halt_on_error=1.
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cctype>
 #include <cmath>
@@ -17,11 +22,13 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/big_index.h"
 #include "engine/query_engine.h"
 #include "server/line_protocol.h"
+#include "server/protocol_client.h"
 #include "server/search_service.h"
 #include "testing/random_graph.h"
 #include "util/random.h"
@@ -411,6 +418,46 @@ TEST(LineProtocolFuzz, HostileQueryRequestsAnswerErrAndTheServerServesOn) {
     }
   }
   EXPECT_TRUE(handler.Handle(line).response.starts_with("OK n="));
+}
+
+TEST(LineProtocolFuzz, EndlessReplyLineFailsTheRequestAndDisconnects) {
+  // A hostile peer: accepts one connection, reads the request, then streams
+  // 'x' without ever sending '\n' until the client hangs up. It stops at 4x
+  // the cap and closes, so a client without a cap would see the connection
+  // drop (Unavailable) rather than keep the test running.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  std::thread peer([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    char request[256];
+    (void)::read(fd, request, sizeof(request));
+    const std::string chunk(64 * 1024, 'x');
+    for (size_t streamed = 0; streamed < 4 * kMaxRequestLineBytes;) {
+      const ssize_t n =
+          ::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+      if (n <= 0) break;
+      streamed += static_cast<size_t>(n);
+    }
+    ::close(fd);
+  });
+
+  ProtocolClient client("127.0.0.1", ntohs(addr.sin_port));
+  auto reply = client.Request("info");
+  EXPECT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), StatusCode::kIOError)
+      << reply.status().ToString();
+  EXPECT_FALSE(client.connected());
+  peer.join();
+  ::close(listener);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #ifndef BIGINDEX_TESTS_TESTING_RANDOM_GRAPH_H_
 #define BIGINDEX_TESTS_TESTING_RANDOM_GRAPH_H_
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -64,6 +65,30 @@ inline Graph MakeRandomGraph(const RandomGraphOptions& options) {
                      ? u
                      : static_cast<VertexId>(rng.Uniform(n));
     b.AddEdge(u, v);
+  }
+  return std::move(b.Build()).value();
+}
+
+/// A random graph with MakeRandomGraph's vertices and label draws whose
+/// edges all point from a lower to a higher vertex id: acyclic, so every
+/// vertex is well-founded. Self-loop draws are skipped. Deterministic given
+/// options.
+inline Graph MakeRandomDag(const RandomGraphOptions& options) {
+  GraphBuilder b;
+  const size_t n = options.num_vertices;
+  if (n == 0) return std::move(b.Build()).value();
+  Rng rng(options.seed);
+  ZipfSampler labels(options.num_labels == 0 ? 1 : options.num_labels,
+                     options.label_skew);
+  for (size_t i = 0; i < n; ++i) {
+    b.AddVertex(static_cast<LabelId>(labels.Sample(rng)));
+  }
+  const size_t target_edges =
+      static_cast<size_t>(static_cast<double>(n) * options.edge_density);
+  for (size_t i = 0; i < target_edges; ++i) {
+    const VertexId u = static_cast<VertexId>(rng.Uniform(n));
+    const VertexId v = static_cast<VertexId>(rng.Uniform(n));
+    if (u != v) b.AddEdge(std::min(u, v), std::max(u, v));
   }
   return std::move(b.Build()).value();
 }

@@ -1,8 +1,8 @@
 // Unit + differential tests for the live-update subsystem's core:
 // NormalizeUpdates edge semantics (duplicates, add-then-remove, self-loops),
-// IncrementalBisimulation == ComputeBisimulation over random update batches
-// (including merge-inducing removals and additions), and MaintainIndex ==
-// from-scratch BigIndex::Build, down to serialized bytes.
+// the kernel's cone re-sign (ResignCone) == ComputeBisimulation over random
+// update batches (including merge-inducing removals and additions), and
+// MaintainIndex == from-scratch BigIndex::Build, down to serialized bytes.
 //
 // tools/ci.sh runs these under TSan alongside the other differential
 // suites.
@@ -22,13 +22,13 @@
 #include "graph/label_dictionary.h"
 #include "testing/random_graph.h"
 #include "update/delta.h"
-#include "update/incremental.h"
 #include "update/maintain.h"
 #include "util/random.h"
 
 namespace bigindex {
 namespace {
 
+using bigindex::testing::MakeRandomDag;
 using bigindex::testing::MakeRandomGraph;
 using bigindex::testing::MakeRandomInstance;
 using bigindex::testing::RandomGraphOptions;
@@ -97,28 +97,11 @@ std::vector<VertexId> DirtySources(const UpdateDelta& delta) {
   return dirty;
 }
 
-// Seed partition of `g` from a bisimulation `prior` of its predecessor
-// graph (same vertex set), plus the options IncrementalBisimulation needs
-// for it: g's own labels, a seed-id bound, and the genuinely changed set
-// (here every dirty vertex). `options.labels` views g; `merge_changed`
-// views the struct's own `dirty`.
-struct SeededInput {
-  std::vector<VertexId> seed;
-  std::vector<VertexId> dirty;
-  IncrementalBisimOptions options;
-};
-SeededInput Seeded(const Graph& g, const BisimResult& prior,
-                   std::vector<VertexId> dirty) {
-  SeededInput in;
-  in.seed.resize(g.NumVertices());
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    in.seed[v] = prior.mapping.SuperOf(v);
-  }
-  in.dirty = std::move(dirty);
-  in.options.labels = g.labels();
-  in.options.seed_id_bound = prior.mapping.NumSupernodes();
-  in.options.merge_changed = in.dirty;
-  return in;
+// The cone re-sign of `g` against `prior`, a summary of its predecessor
+// graph over the same vertices, with no cone limit.
+StatusOr<ConeResult> Resign(const Graph& g, const BisimResult& prior,
+                            std::span<const VertexId> changed) {
+  return ResignCone(g, g.labels(), prior, {}, changed, g.NumVertices());
 }
 
 void ExpectSameBisim(const BisimResult& a, const BisimResult& b,
@@ -219,24 +202,65 @@ TEST(NormalizeUpdatesTest, MatchesSequentialApplicationOnRandomBatches) {
   }
 }
 
+// ApplyDelta splices rows into a copy of g's arrays; the reference is the
+// same edge set handed to a GraphBuilder, compared array for array (the
+// in-adjacency and label index included).
+TEST(ApplyDeltaTest, SpliceMatchesGraphBuilder) {
+  auto vec = [](auto span) { return std::vector(span.begin(), span.end()); };
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    RandomGraphOptions opt;
+    opt.seed = seed;
+    opt.num_vertices = 1 + (seed * 23) % 120;
+    opt.edge_density = 0.5 * static_cast<double>(seed % 6);
+    Graph g = MakeRandomGraph(opt);
+    auto delta = NormalizeUpdates(g, MakeRandomBatch(g, 1 + seed % 20, seed));
+    ASSERT_TRUE(delta.ok());
+    const Graph spliced = ApplyDelta(g, *delta);
+
+    GraphBuilder b;
+    for (LabelId l : g.labels()) b.AddVertex(l);
+    for (const auto& e : g.Edges()) {
+      if (!std::binary_search(delta->removed.begin(), delta->removed.end(),
+                              e)) {
+        b.AddEdge(e.first, e.second);
+      }
+    }
+    for (const auto& [u, v] : delta->added) b.AddEdge(u, v);
+    auto built = b.Build();
+    ASSERT_TRUE(built.ok());
+    const std::string context = "seed " + std::to_string(seed);
+    EXPECT_EQ(vec(spliced.labels()), vec(built->labels())) << context;
+    EXPECT_EQ(vec(spliced.OutOffsets()), vec(built->OutOffsets())) << context;
+    EXPECT_EQ(vec(spliced.OutTargets()), vec(built->OutTargets())) << context;
+    EXPECT_EQ(vec(spliced.InOffsets()), vec(built->InOffsets())) << context;
+    EXPECT_EQ(vec(spliced.InSources()), vec(built->InSources())) << context;
+    EXPECT_EQ(vec(spliced.LabelOffsets()), vec(built->LabelOffsets()))
+        << context;
+    EXPECT_EQ(vec(spliced.LabelVertices()), vec(built->LabelVertices()))
+        << context;
+    EXPECT_EQ(vec(spliced.DistinctLabels()), vec(built->DistinctLabels()))
+        << context;
+  }
+}
+
 // ---------------------------------------------------------------------------
-// IncrementalBisimulation == ComputeBisimulation.
+// The cone re-sign == ComputeBisimulation.
 
 TEST(IncrementalBisimTest, RemovalCanMergeBlocks) {
-  // a->b, c: removing a->b makes all three bisimilar — splitting alone can
-  // never produce that; the quotient merge phase must.
+  // a->b, c: removing a->b makes all three bisimilar; the re-signed a meets
+  // the row of b and c's block.
   Graph g0 = MakeGraph(3, 5, {{0, 1}});
   BisimResult before = ComputeBisimulation(g0, g0.labels());
   ASSERT_EQ(before.mapping.NumSupernodes(), 2u);
 
   auto g1 = ApplyUpdates(g0, std::vector<GraphUpdate>{Remove(0, 1)});
   ASSERT_TRUE(g1.ok());
-  const SeededInput in = Seeded(*g1, before, {0});
-  auto incremental =
-      IncrementalBisimulation(*g1, in.seed, in.dirty, in.options);
-  ASSERT_TRUE(incremental.ok());
-  EXPECT_EQ(incremental->mapping.NumSupernodes(), 1u);
-  ExpectSameBisim(ComputeBisimulation(*g1, g1->labels()), *incremental,
+  auto cone = Resign(*g1, before, std::vector<VertexId>{0});
+  ASSERT_TRUE(cone.ok());
+  ASSERT_TRUE(cone->applied);
+  EXPECT_EQ(cone->bisim.mapping.NumSupernodes(), 1u);
+  EXPECT_EQ(cone->moved, 1u);
+  ExpectSameBisim(ComputeBisimulation(*g1, g1->labels()), cone->bisim,
                   "removal merge");
 }
 
@@ -246,17 +270,20 @@ TEST(IncrementalBisimTest, AdditionCanMergeBlocks) {
   BisimResult before = ComputeBisimulation(g0, g0.labels());
   auto g1 = ApplyUpdates(g0, std::vector<GraphUpdate>{Add(2, 3)});
   ASSERT_TRUE(g1.ok());
-  const SeededInput in = Seeded(*g1, before, {2});
-  auto incremental =
-      IncrementalBisimulation(*g1, in.seed, in.dirty, in.options);
-  ASSERT_TRUE(incremental.ok());
-  EXPECT_EQ(incremental->mapping.NumSupernodes(), 2u);
-  ExpectSameBisim(ComputeBisimulation(*g1, g1->labels()), *incremental,
+  auto cone = Resign(*g1, before, std::vector<VertexId>{2});
+  ASSERT_TRUE(cone.ok());
+  ASSERT_TRUE(cone->applied);
+  EXPECT_EQ(cone->bisim.mapping.NumSupernodes(), 2u);
+  ExpectSameBisim(ComputeBisimulation(*g1, g1->labels()), cone->bisim,
                   "addition merge");
 }
 
+// Random update streams over DAGs and over cyclic graphs, chained so each
+// prior comes from a cone re-sign. Every result equals ComputeBisimulation;
+// a cone that holds a cycle re-runs the kernel, which never happens on a DAG
+// kept acyclic.
 TEST(IncrementalBisimTest, MatchesWholesaleOnRandomUpdateStreams) {
-  size_t incremental_runs = 0;
+  size_t signed_once = 0, reruns = 0;
   for (uint64_t seed = 0; seed < 100; ++seed) {
     RandomGraphOptions opt;
     opt.seed = seed;
@@ -264,55 +291,69 @@ TEST(IncrementalBisimTest, MatchesWholesaleOnRandomUpdateStreams) {
     opt.edge_density = 0.5 + static_cast<double>(seed % 6);
     opt.num_labels = 1 + seed % 10;
     opt.label_skew = (seed % 3) * 0.5;
-    Graph g = MakeRandomGraph(opt);
+    const bool dag = seed % 2 == 0;
+    Graph g = dag ? MakeRandomDag(opt) : MakeRandomGraph(opt);
 
-    // Chain several batches so seeds themselves come from incremental runs.
     BisimResult current = ComputeBisimulation(g, g.labels());
     for (int step = 0; step < 3; ++step) {
       auto batch = MakeRandomBatch(g, 1 + (seed + step) % 12,
                                    seed * 97 + step + 1);
+      if (dag) {
+        // Keep the DAG: every added edge points to a higher id.
+        std::erase_if(batch, [](const GraphUpdate& up) {
+          return up.kind == GraphUpdate::Kind::kAddEdge &&
+                 up.source >= up.target;
+        });
+      }
       auto delta = NormalizeUpdates(g, batch);
       ASSERT_TRUE(delta.ok());
       Graph next = ApplyDelta(g, *delta);
+      const std::string context =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
 
-      const SeededInput in = Seeded(next, current, DirtySources(*delta));
-      auto incremental =
-          IncrementalBisimulation(next, in.seed, in.dirty, in.options);
-      ASSERT_TRUE(incremental.ok());
-      ++incremental_runs;
-
-      BisimResult wholesale = ComputeBisimulation(next, next.labels());
-      ExpectSameBisim(wholesale, *incremental,
-                      "seed " + std::to_string(seed) + " step " +
-                          std::to_string(step));
+      auto cone = Resign(next, current, DirtySources(*delta));
+      ASSERT_TRUE(cone.ok()) << context;
+      ASSERT_TRUE(cone->applied) << context;
+      ExpectSameBisim(ComputeBisimulation(next, next.labels()), cone->bisim,
+                      context);
+      if (cone->rerun) {
+        ++reruns;
+        EXPECT_FALSE(dag) << context;
+      } else {
+        ++signed_once;
+        EXPECT_EQ(cone->reused, cone->moved == 0) << context;
+      }
       g = std::move(next);
-      current = std::move(*incremental);
+      current = std::move(cone->bisim);
     }
   }
-  EXPECT_GE(incremental_runs, 300u);
+  EXPECT_GE(signed_once, 150u);
+  EXPECT_GT(reruns, 0u);
 }
 
 TEST(IncrementalBisimTest, RejectsMalformedInput) {
   Graph g = MakeGraph(3, 0, {});
-  const SeededInput in = Seeded(g, ComputeBisimulation(g, g.labels()), {0});
-  ASSERT_TRUE(IncrementalBisimulation(g, in.seed, in.dirty, in.options).ok());
-  EXPECT_FALSE(IncrementalBisimulation(g, std::vector<VertexId>{0, 1},
-                                       in.dirty, in.options)
+  const BisimResult prior = ComputeBisimulation(g, g.labels());
+  const std::vector<VertexId> changed = {0};
+  ASSERT_TRUE(Resign(g, prior, changed).ok());
+  // Labels, to_prior and changed must fit g.
+  EXPECT_FALSE(ResignCone(g, {}, prior, {}, changed, 3).ok());
+  EXPECT_FALSE(ResignCone(g, g.labels(), prior,
+                          std::vector<VertexId>{0, 1}, changed, 3)
                    .ok());
-  EXPECT_FALSE(IncrementalBisimulation(g, in.seed, std::vector<VertexId>{9},
-                                       in.options)
+  EXPECT_FALSE(ResignCone(g, g.labels(), prior,
+                          std::vector<VertexId>{0, 1, 7}, changed, 3)
                    .ok());
-  IncrementalBisimOptions no_labels = in.options;
-  no_labels.labels = {};
-  EXPECT_FALSE(IncrementalBisimulation(g, in.seed, in.dirty, no_labels).ok());
-  IncrementalBisimOptions no_bound = in.options;
-  no_bound.seed_id_bound = 0;
-  EXPECT_FALSE(IncrementalBisimulation(g, in.seed, in.dirty, no_bound).ok());
-  const std::vector<VertexId> far{9};
-  IncrementalBisimOptions bad_changed = in.options;
-  bad_changed.merge_changed = far;
-  EXPECT_FALSE(
-      IncrementalBisimulation(g, in.seed, in.dirty, bad_changed).ok());
+  EXPECT_FALSE(Resign(g, prior, std::vector<VertexId>{9}).ok());
+  // A vertex without a counterpart must be in changed.
+  EXPECT_FALSE(ResignCone(g, g.labels(), prior,
+                          std::vector<VertexId>{0, 1, kInvalidVertex},
+                          changed, 3)
+                   .ok());
+  EXPECT_TRUE(ResignCone(g, g.labels(), prior,
+                         std::vector<VertexId>{0, 1, kInvalidVertex},
+                         std::vector<VertexId>{2}, 3)
+                  .ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -360,6 +401,136 @@ TEST(MaintainIndexTest, MatchesFromScratchBuildOnRandomStreams) {
       base = std::move(*updated_base);
       current = std::move(*maintained);
     }
+  }
+}
+
+// A random DAG instance: every layer graph is acyclic, so every layer the
+// old stack covers takes the cone re-sign.
+RandomInstance MakeDagInstance(uint64_t seed) {
+  RandomInstance inst = MakeInstance(seed);
+  RandomGraphOptions gopt;
+  gopt.seed = seed;
+  gopt.num_vertices = 20 + (seed * 41) % 250;
+  gopt.edge_density = 1.0 + static_cast<double>(seed % 4);
+  gopt.num_labels = 4 + seed % 8;
+  inst.graph = MakeRandomDag(gopt);
+  return inst;
+}
+
+// No cone is too large: only a cycle in the cone sends a layer wholesale.
+constexpr MaintainOptions kAnyCone{.fallback_dirty_ratio = 1.0};
+
+// Chained batches that keep the graph acyclic: maintained bytes equal a
+// rebuild, and no layer the old stack covers goes wholesale.
+TEST(MaintainIndexTest, MatchesFromScratchBuildOnDagStreams) {
+  size_t cone_layers = 0;
+  for (uint64_t seed = 0; seed < 25; ++seed) {
+    RandomInstance inst = MakeDagInstance(seed);
+    BigIndexOptions opts;
+    opts.max_layers = 4;
+    auto index = BigIndex::Build(inst.graph, &inst.ontology, opts);
+    ASSERT_TRUE(index.ok());
+
+    Graph base = inst.graph;
+    BigIndex current = *index;
+    for (int step = 0; step < 3; ++step) {
+      auto batch =
+          MakeRandomBatch(base, 1 + (seed + step) % 10, seed * 71 + step);
+      std::erase_if(batch, [](const GraphUpdate& up) {
+        return up.kind == GraphUpdate::Kind::kAddEdge &&
+               up.source >= up.target;
+      });
+      MaintainReport report;
+      auto maintained = MaintainIndex(current, batch, kAnyCone, &report);
+      ASSERT_TRUE(maintained.ok()) << "seed " << seed << " step " << step;
+
+      auto updated_base = ApplyUpdates(base, batch);
+      ASSERT_TRUE(updated_base.ok());
+      auto rebuilt = BigIndex::Build(*updated_base, &inst.ontology, opts);
+      ASSERT_TRUE(rebuilt.ok());
+      const size_t slots = inst.ontology.LabelSlots();
+      EXPECT_EQ(Serialize(*maintained, slots), Serialize(*rebuilt, slots))
+          << "seed " << seed << " step " << step;
+      for (size_t i = 0; i < report.layers.size(); ++i) {
+        const LayerMaintenance mode = report.layers[i].mode;
+        if (i < current.NumLayers()) {
+          EXPECT_NE(mode, LayerMaintenance::kWholesale)
+              << "seed " << seed << " step " << step << " layer " << i + 1;
+        }
+        cone_layers += mode == LayerMaintenance::kPatched ||
+                       mode == LayerMaintenance::kIncremental;
+      }
+      base = std::move(*updated_base);
+      current = std::move(*maintained);
+    }
+  }
+  EXPECT_GT(cone_layers, 50u);
+}
+
+// A batch whose added edge closes a cycle through well-founded vertices: the
+// cone now holds that cycle, so the kernel re-runs on the layer, with the
+// rebuild's bytes.
+TEST(MaintainIndexTest, BatchClosingACycleMatchesBuild) {
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    RandomInstance inst = MakeDagInstance(seed);
+    ASSERT_GT(inst.graph.NumEdges(), 0u);
+    BigIndexOptions opts;
+    opts.max_layers = 4;
+    auto index = BigIndex::Build(inst.graph, &inst.ontology, opts);
+    ASSERT_TRUE(index.ok());
+    const auto edges = inst.graph.Edges();
+    const auto [u, v] = edges[seed % edges.size()];
+    const std::vector<GraphUpdate> batch = {Add(v, u)};
+
+    MaintainReport report;
+    auto maintained = MaintainIndex(*index, batch, kAnyCone, &report);
+    ASSERT_TRUE(maintained.ok()) << "seed " << seed;
+    ASSERT_FALSE(report.layers.empty());
+    EXPECT_EQ(report.layers[0].mode, LayerMaintenance::kIncremental)
+        << "seed " << seed;
+    EXPECT_TRUE(report.layers[0].rerun) << "seed " << seed;
+    auto updated = ApplyUpdates(inst.graph, batch);
+    ASSERT_TRUE(updated.ok());
+    auto rebuilt = BigIndex::Build(*updated, &inst.ontology, opts);
+    ASSERT_TRUE(rebuilt.ok());
+    const size_t slots = inst.ontology.LabelSlots();
+    EXPECT_EQ(Serialize(*maintained, slots), Serialize(*rebuilt, slots))
+        << "seed " << seed;
+  }
+}
+
+// The reverse: the graph has one cycle, and the batch removes one of its
+// edges. The cone is acyclic again, so layer 1 takes the cone re-sign, and
+// vertices that left the cyclic remainder land in well-founded blocks.
+TEST(MaintainIndexTest, BatchBreakingTheLastCycleMatchesBuild) {
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    RandomInstance inst = MakeDagInstance(seed);
+    ASSERT_GT(inst.graph.NumEdges(), 0u);
+    const auto edges = inst.graph.Edges();
+    const auto [u, v] = edges[seed % edges.size()];
+    auto cyclic = ApplyUpdates(inst.graph, std::vector<GraphUpdate>{Add(v, u)});
+    ASSERT_TRUE(cyclic.ok());
+    ASSERT_LT(CountWellFounded(*cyclic), cyclic->NumVertices());
+
+    BigIndexOptions opts;
+    opts.max_layers = 4;
+    auto index = BigIndex::Build(*cyclic, &inst.ontology, opts);
+    ASSERT_TRUE(index.ok());
+    const std::vector<GraphUpdate> batch = {Remove(v, u)};
+    MaintainReport report;
+    auto maintained = MaintainIndex(*index, batch, kAnyCone, &report);
+    ASSERT_TRUE(maintained.ok()) << "seed " << seed;
+    ASSERT_FALSE(report.layers.empty());
+    EXPECT_NE(report.layers[0].mode, LayerMaintenance::kWholesale)
+        << "seed " << seed;
+    EXPECT_FALSE(report.layers[0].rerun) << "seed " << seed;
+    EXPECT_EQ(CountWellFounded(maintained->base()),
+              maintained->base().NumVertices());
+    auto rebuilt = BigIndex::Build(inst.graph, &inst.ontology, opts);
+    ASSERT_TRUE(rebuilt.ok());
+    const size_t slots = inst.ontology.LabelSlots();
+    EXPECT_EQ(Serialize(*maintained, slots), Serialize(*rebuilt, slots))
+        << "seed " << seed;
   }
 }
 

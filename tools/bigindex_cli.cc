@@ -546,18 +546,15 @@ int CmdUpdate(int argc, char** argv) {
       std::printf("layer %-4zu %-11s", i + 1, MaintenanceName(lr.mode));
       if (lr.mode == LayerMaintenance::kIncremental ||
           lr.mode == LayerMaintenance::kPatched) {
-        std::printf(" dirty=%zu split_rounds=%zu resigned=%zu",
-                    lr.stats.dirty_seed, lr.stats.split_rounds,
-                    lr.stats.vertices_resigned);
+        std::printf(" changed=%zu cone=%zu moved=%zu%s", lr.changed, lr.cone,
+                    lr.moved, lr.rerun ? " rerun" : "");
       }
       if (lr.mode != LayerMaintenance::kCopied) {
         // Per-step timing breakdown: regressions in any one step (config
-        // reuse, label table, correspondence transport, refinement) are
-        // visible without a profiler.
-        std::printf(
-            " cfg=%.2fms%s gen=%.2fms corr=%.2fms refine=%.2fms",
-            lr.configure_ms, lr.config_reused ? "(reused)" : "",
-            lr.generalize_ms, lr.correspondence_ms, lr.refine_ms);
+        // reuse, label table, refinement) are visible without a profiler.
+        std::printf(" cfg=%.2fms%s gen=%.2fms refine=%.2fms", lr.configure_ms,
+                    lr.config_reused ? "(reused)" : "", lr.generalize_ms,
+                    lr.refine_ms);
       }
       std::printf("\n");
     }

@@ -59,10 +59,10 @@
 //
 // Live updates: monolithic servers and shard workers accept the UPDATE verb
 // (see src/server/line_protocol.h) and maintain the served index in place —
-// delta-propagating incremental refinement, RCU epoch-swapped publication.
-// --update-fallback-ratio F sets the dirty-frontier ratio above which a
-// layer is re-summarized wholesale (default 0.5, see docs/MAINTENANCE.md
-// for tuning). Coordinators always accept UPDATE and broadcast it to their
+// the kernel's cone re-sign per layer, RCU epoch-swapped publication.
+// --update-fallback-ratio F sets the cone-size ratio above which a layer is
+// re-summarized wholesale (default 1, which never trips; see
+// docs/MAINTENANCE.md). Coordinators always accept UPDATE and broadcast it to their
 // workers.
 //
 // On shutdown the final ServiceStats snapshot is printed to stderr.

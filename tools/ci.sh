@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 correctness, then a ThreadSanitizer pass over the
 # engine + serving + shard-substrate + live-update + observability +
-# parallel-construction + CSR-differential tests (the suites that exercise
+# build-determinism + CSR-differential tests (the suites that exercise
 # cross-thread sharing, including the update differential gate and the
 # cache-epoch race test) plus the multi-process coordinator/shard
 # integration test (which now drives the UPDATE verb end to end), then an
 # ASan+UBSan pass over the index-image and line-protocol fuzz suites
-# (hostile-bytes paths), then the docs checks (dead links, protocol verbs,
+# (hostile-bytes paths) and the summarization kernel's reference suite,
+# then the docs checks (dead links, protocol verbs,
 # metric catalog, span taxonomy), a metrics-overhead smoke, a
-# parallel-construction smoke, an index-image cold-start smoke, the shard
+# construction smoke, an index-image cold-start smoke, the shard
 # scatter-gather throughput gate, a maintenance differential smoke, a CLI
 # maintenance round trip that must keep the image's layer cap, a CLI batch
 # smoke (same answers at 0 and 2 threads), a check that the daemon and
@@ -38,14 +39,14 @@ cmake --build build-tsan -j"$JOBS" --target bigindex_tests bigindex_serverd \
 # strength in the tier-1 pass above) — ShardDifferentialGate covers BOTH
 # shard modes (wcc and bfs with boundary completion); the ghost-manifest
 # invariants, coordinator fan-out, substrates, protocol client, live
-# updater, the summarization kernel's pooled label-view rounds, the
-# cache-epoch race test, Blinks (stateless, so shared across
+# updater, the summarization kernel over label views, the cache-epoch race
+# test, Blinks (stateless, so shared across
 # concurrent Evaluate callers) and the per-graph cache's unlocked builds run
 # in full.
 TSAN_OPTIONS="halt_on_error=1" BIGINDEX_SHARD_GATE_SEEDS=5 \
   BIGINDEX_UPDATE_GATE_SEEDS=5 \
   ./build-tsan/tests/bigindex_tests \
-  --gtest_filter='ExecutorPool*:QueryContext*:QueryEngine*:Deadline*:AnswerCache*:SearchService*:LineProtocol*:TcpServer*:Metrics*:Trace*:ParallelBisim*:SummarizeKernel*:BuildDeterminism*:CsrDifferential*:ShardCoordinator*:ShardSubstrate*:ShardDifferentialGate*:ExtractShard*:GhostManifest*:ShardImage*:ProtocolClient*:InfoVerb*:NormalizeUpdates*:IncrementalBisim*:MaintainIndex*:VersionStore*:LiveUpdater*:ServiceUpdate*:ServingStack*:CacheEpochRace*:UpdateProtocol*:UpdateVerb*:ShardedUpdate*:UpdateDifferentialGate*:Blinks*:PerGraphCache*'
+  --gtest_filter='ExecutorPool*:QueryContext*:QueryEngine*:Deadline*:AnswerCache*:SearchService*:LineProtocol*:TcpServer*:Metrics*:Trace*:SummarizeKernel*:BuildDeterminism*:CsrDifferential*:ShardCoordinator*:ShardSubstrate*:ShardDifferentialGate*:ExtractShard*:GhostManifest*:ShardImage*:ProtocolClient*:InfoVerb*:NormalizeUpdates*:IncrementalBisim*:MaintainIndex*:VersionStore*:LiveUpdater*:ServiceUpdate*:ServingStack*:CacheEpochRace*:UpdateProtocol*:UpdateVerb*:ShardedUpdate*:UpdateDifferentialGate*:Blinks*:PerGraphCache*'
 
 echo
 echo "=== tsan: multi-process coordinator/shard integration ==="
@@ -54,15 +55,17 @@ echo "=== tsan: multi-process coordinator/shard integration ==="
 tools/shard_integration.sh build-tsan
 
 echo
-echo "=== asan+ubsan: index-image and line-protocol fuzz (build-asan/) ==="
+echo "=== asan+ubsan: fuzz suites + kernel reference suite (build-asan/) ==="
 cmake -B build-asan -S . -DBIGINDEX_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$JOBS" --target bigindex_tests
 # The fuzz suites feed truncated/corrupted images through the mmap loader
-# and truncated/hostile lines through the wire codec and a LineHandler; any
-# out-of-bounds read or UB under hostile bytes is a hard failure.
+# and truncated/hostile lines through the wire codec, a LineHandler and a
+# ProtocolClient facing an endless reply line; the kernel's reference suite
+# covers the index arithmetic of the successors-first order and the cyclic
+# remainder's rounds. Any out-of-bounds read or UB is a hard failure.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   ./build-asan/tests/bigindex_tests \
-  --gtest_filter='IndexImageFuzz*:LineProtocolFuzz*'
+  --gtest_filter='IndexImageFuzz*:LineProtocolFuzz*:BisimKernelReference*'
 
 echo
 echo "=== docs: no dead relative links in *.md ==="
@@ -87,9 +90,9 @@ echo "=== smoke: disabled-instrumentation overhead budget ==="
 ./build/bench/bench_obs_overhead --check
 
 echo
-echo "=== smoke: parallel construction (2 threads == serial) ==="
+echo "=== smoke: construction (2 build threads == serial) ==="
 # Builds a small index twice (serial, then 2 build threads) and fails if the
-# index images differ — exercises the parallel construction path in CI.
+# index images differ.
 ./build/bench/bench_construction --smoke
 
 echo
