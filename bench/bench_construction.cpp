@@ -1,7 +1,6 @@
 // Exp-3 "Construction time": BiG-index build times per dataset (all layers),
 // the share of well-founded vertices the summarization kernel signs once,
-// a per-layer phase split, and the Algorithm-1 thread sweep
-// (BuildOptions).
+// and a per-layer phase split. Construction is serial, as in the paper.
 //
 // Paper reference: 20 minutes for YAGO3, 6.4 h for Dbpedia, 6.6 h for IMDB,
 // 3 h for the largest synthetic graph — on a 2.93 GHz / 64 GB server at full
@@ -23,22 +22,16 @@
 // view (build/generalize), the kernel (bisim/compute minus its
 // bisim/materialize) and the quotient build (bisim/materialize).
 //
-// The thread sweep uses a fixed-size preset (independent of
-// BIGINDEX_BENCH_SCALE): yago3 at scale 0.01, Algorithm 1 with 200
-// samples, whose cost-model sampling and candidate scoring run on the build
-// pool. Summarization itself is serial. Speedups only materialize with real
-// cores; the preamble prints the hardware concurrency.
-//
 //   bench_construction [--smoke]
 //
-// --smoke: tiny preset, 2 build threads; verifies the 2-thread build is
-// byte-identical to the serial one and exits non-zero if not. Used by
-// tools/ci.sh.
+// --smoke: tiny preset; builds the default index and an Algorithm-1 index
+// twice each and exits non-zero unless each pair of images is
+// byte-identical (run-to-run determinism). Used by tools/ci.sh.
 
 #include <cstdlib>
 #include <cstring>
 #include <string_view>
-#include <thread>
+#include <utility>
 
 #include "bench_util.h"
 
@@ -66,26 +59,30 @@ int RunSmoke() {
     std::fprintf(stderr, "%s\n", ds.status().ToString().c_str());
     return 1;
   }
-  BigIndexOptions opt;
-  opt.max_layers = 3;
-  auto serial = BigIndex::Build(ds->graph, &ds->ontology.ontology, opt);
-  opt.build.num_threads = 2;
-  auto parallel = BigIndex::Build(ds->graph, &ds->ontology.ontology, opt);
-  if (!serial.ok() || !parallel.ok()) {
-    std::fprintf(stderr, "smoke build failed\n");
-    return 1;
+  BigIndexOptions greedy;
+  greedy.max_layers = 2;
+  greedy.use_greedy_config = true;
+  greedy.config_search.cost.sample_count = 40;
+  const std::pair<const char*, BigIndexOptions> presets[] = {
+      {"default", {.max_layers = 3}}, {"Algorithm-1", greedy}};
+  for (const auto& [name, opt] : presets) {
+    auto first = BigIndex::Build(ds->graph, &ds->ontology.ontology, opt);
+    auto second = BigIndex::Build(ds->graph, &ds->ontology.ontology, opt);
+    if (!first.ok() || !second.ok()) {
+      std::fprintf(stderr, "smoke build failed (%s)\n", name);
+      return 1;
+    }
+    if (SerializeIndex(*first, *ds->dict) !=
+        SerializeIndex(*second, *ds->dict)) {
+      std::fprintf(stderr,
+                   "FAIL: two %s builds differ (|V|=%zu)\n", name,
+                   ds->graph.NumVertices());
+      return 1;
+    }
+    std::printf("construction smoke OK: %s build is run-to-run identical "
+                "(|V|=%zu, %zu layers)\n",
+                name, ds->graph.NumVertices(), first->NumLayers());
   }
-  if (SerializeIndex(*serial, *ds->dict) !=
-      SerializeIndex(*parallel, *ds->dict)) {
-    std::fprintf(stderr,
-                 "FAIL: parallel build differs from serial build "
-                 "(|V|=%zu, 2 threads)\n",
-                 ds->graph.NumVertices());
-    return 1;
-  }
-  std::printf("construction smoke OK: serial == 2-thread build "
-              "(|V|=%zu, %zu layers)\n",
-              ds->graph.NumVertices(), serial->NumLayers());
   return 0;
 }
 
@@ -183,30 +180,6 @@ void RunLayerSplit(const std::string& name, const Dataset& ds) {
   }
 }
 
-void RunSpeedup() {
-  std::printf("\n--- parallel construction (BuildOptions::num_threads) ---\n");
-  std::printf("hardware threads available: %u\n",
-              std::thread::hardware_concurrency());
-  auto ds = MakeDataset("yago3", 0.01);
-  if (!ds.ok()) return;
-  std::printf("greedy preset: yago3 |V|=%zu, Algorithm 1, 2 layers, "
-              "200 samples\n",
-              ds->graph.NumVertices());
-  BigIndexOptions opt;
-  opt.max_layers = 2;
-  opt.use_greedy_config = true;
-  opt.config_search.theta = 0.9;
-  opt.config_search.cost.sample_count = 200;
-  double serial_ms = BuildMs(*ds, opt);
-  std::printf("  %8s %12s %9s\n", "threads", "build(ms)", "speedup");
-  std::printf("  %8s %12.1f %9s\n", "serial", serial_ms, "1.00x");
-  for (size_t threads : {size_t{2}, size_t{4}}) {
-    opt.build.num_threads = threads;
-    double ms = BuildMs(*ds, opt);
-    std::printf("  %8zu %12.1f %8.2fx\n", threads, ms, serial_ms / ms);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -263,6 +236,5 @@ int main(int argc, char** argv) {
     if (ds.ok()) RunLayerSplit(name, *ds);
   }
   if (yago.ok()) RunLayerSplit("random-cyc", RandomCyclic(*yago));
-  RunSpeedup();
   return 0;
 }

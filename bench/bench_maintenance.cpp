@@ -1,7 +1,6 @@
 // Live-update maintenance cost: incremental maintenance (the kernel's cone
-// re-sign per layer) vs wholesale re-summarization (fallback ratio 0) vs a
-// full from-scratch rebuild, as a function of the batch size (net edge
-// changes per batch).
+// re-sign per layer) vs a full from-scratch rebuild, as a function of the
+// batch size (net edge changes per batch).
 //
 // The paper (Sec. 3.2) adopts incremental bisimulation maintenance and
 // notes the index "can be recomputed occasionally"; the numbers to check
@@ -10,16 +9,15 @@
 // from-scratch rebuild — a small batch re-signs only small ancestor cones
 // and splices their rows into the old summaries, so maintenance beats
 // rebuild by 2x+ until the cones cover the layers (see docs/MAINTENANCE.md
-// for the cost model and EXPERIMENTS.md for numbers). All three paths
-// produce byte-identical indexes; the differential gate in
+// for the cost model and EXPERIMENTS.md for numbers). Both paths produce
+// byte-identical indexes; the differential gate in
 // tests/update_differential_test.cpp enforces that, and --smoke re-checks
 // it here on every CI run.
 //
 //   bench_maintenance [--smoke | --check]
 //
-// --smoke: tiny preset; one mixed batch through all three paths, exits
-// non-zero unless the three serialized indexes are identical. Used by
-// tools/ci.sh.
+// --smoke: tiny preset; one mixed batch through both paths, exits non-zero
+// unless the two serialized indexes are identical. Used by tools/ci.sh.
 //
 // --check: CI speedup gate. On the default preset, asserts incremental
 // maintenance beats the from-scratch rebuild by >= 2x for small batches
@@ -62,18 +60,14 @@ std::vector<GraphUpdate> MakeBatch(const Graph& g, size_t count,
 
 BigIndex MustMaintain(const BigIndex& index,
                       const std::vector<GraphUpdate>& batch,
-                      const MaintainOptions& opt,
                       MaintainReport* report = nullptr) {
-  auto result = MaintainIndex(index, batch, opt, report);
+  auto result = MaintainIndex(index, batch, report);
   if (!result.ok()) {
     std::fprintf(stderr, "maintain: %s\n", result.status().ToString().c_str());
     std::exit(1);
   }
   return std::move(result).value();
 }
-
-/// Fallback ratio 0: every layer is re-summarized wholesale.
-constexpr MaintainOptions kWholesale{.fallback_dirty_ratio = 0};
 
 /// Layers that avoided wholesale re-summarization: copied, patched (cone
 /// moved nothing) or incremental (cone re-signed and spliced).
@@ -113,11 +107,8 @@ int RunCheck() {
     auto batch = MakeBatch(ds->graph, count, 1000 + count);
 
     MaintainReport report;
-    BigIndex maintained = MustMaintain(*index, batch, MaintainOptions{},
-                                       &report);
-    double inc_ms = MedianMs(5, [&] {
-      MustMaintain(*index, batch, MaintainOptions{});
-    });
+    BigIndex maintained = MustMaintain(*index, batch, &report);
+    double inc_ms = MedianMs(5, [&] { MustMaintain(*index, batch); });
 
     auto updated = ApplyUpdates(ds->graph, batch);
     if (!updated.ok()) {
@@ -143,9 +134,7 @@ int RunCheck() {
     if (speedup < kGateSpeedup) {
       // One re-measure before failing: the gate runs on shared CI machines
       // and a single noisy median should not fail the build.
-      inc_ms = MedianMs(5, [&] {
-        MustMaintain(*index, batch, MaintainOptions{});
-      });
+      inc_ms = MedianMs(5, [&] { MustMaintain(*index, batch); });
       rebuild_ms = MedianMs(5, [&] {
         auto r = BigIndex::Build(*updated, &ds->ontology.ontology,
                                  index->options());
@@ -185,10 +174,7 @@ int RunSmoke() {
   auto batch = MakeBatch(ds->graph, 8, 42);
 
   MaintainReport report;
-  BigIndex incremental =
-      MustMaintain(*index, batch, MaintainOptions{}, &report);
-  BigIndex wholesale =
-      MustMaintain(*index, batch, kWholesale);
+  BigIndex incremental = MustMaintain(*index, batch, &report);
   auto updated = ApplyUpdates(ds->graph, batch);
   if (!updated.ok()) {
     std::fprintf(stderr, "%s\n", updated.status().ToString().c_str());
@@ -201,16 +187,15 @@ int RunSmoke() {
     return 1;
   }
 
-  const std::string inc = SerializeIndex(incremental, *ds->dict);
-  if (inc != SerializeIndex(wholesale, *ds->dict) ||
-      inc != SerializeIndex(*rebuilt, *ds->dict)) {
+  if (SerializeIndex(incremental, *ds->dict) !=
+      SerializeIndex(*rebuilt, *ds->dict)) {
     std::fprintf(stderr,
-                 "FAIL: incremental / wholesale / rebuild disagree "
-                 "(|V|=%zu, batch=%zu)\n",
+                 "FAIL: incremental and rebuild disagree (|V|=%zu, "
+                 "batch=%zu)\n",
                  ds->graph.NumVertices(), batch.size());
     return 1;
   }
-  std::printf("maintenance smoke OK: incremental == wholesale == rebuild "
+  std::printf("maintenance smoke OK: incremental == rebuild "
               "(|V|=%zu, +%zu -%zu edges, %zu/%zu layers fast-path)\n",
               ds->graph.NumVertices(), report.delta.added.size(),
               report.delta.removed.size(), FastLayers(report),
@@ -224,7 +209,7 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) return RunSmoke();
   if (argc > 1 && std::strcmp(argv[1], "--check") == 0) return RunCheck();
 
-  PrintHeader("Live-update maintenance — incremental vs wholesale vs rebuild",
+  PrintHeader("Live-update maintenance — incremental vs rebuild",
               "Sec. 3.2 (maintenance of BiG-index)");
   double scale = BenchScale();
 
@@ -252,9 +237,8 @@ int main(int argc, char** argv) {
               ds->graph.NumVertices(), ds->graph.NumEdges(),
               index->NumLayers(), full_build_ms);
 
-  std::printf("%8s %8s %12s %12s %12s %10s %12s\n", "batch", "dirty",
-              "inc(ms)", "whole(ms)", "rebuild(ms)", "inc-layers",
-              "speedup-vs-rb");
+  std::printf("%8s %8s %12s %12s %10s %12s\n", "batch", "dirty", "inc(ms)",
+              "rebuild(ms)", "inc-layers", "speedup-vs-rb");
   for (size_t count : {size_t{1}, size_t{4}, size_t{16}, size_t{64},
                        size_t{256}, size_t{1024}}) {
     auto batch = MakeBatch(ds->graph, count, 1000 + count);
@@ -262,12 +246,8 @@ int main(int argc, char** argv) {
     if (!delta.ok()) continue;
 
     MaintainReport report;
-    double inc_ms = MedianMs(3, [&] {
-      MustMaintain(*index, batch, MaintainOptions{}, &report);
-    });
-    double whole_ms = MedianMs(3, [&] {
-      MustMaintain(*index, batch, kWholesale);
-    });
+    double inc_ms =
+        MedianMs(3, [&] { MustMaintain(*index, batch, &report); });
     double rebuild_ms = MedianMs(3, [&] {
       auto updated = ApplyUpdates(ds->graph, batch);
       auto r = BigIndex::Build(*updated, &ds->ontology.ontology,
@@ -275,8 +255,8 @@ int main(int argc, char** argv) {
       if (!r.ok()) std::exit(1);
     });
 
-    std::printf("%8zu %8zu %12.2f %12.2f %12.2f %7zu/%zu %11.2fx\n", count,
-                delta->added.size() + delta->removed.size(), inc_ms, whole_ms,
+    std::printf("%8zu %8zu %12.2f %12.2f %7zu/%zu %11.2fx\n", count,
+                delta->added.size() + delta->removed.size(), inc_ms,
                 rebuild_ms, FastLayers(report), report.layers.size(),
                 inc_ms > 0 ? rebuild_ms / inc_ms : 0.0);
   }

@@ -262,8 +262,7 @@ StatusOr<ConeResult> ResignCone(const Graph& g,
                                 std::span<const LabelId> labels,
                                 const BisimResult& prior,
                                 std::span<const VertexId> to_prior,
-                                std::span<const VertexId> changed,
-                                size_t max_cone) {
+                                std::span<const VertexId> changed) {
   TRACE_SPAN("bisim/cone");
   const size_t n = g.NumVertices();
   const Graph& table = prior.summary;  // previous signatures, one per row
@@ -304,7 +303,7 @@ StatusOr<ConeResult> ResignCone(const Graph& g,
       cone.push_back(v);
     }
   }
-  for (size_t i = 0; i < cone.size() && cone.size() <= max_cone; ++i) {
+  for (size_t i = 0; i < cone.size(); ++i) {
     const auto [b, e] = in[cone[i]];
     for (uint64_t k = b; k < e; ++k) {
       const VertexId p = in.Slot(k);
@@ -315,7 +314,6 @@ StatusOr<ConeResult> ResignCone(const Graph& g,
     }
   }
   result.cone = cone.size();
-  if (cone.size() > max_cone) return result;
 
   // Successors first within the cone. A cycle in the cone stops the order
   // short: then the kernel re-runs on the whole layer, and its supernodes
@@ -330,7 +328,6 @@ StatusOr<ConeResult> ResignCone(const Graph& g,
     if (pending[x] == 0) order.push_back(x);
   }
   ReleaseSuccessorsFirst(in, pending, order);
-  result.applied = true;
   if (order.size() < cone.size()) {
     result.rerun = true;
     result.bisim = ComputeBisimulation(g, labels);

@@ -116,11 +116,6 @@ size_t CountWellFounded(const Graph& g);
 
 /// Outcome of ResignCone.
 struct ConeResult {
-  /// False when the cone held more than `max_cone` vertices; the caller
-  /// then summarizes the graph from scratch. Only `cone` is set then (a
-  /// lower bound: the walk stops at the limit).
-  bool applied = false;
-
   /// Byte-identical to ComputeBisimulation(g, labels).
   BisimResult bisim;
 
@@ -166,8 +161,7 @@ struct ConeResult {
 StatusOr<ConeResult> ResignCone(const Graph& g, std::span<const LabelId> labels,
                                 const BisimResult& prior,
                                 std::span<const VertexId> to_prior,
-                                std::span<const VertexId> changed,
-                                size_t max_cone);
+                                std::span<const VertexId> changed);
 
 /// The quotient of `g` under `partition` (one entry per vertex, arbitrary
 /// ids < id_bound, label-uniform under `labels`): blocks are renumbered in

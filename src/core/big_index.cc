@@ -2,22 +2,11 @@
 
 #include <cassert>
 
-#include "engine/executor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/timer.h"
 
 namespace bigindex {
-namespace {
-
-Gauge& BuildThreadsGauge() {
-  static Gauge& g = MetricsRegistry::Global().GetGauge(
-      "bigindex_build_threads",
-      "Worker threads used by the most recent index construction");
-  return g;
-}
-
-}  // namespace
 
 bool EndsHierarchy(const GeneralizationConfig& config, const Graph& input,
                    const Graph& summary) {
@@ -44,13 +33,6 @@ StatusOr<BigIndex> BigIndex::Build(Graph base, const Ontology* ontology,
     return Status::InvalidArgument("ontology must not be null");
   }
   BigIndex index(std::move(base), ontology, options);
-
-  // Every parallel site runs serially on a pool with fewer than 2 workers;
-  // ExecutorPool(0) starts no threads at all.
-  ExecutorPool pool(options.build.num_threads);
-  BuildThreadsGauge().Set(static_cast<int64_t>(pool.num_workers()));
-  ConfigSearchOptions search_opts = options.config_search;
-  search_opts.cost.pool = &pool;
   std::vector<LabelId> label_storage;
 
   const Graph* current = &index.base_;
@@ -61,7 +43,8 @@ StatusOr<BigIndex> BigIndex::Build(Graph base, const Ontology* ontology,
     {
       TRACE_SPAN("build/config");
       config = options.use_greedy_config
-                   ? FindConfiguration(*current, *ontology, search_opts)
+                   ? FindConfiguration(*current, *ontology,
+                                       options.config_search)
                    : FullOneStepConfiguration(*current, *ontology);
     }
     BIGINDEX_RETURN_IF_ERROR(config.Validate(*ontology));

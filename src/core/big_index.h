@@ -22,18 +22,6 @@
 
 namespace bigindex {
 
-/// Parallel-construction knobs of BigIndex::Build (cost-model
-/// sampling/estimation and Algorithm 1 candidate scoring). Construction
-/// output is byte-identical for every thread count: sample RNG streams and
-/// score reductions are deterministic functions of the input and the cost
-/// model's seed (ConfigSearchOptions::cost.seed) alone.
-struct BuildOptions {
-  /// Worker threads for Algorithm 1's cost-model sampling and candidate
-  /// scoring (summarization itself is serial); 0 = fully serial (no pool is
-  /// created), ExecutorPool::kHardwareConcurrency = one per hardware thread.
-  size_t num_threads = 0;
-};
-
 /// Build stops early when a new layer shrinks the previous one by less than
 /// this ("until it cannot be further summarized efficiently", Sec. 1):
 /// |G^i| / |G^{i-1}| must be <= kStopRatio to keep going once the
@@ -58,10 +46,9 @@ struct BigIndexOptions {
   /// (FullOneStepConfiguration, Sec. 6.1.2 "Default indexes").
   bool use_greedy_config = false;
 
+  /// Algorithm 1's knobs; its cost model's seed
+  /// (config_search.cost.seed) is the build's only source of randomness.
   ConfigSearchOptions config_search;
-
-  /// Parallelism + reproducibility (see BuildOptions).
-  BuildOptions build;
 };
 
 /// One summary layer: C^i, G^i, and the vertex mapping from G^{i-1}.
@@ -75,8 +62,9 @@ struct IndexLayer {
 /// and must outlive the index.
 class BigIndex {
  public:
-  /// Builds the hierarchy. `ontology` must remain valid for the index's
-  /// lifetime.
+  /// Builds the hierarchy serially, one layer at a time (Sec. 3.2); the
+  /// result is a deterministic function of (base, ontology, options).
+  /// `ontology` must remain valid for the index's lifetime.
   static StatusOr<BigIndex> Build(Graph base, const Ontology* ontology,
                                   const BigIndexOptions& options = {});
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "engine/executor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -24,9 +23,7 @@ GeneralizationConfig FindConfiguration(const Graph& g,
 
   // Candidate generalizations: every (ℓ in Σ(G)) -> (direct supertype),
   // scored as cost(G, {c_i}) (Algorithm 1 lines 3-4). Scoring each single
-  // mapping touches only the samples containing its label; candidates are
-  // mutually independent, so with a pool they are scored concurrently (each
-  // with its own IncrementalCost, against the read-only model).
+  // mapping touches only the samples containing its label.
   struct ScoredCandidate {
     double cost;
     LabelMapping mapping;
@@ -34,19 +31,9 @@ GeneralizationConfig FindConfiguration(const Graph& g,
   std::vector<ScoredCandidate> queue;
   for (LabelId l : g.DistinctLabels()) {
     for (LabelId super : ontology.Supertypes(l)) {
-      queue.push_back({0.0, {l, super}});
+      const LabelMapping mapping{l, super};
+      queue.push_back({IncrementalCost(model).CostWith(mapping), mapping});
     }
-  }
-  auto score = [&](size_t, size_t i) {
-    IncrementalCost single(model);
-    queue[i].cost = single.CostWith(queue[i].mapping);
-  };
-  ExecutorPool* pool = options.cost.pool;
-  if (pool != nullptr && pool->num_workers() > 1 && queue.size() > 1) {
-    TRACE_SPAN("build/parallel/score");
-    pool->ParallelFor(queue.size(), score);
-  } else {
-    for (size_t i = 0; i < queue.size(); ++i) score(0, i);
   }
   candidates_scored.Inc(queue.size());
   // Ascending estimated cost; deterministic tie-break on the mapping.

@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "bisim/bisimulation.h"
-#include "engine/executor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -37,20 +36,9 @@ CostModel::CostModel(const Graph& g, const CostModelOptions& options)
       "Radius-r subgraphs sampled for cost estimation");
   samples_ = SampleRadiusSubgraphs(g, options_.sample_radius,
                                    options_.sample_count, options_.seed,
-                                   options_.max_sample_vertices, options_.pool);
+                                   options_.max_sample_vertices);
   sampled.Inc(samples_.size());
   baseline_ratio_.assign(samples_.size(), -1.0);
-
-  // With a pool, fill every baseline now (they are all needed by the first
-  // IncrementalCost anyway); afterwards parallel scoring only *reads* the
-  // cache, so the lazy mutable path never races.
-  if (options_.pool != nullptr && options_.pool->num_workers() > 1) {
-    TRACE_SPAN("build/parallel/baselines");
-    options_.pool->ParallelFor(samples_.size(), [this](size_t, size_t i) {
-      baseline_ratio_[i] = SummaryRatio(samples_[i].graph,
-                                        samples_[i].graph.labels());
-    });
-  }
 
   // Label -> samples containing it (for incremental estimation).
   LabelId max_label = 0;
@@ -90,27 +78,14 @@ double CostModel::EstimateCompress(
     }
   }
 
-  // Per-sample ratios land in a vector and are reduced in index order, so
-  // the mean is bit-identical no matter how many workers ran the Gen+Bisim
-  // passes (FP addition is not associative).
-  std::vector<double> ratio(samples_.size(), -1.0);
-  auto rate_sample = [&](size_t, size_t i) {
-    const Graph& sg = samples_[i].graph;
-    if (sg.Size() == 0) return;
-    ratio[i] =
-        affected.count(i) ? ExactCompress(sg, config) : BaselineRatio(i);
-  };
-  if (options_.pool != nullptr && options_.pool->num_workers() > 1) {
-    TRACE_SPAN("build/parallel/estimate");
-    options_.pool->ParallelFor(samples_.size(), rate_sample);
-  } else {
-    for (uint32_t i = 0; i < samples_.size(); ++i) rate_sample(0, i);
-  }
+  // Summed in sample-index order: FP addition is not associative, and the
+  // estimate's bits decide Algorithm 1's candidate order.
   double total = 0.0;
   size_t counted = 0;
   for (uint32_t i = 0; i < samples_.size(); ++i) {
-    if (ratio[i] < 0) continue;
-    total += ratio[i];
+    const Graph& sg = samples_[i].graph;
+    if (sg.Size() == 0) continue;
+    total += affected.count(i) ? ExactCompress(sg, config) : BaselineRatio(i);
     ++counted;
   }
   return counted == 0 ? 1.0 : total / counted;

@@ -21,8 +21,6 @@
 
 namespace bigindex {
 
-class ExecutorPool;
-
 /// Knobs of the Formula-3 cost model.
 struct CostModelOptions {
   /// Weight α between compress and distort.
@@ -41,15 +39,6 @@ struct CostModelOptions {
   /// Per-sample vertex cap: radius-r balls around hubs can cover most of a
   /// skewed graph, defeating sampling. BFS order keeps the closest vertices.
   size_t max_sample_vertices = 512;
-
-  /// Worker pool for sample expansion and per-sample Gen+Bisim estimation
-  /// (samples are independent, so they parallelize embarrassingly); nullptr
-  /// runs serially. Estimates are identical for every pool size: each
-  /// sample's RNG stream derives from `seed` alone, and per-sample work is
-  /// order-independent. When a pool with workers is set, all baseline ratios
-  /// are precomputed eagerly (in parallel) so later scoring never mutates
-  /// shared state.
-  ExecutorPool* pool = nullptr;
 };
 
 /// Estimates cost(G, C) for many configurations against one graph; samples

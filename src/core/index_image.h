@@ -89,7 +89,7 @@ struct ShardImageInfo {
 };
 
 /// Writes `index` as a flat image. Output is byte-deterministic: the same
-/// index (and BigIndex construction is byte-identical across thread counts)
+/// index (and BigIndex construction is deterministic in its input)
 /// produces the same bytes. The ShardImageInfo overloads stamp the shard
 /// identity into the header and append the SHARDMAP section; a
 /// default-constructed (monolithic) ShardImageInfo writes the exact bytes of

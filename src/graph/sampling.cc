@@ -4,9 +4,7 @@
 #include <cmath>
 #include <unordered_map>
 
-#include "engine/executor.h"
 #include "graph/traversal.h"
-#include "obs/trace.h"
 
 namespace bigindex {
 
@@ -45,18 +43,6 @@ SampledSubgraph SampleRadiusSubgraph(const Graph& g, uint32_t radius,
   return sample;
 }
 
-std::vector<SampledSubgraph> SampleRadiusSubgraphs(const Graph& g,
-                                                   uint32_t radius,
-                                                   size_t count, Rng& rng,
-                                                   size_t max_vertices) {
-  std::vector<SampledSubgraph> samples;
-  samples.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    samples.push_back(SampleRadiusSubgraph(g, radius, rng, max_vertices));
-  }
-  return samples;
-}
-
 uint64_t DeriveSampleSeed(uint64_t master_seed, uint64_t index) {
   // SplitMix64 finalizer over the (seed, stream) pair; Rng applies its own
   // mixing on top, so correlated inputs do not yield correlated streams.
@@ -66,19 +52,16 @@ uint64_t DeriveSampleSeed(uint64_t master_seed, uint64_t index) {
   return z ^ (z >> 31);
 }
 
-std::vector<SampledSubgraph> SampleRadiusSubgraphs(
-    const Graph& g, uint32_t radius, size_t count, uint64_t master_seed,
-    size_t max_vertices, ExecutorPool* pool) {
-  std::vector<SampledSubgraph> samples(count);
-  auto draw = [&](size_t, size_t i) {
+std::vector<SampledSubgraph> SampleRadiusSubgraphs(const Graph& g,
+                                                   uint32_t radius,
+                                                   size_t count,
+                                                   uint64_t master_seed,
+                                                   size_t max_vertices) {
+  std::vector<SampledSubgraph> samples;
+  samples.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
     Rng rng(DeriveSampleSeed(master_seed, i));
-    samples[i] = SampleRadiusSubgraph(g, radius, rng, max_vertices);
-  };
-  if (pool != nullptr && pool->num_workers() > 1 && count > 1) {
-    TRACE_SPAN("build/parallel/samples");
-    pool->ParallelFor(count, draw);
-  } else {
-    for (size_t i = 0; i < count; ++i) draw(0, i);
+    samples.push_back(SampleRadiusSubgraph(g, radius, rng, max_vertices));
   }
   return samples;
 }

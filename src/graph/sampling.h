@@ -14,8 +14,6 @@
 
 namespace bigindex {
 
-class ExecutorPool;
-
 /// One sampled node-induced subgraph plus the identity of its vertices in the
 /// parent graph (original[i] is the parent vertex of sample vertex i).
 struct SampledSubgraph {
@@ -30,24 +28,19 @@ struct SampledSubgraph {
 SampledSubgraph SampleRadiusSubgraph(const Graph& g, uint32_t radius,
                                      Rng& rng, size_t max_vertices = 0);
 
-/// Draws `count` independent samples (see Sec. 3.2: n = 0.25 (z/E)^2, e.g.
-/// 400 for E = 5%, z = 1.96).
-std::vector<SampledSubgraph> SampleRadiusSubgraphs(const Graph& g,
-                                                   uint32_t radius,
-                                                   size_t count, Rng& rng,
-                                                   size_t max_vertices = 0);
-
 /// The RNG stream of sample `index` under `master_seed`: a SplitMix64
 /// finalizer over (seed, index) keeps the per-sample streams statistically
 /// independent while every stream is a pure function of the master seed.
 uint64_t DeriveSampleSeed(uint64_t master_seed, uint64_t index);
 
-/// Parallel variant: sample i is drawn from Rng(DeriveSampleSeed(master_seed,
-/// i)), so the result is identical for every pool size (including no pool) —
-/// samples are expanded concurrently on `pool` when it has workers.
-std::vector<SampledSubgraph> SampleRadiusSubgraphs(
-    const Graph& g, uint32_t radius, size_t count, uint64_t master_seed,
-    size_t max_vertices, ExecutorPool* pool);
+/// Draws `count` independent samples (see Sec. 3.2: n = 0.25 (z/E)^2, e.g.
+/// 400 for E = 5%, z = 1.96); sample i is drawn from
+/// Rng(DeriveSampleSeed(master_seed, i)).
+std::vector<SampledSubgraph> SampleRadiusSubgraphs(const Graph& g,
+                                                   uint32_t radius,
+                                                   size_t count,
+                                                   uint64_t master_seed,
+                                                   size_t max_vertices = 0);
 
 /// The paper's sample-size formula: n = 0.5 * 0.5 * (z / E)^2.
 size_t SampleSizeForError(double z, double error);

@@ -60,6 +60,17 @@ namespace bigindex {
 /// cannot grow the other end's buffer without limit.
 inline constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
 
+/// The most bytes one reply block may hold once read: each line's
+/// characters plus the std::string that holds it, so a block of empty lines
+/// counts too. A larger block fails ProtocolClient::Request with IOError and
+/// the client disconnects, so a peer that streams endless short lines
+/// cannot grow the other end's memory without limit either. The largest
+/// legitimate block is a bfs worker's BOUNDARY export: yago3 at scale 0.01
+/// over 2 shards (bench_e2e's sharded-bfs fleet, bench_shards' default
+/// scale) exports 578,445 bytes in 45,785 lines, about 2.0 MB counted this
+/// way, so the cap leaves a 30x margin.
+inline constexpr size_t kMaxReplyBlockBytes = size_t{64} << 20;
+
 /// The checked number reader. True only when all of `text` is one number
 /// in T's range: decimal digits for an unsigned T (hex digits with
 /// base 16), an optional leading '-' for a signed T, and a finite decimal

@@ -130,15 +130,22 @@ StatusOr<std::vector<std::string>> ProtocolClient::Request(
   std::vector<std::string> lines;
   char chunk[4096];
   size_t scanned = 0;  // leading bytes of buffer_ known to hold no '\n'
-  auto too_long = [this] {
+  size_t block_bytes = 0;  // what the lines taken so far hold in memory
+  auto too_long = [this](const char* what, size_t cap) {
     Disconnect();
-    return Status::IOError("reply line longer than " +
-                           std::to_string(kMaxRequestLineBytes) + " bytes");
+    return Status::IOError(std::string(what) + " longer than " +
+                           std::to_string(cap) + " bytes");
   };
   while (true) {
     size_t nl;
     while ((nl = buffer_.find('\n', scanned)) != std::string::npos) {
-      if (nl > kMaxRequestLineBytes) return too_long();
+      if (nl > kMaxRequestLineBytes) {
+        return too_long("reply line", kMaxRequestLineBytes);
+      }
+      block_bytes += nl + sizeof(std::string);
+      if (block_bytes > kMaxReplyBlockBytes) {
+        return too_long("reply block", kMaxReplyBlockBytes);
+      }
       std::string resp = buffer_.substr(0, nl);
       buffer_.erase(0, nl + 1);
       scanned = 0;
@@ -147,7 +154,9 @@ StatusOr<std::vector<std::string>> ProtocolClient::Request(
       lines.push_back(std::move(resp));
     }
     scanned = buffer_.size();
-    if (scanned > kMaxRequestLineBytes) return too_long();
+    if (scanned > kMaxRequestLineBytes) {
+      return too_long("reply line", kMaxRequestLineBytes);
+    }
     ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;

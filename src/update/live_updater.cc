@@ -80,8 +80,7 @@ StatusOr<UpdateOutcome> LiveUpdater::Apply(std::span<const GraphUpdate> updates,
 
   MaintainReport local_report;
   if (report == nullptr) report = &local_report;
-  auto successor =
-      MaintainIndex(*cur->index, updates, options_.maintain, report);
+  auto successor = MaintainIndex(*cur->index, updates, report);
   if (!successor.ok()) return successor.status();
 
   UpdateOutcome outcome;

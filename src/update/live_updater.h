@@ -43,9 +43,6 @@
 namespace bigindex {
 
 struct LiveUpdaterOptions {
-  /// Knobs for the incremental maintenance pass (fallback ratio etc.).
-  MaintainOptions maintain;
-
   /// Options for each successor QueryEngine (slot count, default
   /// algorithm registration).
   QueryEngineOptions engine;

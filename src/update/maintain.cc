@@ -43,7 +43,6 @@ size_t MaintainReport::LayersRebuilt() const {
 
 StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
                                  std::span<const GraphUpdate> updates,
-                                 const MaintainOptions& options,
                                  MaintainReport* report) {
   TRACE_SPAN("update/maintain");
   static Counter& layers_maintained = MetricsRegistry::Global().GetCounter(
@@ -151,36 +150,27 @@ StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
     }
 
     // The cone re-sign, while the old layer still describes this one (same
-    // config, a link from below) and the cone stays within
-    // fallback_dirty_ratio of the layer.
+    // config, a link from below).
     Timer t_ref;
     BisimResult bisim;
-    bool done = false;
     if (linked && config_matches) {
       const IndexLayer& old_layer = index.Layer(i);
-      const auto max_cone = static_cast<size_t>(
-          options.fallback_dirty_ratio *
-          static_cast<double>(cur_new->NumVertices()));
       auto cone = ResignCone(*cur_new, glabels,
                              {old_layer.graph, old_layer.mapping}, to_prior,
-                             changed, max_cone);
+                             changed);
       if (!cone.ok()) return cone.status();
+      cone_runs.Inc();
+      resigned.Inc(cone->cone);
       lrep.changed = changed.size();
       lrep.cone = cone->cone;
-      if (cone->applied) {
-        cone_runs.Inc();
-        resigned.Inc(cone->cone);
-        lrep.moved = cone->moved;
-        lrep.rerun = cone->rerun;
-        lrep.mode = cone->reused ? LayerMaintenance::kPatched
-                                 : LayerMaintenance::kIncremental;
-        bisim = std::move(cone->bisim);
-        to_prior = std::move(cone->next_to_prior);
-        changed = std::move(cone->next_changed);
-        done = true;
-      }
-    }
-    if (!done) {
+      lrep.moved = cone->moved;
+      lrep.rerun = cone->rerun;
+      lrep.mode = cone->reused ? LayerMaintenance::kPatched
+                               : LayerMaintenance::kIncremental;
+      bisim = std::move(cone->bisim);
+      to_prior = std::move(cone->next_to_prior);
+      changed = std::move(cone->next_changed);
+    } else {
       bisim = ComputeBisimulation(*cur_new, glabels);
       lrep.mode = LayerMaintenance::kWholesale;
       linked = false;

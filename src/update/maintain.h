@@ -30,9 +30,11 @@
 //     kernel re-runs on the whole layer, and the next layer's correspondence
 //     is read off the members of the new supernodes (still kIncremental);
 //   * wholesale ComputeBisimulation over the label view otherwise: config
-//     drift, new layers beyond the old stack, or a cone past
-//     fallback_dirty_ratio of the layer. A wholesale layer carries no
-//     correspondence, so every layer above it is wholesale as well.
+//     drift, or a new layer beyond the old stack. A wholesale layer carries
+//     no correspondence, so every layer above it is wholesale as well. Edge
+//     updates cannot change a layer's distinct-label set, so a full
+//     one-step index never drifts: its only wholesale layer is one the old
+//     stack did not have.
 //
 // Correspondence persistence across batches: a successor layer numbers its
 // supernodes in first-occurrence order, as Build does, so batch N+1 starts
@@ -60,17 +62,6 @@
 #include "util/status.h"
 
 namespace bigindex {
-
-/// Options for MaintainIndex.
-struct MaintainOptions {
-  /// Cone-size ratio above which a layer (and so every layer above it) is
-  /// re-summarized wholesale. The default 1 never trips: even a cone that
-  /// covers the layer costs about one summarization, and unlike a wholesale
-  /// layer it keeps the layers above on the cone path. 0 makes every layer
-  /// with a changed vertex wholesale. Output is byte-identical on either
-  /// side of the knob; see docs/MAINTENANCE.md.
-  double fallback_dirty_ratio = 1.0;
-};
 
 /// How one layer of the successor index was produced.
 enum class LayerMaintenance {
@@ -135,7 +126,6 @@ struct MaintainReport {
 /// `index` and an empty report delta.
 StatusOr<BigIndex> MaintainIndex(const BigIndex& index,
                                  std::span<const GraphUpdate> updates,
-                                 const MaintainOptions& options = {},
                                  MaintainReport* report = nullptr);
 
 }  // namespace bigindex

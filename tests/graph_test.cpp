@@ -292,8 +292,7 @@ TEST(SamplingTest, EmptyGraphYieldsEmptySample) {
 
 TEST(SamplingTest, CountAndFormula) {
   Graph g = Diamond();
-  Rng rng(3);
-  auto samples = SampleRadiusSubgraphs(g, 1, 7, rng);
+  auto samples = SampleRadiusSubgraphs(g, 1, 7, /*master_seed=*/3);
   EXPECT_EQ(samples.size(), 7u);
   EXPECT_EQ(SampleSizeForError(1.96, 0.05), 385u);  // paper rounds to 400
 }

@@ -6,9 +6,10 @@
 // at every byte and with each number replaced by a hostile token ("", -1,
 // 1x, 99999999999999999999, nan), parses to a Status and never crashes;
 // hostile query requests also go through a LineHandler over a real engine.
-// A fake server that answers with one endless line shows ProtocolClient
-// stops reading at kMaxRequestLineBytes. tools/ci.sh runs this suite under
-// ASan+UBSan with halt_on_error=1.
+// Fake servers that answer with one endless line, or with endless short
+// lines, show ProtocolClient stops reading at kMaxRequestLineBytes and at
+// kMaxReplyBlockBytes. tools/ci.sh runs this suite under ASan+UBSan with
+// halt_on_error=1.
 
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -420,11 +421,12 @@ TEST(LineProtocolFuzz, HostileQueryRequestsAnswerErrAndTheServerServesOn) {
   EXPECT_TRUE(handler.Handle(line).response.starts_with("OK n="));
 }
 
-TEST(LineProtocolFuzz, EndlessReplyLineFailsTheRequestAndDisconnects) {
-  // A hostile peer: accepts one connection, reads the request, then streams
-  // 'x' without ever sending '\n' until the client hangs up. It stops at 4x
-  // the cap and closes, so a client without a cap would see the connection
-  // drop (Unavailable) rather than keep the test running.
+// A hostile peer: accepts one connection on a loopback port, reads the
+// request, runs `stream` on the socket until the client hangs up (or the
+// stream's own bound), then closes. The client's request must fail with
+// IOError and leave it disconnected.
+void ExpectHostileReplyFailsAndDisconnects(
+    const std::function<void(int fd)>& stream) {
   const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(listener, 0);
   sockaddr_in addr{};
@@ -435,18 +437,12 @@ TEST(LineProtocolFuzz, EndlessReplyLineFailsTheRequestAndDisconnects) {
   ASSERT_EQ(::listen(listener, 1), 0);
   ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
             0);
-  std::thread peer([listener] {
+  std::thread peer([listener, &stream] {
     const int fd = ::accept(listener, nullptr, nullptr);
     if (fd < 0) return;
     char request[256];
     (void)::read(fd, request, sizeof(request));
-    const std::string chunk(64 * 1024, 'x');
-    for (size_t streamed = 0; streamed < 4 * kMaxRequestLineBytes;) {
-      const ssize_t n =
-          ::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
-      if (n <= 0) break;
-      streamed += static_cast<size_t>(n);
-    }
+    stream(fd);
     ::close(fd);
   });
 
@@ -458,6 +454,35 @@ TEST(LineProtocolFuzz, EndlessReplyLineFailsTheRequestAndDisconnects) {
   EXPECT_FALSE(client.connected());
   peer.join();
   ::close(listener);
+}
+
+/// Sends `chunk` repeatedly until `limit` bytes went out or the client hung
+/// up. A client without the cap under test sees the connection drop
+/// (Unavailable) once the limit is reached, rather than keep the test
+/// running.
+void StreamUntil(int fd, const std::string& chunk, size_t limit) {
+  for (size_t streamed = 0; streamed < limit;) {
+    const ssize_t n = ::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+    if (n <= 0) break;
+    streamed += static_cast<size_t>(n);
+  }
+}
+
+TEST(LineProtocolFuzz, EndlessReplyLineFailsTheRequestAndDisconnects) {
+  // 'x' without ever a '\n', up to 4x the line cap.
+  ExpectHostileReplyFailsAndDisconnects([](int fd) {
+    StreamUntil(fd, std::string(64 * 1024, 'x'), 4 * kMaxRequestLineBytes);
+  });
+}
+
+TEST(LineProtocolFuzz, EndlessReplyBlockFailsTheRequestAndDisconnects) {
+  // Short well-formed lines without ever the terminating ".", up to 2x the
+  // block cap in wire bytes (each line is charged more than its wire bytes).
+  ExpectHostileReplyFailsAndDisconnects([](int fd) {
+    std::string chunk;
+    while (chunk.size() < 64 * 1024) chunk += std::string(199, 'v') + '\n';
+    StreamUntil(fd, chunk, 2 * kMaxReplyBlockBytes);
+  });
 }
 
 }  // namespace

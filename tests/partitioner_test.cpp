@@ -286,43 +286,6 @@ TEST(GhostManifest, RemapRoundTripsOver50Seeds) {
   }
 }
 
-TEST(GhostManifest, StableAcrossBuildThreadCounts) {
-  for (int seed : {3, 29}) {
-    Graph g = MakeRandomGraph(GraphOptions(seed));
-    Ontology ontology =
-        MakeRandomOntologyDag({.num_leaves = 6, .height = 3, .seed = 7});
-    std::vector<std::vector<VertexId>> global_of, ghosts;
-    std::vector<std::vector<CutEdge>> cuts;
-    for (size_t threads : {0u, 4u}) {
-      ShardBuildOptions opts;
-      opts.plan = {.num_shards = 3, .mode = ShardMode::kBfsBlocks,
-                   .bfs_block_size = 16};
-      opts.index = {.max_layers = 2, .build = {.num_threads = threads}};
-      auto sharded = BuildShardedIndex(g, &ontology, opts);
-      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-      std::vector<VertexId> flat_global, flat_ghosts;
-      for (const BuiltShard& built : sharded->shards) {
-        flat_global.insert(flat_global.end(), built.shard.global_of.begin(),
-                           built.shard.global_of.end());
-        flat_ghosts.insert(flat_ghosts.end(), built.shard.ghosts.begin(),
-                           built.shard.ghosts.end());
-      }
-      global_of.push_back(std::move(flat_global));
-      ghosts.push_back(std::move(flat_ghosts));
-      cuts.emplace_back(sharded->plan.CutEdges().begin(),
-                        sharded->plan.CutEdges().end());
-    }
-    // The plan, the remaps, and the ghost sets are functions of the graph
-    // alone — build parallelism must not leak into them.
-    EXPECT_EQ(global_of[0], global_of[1]) << "seed " << seed;
-    EXPECT_EQ(ghosts[0], ghosts[1]) << "seed " << seed;
-    ASSERT_EQ(cuts[0].size(), cuts[1].size());
-    for (size_t i = 0; i < cuts[0].size(); ++i) {
-      EXPECT_EQ(cuts[0][i], cuts[1][i]);
-    }
-  }
-}
-
 // --- Sharded-vs-monolithic differential ----------------------------------
 
 // r-clique's default registration caps answers at top_k=10 internally; the

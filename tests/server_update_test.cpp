@@ -84,13 +84,12 @@ struct UpdateFixture {
   std::shared_ptr<const QueryEngine> engine =
       updater.versions().Current()->engine;
 
-  explicit UpdateFixture(Graph g = ToggleGraph(),
-                         LiveUpdaterOptions updater_options = {})
+  explicit UpdateFixture(Graph g = ToggleGraph())
       : stack(BuiltShard{std::move(BigIndex::Build(g, &ontology,
                                                    {.max_layers = 2}))
                              .value(),
                          {}},
-              /*fingerprint=*/0, {}, std::move(updater_options)) {}
+              /*fingerprint=*/0) {}
 
   EngineQuery ConnectivityQuery() {
     EngineQuery q;
@@ -238,14 +237,24 @@ TEST(LiveUpdater, RollbackRestoresPreviousGeneration) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST(LiveUpdater, ZeroFallbackRatioReportsWholesaleMode) {
-  LiveUpdaterOptions opts;
-  opts.maintain.fallback_dirty_ratio = 0;
-  UpdateFixture fx(ToggleGraph(), std::move(opts));
-  auto outcome = fx.updater.Apply(std::vector<GraphUpdate>{Add(3, 4)});
+TEST(LiveUpdater, TallerHierarchyReportsWholesaleMode) {
+  // Every label is the ontology root 9 and the chain 0 -> 1 -> 2 is already
+  // bisimulation-minimal, so the index has no layer. Removing 1 -> 2 makes 1
+  // and 2 bisimilar: the new layer 1 has no old layer to re-sign against,
+  // so it is summarized wholesale.
+  GraphBuilder b;
+  for (int i = 0; i < 3; ++i) b.AddVertex(9);
+  b.AddEdge(0, 1);
+  b.AddEdge(1, 2);
+  UpdateFixture fx(std::move(b.Build()).value());
+  ASSERT_EQ(fx.index->NumLayers(), 0u);
+  auto outcome =
+      fx.stack.ApplyUpdate(std::vector<GraphUpdate>{Remove(1, 2)});
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->mode, UpdateOutcome::Mode::kWholesale);
+  EXPECT_EQ(fx.updater.versions().Current()->index->NumLayers(), 1u);
   // The serving layer counts wholesale/rebuild outcomes as fallbacks.
+  EXPECT_EQ(fx.stack.Snapshot().update_fallbacks, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -254,7 +254,7 @@ TEST(UpdateDifferentialGate, ChainedMaintenanceMatchesConcatenatedAndRebuild) {
       auto batch =
           MakeRandomBatch(base, 1 + (seed + step) % 6, seed * 211 + step);
       MaintainReport report;
-      auto next = MaintainIndex(*cur, batch, {}, &report);
+      auto next = MaintainIndex(*cur, batch, &report);
       ASSERT_TRUE(next.ok()) << next.status().ToString();
       chained = std::move(next).value();
       cur = &*chained;

@@ -20,6 +20,7 @@
 #include "core/big_index.h"
 #include "core/index_image.h"
 #include "graph/label_dictionary.h"
+#include "ontology/ontology.h"
 #include "testing/random_graph.h"
 #include "update/delta.h"
 #include "update/maintain.h"
@@ -98,10 +99,10 @@ std::vector<VertexId> DirtySources(const UpdateDelta& delta) {
 }
 
 // The cone re-sign of `g` against `prior`, a summary of its predecessor
-// graph over the same vertices, with no cone limit.
+// graph over the same vertices.
 StatusOr<ConeResult> Resign(const Graph& g, const BisimResult& prior,
                             std::span<const VertexId> changed) {
-  return ResignCone(g, g.labels(), prior, {}, changed, g.NumVertices());
+  return ResignCone(g, g.labels(), prior, {}, changed);
 }
 
 void ExpectSameBisim(const BisimResult& a, const BisimResult& b,
@@ -257,7 +258,6 @@ TEST(IncrementalBisimTest, RemovalCanMergeBlocks) {
   ASSERT_TRUE(g1.ok());
   auto cone = Resign(*g1, before, std::vector<VertexId>{0});
   ASSERT_TRUE(cone.ok());
-  ASSERT_TRUE(cone->applied);
   EXPECT_EQ(cone->bisim.mapping.NumSupernodes(), 1u);
   EXPECT_EQ(cone->moved, 1u);
   ExpectSameBisim(ComputeBisimulation(*g1, g1->labels()), cone->bisim,
@@ -272,7 +272,6 @@ TEST(IncrementalBisimTest, AdditionCanMergeBlocks) {
   ASSERT_TRUE(g1.ok());
   auto cone = Resign(*g1, before, std::vector<VertexId>{2});
   ASSERT_TRUE(cone.ok());
-  ASSERT_TRUE(cone->applied);
   EXPECT_EQ(cone->bisim.mapping.NumSupernodes(), 2u);
   ExpectSameBisim(ComputeBisimulation(*g1, g1->labels()), cone->bisim,
                   "addition merge");
@@ -313,7 +312,6 @@ TEST(IncrementalBisimTest, MatchesWholesaleOnRandomUpdateStreams) {
 
       auto cone = Resign(next, current, DirtySources(*delta));
       ASSERT_TRUE(cone.ok()) << context;
-      ASSERT_TRUE(cone->applied) << context;
       ExpectSameBisim(ComputeBisimulation(next, next.labels()), cone->bisim,
                       context);
       if (cone->rerun) {
@@ -337,22 +335,22 @@ TEST(IncrementalBisimTest, RejectsMalformedInput) {
   const std::vector<VertexId> changed = {0};
   ASSERT_TRUE(Resign(g, prior, changed).ok());
   // Labels, to_prior and changed must fit g.
-  EXPECT_FALSE(ResignCone(g, {}, prior, {}, changed, 3).ok());
+  EXPECT_FALSE(ResignCone(g, {}, prior, {}, changed).ok());
+  EXPECT_FALSE(
+      ResignCone(g, g.labels(), prior, std::vector<VertexId>{0, 1}, changed)
+          .ok());
   EXPECT_FALSE(ResignCone(g, g.labels(), prior,
-                          std::vector<VertexId>{0, 1}, changed, 3)
-                   .ok());
-  EXPECT_FALSE(ResignCone(g, g.labels(), prior,
-                          std::vector<VertexId>{0, 1, 7}, changed, 3)
+                          std::vector<VertexId>{0, 1, 7}, changed)
                    .ok());
   EXPECT_FALSE(Resign(g, prior, std::vector<VertexId>{9}).ok());
   // A vertex without a counterpart must be in changed.
   EXPECT_FALSE(ResignCone(g, g.labels(), prior,
                           std::vector<VertexId>{0, 1, kInvalidVertex},
-                          changed, 3)
+                          changed)
                    .ok());
   EXPECT_TRUE(ResignCone(g, g.labels(), prior,
                          std::vector<VertexId>{0, 1, kInvalidVertex},
-                         std::vector<VertexId>{2}, 3)
+                         std::vector<VertexId>{2})
                   .ok());
 }
 
@@ -386,8 +384,7 @@ TEST(MaintainIndexTest, MatchesFromScratchBuildOnRandomStreams) {
       auto batch =
           MakeRandomBatch(base, 1 + (seed + step) % 10, seed * 71 + step);
       MaintainReport report;
-      auto maintained =
-          MaintainIndex(current, batch, MaintainOptions{}, &report);
+      auto maintained = MaintainIndex(current, batch, &report);
       ASSERT_TRUE(maintained.ok()) << "seed " << seed << " step " << step;
 
       auto updated_base = ApplyUpdates(base, batch);
@@ -417,9 +414,6 @@ RandomInstance MakeDagInstance(uint64_t seed) {
   return inst;
 }
 
-// No cone is too large: only a cycle in the cone sends a layer wholesale.
-constexpr MaintainOptions kAnyCone{.fallback_dirty_ratio = 1.0};
-
 // Chained batches that keep the graph acyclic: maintained bytes equal a
 // rebuild, and no layer the old stack covers goes wholesale.
 TEST(MaintainIndexTest, MatchesFromScratchBuildOnDagStreams) {
@@ -441,7 +435,7 @@ TEST(MaintainIndexTest, MatchesFromScratchBuildOnDagStreams) {
                up.source >= up.target;
       });
       MaintainReport report;
-      auto maintained = MaintainIndex(current, batch, kAnyCone, &report);
+      auto maintained = MaintainIndex(current, batch, &report);
       ASSERT_TRUE(maintained.ok()) << "seed " << seed << " step " << step;
 
       auto updated_base = ApplyUpdates(base, batch);
@@ -483,7 +477,7 @@ TEST(MaintainIndexTest, BatchClosingACycleMatchesBuild) {
     const std::vector<GraphUpdate> batch = {Add(v, u)};
 
     MaintainReport report;
-    auto maintained = MaintainIndex(*index, batch, kAnyCone, &report);
+    auto maintained = MaintainIndex(*index, batch, &report);
     ASSERT_TRUE(maintained.ok()) << "seed " << seed;
     ASSERT_FALSE(report.layers.empty());
     EXPECT_EQ(report.layers[0].mode, LayerMaintenance::kIncremental)
@@ -518,7 +512,7 @@ TEST(MaintainIndexTest, BatchBreakingTheLastCycleMatchesBuild) {
     ASSERT_TRUE(index.ok());
     const std::vector<GraphUpdate> batch = {Remove(v, u)};
     MaintainReport report;
-    auto maintained = MaintainIndex(*index, batch, kAnyCone, &report);
+    auto maintained = MaintainIndex(*index, batch, &report);
     ASSERT_TRUE(maintained.ok()) << "seed " << seed;
     ASSERT_FALSE(report.layers.empty());
     EXPECT_NE(report.layers[0].mode, LayerMaintenance::kWholesale)
@@ -534,73 +528,57 @@ TEST(MaintainIndexTest, BatchBreakingTheLastCycleMatchesBuild) {
   }
 }
 
-TEST(MaintainIndexTest, ZeroFallbackRatioMatchesIncremental) {
-  RandomInstance inst = MakeInstance(7);
-  BigIndexOptions opts;
-  opts.max_layers = 3;
-  auto index = BigIndex::Build(inst.graph, &inst.ontology, opts);
+// The wholesale tier without a knob: every label is an ontology root, so
+// each layer's configuration is empty, and the base chain a->b->c is already
+// bisimulation-minimal, so Build stops before layer 1. Removing b->c makes b
+// and c bisimilar; the rebuild now keeps layer 1, which the old (empty)
+// stack cannot link to, so maintenance summarizes it wholesale.
+TEST(MaintainIndexTest, TallerHierarchyIsWholesaleAndMatchesBuild) {
+  OntologyBuilder ob;
+  ob.AddSupertypeEdge(0, 1);  // label 1 is a root
+  auto ontology = ob.Build();
+  ASSERT_TRUE(ontology.ok());
+  const Graph chain = MakeGraph(3, 1, {{0, 1}, {1, 2}});
+  const BigIndexOptions opts{.max_layers = 3};
+  auto index = BigIndex::Build(chain, &*ontology, opts);
   ASSERT_TRUE(index.ok());
-  auto batch = MakeRandomBatch(inst.graph, 8, 1234);
+  ASSERT_EQ(index->NumLayers(), 0u);
 
+  const std::vector<GraphUpdate> batch = {Remove(1, 2)};
   MaintainReport report;
-  auto a = MaintainIndex(*index, batch, MaintainOptions{});
-  auto b = MaintainIndex(*index, batch, {.fallback_dirty_ratio = 0}, &report);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_FALSE(report.delta.empty());
-  ASSERT_FALSE(report.layers.empty());
-  for (const MaintainLayerReport& lr : report.layers) {
-    EXPECT_EQ(lr.mode, LayerMaintenance::kWholesale);
-  }
-  const size_t slots = inst.ontology.LabelSlots();
-  EXPECT_EQ(Serialize(*a, slots), Serialize(*b, slots));
-}
+  auto maintained = MaintainIndex(*index, batch, &report);
+  ASSERT_TRUE(maintained.ok()) << maintained.status().ToString();
+  auto updated = ApplyUpdates(chain, batch);
+  ASSERT_TRUE(updated.ok());
+  auto rebuilt = BigIndex::Build(*updated, &*ontology, opts);
+  ASSERT_TRUE(rebuilt.ok());
+  ASSERT_EQ(rebuilt->NumLayers(), 1u);
 
-// The fallback decision lives in MaintainIndex: a dirty frontier past the
-// ratio sends the layer to wholesale re-summarization, with the same bytes.
-TEST(MaintainIndexTest, FallbackThresholdTriggersWholesale) {
-  RandomInstance inst = MakeInstance(3);
-  BigIndexOptions opts;
-  opts.max_layers = 3;
-  auto index = BigIndex::Build(inst.graph, &inst.ontology, opts);
-  ASSERT_TRUE(index.ok());
-  // One added edge dirties one base vertex: past a ratio worth half a
-  // vertex, well within the default.
-  VertexId v = 1;
-  while (inst.graph.HasEdge(0, v)) ++v;
-  ASSERT_LT(v, inst.graph.NumVertices());
-  const std::vector<GraphUpdate> batch = {Add(0, v)};
-
-  MaintainReport tight, loose;
-  const double half_vertex = 0.5 / inst.graph.NumVertices();
-  auto a = MaintainIndex(*index, batch, {.fallback_dirty_ratio = half_vertex},
-                         &tight);
-  auto b = MaintainIndex(*index, batch, MaintainOptions{}, &loose);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_FALSE(tight.layers.empty());
-  ASSERT_FALSE(loose.layers.empty());
-  EXPECT_EQ(tight.layers[0].mode, LayerMaintenance::kWholesale);
-  EXPECT_NE(loose.layers[0].mode, LayerMaintenance::kWholesale);
-  const size_t slots = inst.ontology.LabelSlots();
-  EXPECT_EQ(Serialize(*a, slots), Serialize(*b, slots));
+  ASSERT_EQ(report.layers.size(), 1u);
+  EXPECT_EQ(report.layers[0].mode, LayerMaintenance::kWholesale);
+  EXPECT_FALSE(report.full_rebuild);
+  const size_t slots = ontology->LabelSlots();
+  EXPECT_EQ(Serialize(*maintained, slots), Serialize(*rebuilt, slots));
 }
 
 // A wholesale layer carries no provenance, so every layer above it is
-// wholesale as well — and the bytes still equal a rebuild.
+// wholesale as well — and the bytes still equal a rebuild. A greedy-config
+// index is maintained by a full rebuild, so every layer is wholesale.
 TEST(MaintainIndexTest, LayersAboveWholesaleAreWholesale) {
   size_t wholesale_below_top = 0;
-  for (uint64_t seed = 0; seed < 25; ++seed) {
+  for (uint64_t seed = 0; seed < 8; ++seed) {
     RandomInstance inst = MakeInstance(seed);
     BigIndexOptions opts;
-    opts.max_layers = 4;
+    opts.max_layers = 3;
+    opts.use_greedy_config = true;
+    opts.config_search.cost.sample_count = 30;
     auto index = BigIndex::Build(inst.graph, &inst.ontology, opts);
     ASSERT_TRUE(index.ok());
     auto batch = MakeRandomBatch(inst.graph, 1 + seed % 10, seed * 53 + 5);
     MaintainReport report;
-    auto maintained =
-        MaintainIndex(*index, batch, {.fallback_dirty_ratio = 0.05}, &report);
+    auto maintained = MaintainIndex(*index, batch, &report);
     ASSERT_TRUE(maintained.ok()) << "seed " << seed;
+    if (report.delta.empty()) continue;
 
     bool seen_wholesale = false;
     for (size_t i = 0; i < report.layers.size(); ++i) {
@@ -667,7 +645,7 @@ TEST(MaintainIndexTest, NoNetChangeReturnsUnchangedIndex) {
   std::vector<GraphUpdate> batch = {Add(0, 1), Remove(0, 1)};
   if (inst.graph.HasEdge(0, 1)) batch = {Remove(0, 1), Add(0, 1)};
   MaintainReport report;
-  auto maintained = MaintainIndex(*index, batch, MaintainOptions{}, &report);
+  auto maintained = MaintainIndex(*index, batch, &report);
   ASSERT_TRUE(maintained.ok());
   EXPECT_TRUE(report.delta.empty());
   EXPECT_EQ(report.LayersRebuilt(), 0u);
@@ -711,7 +689,7 @@ TEST(MaintainIndexTest, GreedyConfigFallsBackToFullRebuild) {
   ASSERT_TRUE(index.ok());
   auto batch = MakeRandomBatch(inst.graph, 5, 99);
   MaintainReport report;
-  auto maintained = MaintainIndex(*index, batch, MaintainOptions{}, &report);
+  auto maintained = MaintainIndex(*index, batch, &report);
   ASSERT_TRUE(maintained.ok());
   if (!report.delta.empty()) {
     EXPECT_TRUE(report.full_rebuild);

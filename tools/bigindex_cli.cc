@@ -4,11 +4,8 @@
 //   gen     <dataset> <scale> <graph.out> <ontology.out>
 //           Generate a stand-in dataset and write graph + ontology files.
 //   build   <graph.in> <ontology.in> <index.out> [max_layers]
-//           [--build-threads N]
-//           Build a BiG-index from files and write it as a flat index
-//           image (core/index_image.h). --build-threads
-//           parallelizes construction (0 = serial, the default; output is
-//           identical either way).
+//           Build a BiG-index from files (serially, one layer at a time) and
+//           write it as a flat index image (core/index_image.h).
 //   stats   <graph.in> <ontology.in> <index.in>
 //           Print per-layer statistics of a serialized index.
 //   query   <graph.in> <ontology.in> <index.in> <algo> <k1,k2,...> [top_k]
@@ -32,11 +29,9 @@
 //           bigindex_serverd --shard-of loads.
 //   update  <graph.in> <ontology.in> <index.in>
 //           (add:<u>:<v>|remove:<u>:<v>)... [--out <index.out>] [--check]
-//           [--fallback-ratio F]
 //           Apply an edge-update batch to a built index offline via
 //           incremental maintenance (update/maintain.h) and print the
-//           per-layer maintenance report (--fallback-ratio 0 re-summarizes
-//           every layer wholesale). --out writes the successor
+//           per-layer maintenance report. --out writes the successor
 //           index image; --check additionally rebuilds from scratch on the
 //           updated graph and verifies the successor's image is
 //           byte-identical (exit 1 on divergence).
@@ -47,8 +42,8 @@
 // selected algorithm with its configured options and submits EngineQuery
 // records, so single-shot `query` and pooled `batch` share one code path.
 // Count arguments (threads, layers, top_k, shard counts) take only plain
-// decimal digits, and the scale and --fallback-ratio only a finite number
-// >= 0; anything else is a usage error.
+// decimal digits, and the scale only a finite number >= 0; anything else
+// is a usage error, and so is an unknown --flag.
 //
 // Exit status: 0 on success, 1 on any error (message on stderr).
 
@@ -85,8 +80,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage:\n"
                "  bigindex_cli gen   <dataset> <scale> <graph> <ontology>\n"
-               "  bigindex_cli build <graph> <ontology> <index> [layers]"
-               " [--build-threads N]\n"
+               "  bigindex_cli build <graph> <ontology> <index> [layers]\n"
                "  bigindex_cli stats <graph> <ontology> <index>\n"
                "  bigindex_cli query <graph> <ontology> <index> "
                "<bkws|blinks|rclique|bidi> <kw1,kw2,...> [top_k]\n"
@@ -98,9 +92,13 @@ int Usage() {
                "               [--shard-mode wcc|bfs] [--bfs-block N]\n"
                "  bigindex_cli update <graph> <ontology> <index> "
                "(add:<u>:<v>|remove:<u>:<v>)...\n"
-               "               [--out <index>] [--check]"
-               " [--fallback-ratio F]\n");
+               "               [--out <index>] [--check]\n");
   return 1;
+}
+
+int UnknownFlag(const char* flag) {
+  std::fprintf(stderr, "error: unknown flag %s\n", flag);
+  return Usage();
 }
 
 /// Maps a CLI algorithm name to a configured instance (nullptr = unknown).
@@ -178,39 +176,26 @@ StatusOr<Loaded> LoadGraphAndOntology(const char* graph_path,
 }
 
 int CmdBuild(int argc, char** argv) {
-  BigIndexOptions opt;
-  // Split flags from positionals so --build-threads can go anywhere.
-  std::vector<char*> pos;
   for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--build-threads") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --build-threads needs a value\n");
-        return Usage();
-      }
-      if (!ParseCount("--build-threads", argv[++i], &opt.build.num_threads)) {
-        return Usage();
-      }
-    } else {
-      pos.push_back(argv[i]);
-    }
+    if (std::strncmp(argv[i], "--", 2) == 0) return UnknownFlag(argv[i]);
   }
-  if (pos.size() < 3) return Usage();
-  if (pos.size() > 3 && !ParseCount("layers", pos[3], &opt.max_layers)) {
+  if (argc < 3) return Usage();
+  BigIndexOptions opt;
+  if (argc > 3 && !ParseCount("layers", argv[3], &opt.max_layers)) {
     return Usage();
   }
-  auto loaded = LoadGraphAndOntology(pos[0], pos[1]);
+  auto loaded = LoadGraphAndOntology(argv[0], argv[1]);
   if (!loaded.ok()) return Fail(loaded.status());
   Timer t;
   auto index =
       BigIndex::Build(loaded->graph, &loaded->ontology, opt);
   if (!index.ok()) return Fail(index.status());
   BIGINDEX_RETURN_IF_ERROR_CLI(
-      SaveIndexImageFile(*index, loaded->dict, pos[2]));
-  std::printf(
-      "built %zu layers in %.1f ms (%zu build thread(s)); layer-1 ratio "
-      "%.4f; wrote %s\n",
-      index->NumLayers(), t.ElapsedMillis(), opt.build.num_threads,
-      index->NumLayers() ? index->LayerCompressionRatio(1) : 1.0, pos[2]);
+      SaveIndexImageFile(*index, loaded->dict, argv[2]));
+  std::printf("built %zu layers in %.1f ms; layer-1 ratio %.4f; wrote %s\n",
+              index->NumLayers(), t.ElapsedMillis(),
+              index->NumLayers() ? index->LayerCompressionRatio(1) : 1.0,
+              argv[2]);
   return 0;
 }
 
@@ -490,7 +475,6 @@ const char* MaintenanceName(LayerMaintenance mode) {
 }
 
 int CmdUpdate(int argc, char** argv) {
-  MaintainOptions mopt;
   std::string out_path;
   bool check = false;
   std::vector<char*> pos;
@@ -506,11 +490,8 @@ int CmdUpdate(int argc, char** argv) {
       out_path = next("--out");
     } else if (std::strcmp(argv[i], "--check") == 0) {
       check = true;
-    } else if (std::strcmp(argv[i], "--fallback-ratio") == 0) {
-      if (!ParseReal("--fallback-ratio", next("--fallback-ratio"),
-                     &mopt.fallback_dirty_ratio)) {
-        return Usage();
-      }
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      return UnknownFlag(argv[i]);
     } else {
       pos.push_back(argv[i]);
     }
@@ -530,7 +511,7 @@ int CmdUpdate(int argc, char** argv) {
 
   Timer t;
   MaintainReport report;
-  auto successor = MaintainIndex(*index, updates, mopt, &report);
+  auto successor = MaintainIndex(*index, updates, &report);
   if (!successor.ok()) return Fail(successor.status());
   double maintain_ms = t.ElapsedMillis();
 

@@ -8,7 +8,7 @@
 // is the matching client.
 //
 //   bigindex_serverd [--dataset yago3] [--scale 0.01] [--layers 4]
-//                    [--port 7419] [--threads N] [--build-threads N]
+//                    [--port 7419] [--threads N]
 //                    [--index-image PATH]
 //                    [--queue N] [--cache N] [--deadline-ms F]
 //                    [--reject-oldest] [--metrics-port N] [--trace]
@@ -49,8 +49,6 @@
 //   monolithic server or a coordinator (default 4096 entries; 0 disables
 //   it). Every count flag takes only plain decimal digits (ports at most
 //   65535); anything else is a usage error.
-//   --build-threads parallelizes the startup index construction (0 = serial,
-//   the default; the built index is identical for any value).
 //   --metrics-port N serves the HTTP scrape endpoint in every mode; 0 (the
 //   default) disables it, and the line protocol's `metrics` verb works
 //   either way. --trace enables span collection from startup (covers index
@@ -59,11 +57,9 @@
 //
 // Live updates: monolithic servers and shard workers accept the UPDATE verb
 // (see src/server/line_protocol.h) and maintain the served index in place —
-// the kernel's cone re-sign per layer, RCU epoch-swapped publication.
-// --update-fallback-ratio F sets the cone-size ratio above which a layer is
-// re-summarized wholesale (default 1, which never trips; see
-// docs/MAINTENANCE.md). Coordinators always accept UPDATE and broadcast it to their
-// workers.
+// the kernel's cone re-sign per layer, RCU epoch-swapped publication (see
+// docs/MAINTENANCE.md). Coordinators always accept UPDATE and broadcast it
+// to their workers.
 //
 // On shutdown the final ServiceStats snapshot is printed to stderr.
 
@@ -92,7 +88,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: bigindex_serverd [--dataset NAME] [--scale F] [--layers N]\n"
-      "                        [--port N] [--threads N] [--build-threads N]\n"
+      "                        [--port N] [--threads N]\n"
       "                        [--index-image PATH]\n"
       "                        [--queue N] [--cache N] [--deadline-ms F]\n"
       "                        [--reject-oldest] [--metrics-port N]"
@@ -100,8 +96,7 @@ int Usage() {
       "                        [--shards N --shard-of K"
       " [--shard-mode wcc|bfs] [--bfs-block N]]\n"
       "                        [--coordinator HOST:PORT,...]"
-      " [--allow-partial] [--attach-retries N]\n"
-      "                        [--update-fallback-ratio F]\n");
+      " [--allow-partial] [--attach-retries N]\n");
   return 1;
 }
 
@@ -230,7 +225,6 @@ int Run(int argc, char** argv) {
   std::string dataset_name = "yago3";
   double scale = 0.01;
   size_t layers = 4;
-  size_t build_threads = 0;
   std::string index_image_path;
   TcpServerOptions tcp;
   MetricsHttpOptions metrics_http;
@@ -273,8 +267,6 @@ int Run(int argc, char** argv) {
       tcp.port = static_cast<uint16_t>(count("--port", kMaxPort));
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       updater_opts.engine.num_threads = count("--threads");
-    } else if (std::strcmp(argv[i], "--build-threads") == 0) {
-      build_threads = count("--build-threads");
     } else if (std::strcmp(argv[i], "--index-image") == 0) {
       index_image_path = next("--index-image");
     } else if (std::strcmp(argv[i], "--queue") == 0) {
@@ -313,9 +305,6 @@ int Run(int argc, char** argv) {
       allow_partial = true;
     } else if (std::strcmp(argv[i], "--attach-retries") == 0) {
       attach_retries = count("--attach-retries");
-    } else if (std::strcmp(argv[i], "--update-fallback-ratio") == 0) {
-      updater_opts.maintain.fallback_dirty_ratio =
-          real("--update-fallback-ratio");
     } else {
       std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
       return Usage();
@@ -399,9 +388,7 @@ int Run(int argc, char** argv) {
   }
   auto built = LoadOrBuild(
       *ds, image_path, want,
-      {.plan = plan_opts,
-       .index = {.max_layers = layers,
-                 .build = {.num_threads = build_threads}}},
+      {.plan = plan_opts, .index = {.max_layers = layers}},
       what);
   if (!built.ok()) {
     std::fprintf(stderr, "error: %s\n", built.status().ToString().c_str());

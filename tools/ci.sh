@@ -60,9 +60,10 @@ cmake -B build-asan -S . -DBIGINDEX_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$JOBS" --target bigindex_tests
 # The fuzz suites feed truncated/corrupted images through the mmap loader
 # and truncated/hostile lines through the wire codec, a LineHandler and a
-# ProtocolClient facing an endless reply line; the kernel's reference suite
-# covers the index arithmetic of the successors-first order and the cyclic
-# remainder's rounds. Any out-of-bounds read or UB is a hard failure.
+# ProtocolClient facing an endless reply line or an endless reply block;
+# the kernel's reference suite covers the index arithmetic of the
+# successors-first order and the cyclic remainder's rounds. Any
+# out-of-bounds read or UB is a hard failure.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   ./build-asan/tests/bigindex_tests \
   --gtest_filter='IndexImageFuzz*:LineProtocolFuzz*:BisimKernelReference*'
@@ -90,9 +91,9 @@ echo "=== smoke: disabled-instrumentation overhead budget ==="
 ./build/bench/bench_obs_overhead --check
 
 echo
-echo "=== smoke: construction (2 build threads == serial) ==="
-# Builds a small index twice (serial, then 2 build threads) and fails if the
-# index images differ.
+echo "=== smoke: construction (run-to-run identical images) ==="
+# Builds a small default index and a small Algorithm-1 index twice each and
+# fails if either pair of index images differs.
 ./build/bench/bench_construction --smoke
 
 echo
@@ -110,9 +111,9 @@ BIGINDEX_BENCH_SCALE="${BIGINDEX_BENCH_SCALE:-0.002}" \
   ./build/bench/bench_shards --smoke
 
 echo
-echo "=== smoke: maintenance differential (incremental == wholesale == rebuild) ==="
-# One mixed update batch through all three maintenance paths; fails unless
-# the three index images are byte-identical.
+echo "=== smoke: maintenance differential (incremental == rebuild) ==="
+# One mixed update batch through incremental maintenance and a rebuild;
+# fails unless the two index images are byte-identical.
 ./build/bench/bench_maintenance --smoke
 
 echo
@@ -160,7 +161,7 @@ rm -rf "$CLI_DIR"
 echo
 echo "=== smoke: serverd and client reject hostile flags ==="
 # A negative thread count must not become a request for ~2^64 threads, a
-# port above 65535 must not wrap around, and a ratio that is not a number
+# port above 65535 must not wrap around, and a deadline that is not a number
 # must not become 0: each is a usage error before any work. Each case is
 # "binary|arguments|flag named in the error line".
 while IFS='|' read -r bin args flag; do
@@ -178,7 +179,7 @@ while IFS='|' read -r bin args flag; do
 done <<'CASES'
 bigindex_serverd|--threads -2|--threads
 bigindex_serverd|--port 70000|--port
-bigindex_serverd|--update-fallback-ratio abc|--update-fallback-ratio
+bigindex_serverd|--deadline-ms abc|--deadline-ms
 bigindex_client|--connect 127.0.0.1 70000|port
 CASES
 
