@@ -116,21 +116,26 @@ SpecializedAnswer SpecializeAnswer(const BigIndex& index,
     spec.candidates[p] = std::move(current);
   }
 
-  // Root candidates: plain Bisim^-1 chain without keyword filtering.
   if (spec.root_position >= 0) {
-    std::vector<VertexId> current{generalized.root};
-    for (size_t l = m; l >= 1; --l) {
-      std::vector<VertexId> next;
-      for (VertexId u : current) {
-        auto members = index.SpecializeVertex(u, l);
-        next.insert(next.end(), members.begin(), members.end());
-      }
-      current = std::move(next);
-    }
-    std::sort(current.begin(), current.end());
-    spec.root_candidates = std::move(current);
+    spec.root_candidates = SpecializeRoot(index, generalized.root, m);
   }
   return spec;
+}
+
+std::vector<VertexId> SpecializeRoot(const BigIndex& index, VertexId root,
+                                     size_t m) {
+  // Plain Bisim^-1 chain without keyword filtering.
+  std::vector<VertexId> current{root};
+  for (size_t l = m; l >= 1; --l) {
+    std::vector<VertexId> next;
+    for (VertexId u : current) {
+      auto members = index.SpecializeVertex(u, l);
+      next.insert(next.end(), members.begin(), members.end());
+    }
+    current = std::move(next);
+  }
+  std::sort(current.begin(), current.end());
+  return current;
 }
 
 std::vector<Answer> GenerateAnswersVertexBased(const BigIndex& index,

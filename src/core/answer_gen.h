@@ -82,6 +82,13 @@ SpecializedAnswer SpecializeAnswer(const BigIndex& index,
                                    const Answer& generalized, size_t m,
                                    const std::vector<LabelId>& keywords);
 
+/// The root block of SpecializeAnswer on its own: the unfiltered layer-0
+/// specializations of layer-m vertex `root`, sorted (the candidate root set
+/// of Lemma 4.1). Exact rooted evaluation reads nothing else of a
+/// specialized answer.
+std::vector<VertexId> SpecializeRoot(const BigIndex& index, VertexId root,
+                                     size_t m);
+
 /// Algorithm 3 (ans_graph_gen): vertex-at-a-time realization. Each returned
 /// Answer assigns one concrete vertex per generalized position; scores are 0
 /// (the evaluator's verification step computes exact scores).

@@ -78,12 +78,61 @@ std::vector<Answer> EvaluateWithIndex(const BigIndex& index,
   std::unordered_set<VertexId>& verified_roots = ctx.VertexSet();
   std::unordered_set<std::string>& emitted_keys = ctx.KeySet();  // r-clique
   std::string& key = ctx.KeyBuffer();
+  // Dedup of realized answers in generalized rank order: by root for rooted
+  // semantics, by keyword assignment otherwise.
+  auto first_emission = [&](const Answer& cand) {
+    if (rooted) return verified_roots.insert(cand.root).second;
+    key.clear();
+    for (VertexId v : cand.keyword_vertices) {
+      key += std::to_string(v);
+      key += ',';
+    }
+    return emitted_keys.insert(key).second;
+  };
+  auto top_k_reached = [&] {
+    return options.top_k != 0 && final_answers.size() >= options.top_k;
+  };
 
   // (4)+(5): progressive specialization in generalized rank order
   // (Sec. 4.3.4): with top-k we stop as soon as k answers are verified.
   for (const Answer& am : generalized) {
     if (expired()) return final_answers;
     timer.Restart();
+
+    if (rooted && options.exact_verification) {
+      // Exact rooted semantics read only the root. Its unfiltered layer-0
+      // specializations are the candidate roots (never label-pruned, so the
+      // root set is complete, Lemma 4.1), and VerifyCandidate computes each
+      // one's exact best tree on G^0. Keyword-filtered candidate sets and
+      // realized answer graphs (Algorithms 3/4) would go unread, so neither
+      // is built.
+      std::vector<VertexId> roots;
+      {
+        TRACE_SPAN("eval/specialize");
+        // SpecializeAnswer's guard: a root that is not one of the answer's
+        // vertices has no root position and contributes no candidates.
+        if (std::ranges::find(am.vertices, am.root) != am.vertices.end()) {
+          roots = SpecializeRoot(index, am.root, m);
+        }
+      }
+      bd.specialize_ms += timer.ElapsedMillis();
+      timer.Restart();
+      TRACE_SPAN("eval/verify");
+      for (VertexId r : roots) {
+        if (!verified_roots.insert(r).second) continue;
+        if (expired()) return final_answers;
+        ++bd.candidate_roots;
+        Answer candidate;
+        candidate.root = r;
+        if (auto exact = f.VerifyCandidate(g0, keywords, candidate, ctx)) {
+          final_answers.push_back(std::move(*exact));
+        }
+      }
+      bd.verify_ms += timer.ElapsedMillis();
+      if (top_k_reached()) break;
+      continue;
+    }
+
     SpecializedAnswer spec = [&] {
       TRACE_SPAN("eval/specialize");
       return SpecializeAnswer(index, am, m, keywords);
@@ -108,59 +157,21 @@ std::vector<Answer> EvaluateWithIndex(const BigIndex& index,
     timer.Restart();
     if (!options.exact_verification) {
       // Fast mode (paper implementation): realized answers keep the
-      // generalized score (Prop 5.3). Dedup by root / keyword assignment in
-      // generalized rank order.
+      // generalized score (Prop 5.3).
       for (Answer& cand : realized) {
-        if (rooted) {
-          if (!verified_roots.insert(cand.root).second) continue;
-        } else {
-          key.clear();
-          for (VertexId v : cand.keyword_vertices) {
-            key += std::to_string(v);
-            key += ',';
-          }
-          if (!emitted_keys.insert(key).second) continue;
-        }
+        if (!first_emission(cand)) continue;
         cand.score = am.score;
         final_answers.push_back(std::move(cand));
       }
-      bd.verify_ms += timer.ElapsedMillis();
-      if (options.top_k != 0 && final_answers.size() >= options.top_k) break;
-      continue;
-    }
-    TRACE_SPAN("eval/verify");
-    if (rooted) {
-      // Candidate roots: every layer-0 specialization of the generalized
-      // root (root candidates are never label-pruned — this is what makes
-      // the root set complete, Lemma 4.1). Realizations contribute the same
-      // roots; the union is taken implicitly.
-      if (spec.root_position >= 0) {
-        for (VertexId r : spec.root_candidates) {
-          if (!verified_roots.insert(r).second) continue;
-          if (expired()) return final_answers;
-          ++bd.candidate_roots;
-          Answer candidate;
-          candidate.root = r;
-          if (auto exact = f.VerifyCandidate(g0, keywords, candidate, ctx)) {
-            final_answers.push_back(std::move(*exact));
-          }
-        }
-      }
     } else {
-      // Lazy verification (Sec. 4.3.4 spirit): candidates arrive in
-      // generalized rank order; with a top-k request stop verifying as soon
-      // as k answers pass — verification BFS on the data graph is the
-      // expensive step for distance semantics.
+      // Exact r-clique. Lazy verification (Sec. 4.3.4 spirit): candidates
+      // arrive in generalized rank order; with a top-k request stop
+      // verifying as soon as k answers pass — verification BFS on the data
+      // graph is the expensive step for distance semantics.
+      TRACE_SPAN("eval/verify");
       for (const Answer& cand : realized) {
-        if (options.top_k != 0 && final_answers.size() >= options.top_k) {
-          break;
-        }
-        key.clear();
-        for (VertexId v : cand.keyword_vertices) {
-          key += std::to_string(v);
-          key += ',';
-        }
-        if (!emitted_keys.insert(key).second) continue;
+        if (top_k_reached()) break;
+        if (!first_emission(cand)) continue;
         if (expired()) return final_answers;
         ++bd.candidate_roots;
         if (auto exact = f.VerifyCandidate(g0, keywords, cand, ctx)) {
@@ -169,8 +180,7 @@ std::vector<Answer> EvaluateWithIndex(const BigIndex& index,
       }
     }
     bd.verify_ms += timer.ElapsedMillis();
-
-    if (options.top_k != 0 && final_answers.size() >= options.top_k) break;
+    if (top_k_reached()) break;
   }
 
   SortAnswers(final_answers);

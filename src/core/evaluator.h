@@ -4,7 +4,10 @@
 //   (3) evaluate f on the summary graph G^m,
 //   (4) specialize + prune the generalized answers down the hierarchy,
 //       realize concrete answer graphs (Algorithms 3/4), and verify them at
-//       the data layer for exact scores.
+//       the data layer for exact scores. Exact rooted evaluation specializes
+//       only each generalized root and verifies its layer-0 specializations
+//       directly: that root set is complete (Lemma 4.1), so realized answer
+//       graphs would go unread and are never built.
 //
 // Correctness contract (Thm 4.2): for rooted semantics evaluated without a
 // top-k cut, the (root, score) answer set equals direct evaluation — the
@@ -44,12 +47,16 @@ struct EvalOptions {
   /// once k answers are verified (Sec. 4.3.4).
   size_t top_k = 0;
 
-  /// Algorithm 3/4 switches (Fig. 17/18 ablations).
+  /// Algorithm 3/4 switches (Fig. 17/18 ablations). They act only where
+  /// answers are realized: in fast mode and for non-rooted semantics
+  /// (r-clique). Exact rooted evaluation realizes nothing.
   AnswerGenOptions answer_gen;
 
   /// Exact mode (default): every candidate is completed/verified on the data
   /// graph by f's VerifyCandidate, which is what guarantees Thm 4.2 set
-  /// equality. Fast mode (false) follows the paper's implementation instead:
+  /// equality. For rooted semantics the candidates are the generalized
+  /// roots' layer-0 specializations alone (Lemma 4.1), so exact rooted
+  /// evaluation skips Algorithms 3/4 and the answer_gen switches. Fast mode (false) follows the paper's implementation instead:
   /// realized answers inherit their generalized scores (justified by
   /// Prop 5.3's distance-equality argument) and skip per-candidate data-graph
   /// work; it is faster but inherits Prop 5.3's corner cases (a realized
@@ -72,7 +79,8 @@ struct EvalBreakdown {
   size_t layer = 0;                  // layer the query ran on
   double explore_ms = 0;             // f on the summary graph
   double specialize_ms = 0;          // Steps 2–4 (Spec + Prop 4.1 pruning)
-  double generate_ms = 0;            // Step 5 (Algorithms 3/4)
+  double generate_ms = 0;            // Step 5 (Algorithms 3/4); fast mode
+                                     // and r-clique only
   double verify_ms = 0;              // exact completion at layer 0
   size_t generalized_answers = 0;    // |A^m|
   size_t pruned_answers = 0;         // dropped by candidate filtering

@@ -129,7 +129,8 @@ StatusOr<std::vector<std::string>> ProtocolClient::Request(
 
   std::vector<std::string> lines;
   char chunk[4096];
-  size_t scanned = 0;  // leading bytes of buffer_ known to hold no '\n'
+  size_t taken = 0;    // leading bytes of buffer_ already returned as lines
+  size_t scanned = 0;  // bytes of buffer_ before this hold no untaken '\n'
   size_t block_bytes = 0;  // what the lines taken so far hold in memory
   auto too_long = [this](const char* what, size_t cap) {
     Disconnect();
@@ -139,20 +140,27 @@ StatusOr<std::vector<std::string>> ProtocolClient::Request(
   while (true) {
     size_t nl;
     while ((nl = buffer_.find('\n', scanned)) != std::string::npos) {
-      if (nl > kMaxRequestLineBytes) {
+      const size_t length = nl - taken;
+      if (length > kMaxRequestLineBytes) {
         return too_long("reply line", kMaxRequestLineBytes);
       }
-      block_bytes += nl + sizeof(std::string);
+      block_bytes += length + sizeof(std::string);
       if (block_bytes > kMaxReplyBlockBytes) {
         return too_long("reply block", kMaxReplyBlockBytes);
       }
-      std::string resp = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      scanned = 0;
+      std::string resp = buffer_.substr(taken, length);
+      taken = scanned = nl + 1;
       if (!resp.empty() && resp.back() == '\r') resp.pop_back();
-      if (resp == ".") return lines;
+      if (resp == ".") {
+        buffer_.erase(0, taken);
+        return lines;
+      }
       lines.push_back(std::move(resp));
     }
+    // One erase per chunk read, not one per line: a many-line reply would
+    // otherwise move the rest of the buffer once for every line.
+    buffer_.erase(0, taken);
+    taken = 0;
     scanned = buffer_.size();
     if (scanned > kMaxRequestLineBytes) {
       return too_long("reply line", kMaxRequestLineBytes);

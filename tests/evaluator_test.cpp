@@ -10,6 +10,7 @@
 
 #include "core/big_index.h"
 #include "core/evaluator.h"
+#include "search/bidirectional.h"
 #include "search/bkws.h"
 #include "search/blinks.h"
 #include "search/rclique.h"
@@ -116,6 +117,28 @@ TEST_P(Thm42Test, BlinksEquivalentAtEveryLayer) {
   }
 }
 
+TEST_P(Thm42Test, BidirectionalEquivalentAtEveryLayer) {
+  const auto& c = GetParam();
+  Ontology ont = MakeOntology();
+  auto index =
+      BigIndex::Build(MotifGraph(c.seed ^ 0xB1D1, c.n, c.m), &ont,
+                      {.max_layers = 2});
+  ASSERT_TRUE(index.ok());
+
+  BidirectionalAlgorithm bidi({.d_max = 3, .top_k = 0});
+  auto direct = bidi.Evaluate(index->base(), c.query);
+  auto direct_set = RootScores(direct);
+
+  for (size_t m = 0; m <= index->NumLayers(); ++m) {
+    if (!QueryDistinctAtLayer(*index, c.query, m)) continue;
+    EvalOptions opt;
+    opt.forced_layer = static_cast<int>(m);
+    auto hier = EvaluateWithIndex(*index, bidi, c.query, opt);
+    EXPECT_EQ(RootScores(hier), direct_set)
+        << "seed=" << c.seed << " layer=" << m;
+  }
+}
+
 TEST_P(Thm42Test, OptimalLayerEquivalentToo) {
   const auto& c = GetParam();
   Ontology ont = MakeOntology();
@@ -138,7 +161,8 @@ INSTANTIATE_TEST_SUITE_P(
                       EquivalenceCase{36, 90, 270, {0, 3, 5}}));
 
 TEST(EvaluatorTest, AblationModesAgree) {
-  // Fig 17/18 switches change timing, never results.
+  // Fig 17/18 switches change timing, never results. They act only where
+  // answers are realized, so this runs in fast mode.
   Ontology ont = MakeOntology();
   auto index =
       BigIndex::Build(MotifGraph(41, 150, 500), &ont, {.max_layers = 2});
@@ -152,6 +176,7 @@ TEST(EvaluatorTest, AblationModesAgree) {
     for (bool spec_order : {false, true}) {
       EvalOptions opt;
       opt.forced_layer = 1;
+      opt.exact_verification = false;
       opt.answer_gen.use_path_based = path_based;
       opt.answer_gen.use_specialization_order = spec_order;
       auto result = EvaluateWithIndex(*index, bkws, q, opt);
@@ -165,6 +190,39 @@ TEST(EvaluatorTest, AblationModesAgree) {
     }
   }
   EXPECT_FALSE(reference.empty());
+}
+
+TEST(EvaluatorTest, RootedExactModeRealizesNothing) {
+  // Exact rooted evaluation verifies the generalized roots' layer-0
+  // specializations directly (Lemma 4.1), so Algorithms 3/4 never run;
+  // fast mode still realizes answer graphs.
+  Ontology ont = MakeOntology();
+  auto index =
+      BigIndex::Build(MotifGraph(46, 150, 500), &ont, {.max_layers = 2});
+  ASSERT_TRUE(index.ok());
+  const std::vector<LabelId> q{0, 3};
+  ASSERT_TRUE(QueryDistinctAtLayer(*index, q, 1));
+  BkwsAlgorithm bkws({.d_max = 3, .top_k = 0});
+  BlinksAlgorithm blinks({.d_max = 3, .top_k = 0});
+  BidirectionalAlgorithm bidi({.d_max = 3, .top_k = 0});
+  for (const KeywordSearchAlgorithm* f :
+       std::initializer_list<const KeywordSearchAlgorithm*>{&bkws, &blinks,
+                                                             &bidi}) {
+    EvalBreakdown exact;
+    auto answers =
+        EvaluateWithIndex(*index, *f, q, {.forced_layer = 1}, &exact);
+    EXPECT_EQ(exact.layer, 1u) << f->Name();
+    EXPECT_GT(exact.candidate_roots, 0u) << f->Name();
+    EXPECT_EQ(exact.gen_stats.realizations, 0u) << f->Name();
+    EXPECT_EQ(exact.gen_stats.partial_answers_created, 0u) << f->Name();
+    EXPECT_EQ(RootScores(answers), RootScores(f->Evaluate(index->base(), q)))
+        << f->Name();
+
+    EvalBreakdown fast;
+    EvaluateWithIndex(*index, *f, q,
+                      {.forced_layer = 1, .exact_verification = false}, &fast);
+    EXPECT_GT(fast.gen_stats.realizations, 0u) << f->Name();
+  }
 }
 
 TEST(EvaluatorTest, TopKReturnsValidPrefix) {

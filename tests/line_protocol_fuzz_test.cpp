@@ -8,18 +8,21 @@
 // hostile query requests also go through a LineHandler over a real engine.
 // Fake servers that answer with one endless line, or with endless short
 // lines, show ProtocolClient stops reading at kMaxRequestLineBytes and at
-// kMaxReplyBlockBytes. tools/ci.sh runs this suite under ASan+UBSan with
-// halt_on_error=1.
+// kMaxReplyBlockBytes, and one that splits a ~40k-line reply across odd-sized
+// writes shows every line arrives intact. tools/ci.sh runs this suite under
+// ASan+UBSan with halt_on_error=1.
 
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -421,12 +424,11 @@ TEST(LineProtocolFuzz, HostileQueryRequestsAnswerErrAndTheServerServesOn) {
   EXPECT_TRUE(handler.Handle(line).response.starts_with("OK n="));
 }
 
-// A hostile peer: accepts one connection on a loopback port, reads the
-// request, runs `stream` on the socket until the client hangs up (or the
-// stream's own bound), then closes. The client's request must fail with
-// IOError and leave it disconnected.
-void ExpectHostileReplyFailsAndDisconnects(
-    const std::function<void(int fd)>& stream) {
+// A fake peer: accepts one connection on a loopback port, reads the first
+// request, runs `stream` on the socket, then closes. `client_side` runs
+// against the peer's port meanwhile.
+void WithFakePeer(const std::function<void(int fd)>& stream,
+                  const std::function<void(uint16_t port)>& client_side) {
   const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(listener, 0);
   sockaddr_in addr{};
@@ -445,15 +447,24 @@ void ExpectHostileReplyFailsAndDisconnects(
     stream(fd);
     ::close(fd);
   });
-
-  ProtocolClient client("127.0.0.1", ntohs(addr.sin_port));
-  auto reply = client.Request("info");
-  EXPECT_FALSE(reply.ok());
-  EXPECT_EQ(reply.status().code(), StatusCode::kIOError)
-      << reply.status().ToString();
-  EXPECT_FALSE(client.connected());
+  client_side(ntohs(addr.sin_port));
   peer.join();
   ::close(listener);
+}
+
+// A hostile peer streams until the client hangs up (or the stream's own
+// bound). The client's request must fail with IOError and leave it
+// disconnected.
+void ExpectHostileReplyFailsAndDisconnects(
+    const std::function<void(int fd)>& stream) {
+  WithFakePeer(stream, [](uint16_t port) {
+    ProtocolClient client("127.0.0.1", port);
+    auto reply = client.Request("info");
+    EXPECT_FALSE(reply.ok());
+    EXPECT_EQ(reply.status().code(), StatusCode::kIOError)
+        << reply.status().ToString();
+    EXPECT_FALSE(client.connected());
+  });
 }
 
 /// Sends `chunk` repeatedly until `limit` bytes went out or the client hung
@@ -483,6 +494,44 @@ TEST(LineProtocolFuzz, EndlessReplyBlockFailsTheRequestAndDisconnects) {
     while (chunk.size() < 64 * 1024) chunk += std::string(199, 'v') + '\n';
     StreamUntil(fd, chunk, 2 * kMaxReplyBlockBytes);
   });
+}
+
+TEST(LineProtocolFuzz, ManyLineReplyInOddSizedWritesArrivesLineForLine) {
+  // A BOUNDARY-sized block of ~40k short lines (some CRLF-terminated), sent
+  // in odd-sized writes that split lines across the client's reads, with the
+  // next request's reply already behind the "." of the first.
+  Rng rng(7);
+  std::vector<std::string> expected;
+  std::string wire;
+  for (size_t i = 0; i < 40'000; ++i) {
+    std::string line = "v " + std::to_string(i) + " " +
+                       std::string(rng.Uniform(24), 'a' + i % 26);
+    wire += line + (i % 7 == 0 ? "\r\n" : "\n");
+    expected.push_back(std::move(line));
+  }
+  wire += ".\nOK second\n.\n";
+  WithFakePeer(
+      [&wire](int fd) {
+        constexpr size_t kWrites[] = {1, 3, 17, 509, 4093, 4099, 8191, 2};
+        for (size_t off = 0, i = 0; off < wire.size(); ++i) {
+          const size_t n = std::min(kWrites[i % std::size(kWrites)],
+                                    wire.size() - off);
+          const ssize_t sent = ::send(fd, wire.data() + off, n, MSG_NOSIGNAL);
+          if (sent <= 0) return;
+          off += static_cast<size_t>(sent);
+        }
+        char request[256];
+        (void)::read(fd, request, sizeof(request));  // the second request
+      },
+      [&expected](uint16_t port) {
+        ProtocolClient client("127.0.0.1", port);
+        auto first = client.Request("boundary");
+        ASSERT_TRUE(first.ok()) << first.status().ToString();
+        EXPECT_EQ(*first, expected);
+        auto second = client.Request("info");
+        ASSERT_TRUE(second.ok()) << second.status().ToString();
+        EXPECT_EQ(*second, std::vector<std::string>{"OK second"});
+      });
 }
 
 }  // namespace

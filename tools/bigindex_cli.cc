@@ -43,7 +43,8 @@
 // records, so single-shot `query` and pooled `batch` share one code path.
 // Count arguments (threads, layers, top_k, shard counts) take only plain
 // decimal digits, and the scale only a finite number >= 0; anything else
-// is a usage error, and so is an unknown --flag.
+// is a usage error, and so is an unknown --flag or a positional argument
+// past a subcommand's last one.
 //
 // Exit status: 0 on success, 1 on any error (message on stderr).
 
@@ -96,6 +97,20 @@ int Usage() {
   return 1;
 }
 
+/// True iff `cmd` got between `min` and `max` positional arguments; prints
+/// the error line otherwise (the caller answers usage).
+bool Arity(const char* cmd, size_t got, size_t min, size_t max) {
+  if (got >= min && got <= max) return true;
+  if (min == max) {
+    std::fprintf(stderr, "error: %s wants %zu argument(s), got %zu\n", cmd,
+                 min, got);
+  } else {
+    std::fprintf(stderr, "error: %s wants %zu to %zu arguments, got %zu\n",
+                 cmd, min, max, got);
+  }
+  return false;
+}
+
 int UnknownFlag(const char* flag) {
   std::fprintf(stderr, "error: unknown flag %s\n", flag);
   return Usage();
@@ -142,7 +157,7 @@ std::vector<LabelId> ParseKeywords(const std::string& spec,
 }
 
 int CmdGen(int argc, char** argv) {
-  if (argc < 4) return Usage();
+  if (!Arity("gen", argc, 4, 4)) return Usage();
   std::string name = argv[0];
   double scale = 0;
   if (!ParseReal("scale", argv[1], &scale)) return Usage();
@@ -179,7 +194,7 @@ int CmdBuild(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     if (std::strncmp(argv[i], "--", 2) == 0) return UnknownFlag(argv[i]);
   }
-  if (argc < 3) return Usage();
+  if (!Arity("build", argc, 3, 4)) return Usage();
   BigIndexOptions opt;
   if (argc > 3 && !ParseCount("layers", argv[3], &opt.max_layers)) {
     return Usage();
@@ -200,7 +215,7 @@ int CmdBuild(int argc, char** argv) {
 }
 
 int CmdStats(int argc, char** argv) {
-  if (argc < 3) return Usage();
+  if (!Arity("stats", argc, 3, 3)) return Usage();
   auto loaded = LoadGraphAndOntology(argv[0], argv[1]);
   if (!loaded.ok()) return Fail(loaded.status());
   auto index = LoadIndexImage(argv[2], loaded->dict, &loaded->ontology);
@@ -216,7 +231,7 @@ int CmdStats(int argc, char** argv) {
 }
 
 int CmdQuery(int argc, char** argv) {
-  if (argc < 5) return Usage();
+  if (!Arity("query", argc, 5, 6)) return Usage();
   auto loaded = LoadGraphAndOntology(argv[0], argv[1]);
   if (!loaded.ok()) return Fail(loaded.status());
   auto index = LoadIndexImage(argv[2], loaded->dict, &loaded->ontology);
@@ -266,7 +281,7 @@ int CmdQuery(int argc, char** argv) {
 }
 
 int CmdBatch(int argc, char** argv) {
-  if (argc < 5) return Usage();
+  if (!Arity("batch", argc, 5, 7)) return Usage();
   auto loaded = LoadGraphAndOntology(argv[0], argv[1]);
   if (!loaded.ok()) return Fail(loaded.status());
   auto index = LoadIndexImage(argv[2], loaded->dict, &loaded->ontology);
@@ -340,7 +355,7 @@ int CmdBatch(int argc, char** argv) {
 }
 
 int CmdInspect(int argc, char** argv) {
-  if (argc < 1) return Usage();
+  if (!Arity("inspect", argc, 1, 1)) return Usage();
   auto info = InspectIndexImage(argv[0]);
   if (!info.ok()) return Fail(info.status());
   std::printf("index image %s\n", argv[0]);
@@ -406,7 +421,7 @@ int CmdShard(int argc, char** argv) {
       pos.push_back(argv[i]);
     }
   }
-  if (pos.size() < 3) return Usage();
+  if (!Arity("shard", pos.size(), 3, 5)) return Usage();
   if (!ParseCount("num_shards", pos[2], &opt.plan.num_shards) ||
       (pos.size() > 4 &&
        !ParseCount("layers", pos[4], &opt.index.max_layers))) {

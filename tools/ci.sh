@@ -12,8 +12,8 @@
 # construction smoke, an index-image cold-start smoke, the shard
 # scatter-gather throughput gate, a maintenance differential smoke, a CLI
 # maintenance round trip that must keep the image's layer cap, a CLI batch
-# smoke (same answers at 0 and 2 threads), a check that the daemon and
-# client reject hostile flags, a short serving-layer load smoke (with the
+# smoke (same answers at 0 and 2 threads), a check that the daemon, client
+# and CLI reject hostile arguments, a short serving-layer load smoke (with the
 # mixed read/update phase), and the over-the-wire bench_e2e smoke.
 #
 #   tools/ci.sh [jobs]
@@ -159,11 +159,12 @@ cat "$CLI_DIR/batch0.txt"
 rm -rf "$CLI_DIR"
 
 echo
-echo "=== smoke: serverd and client reject hostile flags ==="
+echo "=== smoke: serverd, client and CLI reject hostile arguments ==="
 # A negative thread count must not become a request for ~2^64 threads, a
-# port above 65535 must not wrap around, and a deadline that is not a number
-# must not become 0: each is a usage error before any work. Each case is
-# "binary|arguments|flag named in the error line".
+# port above 65535 must not wrap around, a deadline that is not a number
+# must not become 0, and a positional argument past a CLI subcommand's last
+# one must not be dropped: each is a usage error before any work. Each case
+# is "binary|arguments|flag or subcommand named in the error line".
 while IFS='|' read -r bin args flag; do
   # shellcheck disable=SC2086  # word-split the arguments
   if out="$(timeout 10 "./build/tools/$bin" $args 2>&1 </dev/null)"; then
@@ -181,6 +182,8 @@ bigindex_serverd|--threads -2|--threads
 bigindex_serverd|--port 70000|--port
 bigindex_serverd|--deadline-ms abc|--deadline-ms
 bigindex_client|--connect 127.0.0.1 70000|port
+bigindex_cli|build g o idx.img 3 extra stuff|build
+bigindex_cli|stats g o idx.img extra|stats
 CASES
 
 echo "=== gate: maintenance speedup (>= 2x at small batches) ==="
