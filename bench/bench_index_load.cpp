@@ -163,12 +163,6 @@ void RunOne(const std::string& name, double scale) {
     auto idx = LoadIndexImage(s.image_path, d, &s.dataset.ontology.ontology);
     if (!idx.ok()) std::exit(1);
   });
-  double image_novalidate_ms = MedianMs(5, [&] {
-    LabelDictionary d;
-    auto idx = LoadIndexImage(s.image_path, d, &s.dataset.ontology.ontology,
-                              {.validate_arrays = false});
-    if (!idx.ok()) std::exit(1);
-  });
   double ttfq_build_ms = MedianMs(3, [&] { ParseAndBuild(s, q); });
   double ttfq_image_ms = MedianMs(3, [&] {
     LabelDictionary d;
@@ -179,10 +173,9 @@ void RunOne(const std::string& name, double scale) {
 
   std::printf(
       "%-10s |V|=%-8zu layers=%zu | build %8.2f ms | image %7.3f ms "
-      "(%.0fx) | image-novalidate %7.3f ms | ttfq build %8.2f image %7.2f\n",
+      "(%.0fx) | ttfq build %8.2f image %7.2f\n",
       name.c_str(), s.dataset.graph.NumVertices(), s.index->NumLayers(),
-      build_ms, image_ms, build_ms / image_ms, image_novalidate_ms,
-      ttfq_build_ms, ttfq_image_ms);
+      build_ms, image_ms, build_ms / image_ms, ttfq_build_ms, ttfq_image_ms);
   Cleanup(s);
 }
 
@@ -192,9 +185,8 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--check") == 0) return RunCheck();
   PrintHeader("bench_index_load: cold-start latency, parse+build vs image",
               "serving startup (Sec. 5.1 layer loading)");
-  std::printf("%-10s %-22s | %-16s | %-20s | %-24s | ttfq = load + 1 query\n",
-              "dataset", "", "parse+build", "image mmap+validate",
-              "image mmap only");
+  std::printf("%-10s %-22s | %-16s | %-20s | ttfq = load + 1 query\n",
+              "dataset", "", "parse+build", "image mmap+validate");
   for (const char* name : {"yago3", "dbpedia", "imdb"}) {
     RunOne(name, BenchScale());
   }

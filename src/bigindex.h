@@ -55,7 +55,6 @@
 #include "search/rclique.h"         // IWYU pragma: export
 #include "server/answer_cache.h"    // IWYU pragma: export
 #include "server/line_protocol.h"   // IWYU pragma: export
-#include "server/metrics_http.h"    // IWYU pragma: export
 #include "server/protocol_client.h" // IWYU pragma: export
 #include "server/query_service.h"   // IWYU pragma: export
 #include "server/search_service.h"  // IWYU pragma: export

@@ -115,10 +115,6 @@ SpecializedAnswer SpecializeAnswer(const BigIndex& index,
     }
     spec.candidates[p] = std::move(current);
   }
-
-  if (spec.root_position >= 0) {
-    spec.root_candidates = SpecializeRoot(index, generalized.root, m);
-  }
   return spec;
 }
 

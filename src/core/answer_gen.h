@@ -42,14 +42,6 @@ struct SpecializedAnswer {
   /// Index into generalized.vertices of the root, or -1 if rootless.
   int root_position = -1;
 
-  /// Unfiltered layer-0 specializations of the root vertex. Distinct from
-  /// candidates[root_position]: when the generalized root doubles as a
-  /// keyword witness, the keyword filter (correct for the *witness* role)
-  /// must not prune *root* candidates — a concrete root may satisfy the
-  /// keyword through a different vertex entirely. This set is what keeps
-  /// the candidate root set complete (Lemma 4.1).
-  std::vector<VertexId> root_candidates;
-
   /// True iff some keyword position lost every candidate (Prop 4.1 pruned
   /// the whole generalized answer).
   bool pruned_empty = false;
@@ -82,10 +74,13 @@ SpecializedAnswer SpecializeAnswer(const BigIndex& index,
                                    const Answer& generalized, size_t m,
                                    const std::vector<LabelId>& keywords);
 
-/// The root block of SpecializeAnswer on its own: the unfiltered layer-0
-/// specializations of layer-m vertex `root`, sorted (the candidate root set
-/// of Lemma 4.1). Exact rooted evaluation reads nothing else of a
-/// specialized answer.
+/// The unfiltered layer-0 specializations of layer-m vertex `root`, sorted
+/// (the candidate root set of Lemma 4.1). Distinct from
+/// candidates[root_position]: when the generalized root doubles as a keyword
+/// witness, the keyword filter (correct for the *witness* role) must not
+/// prune *root* candidates, since a concrete root may satisfy the keyword
+/// through a different vertex entirely. Exact rooted evaluation reads
+/// nothing else of a generalized answer.
 std::vector<VertexId> SpecializeRoot(const BigIndex& index, VertexId root,
                                      size_t m);
 

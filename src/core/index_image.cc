@@ -463,8 +463,7 @@ Status ValidateIdRange(std::span<const VertexId> ids, uint64_t bound,
 }
 
 StatusOr<Graph> ParseGraphSection(const Section& s, StorageHandle storage,
-                                  size_t dict_size,
-                                  const IndexImageOptions& options) {
+                                  size_t dict_size) {
   Cursor cur(s.data, s.length);
   uint64_t n = 0, e = 0, slots = 0, nd = 0;
   BIGINDEX_RETURN_IF_ERROR(cur.ReadU64(&n));
@@ -487,23 +486,20 @@ StatusOr<Graph> ParseGraphSection(const Section& s, StorageHandle storage,
   BIGINDEX_RETURN_IF_ERROR(cur.ReadArray(n, &label_vertices));
   BIGINDEX_RETURN_IF_ERROR(cur.ReadArray(nd, &distinct));
   BIGINDEX_RETURN_IF_ERROR(cur.ExpectExhausted());
-  if (options.validate_arrays) {
-    BIGINDEX_RETURN_IF_ERROR(ValidateOffsets(out_offsets, e, "out"));
-    BIGINDEX_RETURN_IF_ERROR(ValidateOffsets(in_offsets, e, "in"));
-    BIGINDEX_RETURN_IF_ERROR(ValidateOffsets(label_offsets, n, "label"));
-    BIGINDEX_RETURN_IF_ERROR(ValidateIdRange(out_targets, n, "out-target"));
-    BIGINDEX_RETURN_IF_ERROR(ValidateIdRange(in_sources, n, "in-source"));
-    BIGINDEX_RETURN_IF_ERROR(
-        ValidateIdRange(label_vertices, n, "label-vertex"));
-    for (LabelId l : labels) {
-      if (l >= slots || l >= dict_size) {
-        return Status::Corruption("vertex label out of range");
-      }
+  BIGINDEX_RETURN_IF_ERROR(ValidateOffsets(out_offsets, e, "out"));
+  BIGINDEX_RETURN_IF_ERROR(ValidateOffsets(in_offsets, e, "in"));
+  BIGINDEX_RETURN_IF_ERROR(ValidateOffsets(label_offsets, n, "label"));
+  BIGINDEX_RETURN_IF_ERROR(ValidateIdRange(out_targets, n, "out-target"));
+  BIGINDEX_RETURN_IF_ERROR(ValidateIdRange(in_sources, n, "in-source"));
+  BIGINDEX_RETURN_IF_ERROR(ValidateIdRange(label_vertices, n, "label-vertex"));
+  for (LabelId l : labels) {
+    if (l >= slots || l >= dict_size) {
+      return Status::Corruption("vertex label out of range");
     }
-    for (size_t i = 0; i < distinct.size(); ++i) {
-      if (distinct[i] >= slots || (i > 0 && distinct[i] <= distinct[i - 1])) {
-        return Status::Corruption("distinct-label array invalid");
-      }
+  }
+  for (size_t i = 0; i < distinct.size(); ++i) {
+    if (distinct[i] >= slots || (i > 0 && distinct[i] <= distinct[i - 1])) {
+      return Status::Corruption("distinct-label array invalid");
     }
   }
   return Graph::FromStorage(std::move(storage), labels, out_offsets,
@@ -512,8 +508,7 @@ StatusOr<Graph> ParseGraphSection(const Section& s, StorageHandle storage,
 }
 
 StatusOr<BisimMapping> ParseMappingSection(const Section& s,
-                                           StorageHandle storage,
-                                           const IndexImageOptions& options) {
+                                           StorageHandle storage) {
   Cursor cur(s.data, s.length);
   uint64_t nv = 0, ns = 0;
   BIGINDEX_RETURN_IF_ERROR(cur.ReadU64(&nv));
@@ -527,12 +522,10 @@ StatusOr<BisimMapping> ParseMappingSection(const Section& s,
   BIGINDEX_RETURN_IF_ERROR(cur.ReadArray(ns + 1, &member_offsets));
   BIGINDEX_RETURN_IF_ERROR(cur.ReadArray(nv, &members));
   BIGINDEX_RETURN_IF_ERROR(cur.ExpectExhausted());
-  if (options.validate_arrays) {
-    BIGINDEX_RETURN_IF_ERROR(
-        ValidateIdRange(vertex_to_super, ns, "vertex-to-super"));
-    BIGINDEX_RETURN_IF_ERROR(ValidateOffsets(member_offsets, nv, "member"));
-    BIGINDEX_RETURN_IF_ERROR(ValidateIdRange(members, nv, "member"));
-  }
+  BIGINDEX_RETURN_IF_ERROR(
+      ValidateIdRange(vertex_to_super, ns, "vertex-to-super"));
+  BIGINDEX_RETURN_IF_ERROR(ValidateOffsets(member_offsets, nv, "member"));
+  BIGINDEX_RETURN_IF_ERROR(ValidateIdRange(members, nv, "member"));
   return BisimMapping::FromStorage(std::move(storage), vertex_to_super,
                                    member_offsets, members);
 }
@@ -615,7 +608,6 @@ Status ParseGhostsSection(const Section& s, uint64_t base_vertices,
 StatusOr<BigIndex> LoadFromMemory(const std::byte* data, uint64_t size,
                                   StorageHandle storage, LabelDictionary& dict,
                                   const Ontology* ontology,
-                                  const IndexImageOptions& options,
                                   ShardImageInfo* shard_out) {
   assert(reinterpret_cast<uintptr_t>(data) % Arena::kAlign == 0);
   if (shard_out != nullptr) *shard_out = ShardImageInfo{};
@@ -623,8 +615,7 @@ StatusOr<BigIndex> LoadFromMemory(const std::byte* data, uint64_t size,
   if (!table.ok()) return table.status();
   BIGINDEX_RETURN_IF_ERROR(ValidateSectionOrder(*table));
   BIGINDEX_RETURN_IF_ERROR(ParseDictSection(table->sections[0], dict));
-  auto base = ParseGraphSection(table->sections[1], storage, dict.size(),
-                                options);
+  auto base = ParseGraphSection(table->sections[1], storage, dict.size());
   if (!base.ok()) return base.status();
   if (table->num_shards != 0) {
     size_t at = 2 + 3ull * table->num_layers;
@@ -642,11 +633,10 @@ StatusOr<BigIndex> LoadFromMemory(const std::byte* data, uint64_t size,
     size_t at = 2 + 3 * (m - 1);
     auto config = ParseConfigSection(table->sections[at], dict.size());
     if (!config.ok()) return config.status();
-    auto mapping =
-        ParseMappingSection(table->sections[at + 1], storage, options);
+    auto mapping = ParseMappingSection(table->sections[at + 1], storage);
     if (!mapping.ok()) return mapping.status();
-    auto graph = ParseGraphSection(table->sections[at + 2], storage,
-                                   dict.size(), options);
+    auto graph =
+        ParseGraphSection(table->sections[at + 2], storage, dict.size());
     if (!graph.ok()) return graph.status();
     layers.push_back(IndexLayer{std::move(*config), std::move(*graph),
                                 std::move(*mapping)});
@@ -766,18 +756,16 @@ Status SaveIndexImageFile(const BigIndex& index, const LabelDictionary& dict,
 StatusOr<BigIndex> LoadIndexImage(const std::string& path,
                                   LabelDictionary& dict,
                                   const Ontology* ontology,
-                                  const IndexImageOptions& options,
                                   ShardImageInfo* shard_out) {
   auto mapped = MappedFile::Open(path);
   if (!mapped.ok()) return mapped.status();
   return LoadFromMemory(mapped->data(), mapped->size(), mapped->handle(),
-                        dict, ontology, options, shard_out);
+                        dict, ontology, shard_out);
 }
 
 StatusOr<BigIndex> LoadIndexImageFromBuffer(
     std::shared_ptr<const std::string> bytes, LabelDictionary& dict,
-    const Ontology* ontology, const IndexImageOptions& options,
-    ShardImageInfo* shard_out) {
+    const Ontology* ontology, ShardImageInfo* shard_out) {
   if (bytes == nullptr) return Status::InvalidArgument("null image buffer");
   const std::byte* data = reinterpret_cast<const std::byte*>(bytes->data());
   if (reinterpret_cast<uintptr_t>(data) % Arena::kAlign != 0) {
@@ -787,11 +775,11 @@ StatusOr<BigIndex> LoadIndexImageFromBuffer(
     auto span = arena->Carve<std::byte>(bytes->size());
     std::memcpy(span.data(), bytes->data(), bytes->size());
     return LoadFromMemory(span.data(), bytes->size(), std::move(arena), dict,
-                          ontology, options, shard_out);
+                          ontology, shard_out);
   }
   return LoadFromMemory(data, bytes->size(),
                         StorageHandle(bytes, bytes->data()), dict, ontology,
-                        options, shard_out);
+                        shard_out);
 }
 
 StatusOr<ImageInfo> InspectIndexImage(const std::string& path) {
@@ -824,14 +812,6 @@ StatusOr<ImageInfo> InspectIndexImage(const std::string& path) {
     info.sections.push_back(si);
   }
   return info;
-}
-
-bool LooksLikeIndexImage(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  char magic[sizeof Fmt::kMagic];
-  if (!in.read(magic, sizeof magic)) return false;
-  return std::memcmp(magic, Fmt::kMagic, sizeof magic) == 0;
 }
 
 const char* SectionKindName(uint32_t kind) {

@@ -104,27 +104,20 @@ Status SaveIndexImageFile(const BigIndex& index, const LabelDictionary& dict,
                           const ShardImageInfo& shard,
                           const std::string& path);
 
-/// Loading knobs.
-struct IndexImageOptions {
-  /// Deep-validate array invariants (offset monotonicity, vertex/label id
-  /// ranges) after checksums pass. O(index size) but cache-friendly; disable
-  /// only for trusted images where cold-start latency is paramount.
-  bool validate_arrays = true;
-};
-
 /// Maps `path` and wires a BigIndex over the mapped bytes (zero-copy; falls
 /// back to a heap read where mmap is unavailable). `dict` must be
 /// prefix-compatible with the image's dictionary — ids already interned must
 /// name the same strings, in the same order, as when the image was written
 /// (the usual case: the dataset's ontology was loaded into `dict` first).
 /// Remaining image labels are interned into `dict`. `ontology` must outlive
-/// the returned index.
+/// the returned index. Every load verifies the checksums and then the array
+/// invariants (offset monotonicity, vertex/label id ranges), so a corrupt
+/// image fails with Corruption instead of being served.
 /// If `shard_out` is non-null it receives the image's shard identity
 /// (monolithic images yield a default ShardImageInfo).
 StatusOr<BigIndex> LoadIndexImage(const std::string& path,
                                   LabelDictionary& dict,
                                   const Ontology* ontology,
-                                  const IndexImageOptions& options = {},
                                   ShardImageInfo* shard_out = nullptr);
 
 /// Same, over an in-memory buffer (tests, network transports). The buffer is
@@ -132,8 +125,7 @@ StatusOr<BigIndex> LoadIndexImage(const std::string& path,
 /// aligned arena first.
 StatusOr<BigIndex> LoadIndexImageFromBuffer(
     std::shared_ptr<const std::string> bytes, LabelDictionary& dict,
-    const Ontology* ontology, const IndexImageOptions& options = {},
-    ShardImageInfo* shard_out = nullptr);
+    const Ontology* ontology, ShardImageInfo* shard_out = nullptr);
 
 /// One section-table row, as reported by InspectIndexImage.
 struct ImageSectionInfo {
@@ -162,10 +154,6 @@ struct ImageInfo {
 /// Reads and validates the header and section table of `path` and verifies
 /// each section checksum. Fails with Corruption/IOError on malformed files.
 StatusOr<ImageInfo> InspectIndexImage(const std::string& path);
-
-/// True iff `path` starts with the image magic (cheap format sniff used by
-/// the CLI/server to pick the right loader). False on I/O errors.
-bool LooksLikeIndexImage(const std::string& path);
 
 /// Human-readable section kind ("DICT", "GRAPH", ...), for inspect output.
 const char* SectionKindName(uint32_t kind);

@@ -5,6 +5,7 @@
 #include <initializer_list>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -178,6 +179,38 @@ Status ApplyOption(std::string_view token, EngineQuery* q) {
   return Status::OK();
 }
 
+/// The bodies of the `metrics` and `trace dump` replies, which a scrape
+/// serves as well. The dump is one line of JSON: safe inside the
+/// dot-terminated framing.
+std::string MetricsPayload() {
+  return MetricsRegistry::Global().RenderPrometheus();
+}
+std::string TraceDumpPayload() { return Tracer::Global().DumpJson() + "\n"; }
+
+/// The path of a scrape's request line, "GET <path> HTTP/1.x" with the
+/// verb already taken off; empty when the rest is not of that form.
+std::string_view ParseHttpGet(std::string_view rest) {
+  const std::string_view path = NextToken(&rest);
+  const std::string_view version = NextToken(&rest);
+  const bool ok = path.starts_with('/') && version.size() == 8 &&
+                  version.starts_with("HTTP/1.") &&
+                  std::isdigit(static_cast<unsigned char>(version[7])) &&
+                  NextToken(&rest).empty();
+  return ok ? path : std::string_view();
+}
+
+/// The scrape's whole HTTP/1.0 response: the trace dump at /trace, the
+/// Prometheus exposition at any other path.
+std::string FormatHttpResponse(std::string_view path) {
+  const bool trace = path == "/trace";
+  const std::string body = trace ? TraceDumpPayload() : MetricsPayload();
+  return std::string("HTTP/1.0 200 OK\r\nContent-Type: ") +
+         (trace ? "application/json"
+                : "text/plain; version=0.0.4; charset=utf-8") +
+         "\r\nContent-Length: " + std::to_string(body.size()) +
+         "\r\nConnection: close\r\n\r\n" + body;
+}
+
 std::string HandleTrace(std::string_view args) {
   const std::string_view sub = NextToken(&args);
   if (sub.empty() || !NextToken(&args).empty()) {
@@ -199,10 +232,7 @@ std::string HandleTrace(std::string_view args) {
         << " events=" << s.events << " dropped=" << s.dropped << "\n.\n";
     return out.str();
   }
-  if (sub == "dump") {
-    // The dump is one line of JSON: safe inside the dot-terminated framing.
-    return "OK\n" + tracer.DumpJson() + "\n.\n";
-  }
+  if (sub == "dump") return "OK\n" + TraceDumpPayload() + ".\n";
   if (sub == "clear") {
     tracer.Clear();
     return "OK cleared\n.\n";
@@ -250,6 +280,12 @@ void AppendList(std::ostringstream& out, const auto& items) {
 }  // namespace
 
 LineHandler::Result LineHandler::Handle(std::string_view line) {
+  if (!http_response_.empty()) {
+    // A scrape's header lines are read up to the blank line that ends them,
+    // so closing after the response never resets an unread request.
+    if (!line.empty()) return {};
+    return {std::exchange(http_response_, {}), true};
+  }
   std::string_view args = line;
   std::string cmd(NextToken(&args));
   if (cmd.empty()) return {ErrBlock("empty request"), false};
@@ -262,10 +298,7 @@ LineHandler::Result LineHandler::Handle(std::string_view line) {
   if (cmd == "stats") {
     return {"OK " + service.Snapshot().ToString() + "\n.\n", false};
   }
-  if (cmd == "metrics") {
-    return {"OK\n" + MetricsRegistry::Global().RenderPrometheus() + ".\n",
-            false};
-  }
+  if (cmd == "metrics") return {"OK\n" + MetricsPayload() + ".\n", false};
   if (cmd == "trace") return {HandleTrace(args), false};
   if (cmd == "bump") return {FormatEpochReply(service.BumpEpoch()), false};
   if (cmd == "update") return {HandleUpdate(service, args), false};
@@ -288,6 +321,13 @@ LineHandler::Result LineHandler::Handle(std::string_view line) {
   }
   if (cmd == "ping") return {"OK pong\n.\n", false};
   if (cmd == "quit") return {"OK bye\n.\n", true};
+  if (cmd == "get") {
+    const std::string_view path = ParseHttpGet(args);
+    if (!path.empty()) {
+      http_response_ = FormatHttpResponse(path);
+      return {};
+    }
+  }
   return {ErrBlock("unknown command '" + cmd + "'"), false};
 }
 

@@ -10,6 +10,7 @@
 //   stats | metrics | trace on|off|status|dump|clear | bump | info | algos
 //   update (add:<u>:<v>|remove:<u>:<v>)... | rollback | boundary
 //   ping | quit
+//   GET <path> HTTP/1.x   (a scrape: header lines follow, up to a blank one)
 //
 // Keywords are label *names* when the handler has a dictionary, with a
 // fallback to numeric label ids; always numeric ids without one.
@@ -21,6 +22,12 @@
 // or
 //   ERR <StatusCode>: <message>
 //   .
+//
+// A scrape gets one HTTP/1.0 200 response instead, and then the connection
+// closes: at path /trace the body is the `trace dump` JSON line, at any other
+// path the `metrics` exposition, so Prometheus and curl can read the same
+// port as the line protocol. A GET line of any other form is an unknown
+// command.
 //
 // All vertex ids on the wire are *global*: a shard worker serves behind a
 // ServingStack, so clients and the coordinator never see shard-local
@@ -92,8 +99,9 @@ bool ParseNumber(std::string_view text, T* out, int base = 10) {
   return true;
 }
 
-/// Stateless per-session request dispatcher over one QueryService (a
-/// SearchService, a remapped shard worker, or the sharded coordinator).
+/// Per-session request dispatcher over one QueryService (a SearchService, a
+/// remapped shard worker, or the sharded coordinator). Its only state is a
+/// scrape's pending HTTP response while the request's header lines arrive.
 class LineHandler {
  public:
   struct Result {
@@ -109,11 +117,18 @@ class LineHandler {
 
   /// Handles one request line (no trailing newline) and returns the full
   /// response block. Never throws; malformed input yields an ERR block.
+  /// After a scrape's GET line, every line answers nothing until an empty
+  /// one ends the headers; that one answers the scrape, with close set.
   Result Handle(std::string_view line);
+
+  /// True from a scrape's GET line until the empty line that ends it: a
+  /// transport that skips blank lines must pass that one on.
+  bool scrape_pending() const { return !http_response_.empty(); }
 
  private:
   QueryService* service_;
   const LabelDictionary* dict_;
+  std::string http_response_;  // set from a GET line to its blank line
 };
 
 // ---------------------------------------------------------------------------

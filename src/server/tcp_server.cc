@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <system_error>
 #include <utility>
 
 #include "server/line_protocol.h"
@@ -78,16 +80,34 @@ void TcpServer::AcceptLoop() {
   while (!stopping_.load(std::memory_order_acquire)) {
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listen socket shut down (or a fatal accept error)
+      // Only Stop() ends the loop (its shutdown makes accept fail). Running
+      // out of descriptors or buffers, or an aborted handshake, does not:
+      // back off briefly, since a full descriptor table fails at once.
+      if (errno != EINTR && errno != ECONNABORTED &&
+          !stopping_.load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+      continue;
     }
     std::lock_guard<std::mutex> lock(connections_mutex_);
     if (stopping_.load(std::memory_order_acquire)) {
       ::close(fd);
       break;
     }
-    connections_.emplace_back(
-        fd, std::thread([this, fd] { ServeConnection(fd); }));
+    // Under the mutex, so Release() finds the entry however soon the
+    // connection ends.
+    try {
+      connections_.emplace(fd, std::thread([this, fd] {
+                             ServeConnection(fd);
+                             Release(fd);
+                           }));
+    } catch (const std::system_error& e) {
+      // No thread to serve it (the process is out of threads): drop this
+      // connection and go on serving the others.
+      ::close(fd);
+      BIGINDEX_LOG(kWarning) << "tcp server dropped a connection: "
+                             << e.what();
+    }
   }
 }
 
@@ -115,7 +135,7 @@ void TcpServer::ServeConnection(int fd) {
       } else {
         std::string_view line(buffer.data(), nl);
         if (line.ends_with('\r')) line.remove_suffix(1);
-        if (!line.empty()) {
+        if (!line.empty() || handler.scrape_pending()) {
           LineHandler::Result result = handler.Handle(line);
           if (!WriteAll(fd, result.response) || result.close) open = false;
         }
@@ -123,8 +143,19 @@ void TcpServer::ServeConnection(int fd) {
       }
     }
   }
-  ::shutdown(fd, SHUT_RDWR);
-  // The fd itself is closed by Stop(), which owns the connection table.
+}
+
+void TcpServer::Release(int fd) {
+  std::thread previous;
+  {
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    auto it = connections_.find(fd);
+    ::close(fd);
+    previous = std::exchange(finished_, std::move(it->second));
+    connections_.erase(it);
+    if (connections_.empty()) connections_empty_.notify_all();
+  }
+  if (previous.joinable()) previous.join();
 }
 
 void TcpServer::Stop() {
@@ -140,18 +171,17 @@ void TcpServer::Stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  std::vector<std::pair<int, std::thread>> connections;
+  std::thread last;
   {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections.swap(connections_);
+    std::unique_lock<std::mutex> lock(connections_mutex_);
+    for (auto& [fd, thread] : connections_) {
+      ::shutdown(fd, SHUT_RDWR);  // unblocks the connection's read()
+    }
+    connections_empty_.wait(lock, [this] { return connections_.empty(); });
+    last = std::move(finished_);
   }
-  for (auto& [fd, thread] : connections) {
-    ::shutdown(fd, SHUT_RDWR);  // unblocks the connection's read()
-  }
-  for (auto& [fd, thread] : connections) {
-    thread.join();
-    ::close(fd);
-  }
+  // Each finished thread joined the one before it, so this joins them all.
+  if (last.joinable()) last.join();
   BIGINDEX_LOG(kInfo) << "tcp server on port " << port_ << " stopped";
 }
 

@@ -3,18 +3,23 @@
 //
 // One acceptor thread plus one thread per connection; each connection is a
 // LineHandler session (read a line, write the dot-terminated response
-// block). Concurrency, batching, backpressure, and deadlines all live in
-// the service behind it — this layer only moves bytes, so a slow or
-// hostile client can at worst stall its own connection thread.
+// block). The same port answers HTTP scrapes (`GET /metrics`, `GET /trace`;
+// see line_protocol.h), so a process needs no second listener. Concurrency,
+// batching, backpressure, and deadlines all live in the service behind it —
+// this layer only moves bytes, so a slow or hostile client can at worst
+// stall its own connection thread. A finished connection's descriptor is
+// closed and its thread joined while the server runs, and an accept error
+// (say, out of descriptors) only pauses accepting until Stop().
 
 #ifndef BIGINDEX_SERVER_TCP_SERVER_H_
 #define BIGINDEX_SERVER_TCP_SERVER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <thread>
-#include <vector>
+#include <unordered_map>
 
 #include "graph/label_dictionary.h"
 #include "server/line_protocol.h"
@@ -56,6 +61,9 @@ class TcpServer {
  private:
   void AcceptLoop();
   void ServeConnection(int fd);
+  /// Run by a connection's own thread once it is done: drops the entry,
+  /// closes `fd` and joins the previously finished connection's thread.
+  void Release(int fd);
 
   QueryService* service_;
   const LabelDictionary* dict_;
@@ -66,7 +74,14 @@ class TcpServer {
   std::atomic<bool> stopping_{false};
   std::thread acceptor_;
   std::mutex connections_mutex_;
-  std::vector<std::pair<int, std::thread>> connections_;
+  std::condition_variable connections_empty_;
+  /// Live connections by descriptor. A descriptor is closed only as its
+  /// entry leaves, under the mutex, so every key is still open and Stop()
+  /// never shuts down a number the kernel has handed out again.
+  std::unordered_map<int, std::thread> connections_;
+  /// The last finished connection's thread; the next one to finish (or
+  /// Stop()) joins it.
+  std::thread finished_;
 };
 
 }  // namespace bigindex

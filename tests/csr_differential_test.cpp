@@ -240,7 +240,6 @@ TEST(CsrDifferentialTest, ImageRoundTripsThroughFileAndBuffer) {
     out.write(image->data(), static_cast<std::streamsize>(image->size()));
     ASSERT_TRUE(out.good());
   }
-  ASSERT_TRUE(LooksLikeIndexImage(path));
   auto from_file = LoadIndexImage(path, inst.dict, &inst.ontology);
   ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
 

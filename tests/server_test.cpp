@@ -10,19 +10,23 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <filesystem>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/big_index.h"
@@ -830,6 +834,33 @@ TEST(LineProtocolTest, TraceVerbsRoundTrip) {
   EXPECT_EQ(handler.Handle("trace").response.substr(0, 3), "ERR");
 }
 
+TEST(LineProtocolTest, OnlyAWellFormedGetLineIsAScrape) {
+  ServiceFixture fx;
+  SearchService service(fx.engine);
+  for (const char* line :
+       {"GET", "GET /metrics", "GET metrics HTTP/1.0", "GET /metrics HTTP/2.0",
+        "GET /metrics HTTP/1.", "GET /metrics HTTP/1.0 extra",
+        "GET /metrics FTP/1.0"}) {
+    LineHandler handler(&service);
+    EXPECT_EQ(handler.Handle(line).response,
+              "ERR InvalidArgument: unknown command 'get'\n.\n")
+        << line;
+    // Not a scrape, so the session goes on serving the line protocol.
+    EXPECT_EQ(handler.Handle("ping").response, "OK pong\n.\n") << line;
+  }
+
+  // A scrape answers nothing until the blank line that ends its headers,
+  // whatever those lines hold; then the response closes the session.
+  LineHandler handler(&service);
+  EXPECT_EQ(handler.Handle("GET /metrics HTTP/1.1").response, "");
+  EXPECT_TRUE(handler.scrape_pending());
+  EXPECT_EQ(handler.Handle("ping").response, "");
+  LineHandler::Result result = handler.Handle("");
+  EXPECT_TRUE(result.close);
+  EXPECT_EQ(result.response.rfind("HTTP/1.0 200 OK\r\n", 0), 0u);
+  EXPECT_FALSE(handler.scrape_pending());
+}
+
 TEST(TcpServerTest, ServesLineProtocolOverLoopback) {
   ServiceFixture fx;
   SearchService service(fx.engine);
@@ -937,6 +968,176 @@ TEST(TcpServerTest, OverlongLineClosesOnlyItsConnection) {
     EXPECT_EQ(ReadToEof(fd), "OK pong\n.\nOK bye\n.\n");
     ::close(fd);
   }
+  server.Stop();
+}
+
+/// Bounds every read on `fd`, so a server that never answers or never
+/// closes fails the test instead of hanging it.
+void SetReadTimeout(int fd, int seconds) {
+  timeval timeout{.tv_sec = seconds, .tv_usec = 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+}
+
+// curl's request shape (request line, header lines, blank line) on the
+// line-protocol port gets one HTTP/1.0 response whose body is the matching
+// verb's payload, and then the server closes that connection.
+TEST(TcpServerTest, AnswersHttpScrapesOnTheProtocolPort) {
+  ServiceFixture fx;
+  SearchService service(fx.engine);
+  TcpServer server(&service, nullptr, {.port = 0});
+  Status started = server.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "cannot bind loopback socket: " << started.ToString();
+  }
+  // One traced query, so both payloads have something in them.
+  LineHandler verbs(&service);
+  ASSERT_EQ(verbs.Handle("trace clear").response, "OK cleared\n.\n");
+  ASSERT_EQ(verbs.Handle("trace on").response, "OK trace=on\n.\n");
+  ASSERT_TRUE(service.Query(Q({0, 1})).ok());
+  ASSERT_EQ(verbs.Handle("trace off").response, "OK trace=off\n.\n");
+  auto payload = [&](const char* verb) {
+    const std::string block = verbs.Handle(verb).response;  // OK\n...\n.\n
+    return block.substr(3, block.size() - 5);
+  };
+
+  for (const auto& [path, verb] :
+       {std::pair{"/metrics", "metrics"}, std::pair{"/trace", "trace dump"},
+        std::pair{"/", "metrics"}}) {
+    SCOPED_TRACE(path);
+    const int fd = DialLoopback(server.port());
+    ASSERT_GE(fd, 0);
+    SetReadTimeout(fd, 10);
+    const std::string request = std::string("GET ") + path +
+                                " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                                "User-Agent: curl/8.5.0\r\nAccept: */*\r\n\r\n";
+    ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(request.size()));
+    const std::string response = ReadToEof(fd);
+    char byte;
+    EXPECT_EQ(::read(fd, &byte, 1), 0) << "the server kept the connection";
+    ::close(fd);
+
+    const size_t head_end = response.find("\r\n\r\n");
+    ASSERT_NE(head_end, std::string::npos) << response.substr(0, 200);
+    const std::string head = response.substr(0, head_end + 2);
+    const std::string body = response.substr(head_end + 4);
+    EXPECT_EQ(head.rfind("HTTP/1.0 200 OK\r\n", 0), 0u) << head;
+    EXPECT_NE(head.find("\r\nContent-Length: " + std::to_string(body.size()) +
+                        "\r\n"),
+              std::string::npos)
+        << head;
+    EXPECT_FALSE(body.empty());
+    EXPECT_EQ(body, payload(verb));
+  }
+  EXPECT_NE(payload("trace dump").find("server/admit"), std::string::npos);
+  ASSERT_EQ(verbs.Handle("trace clear").response, "OK cleared\n.\n");
+
+  // The port goes on serving the line protocol.
+  const int fd = DialLoopback(server.port());
+  ASSERT_GE(fd, 0);
+  SetReadTimeout(fd, 10);
+  const std::string request = "ping\nquit\n";
+  ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  EXPECT_EQ(ReadToEof(fd), "OK pong\n.\nOK bye\n.\n");
+  ::close(fd);
+  server.Stop();
+}
+
+size_t OpenDescriptors() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+// A connection the client closes gives its descriptor (and its thread) back
+// while the server runs, not only at Stop().
+TEST(TcpServerTest, ClosedConnectionsReleaseTheirDescriptors) {
+  if (!std::filesystem::exists("/proc/self/fd")) {
+    GTEST_SKIP() << "no /proc/self/fd to count descriptors in";
+  }
+  ServiceFixture fx;
+  SearchService service(fx.engine);
+  TcpServer server(&service, nullptr, {.port = 0});
+  Status started = server.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "cannot bind loopback socket: " << started.ToString();
+  }
+  const size_t baseline = OpenDescriptors();
+
+  for (int round = 0; round < 200; ++round) {
+    const int fd = DialLoopback(server.port());
+    ASSERT_GE(fd, 0);
+    SetReadTimeout(fd, 10);
+    ASSERT_EQ(::send(fd, "ping\n", 5, MSG_NOSIGNAL), 5);
+    std::string reply;
+    char chunk[64];
+    ssize_t n;
+    while (reply.find("\n.\n") == std::string::npos &&
+           (n = ::read(fd, chunk, sizeof(chunk))) > 0) {
+      reply.append(chunk, static_cast<size_t>(n));
+    }
+    ASSERT_EQ(reply, "OK pong\n.\n");
+    ::close(fd);
+  }
+
+  // Each server side sees its client's close and lets go within moments.
+  size_t open = OpenDescriptors();
+  for (int i = 0; i < 500 && open > baseline; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    open = OpenDescriptors();
+  }
+  EXPECT_LE(open, baseline);
+  server.Stop();
+}
+
+// A full descriptor table fails accept() with EMFILE. The server must go on
+// accepting once descriptors are free again, not stop for good.
+TEST(TcpServerTest, AcceptOutlivesDescriptorExhaustion) {
+  ServiceFixture fx;
+  SearchService service(fx.engine);
+  TcpServer server(&service, nullptr, {.port = 0});
+  Status started = server.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "cannot bind loopback socket: " << started.ToString();
+  }
+  const int client = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(client, 0);
+  SetReadTimeout(client, 10);
+
+  // Lower this process's descriptor limit to just past `client` and take
+  // every number still free below it.
+  rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = static_cast<rlim_t>(client) + 1;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  std::vector<int> filler;
+  for (int fd; (fd = ::dup(client)) >= 0;) filler.push_back(fd);
+  const int dup_errno = errno;
+
+  // The handshake completes in the kernel; the server's accept() cannot get
+  // a descriptor for it.
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.port());
+  const int connected =
+      ::connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  for (int fd : filler) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_EQ(dup_errno, EMFILE);
+  ASSERT_EQ(connected, 0);
+
+  const std::string request = "ping\nquit\n";
+  ASSERT_EQ(::send(client, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  EXPECT_EQ(ReadToEof(client), "OK pong\n.\nOK bye\n.\n");
+  ::close(client);
   server.Stop();
 }
 

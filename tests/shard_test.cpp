@@ -646,8 +646,7 @@ TEST(ShardImage, RoundTripsShardIdentityAndRemap) {
       load_dict.Intern("L" + std::to_string(l));
     }
     ShardImageInfo loaded_shard;
-    auto loaded =
-        LoadIndexImage(path, load_dict, &ontology, {}, &loaded_shard);
+    auto loaded = LoadIndexImage(path, load_dict, &ontology, &loaded_shard);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     EXPECT_EQ(loaded_shard.shard_id, built.shard.shard_id);
     EXPECT_EQ(loaded_shard.num_shards, built.shard.num_shards);
@@ -685,7 +684,7 @@ TEST(ShardImage, RoundTripsGhostManifestUnderBfsPlans) {
     LabelDictionary load_dict;
     ShardImageInfo loaded_shard;
     auto loaded = LoadIndexImageFromBuffer(
-        std::shared_ptr<const std::string>(bytes), load_dict, &ontology, {},
+        std::shared_ptr<const std::string>(bytes), load_dict, &ontology,
         &loaded_shard);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     EXPECT_EQ(loaded_shard.global_of, built.shard.global_of);

@@ -5,13 +5,15 @@
 // src/shard/serving_stack.h) and speaks the line protocol over TCP until
 // SIGINT/SIGTERM. See DESIGN.md "Serving layer" for the pipeline and
 // src/server/line_protocol.h for the wire format; `tools/bigindex_client`
-// is the matching client.
+// is the matching client. The same port answers HTTP scrapes: `GET /metrics`
+// (Prometheus text) and `GET /trace` (the chrome trace JSON), one response
+// per connection.
 //
 //   bigindex_serverd [--dataset yago3] [--scale 0.01] [--layers 4]
 //                    [--port 7419] [--threads N]
 //                    [--index-image PATH]
 //                    [--queue N] [--cache N] [--deadline-ms F]
-//                    [--reject-oldest] [--metrics-port N] [--trace]
+//                    [--reject-oldest] [--trace]
 //                    [--shards N --shard-of K [--shard-mode wcc|bfs]
 //                     [--bfs-block N]]
 //                    [--coordinator HOST:PORT,HOST:PORT,...]
@@ -38,22 +40,20 @@
 //   --index-image PATH mmaps a flat index image (core/index_image.h) instead
 //   of rebuilding the hierarchy at startup, cutting cold start from seconds
 //   to milliseconds. If PATH does not exist yet, the index is built once and
-//   saved there, so the flag is self-priming across restarts. The dataset
-//   flags must match the ones the image was built with (the label
-//   dictionaries are cross-checked at load), and so must the shard flags:
-//   a shard image is never served as the whole graph, nor the other way
-//   round.
+//   saved there, so the flag is self-priming across restarts. An existing
+//   PATH is only ever loaded: a file that is not a valid image fails startup
+//   and is left untouched. The dataset flags must match the ones the image
+//   was built with (the label dictionaries are cross-checked at load), and
+//   so must the shard flags: a shard image is never served as the whole
+//   graph, nor the other way round.
 //   --threads N sets how many queries evaluate at once (0 = one; default one
 //   per hardware thread); the engine itself starts no threads, the service
 //   runs that many dispatch strands. --cache N sizes the answer cache of a
 //   monolithic server or a coordinator (default 4096 entries; 0 disables
 //   it). Every count flag takes only plain decimal digits (ports at most
 //   65535); anything else is a usage error.
-//   --metrics-port N serves the HTTP scrape endpoint in every mode; 0 (the
-//   default) disables it, and the line protocol's `metrics` verb works
-//   either way. --trace enables span collection from startup (covers index
-//   construction too); it can also be toggled at runtime with the
-//   `trace on|off` verb.
+//   --trace enables span collection from startup (covers index construction
+//   too); it can also be toggled at runtime with the `trace on|off` verb.
 //
 // Live updates: monolithic servers and shard workers accept the UPDATE verb
 // (see src/server/line_protocol.h) and maintain the served index in place —
@@ -91,8 +91,7 @@ int Usage() {
       "                        [--port N] [--threads N]\n"
       "                        [--index-image PATH]\n"
       "                        [--queue N] [--cache N] [--deadline-ms F]\n"
-      "                        [--reject-oldest] [--metrics-port N]"
-      " [--trace]\n"
+      "                        [--reject-oldest] [--trace]\n"
       "                        [--shards N --shard-of K"
       " [--shard-mode wcc|bfs] [--bfs-block N]]\n"
       "                        [--coordinator HOST:PORT,...]"
@@ -129,14 +128,13 @@ StatusOr<std::vector<ShardEndpoint>> ParseEndpoints(const std::string& spec) {
   return endpoints;
 }
 
-/// Serves `service` over TCP, plus the HTTP scrape endpoint when
-/// `metrics_http.port` is set, until SIGINT/SIGTERM; then prints the final
-/// stats. `what` names the process in the startup line scripts wait for:
+/// Serves `service` over TCP (line protocol and HTTP scrapes on one port)
+/// until SIGINT/SIGTERM; then prints the final stats. `what` names the
+/// process in the startup line scripts wait for:
 /// "bigindex_serverd <what> on port <port><detail>".
 int ServeUntilSignal(QueryService* service, const LabelDictionary* dict,
-                     const TcpServerOptions& tcp,
-                     const MetricsHttpOptions& metrics_http,
-                     const std::string& what, const std::string& detail) {
+                     const TcpServerOptions& tcp, const std::string& what,
+                     const std::string& detail) {
   TcpServer server(service, dict, tcp);
   Status started = server.Start();
   if (!started.ok()) {
@@ -145,16 +143,6 @@ int ServeUntilSignal(QueryService* service, const LabelDictionary* dict,
   }
   std::fprintf(stderr, "bigindex_serverd %s on port %u%s\n", what.c_str(),
                server.port(), detail.c_str());
-  MetricsHttpServer scrape(metrics_http);
-  if (metrics_http.port != 0) {
-    Status scrape_started = scrape.Start();
-    if (!scrape_started.ok()) {
-      std::fprintf(stderr, "error: %s\n", scrape_started.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "metrics on http://127.0.0.1:%u/metrics\n",
-                 scrape.port());
-  }
 
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
@@ -162,28 +150,31 @@ int ServeUntilSignal(QueryService* service, const LabelDictionary* dict,
     pause();  // wake on any signal; g_stop decides whether to exit
   }
   std::fprintf(stderr, "shutting down...\n");
-  scrape.Stop();
   server.Stop();
   std::fprintf(stderr, "final stats: %s\n",
                service->Snapshot().ToString().c_str());
   return 0;
 }
 
-/// Loads the index image at `image_path` if there is one, else builds the
-/// index (the whole graph, or shard `want.shard_id` of `build.plan`) and
-/// saves it there when a path is given. A loaded image must hold the shard
-/// `want` names (0/0: the whole graph); `what` names it in the log.
+/// Loads the index image at `image_path` if that path exists, else builds
+/// the index (the whole graph, or shard `want.shard_id` of `build.plan`) and
+/// saves it there when a path is given. An existing path that does not load
+/// is an error, never overwritten. A loaded image must hold the shard `want`
+/// names (0/0: the whole graph); `what` names it in the log.
 StatusOr<BuiltShard> LoadOrBuild(Dataset& ds, const std::string& image_path,
                                  const ShardImageInfo& want,
                                  const ShardBuildOptions& build,
                                  const std::string& what) {
   StatusOr<BuiltShard> built = Status::Unavailable("index not initialized");
-  if (!image_path.empty() && LooksLikeIndexImage(image_path)) {
+  if (!image_path.empty() && ::access(image_path.c_str(), F_OK) == 0) {
     Timer load_timer;
     ShardImageInfo shard;
-    auto loaded = LoadIndexImage(image_path, *ds.dict,
-                                 &ds.ontology.ontology, {}, &shard);
-    if (!loaded.ok()) return loaded.status();
+    auto loaded =
+        LoadIndexImage(image_path, *ds.dict, &ds.ontology.ontology, &shard);
+    if (!loaded.ok()) {
+      return Status(loaded.status().code(),
+                    image_path + ": " + loaded.status().message());
+    }
     if (shard.shard_id != want.shard_id ||
         shard.num_shards != want.num_shards) {
       return Status::InvalidArgument(
@@ -227,7 +218,6 @@ int Run(int argc, char** argv) {
   size_t layers = 4;
   std::string index_image_path;
   TcpServerOptions tcp;
-  MetricsHttpOptions metrics_http;
   bool trace_from_start = false;
   LiveUpdaterOptions updater_opts{
       .engine = {.num_threads = ExecutorPool::kHardwareConcurrency}};
@@ -278,9 +268,6 @@ int Run(int argc, char** argv) {
       service_opts.default_deadline_ms = real("--deadline-ms");
     } else if (std::strcmp(argv[i], "--reject-oldest") == 0) {
       service_opts.overload_policy = OverloadPolicy::kRejectOldest;
-    } else if (std::strcmp(argv[i], "--metrics-port") == 0) {
-      metrics_http.port =
-          static_cast<uint16_t>(count("--metrics-port", kMaxPort));
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       trace_from_start = true;
     } else if (std::strcmp(argv[i], "--shards") == 0) {
@@ -368,7 +355,7 @@ int Run(int argc, char** argv) {
       return 1;
     }
     return ServeUntilSignal(
-        &coordinator, ds->dict.get(), tcp, metrics_http, "coordinator",
+        &coordinator, ds->dict.get(), tcp, "coordinator",
         " over " + std::to_string(coordinator.num_shards()) + " shards");
   }
 
@@ -411,8 +398,7 @@ int Run(int argc, char** argv) {
                 " (threads=%zu queue=%zu cache=%zu)",
                 stack.service().engine_snapshot()->num_slots(),
                 serving.queue_capacity, serving.cache.capacity);
-  return ServeUntilSignal(&stack, ds->dict.get(), tcp, metrics_http, what,
-                          detail);
+  return ServeUntilSignal(&stack, ds->dict.get(), tcp, what, detail);
 }
 
 }  // namespace

@@ -13,7 +13,8 @@
 # scatter-gather throughput gate, a maintenance differential smoke, a CLI
 # maintenance round trip that must keep the image's layer cap, a CLI batch
 # smoke (same answers at 0 and 2 threads), a check that the daemon, client
-# and CLI reject hostile arguments, a short serving-layer load smoke (with the
+# and CLI reject hostile arguments, a check that the daemon never overwrites
+# an --index-image it cannot load, a short serving-layer load smoke (with the
 # mixed read/update phase), and the over-the-wire bench_e2e smoke.
 #
 #   tools/ci.sh [jobs]
@@ -185,6 +186,39 @@ bigindex_client|--connect 127.0.0.1 70000|port
 bigindex_cli|build g o idx.img 3 extra stuff|build
 bigindex_cli|stats g o idx.img extra|stats
 CASES
+# The scrape is served on the protocol port; the old second-port flag is
+# gone and must be refused, not ignored.
+if out="$(timeout 10 ./build/tools/bigindex_serverd --metrics-port 9419 \
+  2>&1 </dev/null)"; then
+  echo "FAIL: bigindex_serverd --metrics-port 9419 exited 0" >&2
+  exit 1
+fi
+grep -q '^error: unknown flag --metrics-port' <<<"$out" || {
+  echo "FAIL: bigindex_serverd --metrics-port printed no unknown-flag error:" >&2
+  echo "$out" >&2
+  exit 1
+}
+echo "rejected: bigindex_serverd --metrics-port 9419"
+
+echo
+echo "=== smoke: serverd never overwrites an --index-image it cannot load ==="
+# An existing --index-image path is only ever loaded: a text file there must
+# fail startup (not serve until the timeout, exit 124) and keep its bytes.
+NOT_IMAGE_DIR="$(mktemp -d)"
+printf 'a text file, not a BiG-index image ....\n' >"$NOT_IMAGE_DIR/idx.img"
+cp "$NOT_IMAGE_DIR/idx.img" "$NOT_IMAGE_DIR/expected"
+status=0
+timeout 60 ./build/tools/bigindex_serverd --dataset yago3 --scale 0.002 \
+  --layers 2 --port 0 --index-image "$NOT_IMAGE_DIR/idx.img" \
+  2>"$NOT_IMAGE_DIR/log" </dev/null || status=$?
+if [[ "$status" -eq 0 || "$status" -eq 124 ]] ||
+  ! cmp -s "$NOT_IMAGE_DIR/idx.img" "$NOT_IMAGE_DIR/expected"; then
+  echo "FAIL: serverd took a text file for an index image (exit $status)" >&2
+  cat "$NOT_IMAGE_DIR/log" >&2
+  exit 1
+fi
+echo "refused (exit $status): $(grep '^error:' "$NOT_IMAGE_DIR/log")"
+rm -rf "$NOT_IMAGE_DIR"
 
 echo "=== gate: maintenance speedup (>= 2x at small batches) ==="
 # Measures maintained-vs-rebuilt wall clock at batch sizes 1 and 4 and fails

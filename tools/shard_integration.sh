@@ -12,7 +12,8 @@
 # same differential under --shard-mode bfs: cut edges, ghost vertices, the
 # `boundary` verb, and the coordinator's completion pass (DESIGN.md §9),
 # end to end over real processes. The bfs workers self-prime shard images,
-# one of them serves the HTTP metrics scrape, and a monolithic server must
+# the monolithic server, a bfs worker and the bfs coordinator each answer
+# HTTP scrapes on their one protocol port, and a monolithic server must
 # refuse to serve a shard image as the whole graph.
 #
 #   tools/shard_integration.sh [build-dir]
@@ -38,7 +39,7 @@ DATASET=(--dataset yago3 --scale 0.002 --layers 3)
 BASE="${BIGINDEX_SHARD_TEST_PORT_BASE:-$((21000 + RANDOM % 20000))}"
 P_MONO=$BASE P_W0=$((BASE + 1)) P_W1=$((BASE + 2)) P_COORD=$((BASE + 3))
 P_B0=$((BASE + 4)) P_B1=$((BASE + 5)) P_BCOORD=$((BASE + 6))
-P_BMETRICS=$((BASE + 7)) P_MISUSE=$((BASE + 8))
+P_MISUSE=$((BASE + 7))
 
 TMP="$(mktemp -d)"
 PIDS=()
@@ -214,19 +215,16 @@ fi
 # materialize ghosts and withhold cut-near answers, and the coordinator
 # stitches them back via the `boundary` verb + completion pass. The answer
 # differential against the monolithic server must hold just like wcc mode.
-# The workers self-prime their shard images under $TMP/bfs, and worker 0
-# also serves the HTTP metrics scrape.
+# The workers self-prime their shard images under $TMP/bfs.
 echo "== bfs mode: launching 2 bfs-block workers + coordinator"
 "$SERVERD" "${DATASET[@]}" --shards 2 --shard-of 0 --shard-mode bfs \
-  --bfs-block 128 --index-image "$TMP/bfs" --metrics-port "$P_BMETRICS" \
-  --port "$P_B0" 2>"$TMP/b0.log" &
+  --bfs-block 128 --index-image "$TMP/bfs" --port "$P_B0" 2>"$TMP/b0.log" &
 PIDS+=($!)
 "$SERVERD" "${DATASET[@]}" --shards 2 --shard-of 1 --shard-mode bfs \
   --bfs-block 128 --index-image "$TMP/bfs" --port "$P_B1" 2>"$TMP/b1.log" &
 PIDS+=($!)
 wait_ready "$TMP/b0.log" "shard 0/2 on port $P_B0"
 wait_ready "$TMP/b1.log" "shard 1/2 on port $P_B1"
-wait_ready "$TMP/b0.log" "metrics on http://127.0.0.1:$P_BMETRICS/metrics"
 # A bfs plan on this instance has a real cut: the workers must say so.
 grep -q "ghost vertices materialized" "$TMP/b0.log" "$TMP/b1.log" || {
   echo "error: bfs workers materialized no ghosts (cut was empty?)" >&2
@@ -238,16 +236,37 @@ grep -q "ghost vertices materialized" "$TMP/b0.log" "$TMP/b1.log" || {
 PIDS+=($!)
 wait_ready "$TMP/bcoord.log" "coordinator on port $P_BCOORD over 2 shards"
 
-echo "== bfs mode: worker 0 serves GET /metrics"
-exec 3<>"/dev/tcp/127.0.0.1/$P_BMETRICS"
-printf 'GET /metrics HTTP/1.0\r\nHost: 127.0.0.1\r\n\r\n' >&3
-cat <&3 >"$TMP/metrics_b0"
-exec 3<&-
+# One HTTP GET on <port> at <path>; the response lands in <file>. The
+# server closes the connection after the response, which ends the cat.
+scrape() { # <port> <path> <file>
+  exec 3<>"/dev/tcp/127.0.0.1/$1"
+  printf 'GET %s HTTP/1.0\r\nHost: 127.0.0.1\r\n\r\n' "$2" >&3
+  timeout 30 cat <&3 >"$3"
+  exec 3<&-
+}
+
+echo "== bfs mode: worker 0 serves GET /metrics on its protocol port"
+scrape "$P_B0" /metrics "$TMP/metrics_b0"
 grep -q "^bigindex_server_requests_total" "$TMP/metrics_b0" || {
   echo "error: worker scrape lacks bigindex_server_requests_total" >&2
   head -n 20 "$TMP/metrics_b0" >&2
   exit 1
 }
+
+# Every serving mode answers both scrapes on its one port: the monolithic
+# server, a bfs worker and the bfs coordinator.
+echo "== monolithic, worker and coordinator answer GET /metrics and /trace"
+for port in "$P_MONO" "$P_B0" "$P_BCOORD"; do
+  scrape "$port" /metrics "$TMP/scrape_metrics"
+  scrape "$port" /trace "$TMP/scrape_trace"
+  head -n 1 "$TMP/scrape_metrics" | grep -q '^HTTP/1.0 200' &&
+    grep -q '^bigindex_' "$TMP/scrape_metrics" &&
+    grep -q '"traceEvents"' "$TMP/scrape_trace" || {
+    echo "error: port $port did not answer both scrapes" >&2
+    head -n 20 "$TMP/scrape_metrics" "$TMP/scrape_trace" >&2
+    exit 1
+  }
+done
 
 # A shard image holds shard-local ids: serving it as the whole graph would
 # answer with the wrong vertices, so the server must refuse to start.
