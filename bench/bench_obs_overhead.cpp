@@ -3,21 +3,24 @@
 //
 // A two-build-tree wall-clock comparison (instrumented vs. stripped) would
 // need a dedicated uninstrumented build and is hopelessly noisy on a shared
-// one-core CI host, where run-to-run variance alone exceeds 2%. Instead this
-// bench measures what can be measured precisely — the per-operation cost of
-// each disabled primitive (TRACE_SPAN with tracing off, Counter::Inc,
-// Histogram::Record), tight-loop, best-of-several — and compares a
-// *deliberately generous* per-query instrumentation budget against the
-// measured per-query evaluation time of a real workload:
+// CI host, where run-to-run variance alone exceeds 2%. Instead this bench
+// measures what can be measured precisely — the per-operation cost of each
+// disabled primitive (TRACE_SPAN with tracing off, Counter::Inc,
+// Histogram::Record), tight-loop, best-of-several — and the instrumented
+// operations the workload's queries actually execute, then prices those
+// counts against the measured per-query evaluation time:
 //
-//   overhead% = (spans/query * span_ns + incs/query * inc_ns + ...)
-//               / measured_query_ns
+//   overhead% = (spans/query * span_ns + incs/query * inc_ns +
+//                records/query * record_ns) / measured_query_ns
 //
-// The per-query op counts below are several times what the instrumented
-// paths actually execute (a query opens a few spans per generalized answer
-// and RecordQueryMetrics bumps ~20 atomics once), so the check fails long
-// before a regression could show up in end-to-end numbers. The disabled
-// span additionally gets an absolute ceiling: the whole design hinges on it
+// The counts come from one pass over the same queries the time comes from:
+// spans from the tracer's event total with tracing on, counter increments
+// from the summed value deltas of every counter in the global registry (an
+// upper bound: Inc(n) counts as n increments), and histogram records from
+// the summed `_count` deltas. Both are read through the public surfaces —
+// Tracer::GetStats and the Prometheus exposition — so a new span or metric
+// on the query path is priced the moment it lands. The disabled span
+// additionally gets an absolute ceiling: the whole design hinges on it
 // staying a relaxed load + branch, so it must price like one (single-digit
 // nanoseconds), not like a clock read or a lock.
 //
@@ -37,12 +40,6 @@ using namespace bigindex::bench;
 
 namespace {
 
-// Padded ceilings on instrumented operations per query (a few times the
-// real counts; see the header comment).
-constexpr double kSpansPerQuery = 256;
-constexpr double kCounterIncsPerQuery = 64;
-constexpr double kHistogramRecordsPerQuery = 16;
-
 // A disabled span is a relaxed atomic load and a branch. On any remotely
 // modern core that is < 2 ns; 10 ns means something heavyweight crept into
 // the disabled path.
@@ -57,6 +54,35 @@ double BestNsPerOp(size_t iters, const std::function<void()>& fn) {
     best = std::min(best, t.ElapsedMillis() * 1e6 / iters);
   }
   return best;
+}
+
+/// Summed counter values and histogram sample counts of the global
+/// registry, read from its Prometheus exposition.
+struct RegistryTotals {
+  double counter_incs = 0;
+  double histogram_records = 0;
+};
+
+RegistryTotals ReadRegistryTotals() {
+  RegistryTotals totals;
+  std::istringstream in(MetricsRegistry::Global().RenderPrometheus());
+  std::string line, family, kind;
+  while (std::getline(in, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      std::istringstream type(line.substr(7));
+      type >> family >> kind;
+      continue;
+    }
+    if (line.empty() || line[0] == '#') continue;
+    const std::string name = line.substr(0, line.find_first_of("{ "));
+    const double value = std::atof(line.c_str() + line.rfind(' ') + 1);
+    if (kind == "counter") {
+      totals.counter_incs += value;
+    } else if (kind == "summary" && name == family + "_count") {
+      totals.histogram_records += value;
+    }
+  }
+  return totals;
 }
 
 }  // namespace
@@ -135,15 +161,35 @@ int main(int argc, char** argv) {
   });
   double query_ns = batch_ms * 1e6 / queries.size();
 
-  // --- the budget ----------------------------------------------------------
-  double per_query_ns = kSpansPerQuery * span_ns +
-                        kCounterIncsPerQuery * inc_ns +
-                        kHistogramRecordsPerQuery * record_ns;
+  // --- what the queries execute --------------------------------------------
+  // One more pass with tracing on counts the spans; the registry deltas of
+  // the same pass count the increments and records.
+  Tracer& tracer = Tracer::Global();
+  tracer.Clear();
+  tracer.SetEnabled(true);
+  const RegistryTotals before = ReadRegistryTotals();
+  for (const EngineQuery& q : queries) (void)engine.Evaluate(q);
+  const RegistryTotals after = ReadRegistryTotals();
+  tracer.SetEnabled(false);
+  const Tracer::Stats trace = tracer.GetStats();
+  tracer.Clear();
+  const double n = static_cast<double>(queries.size());
+  const double spans_per_query =
+      static_cast<double>(trace.events + trace.dropped) / n;
+  const double incs_per_query =
+      (after.counter_incs - before.counter_incs) / n;
+  const double records_per_query =
+      (after.histogram_records - before.histogram_records) / n;
+
+  // --- the overhead --------------------------------------------------------
+  double per_query_ns = spans_per_query * span_ns + incs_per_query * inc_ns +
+                        records_per_query * record_ns;
   double overhead_pct = 100.0 * per_query_ns / query_ns;
 
-  std::printf("\nper-query budget (generous op counts):\n");
-  std::printf("  %5.0f spans + %5.0f incs + %5.0f records = %10.1f ns\n",
-              kSpansPerQuery, kCounterIncsPerQuery, kHistogramRecordsPerQuery,
+  std::printf("\nper-query instrumentation (counted over %zu queries):\n",
+              queries.size());
+  std::printf("  %5.1f spans + %5.1f incs + %5.1f records = %10.1f ns\n",
+              spans_per_query, incs_per_query, records_per_query,
               per_query_ns);
   std::printf("  measured query time (bkws, serial)      = %10.1f ns\n",
               query_ns);

@@ -23,16 +23,35 @@ Tracer& Tracer::Global() {
   return *tracer;                        // append during static teardown
 }
 
-Tracer::ThreadBuffer& Tracer::BufferForThisThread() {
-  thread_local ThreadBuffer* tls = nullptr;
-  if (tls == nullptr) {
-    auto buffer = std::make_unique<ThreadBuffer>();
-    tls = buffer.get();
-    std::lock_guard<std::mutex> lock(buffers_mutex_);
-    buffer->tid = static_cast<uint32_t>(buffers_.size() + 1);
-    buffers_.push_back(std::move(buffer));
+struct Tracer::ThreadHolder {
+  Tracer* tracer = nullptr;
+  ThreadBuffer* buffer = nullptr;
+
+  ~ThreadHolder() {
+    if (buffer == nullptr) return;
+    std::lock_guard<std::mutex> lock(tracer->buffers_mutex_);
+    tracer->free_.push_back(buffer);
+    buffer = nullptr;  // a span closed later in this thread's exit pops
+                       // its own buffer, never one another thread holds
   }
-  return *tls;
+};
+
+Tracer::ThreadBuffer& Tracer::BufferForThisThread() {
+  thread_local ThreadHolder holder;
+  if (holder.buffer == nullptr) {
+    std::lock_guard<std::mutex> lock(buffers_mutex_);
+    holder.tracer = this;
+    if (!free_.empty()) {
+      holder.buffer = free_.back();
+      free_.pop_back();
+    } else {
+      auto buffer = std::make_unique<ThreadBuffer>();
+      buffer->tid = static_cast<uint32_t>(buffers_.size() + 1);
+      holder.buffer = buffer.get();
+      buffers_.push_back(std::move(buffer));
+    }
+  }
+  return *holder.buffer;
 }
 
 void Tracer::Append(const char* name, uint64_t start_us, uint64_t dur_us) {

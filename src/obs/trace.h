@@ -8,7 +8,11 @@
 // constructor reads the monotonic clock and the destructor appends one
 // fixed-size event to the calling thread's ring buffer under that buffer's
 // (uncontended) mutex. Rings hold the most recent kRingCapacity events per
-// thread; older events are overwritten and counted as dropped.
+// thread; older events are overwritten and counted as dropped. A thread's
+// ring outlives the thread: when it exits, the ring goes to a free list and
+// the next thread that records a span takes it over, tid and old events
+// included, so the buffer count is bounded by the threads alive at once,
+// not by every thread that ever traced.
 //
 // Span names must be string literals (the tracer stores the pointer, not a
 // copy) and follow the `layer/phase` taxonomy documented in
@@ -73,7 +77,8 @@ class Tracer {
 
   struct Stats {
     bool enabled = false;
-    size_t threads = 0;   // threads that ever recorded a span
+    size_t threads = 0;   // ring buffers: at most the threads that ever
+                          // recorded a span concurrently
     size_t events = 0;    // events currently buffered
     uint64_t dropped = 0; // events overwritten by ring wrap-around
   };
@@ -93,10 +98,14 @@ class Tracer {
     uint64_t total = 0;       // events ever appended
   };
 
+  /// Returns the calling thread's buffer to free_ when the thread exits.
+  struct ThreadHolder;
+
   ThreadBuffer& BufferForThisThread();
 
   mutable std::mutex buffers_mutex_;
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
+  std::vector<ThreadBuffer*> free_;  // buffers of exited threads
 };
 
 /// RAII span. Decides at construction whether tracing is on; a disabled

@@ -1,29 +1,24 @@
 #include "search/bidirectional.h"
 
-#include <algorithm>
-#include <cmath>
+#include <array>
 #include <utility>
-#include <queue>
 
 #include "search/bkws.h"
 
 namespace bigindex {
 namespace {
 
-/// Priority-queue entry of the spreading-activation expansion.
-struct Frontier {
-  double activation;
-  uint32_t dist;
-  VertexId vertex;
-  uint32_t cone;  // keyword index
+/// Queries with more keywords are refused (no answers).
+constexpr size_t kMaxKeywords = 32;
 
-  bool operator<(const Frontier& other) const {
-    // max-heap on activation; deterministic tie-breaks.
-    if (activation != other.activation) return activation < other.activation;
-    if (dist != other.dist) return dist > other.dist;
-    if (vertex != other.vertex) return vertex > other.vertex;
-    return cone > other.cone;
-  }
+/// One keyword cone's level cursor. The cone's queue holds its vertices in
+/// BFS order; queue[head, end) is the frontier at distance `level`, and
+/// everything before `head` has been expanded.
+struct ConeLevel {
+  size_t head = 0;
+  size_t end = 0;
+  uint32_t level = 0;
+  double activation = 0;  // base · decay^level
 };
 
 }  // namespace
@@ -35,109 +30,118 @@ std::vector<Answer> BidirectionalSearch(const Graph& g,
                                         BidirectionalStats* stats) {
   std::vector<Answer> answers;
   const size_t nq = keywords.size();
-  if (nq == 0 || nq > 32 || g.NumVertices() == 0) return answers;
+  if (nq == 0 || nq > kMaxKeywords || g.NumVertices() == 0) return answers;
 
-  // Per-cone distance tables from context scratch (exact distances emerge
-  // because expansion is monotone per cone: activation is a strictly
-  // decreasing function of distance within one cone, so pops happen in BFS
-  // order per cone). The scratch queue records first-touched vertices so the
-  // invariant is restored in O(touched) on every exit path.
-  std::vector<ConeScratch*> cones(nq);
+  // Per-cone distance tables from context scratch. Each queue is the cone's
+  // FIFO and its touched list, so the invariant is restored in O(touched)
+  // on every exit path.
+  std::array<ConeScratch*, kMaxKeywords> cones{};
   for (size_t i = 0; i < nq; ++i) cones[i] = &ctx.Cone(i, g.NumVertices());
   struct ConeLease {
-    std::vector<ConeScratch*>& cones;
+    std::array<ConeScratch*, kMaxKeywords>& cones;
     ~ConeLease() {
-      for (ConeScratch* s : cones) s->Release();
+      for (ConeScratch* s : cones) {
+        if (s != nullptr) s->Release();
+      }
     }
   } lease{cones};
 
-  std::priority_queue<Frontier> backward;
+  std::array<ConeLevel, kMaxKeywords> levels;
   for (size_t i = 0; i < nq; ++i) {
     auto origins = g.VerticesWithLabel(keywords[i]);
     if (origins.empty()) return answers;  // some keyword is unmatchable
-    double base = 1.0 / static_cast<double>(origins.size());
     ConeScratch& s = *cones[i];
     for (VertexId v : origins) {
       s.queue.push_back(v);
       s.dist[v] = 0;
       s.witness[v] = v;
       s.parent[v] = v;
-      backward.push({base, 0, v, static_cast<uint32_t>(i)});
     }
+    // Spreading activation: a cone's origins share activation 1/|origins|.
+    levels[i] = {0, s.queue.size(), 0,
+                 1.0 / static_cast<double>(origins.size())};
   }
 
-  std::vector<uint32_t>& covered = ctx.ZeroedVertexArray(0, g.NumVertices());
-  const uint32_t full_mask = nq == 32 ? 0xFFFFFFFFu : ((1u << nq) - 1);
-
-  // Backward spreading activation. A forward phase re-prioritizes vertices
-  // that some cone already reached (they are candidate roots): their
-  // remaining in-edges are explored eagerly so partially-covered roots
-  // complete early. Exhaustive within d_max, so the distinct-root answer set
-  // is exactly bkws's.
+  // Activation decides the work order: the cone whose frontier carries the
+  // most activation (ties to the lower index) expands one whole level, so
+  // selective keywords grow first and hub-heavy cones wait. Exhaustive
+  // within d_max, so the order never changes the result — only how soon
+  // each root completes.
+  //
+  // Each cone's (dist, witness, parent) is the least fixed point over its
+  // shortest-path DAG: dist is the BFS distance, and (witness, parent) is
+  // the least (witness[v], v) over the DAG predecessors v. A "first
+  // relaxation wins" tie-break would make the tree depend on expansion
+  // order, which is not a component-local quantity — taking the least pair
+  // makes it a pure function of the component, so sharded and monolithic
+  // evaluation produce identical answers. Expanding a level at a time
+  // reaches that fixed point in one pass: every vertex of level d is final
+  // before level d is expanded, so nothing is pushed twice.
   const CsrView in = g.In();
-  while (!backward.empty()) {
-    Frontier f = backward.top();
-    backward.pop();
-    ConeScratch& s = *cones[f.cone];
-    if (s.dist[f.vertex] != f.dist) continue;  // stale entry
-    if (stats) {
-      if (covered[f.vertex] != 0) {
-        ++stats->forward_pops;
-      } else {
-        ++stats->backward_pops;
-      }
+  while (true) {
+    size_t next = nq;
+    for (size_t i = 0; i < nq; ++i) {
+      const ConeLevel& c = levels[i];
+      if (c.head == c.end || c.level >= options.d_max) continue;
+      if (next == nq || c.activation > levels[next].activation) next = i;
     }
-    covered[f.vertex] |= (1u << f.cone);
-    if (f.dist >= options.d_max) continue;
-    // Forward-boosting: vertices already covered by other cones propagate
-    // with a boosted activation so their completion is prioritized.
-    double boost = covered[f.vertex] == (1u << f.cone) ? 1.0 : 2.0;
-    const auto [begin, end] = in[f.vertex];
-    for (uint64_t idx = begin; idx < end; ++idx) {
-      VertexId u = in.Slot(idx);
-      // Dijkstra-style relaxation: activation order is not BFS order (the
-      // forward boost can promote deeper entries), so shorter paths found
-      // later must overwrite earlier tentative distances.
-      if (f.dist + 1 > s.dist[u]) continue;
-      if (f.dist + 1 == s.dist[u]) {
-        // Equal-length alternative: adopt the lexicographically smallest
-        // (witness, parent). Pop order depends on activation (origin-set
-        // size, forward boosts), which is not a component-local quantity —
-        // a "first relaxation wins" tie-break would materialize different
-        // trees for the same component depending on what else is in the
-        // graph. Taking the least fixed point over the shortest-path DAG
-        // makes the tree a pure function of the component, so sharded and
-        // monolithic evaluation produce identical answers. Improvements
-        // re-enter the queue to propagate downstream; each vertex's pair
-        // strictly decreases per update, so this terminates.
-        if (std::pair(s.witness[f.vertex], f.vertex) <
-            std::pair(s.witness[u], s.parent[u])) {
-          s.witness[u] = s.witness[f.vertex];
-          s.parent[u] = f.vertex;
-          backward.push({f.activation * options.decay * boost, f.dist + 1, u,
-                         f.cone});
+    if (next == nq) break;
+
+    ConeScratch& s = *cones[next];
+    ConeLevel& c = levels[next];
+    const uint32_t d = c.level + 1;
+    for (size_t h = c.head; h < c.end; ++h) {
+      const VertexId v = s.queue[h];
+      if (stats) {
+        // Forward: another cone already reached v, so v is a candidate root.
+        bool forward = false;
+        for (size_t j = 0; j < nq && !forward; ++j) {
+          forward = j != next && cones[j]->dist[v] != kInfDistance;
         }
-        continue;
+        ++(forward ? stats->forward_pops : stats->backward_pops);
       }
-      if (s.dist[u] == kInfDistance) s.queue.push_back(u);  // first touch
-      s.dist[u] = f.dist + 1;
-      s.witness[u] = s.witness[f.vertex];
-      s.parent[u] = f.vertex;
-      backward.push({f.activation * options.decay * boost, f.dist + 1, u,
-                     f.cone});
+      const VertexId w = s.witness[v];
+      const auto [begin, end] = in[v];
+      for (uint64_t idx = begin; idx < end; ++idx) {
+        const VertexId u = in.Slot(idx);
+        if (s.dist[u] == kInfDistance) {
+          s.dist[u] = d;
+          s.witness[u] = w;
+          s.parent[u] = v;
+          s.queue.push_back(u);
+        } else if (s.dist[u] == d &&
+                   std::pair(w, v) < std::pair(s.witness[u], s.parent[u])) {
+          s.witness[u] = w;
+          s.parent[u] = v;
+        }
+      }
     }
+    c = {c.end, s.queue.size(), d, c.activation * options.decay};
   }
 
-  // Every complete root was touched by cone 0, so its queue (the touched
-  // list) is a superset of the roots; answer order is normalized below.
-  for (VertexId r : cones[0]->queue) {
-    if (covered[r] != full_mask) continue;
+  // A root is reached by every cone, so the smallest cone's touched list is
+  // a superset of the roots; answer order is normalized below.
+  size_t smallest = 0;
+  for (size_t i = 1; i < nq; ++i) {
+    if (cones[i]->queue.size() < cones[smallest]->queue.size()) smallest = i;
+  }
+  for (VertexId r : cones[smallest]->queue) {
+    uint32_t score = 0;
+    bool complete = true;
+    for (size_t i = 0; i < nq; ++i) {
+      if (cones[i]->dist[r] == kInfDistance) {
+        complete = false;
+        break;
+      }
+      score += cones[i]->dist[r];
+    }
+    if (!complete) continue;
     Answer a;
     a.root = r;
+    a.score = score;
     a.vertices.push_back(r);
     for (size_t i = 0; i < nq; ++i) {
       const ConeScratch& s = *cones[i];
-      a.score += s.dist[r];
       a.keyword_vertices.push_back(s.witness[r]);
       if (options.materialize_paths) {
         VertexId v = r;

@@ -6,13 +6,22 @@
 //
 // Semantics: identical to bkws (distinct-root trees, dist(root, kw_i) <=
 // d_max, score = Σ distances) — the differential tests assert answer-set
-// equality with BackwardKeywordSearch. The *strategy* differs: instead of
-// running each keyword cone to exhaustion, frontiers expand best-first by
-// activation (spreading activation: keyword origins start with activation
-// 1/|V_q|, decaying by `decay` per hop), and a forward-expansion phase grows
-// from already-discovered candidate roots toward undiscovered keywords,
-// which prunes work when hub vertices would otherwise explode the backward
-// frontier. Exhaustive by default (top_k = 0) so results stay exact.
+// equality with BackwardKeywordSearch. The *strategy* differs: each keyword
+// cone is a level-synchronous backward BFS, and spreading activation
+// schedules the cones — a cone's origins start at activation 1/|origins|,
+// decaying by `decay` per level, and the cone whose frontier carries the
+// most activation expands next, one whole level at a time. Selective
+// keywords therefore grow first while hub-heavy cones wait. A vertex that
+// another cone already reached is a candidate root; expanding it counts as
+// a forward pop in BidirectionalStats.
+//
+// Each cone's (dist, witness, parent) is the least fixed point over its
+// shortest-path DAG — BFS distance, then the least (witness, predecessor)
+// pair — so answers, paths included, are a pure function of the graph and
+// never of the expansion order: sharded and monolithic evaluation agree.
+// Every vertex of a level is final before that level expands, so one pass
+// reaches the fixed point and no vertex is queued twice. Exhaustive by
+// default (top_k = 0) so results stay exact.
 
 #ifndef BIGINDEX_SEARCH_BIDIRECTIONAL_H_
 #define BIGINDEX_SEARCH_BIDIRECTIONAL_H_

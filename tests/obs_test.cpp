@@ -343,5 +343,23 @@ TEST(TraceTest, ConcurrentSpansFromManyThreads) {
   tracer.Clear();
 }
 
+TEST(TraceTest, ExitedThreadsRecycleTheirBuffers) {
+  Tracer& tracer = Tracer::Global();
+  tracer.SetEnabled(true);
+  tracer.Clear();
+  const size_t threads_before = tracer.GetStats().threads;
+  constexpr int kThreads = 50;
+  for (int t = 0; t < kThreads; ++t) {
+    std::thread([] { TRACE_SPAN("test/short_lived"); }).join();
+  }
+  tracer.SetEnabled(false);
+  Tracer::Stats stats = tracer.GetStats();
+  // One-at-a-time threads take over each other's ring instead of adding
+  // one each; the ring keeps every thread's event.
+  EXPECT_LE(stats.threads, threads_before + 2);
+  EXPECT_EQ(stats.events, static_cast<size_t>(kThreads));
+  tracer.Clear();
+}
+
 }  // namespace
 }  // namespace bigindex

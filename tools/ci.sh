@@ -6,7 +6,8 @@
 # cache-epoch race test) plus the multi-process coordinator/shard
 # integration test (which now drives the UPDATE verb end to end), then an
 # ASan+UBSan pass over the index-image and line-protocol fuzz suites
-# (hostile-bytes paths) and the summarization kernel's reference suite,
+# (hostile-bytes paths), the summarization kernel's reference suite and the
+# bidirectional search suites (level-cursor arithmetic),
 # then the docs checks (dead links, protocol verbs,
 # metric catalog, span taxonomy), a metrics-overhead smoke, a
 # construction smoke, an index-image cold-start smoke, the shard
@@ -63,11 +64,14 @@ cmake --build build-asan -j"$JOBS" --target bigindex_tests
 # and truncated/hostile lines through the wire codec, a LineHandler and a
 # ProtocolClient facing an endless reply line or an endless reply block;
 # the kernel's reference suite covers the index arithmetic of the
-# successors-first order and the cyclic remainder's rounds. Any
-# out-of-bounds read or UB is a hard failure.
+# successors-first order and the cyclic remainder's rounds; the
+# bidirectional suites (the parameterized ones carry an instantiation
+# prefix, hence the leading `*`) cover the level cursors over each cone's
+# queue against the priority-queue reference. Any out-of-bounds read or UB
+# is a hard failure.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   ./build-asan/tests/bigindex_tests \
-  --gtest_filter='IndexImageFuzz*:LineProtocolFuzz*:BisimKernelReference*'
+  --gtest_filter='IndexImageFuzz*:LineProtocolFuzz*:BisimKernelReference*:*Bidirectional*'
 
 echo
 echo "=== docs: no dead relative links in *.md ==="
@@ -87,8 +91,10 @@ tools/check_span_docs.sh
 
 echo
 echo "=== smoke: disabled-instrumentation overhead budget ==="
-# Fails if the disabled observability hooks would cost > 2% of real query
-# time (BIGINDEX_OBS_OVERHEAD_PCT overrides the threshold).
+# Fails if the spans, counter increments and histogram records that real
+# queries execute, priced at the disabled primitives' measured costs, would
+# cost > 2% of their query time (BIGINDEX_OBS_OVERHEAD_PCT overrides the
+# threshold).
 ./build/bench/bench_obs_overhead --check
 
 echo
