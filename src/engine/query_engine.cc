@@ -8,6 +8,7 @@
 #include "search/bidirectional.h"
 #include "search/bkws.h"
 #include "search/blinks.h"
+#include "search/keyword_cones.h"
 #include "search/rclique.h"
 #include "util/timer.h"
 
@@ -104,6 +105,28 @@ void EngineQuery::NormalizeKeywords() {
                  keywords.end());
 }
 
+Status ValidateEngineQuery(const EngineQuery& query, bool registered) {
+  if (query.keywords.empty()) {
+    return Status::InvalidArgument("query has an empty keyword list");
+  }
+  if (query.keywords.size() > kMaxKeywords) {
+    std::vector<LabelId> distinct = query.keywords;
+    std::sort(distinct.begin(), distinct.end());
+    const size_t n = static_cast<size_t>(
+        std::unique(distinct.begin(), distinct.end()) - distinct.begin());
+    if (n > kMaxKeywords) {
+      return Status::InvalidArgument(
+          "query has " + std::to_string(n) + " distinct keywords; at most " +
+          std::to_string(kMaxKeywords) + " are supported");
+    }
+  }
+  if (!registered) {
+    return Status::NotFound("no algorithm registered as '" + query.algorithm +
+                            "'");
+  }
+  return Status::OK();
+}
+
 std::unique_ptr<KeywordSearchAlgorithm> MakeDefaultAlgorithm(
     std::string_view name) {
   if (name == "bkws") return std::make_unique<BkwsAlgorithm>();
@@ -157,14 +180,7 @@ std::vector<std::string_view> QueryEngine::AlgorithmNames() const {
 }
 
 Status QueryEngine::Validate(const EngineQuery& query) const {
-  if (query.keywords.empty()) {
-    return Status::InvalidArgument("query has an empty keyword list");
-  }
-  if (algorithm(query.algorithm) == nullptr) {
-    return Status::NotFound("no algorithm registered as '" + query.algorithm +
-                            "'");
-  }
-  return Status::OK();
+  return ValidateEngineQuery(query, algorithm(query.algorithm) != nullptr);
 }
 
 StatusOr<QueryResult> QueryEngine::Evaluate(const EngineQuery& query) const {

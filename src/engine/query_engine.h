@@ -74,6 +74,13 @@ struct QueryResult {
   std::string algorithm;
 };
 
+/// The admission checks every serving front (QueryEngine::Validate and the
+/// shard coordinator) applies before it normalizes a query: InvalidArgument
+/// for an empty keyword list or more than kMaxKeywords distinct keywords,
+/// NotFound when `registered` says the front serves no algorithm of that
+/// name, OK otherwise.
+Status ValidateEngineQuery(const EngineQuery& query, bool registered);
+
 /// The built-in algorithms, in the order the engine registers them by
 /// default (QueryEngineOptions::register_default_algorithms).
 inline constexpr std::string_view kDefaultAlgorithms[] = {
@@ -113,10 +120,10 @@ class QueryEngine {
   /// Registered names, in registration order.
   std::vector<std::string_view> AlgorithmNames() const;
 
-  /// Cheap admission-time validation: InvalidArgument for an empty keyword
-  /// list, NotFound for an unregistered algorithm name, OK otherwise. The
-  /// serving layer calls this before enqueueing so malformed requests are
-  /// rejected at the door instead of failing deep inside Evaluate.
+  /// Cheap admission-time validation: ValidateEngineQuery against this
+  /// engine's registry. The serving layer calls this before enqueueing so
+  /// malformed requests are rejected at the door instead of failing deep
+  /// inside Evaluate.
   Status Validate(const EngineQuery& query) const;
 
   /// Evaluates one query on the calling thread. Fails with Validate()'s

@@ -5,23 +5,22 @@
 // [14], [32]", Sec. 5). This realizes [14].
 //
 // Semantics: identical to bkws (distinct-root trees, dist(root, kw_i) <=
-// d_max, score = Σ distances) — the differential tests assert answer-set
-// equality with BackwardKeywordSearch. The *strategy* differs: each keyword
-// cone is a level-synchronous backward BFS, and spreading activation
-// schedules the cones — a cone's origins start at activation 1/|origins|,
-// decaying by `decay` per level, and the cone whose frontier carries the
-// most activation expands next, one whole level at a time. Selective
-// keywords therefore grow first while hub-heavy cones wait. A vertex that
-// another cone already reached is a candidate root; expanding it counts as
-// a forward pop in BidirectionalStats.
+// d_max, score = Σ distances) — the differential tests assert that both,
+// and Blinks, return the same answers. The *strategy* differs: it is a
+// scheduler over the keyword-cone kernel (search/keyword_cones.h) in which
+// spreading activation orders the cones — a cone's origins start at
+// activation 1/|origins|, decaying by kActivationDecay per level, and the
+// cone whose frontier carries the most activation expands next, one whole
+// level at a time. Selective keywords therefore grow first while hub-heavy
+// cones wait. A vertex that another cone already reached is a candidate
+// root; expanding it counts as a forward pop in BidirectionalStats.
 //
-// Each cone's (dist, witness, parent) is the least fixed point over its
-// shortest-path DAG — BFS distance, then the least (witness, predecessor)
-// pair — so answers, paths included, are a pure function of the graph and
-// never of the expansion order: sharded and monolithic evaluation agree.
-// Every vertex of a level is final before that level expands, so one pass
-// reaches the fixed point and no vertex is queued twice. Exhaustive by
-// default (top_k = 0) so results stay exact.
+// Witnesses and paths follow the kernel's one rule: the least (witness,
+// parent) pair over each cone's shortest-path DAG, which picks the
+// smallest-id nearest keyword vertex (CompleteRootedAnswer's witness too).
+// Answers are a pure function of the graph and never of the expansion
+// order, so sharded and monolithic evaluation agree. Exhaustive by default
+// (top_k = 0) so results stay exact.
 
 #ifndef BIGINDEX_SEARCH_BIDIRECTIONAL_H_
 #define BIGINDEX_SEARCH_BIDIRECTIONAL_H_
@@ -44,14 +43,11 @@ struct BidirectionalOptions {
 
   /// Return only the k best answers; 0 = all.
   size_t top_k = 0;
-
-  /// Activation decay per hop (in (0, 1]); lower values prioritize
-  /// expanding near the keywords. Affects work order, never results.
-  double decay = 0.5;
-
-  /// Include path vertices in answers.
-  bool materialize_paths = true;
 };
+
+/// Activation decay per level; a lower value favours expanding near the
+/// keywords. Affects work order, never results.
+inline constexpr double kActivationDecay = 0.5;
 
 /// Search statistics for comparing strategies against plain bkws.
 struct BidirectionalStats {

@@ -1,187 +1,16 @@
 #include "search/bkws.h"
 
-#include <algorithm>
-
 namespace bigindex {
-namespace {
-
-/// Releases an acquired ConeScratch on scope exit (early returns included).
-struct ScratchLease {
-  ConeScratch& scratch;
-  ~ScratchLease() { scratch.Release(); }
-};
-
-/// Bounded backward BFS for `keyword` into `scratch`: dist / witness /
-/// parent (= next hop toward the witness) per reached vertex; the scratch
-/// queue records exactly the touched vertices.
-void ExpandBackward(const Graph& g, LabelId keyword, uint32_t d_max,
-                    ConeScratch& s) {
-  for (VertexId v : g.VerticesWithLabel(keyword)) {
-    s.dist[v] = 0;
-    s.witness[v] = v;
-    s.parent[v] = v;
-    s.queue.push_back(v);
-  }
-  const CsrView in = g.In();
-  size_t head = 0;
-  while (head < s.queue.size()) {
-    VertexId v = s.queue[head++];
-    uint32_t d = s.dist[v];
-    if (d >= d_max) continue;
-    // Backward expansion: u -> v means u reaches the keyword through v.
-    const auto [begin, end] = in[v];
-    for (uint64_t i = begin; i < end; ++i) {
-      VertexId u = in.Slot(i);
-      if (s.dist[u] != kInfDistance) continue;
-      s.dist[u] = d + 1;
-      s.witness[u] = s.witness[v];
-      s.parent[u] = v;
-      s.queue.push_back(u);
-    }
-  }
-}
-
-// Appends the vertices of the shortest path root -> witness recorded in the
-// cone (excluding the root itself, including the witness).
-void AppendPath(const ConeScratch& cone, VertexId root,
-                std::vector<VertexId>& out) {
-  VertexId v = root;
-  while (v != cone.witness[v]) {
-    v = cone.parent[v];
-    out.push_back(v);
-  }
-}
-
-}  // namespace
-
-std::optional<Answer> CompleteRootedAnswer(
-    const Graph& g, const std::vector<LabelId>& keywords, VertexId root,
-    uint32_t d_max, bool materialize_paths, QueryContext& ctx) {
-  if (root >= g.NumVertices() || keywords.empty()) return std::nullopt;
-  const size_t nq = keywords.size();
-
-  // Forward bounded BFS from the root with parent tracking.
-  ConeScratch& s = ctx.Cone(0, g.NumVertices());
-  ScratchLease lease{s};
-  s.dist[root] = 0;
-  s.parent[root] = root;
-  s.queue.push_back(root);
-  // Best (dist, vertex) per keyword, tie-broken by smallest vertex id.
-  auto& best = ctx.BestPerKeyword();
-  best.assign(nq, {kInfDistance, kInvalidVertex});
-  auto consider = [&](VertexId v, uint32_t d) {
-    LabelId l = g.label(v);
-    for (size_t i = 0; i < nq; ++i) {
-      if (keywords[i] == l && std::make_pair(d, v) < best[i]) {
-        best[i] = {d, v};
-      }
-    }
-  };
-  consider(root, 0);
-  const CsrView out = g.Out();
-  size_t head = 0;
-  while (head < s.queue.size()) {
-    VertexId v = s.queue[head++];
-    uint32_t d = s.dist[v];
-    if (d >= d_max) continue;
-    const auto [begin, end] = out[v];
-    for (uint64_t i = begin; i < end; ++i) {
-      VertexId w = out.Slot(i);
-      if (s.dist[w] != kInfDistance) continue;
-      s.dist[w] = d + 1;
-      s.parent[w] = v;
-      consider(w, d + 1);
-      s.queue.push_back(w);
-    }
-  }
-  for (const auto& [d, v] : best) {
-    if (d == kInfDistance) return std::nullopt;
-  }
-
-  Answer a;
-  a.root = root;
-  a.vertices.push_back(root);
-  for (const auto& [d, v] : best) {
-    a.score += d;
-    a.keyword_vertices.push_back(v);
-    if (materialize_paths) {
-      VertexId x = v;
-      while (x != root) {
-        a.vertices.push_back(x);
-        x = s.parent[x];
-      }
-    } else {
-      a.vertices.push_back(v);
-    }
-  }
-  CanonicalizeAnswer(a);
-  return a;
-}
-
-std::optional<Answer> CompleteRootedAnswer(
-    const Graph& g, const std::vector<LabelId>& keywords, VertexId root,
-    uint32_t d_max, bool materialize_paths) {
-  QueryContext ctx;
-  return CompleteRootedAnswer(g, keywords, root, d_max, materialize_paths,
-                              ctx);
-}
 
 std::vector<Answer> BackwardKeywordSearch(const Graph& g,
                                           const std::vector<LabelId>& keywords,
                                           const BkwsOptions& options,
                                           QueryContext& ctx) {
-  std::vector<Answer> answers;
-  if (keywords.empty() || g.NumVertices() == 0) return answers;
-  const size_t nq = keywords.size();
-
-  // One backward cone per keyword, each on its own context slot. Expanding
-  // the smallest V_qi first (the classical heuristic) does not change the
-  // result set; we simply expand all — each cone is one bounded BFS.
-  std::vector<ConeScratch*> cones;
-  cones.reserve(nq);
-  for (size_t i = 0; i < nq; ++i) {
-    ConeScratch& s = ctx.Cone(i, g.NumVertices());
-    ExpandBackward(g, keywords[i], options.d_max, s);
-    cones.push_back(&s);
+  KeywordCones cones(g, keywords, options.d_max, ctx);
+  for (size_t i = 0; i < cones.size(); ++i) {
+    while (!cones.Exhausted(i)) cones.ExpandLevel(i);
   }
-
-  // Answer discovery: roots reached by every cone. The first (arbitrary)
-  // cone's touched set is a superset of all roots, so scan it instead of
-  // every vertex of the graph.
-  for (VertexId r : cones[0]->queue) {
-    uint32_t score = 0;
-    bool covered = true;
-    for (const ConeScratch* cone : cones) {
-      if (cone->dist[r] == kInfDistance) {
-        covered = false;
-        break;
-      }
-      score += cone->dist[r];
-    }
-    if (!covered) continue;
-
-    Answer a;
-    a.root = r;
-    a.score = score;
-    a.vertices.push_back(r);
-    for (const ConeScratch* cone : cones) {
-      a.keyword_vertices.push_back(cone->witness[r]);
-      if (options.materialize_paths) {
-        AppendPath(*cone, r, a.vertices);
-      } else {
-        a.vertices.push_back(cone->witness[r]);
-      }
-    }
-    CanonicalizeAnswer(a);
-    answers.push_back(std::move(a));
-  }
-  for (ConeScratch* cone : cones) cone->Release();
-
-  SortAnswers(answers);
-  if (options.top_k != 0 && answers.size() > options.top_k) {
-    answers.resize(options.top_k);
-  }
-  return answers;
+  return cones.Answers(options.top_k);
 }
 
 std::vector<Answer> BackwardKeywordSearch(const Graph& g,

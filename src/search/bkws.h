@@ -6,12 +6,14 @@
 // distinct-root variant (at most one — the best — tree per root), which is
 // the semantics He et al. refine and the one the paper plugs into BiG-index.
 //
-// Evaluation is the classical backward expansion: one bounded multi-source
-// BFS per keyword along *reversed* edges from the keyword's vertex set V_qi,
-// recording for every reached vertex its distance and a witness keyword
-// vertex + next hop (so answer trees can be materialized). Roots are vertices
-// reached by all keywords. All per-vertex working arrays live in the
-// QueryContext, so repeated queries through one context allocate nothing.
+// Evaluation is the classical backward expansion: the simplest scheduler
+// over the keyword-cone kernel (search/keyword_cones.h), which expands every
+// keyword's cone to d_max along reversed edges. Roots are vertices reached
+// by all keywords. Each cone's witness and next hop follow the kernel's one
+// rule: the least (witness, parent) pair, which picks the smallest-id
+// nearest keyword vertex (CompleteRootedAnswer's witness too). All
+// per-vertex working arrays live in the QueryContext, so repeated queries
+// through one context allocate nothing.
 
 #ifndef BIGINDEX_SEARCH_BKWS_H_
 #define BIGINDEX_SEARCH_BKWS_H_
@@ -24,6 +26,7 @@
 #include "engine/query_context.h"
 #include "graph/graph.h"
 #include "search/answer.h"
+#include "search/keyword_cones.h"
 
 namespace bigindex {
 
@@ -35,11 +38,6 @@ struct BkwsOptions {
 
   /// Return only the k best-scoring answers; 0 = return all matches.
   size_t top_k = 0;
-
-  /// If true, answer trees include the intermediate path vertices
-  /// (root -> keyword witnesses); if false, only root + keyword vertices.
-  /// Path vertices are required for BiG-index answer generation.
-  bool materialize_paths = true;
 };
 
 /// Stand-alone entry point; scratch comes from `ctx` (cone slots [0, |Q|)).
@@ -52,20 +50,6 @@ std::vector<Answer> BackwardKeywordSearch(const Graph& g,
 std::vector<Answer> BackwardKeywordSearch(const Graph& g,
                                           const std::vector<LabelId>& keywords,
                                           const BkwsOptions& options = {});
-
-/// Computes the exact best answer tree rooted at `root` (shared by bkws and
-/// Blinks verification): one forward bounded BFS from the root, nearest
-/// keyword vertex per keyword with deterministic tie-breaking (smallest id).
-/// Returns nullopt if some keyword is unreachable within d_max. Uses ctx
-/// BFS slot 0.
-std::optional<Answer> CompleteRootedAnswer(
-    const Graph& g, const std::vector<LabelId>& keywords, VertexId root,
-    uint32_t d_max, bool materialize_paths, QueryContext& ctx);
-
-/// Convenience overload running on a throwaway context.
-std::optional<Answer> CompleteRootedAnswer(
-    const Graph& g, const std::vector<LabelId>& keywords, VertexId root,
-    uint32_t d_max, bool materialize_paths);
 
 /// Adapter implementing the pluggable `f` interface.
 class BkwsAlgorithm final : public KeywordSearchAlgorithm {
@@ -93,7 +77,7 @@ class BkwsAlgorithm final : public KeywordSearchAlgorithm {
                                         const Answer& candidate,
                                         QueryContext& ctx) const override {
     return CompleteRootedAnswer(g, keywords, candidate.root, options_.d_max,
-                                options_.materialize_paths, ctx);
+                                ctx);
   }
 
   const BkwsOptions& options() const { return options_; }

@@ -6,14 +6,19 @@
 // better); at most one answer (the best) per root; the k best roots win.
 //
 // Search: per-keyword backward expansion ("expanding backward" of Sec. 5.3)
-// in round-robin increasing-frontier order. The keyword cones alone supply
-// every distance, answer and lower bound; the search keeps no per-graph state,
-// so it needs nothing built ahead of a query and one BlinksAlgorithm serves
-// any number of graphs and threads. Early termination is sound: the search
-// stops once the k best complete roots provably beat every incomplete or
-// undiscovered root, so results equal exhaustive enumeration (tests verify
-// this). Search scratch (cone arrays, masks, root lists) lives in the
-// QueryContext.
+// in round-robin increasing-frontier order — a scheduler over the
+// keyword-cone kernel (search/keyword_cones.h) that always advances the
+// least-advanced cone by one level. The cones alone supply every distance,
+// answer and lower bound; the search keeps no per-graph state, so it needs
+// nothing built ahead of a query and one BlinksAlgorithm serves any number
+// of graphs and threads. Early termination is sound: the search stops once
+// the k best complete roots provably beat every incomplete or undiscovered
+// root, so results equal exhaustive enumeration (tests verify this). With
+// top_k = 0 it keeps no bookkeeping and expands every cone to d_max.
+// Witnesses and paths follow the kernel's one rule: the least (witness,
+// parent) pair, which picks the smallest-id nearest keyword vertex
+// (CompleteRootedAnswer's witness too), so Blinks, bkws and bidirectional
+// return identical answers.
 //
 // The search does not use He et al.'s bi-level index (per-block node-keyword
 // maps over a METIS partition); pruning with it would change the algorithm.
@@ -39,10 +44,6 @@ struct BlinksOptions {
   /// Number of answers to return; 0 = all answer roots (used by the
   /// equivalence tests; benchmarks use the paper's top-k setting).
   size_t top_k = 0;
-
-  /// Include root-to-keyword path vertices in answers (needed by BiG-index
-  /// answer generation).
-  bool materialize_paths = true;
 };
 
 /// Search diagnostics (exposed for the paper's breakdown figures).

@@ -5,6 +5,8 @@
 #include <cassert>
 #include <queue>
 
+#include "search/keyword_cones.h"
+
 namespace bigindex {
 namespace {
 
@@ -291,7 +293,7 @@ std::vector<Answer> RCliqueSearch(const Graph& g, const NeighborIndex& index,
                                   QueryContext& ctx, RCliqueStats* stats) {
   std::vector<Answer> answers;
   const size_t nq = keywords.size();
-  if (nq == 0 || nq > 32 || g.NumVertices() == 0) return answers;
+  if (nq == 0 || nq > kMaxKeywords || g.NumVertices() == 0) return answers;
 
   SearchSpace root_space;
   root_space.sets.reserve(nq);

@@ -195,15 +195,12 @@ StatusOr<QueryResult> ShardedSearchService::Query(EngineQuery query) {
   if (!attached()) {
     return Status::FailedPrecondition("coordinator is not attached");
   }
-  if (query.keywords.empty()) {
+  if (Status valid = ValidateEngineQuery(
+          query, std::find(algorithms_.begin(), algorithms_.end(),
+                           query.algorithm) != algorithms_.end());
+      !valid.ok()) {
     counters_.rejected_invalid.Inc();
-    return Status::InvalidArgument("query has no keywords");
-  }
-  if (std::find(algorithms_.begin(), algorithms_.end(), query.algorithm) ==
-      algorithms_.end()) {
-    counters_.rejected_invalid.Inc();
-    return Status::NotFound("no algorithm registered as '" + query.algorithm +
-                            "'");
+    return valid;
   }
   query.NormalizeKeywords();
   if (options_.default_deadline_ms > 0 && query.eval.deadline.IsNever()) {

@@ -1,18 +1,21 @@
-// Tests for the bidirectional-expansion semantics ([14], the future-work
-// plug-in): answer-set equality with backward search, strategy statistics,
-// BiG-index integration (Thm 4.2 holds for it too), and a differential
-// suite against a reference implementation.
+// Tests for the rooted semantics' shared keyword-cone kernel, through the
+// bidirectional-expansion plug-in ([14], the future-work plug-in) and its
+// siblings bkws and Blinks: answer equality among the three, strategy
+// statistics, BiG-index integration (Thm 4.2 holds for it too), and a
+// differential suite against a reference implementation.
 //
 // The reference (BidirectionalReference* below) is the per-vertex
 // priority-queue expansion: every (vertex, cone) activation entry is pushed
 // onto one max-heap, popped best-first with a forward boost for vertices
 // other cones already reached, and relaxed Dijkstra-style, re-pushing every
 // vertex whose distance or (witness, parent) pair improves. The library
-// expands each cone a whole BFS level at a time and must agree with it
-// answer for answer: root, score, vertices and keyword_vertices.
+// expands each cone a whole BFS level at a time, in three different cone
+// orders (bidirectional: highest activation; Blinks: smallest frontier;
+// bkws: one cone after another), and each must agree with it answer for
+// answer: root, score, vertices and keyword_vertices.
 //
 // tools/ci.sh runs this suite under ASan+UBSan: it covers the index
-// arithmetic of the level cursors.
+// arithmetic of the kernel's level cursors.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +27,7 @@
 #include "core/evaluator.h"
 #include "search/bidirectional.h"
 #include "search/bkws.h"
+#include "search/blinks.h"
 #include "testing/random_graph.h"
 #include "util/random.h"
 #include "workload/datasets.h"
@@ -43,6 +47,179 @@ Graph RandomGraph(uint64_t seed, size_t n, size_t m, size_t num_labels) {
               static_cast<VertexId>(rng.Uniform(n)));
   }
   return std::move(b.Build()).value();
+}
+
+// ---------- reference: per-vertex priority-queue expansion ----------
+
+struct Frontier {
+  double activation;
+  uint32_t dist;
+  VertexId vertex;
+  uint32_t cone;  // keyword index
+
+  bool operator<(const Frontier& other) const {
+    // max-heap on activation; deterministic tie-breaks.
+    if (activation != other.activation) return activation < other.activation;
+    if (dist != other.dist) return dist > other.dist;
+    if (vertex != other.vertex) return vertex > other.vertex;
+    return cone > other.cone;
+  }
+};
+
+std::vector<Answer> ReferenceBidirectionalSearch(
+    const Graph& g, const std::vector<LabelId>& keywords,
+    const BidirectionalOptions& options, QueryContext& ctx,
+    double decay = kActivationDecay) {
+  std::vector<Answer> answers;
+  const size_t nq = keywords.size();
+  if (nq == 0 || nq > 32 || g.NumVertices() == 0) return answers;
+
+  std::vector<ConeScratch*> cones(nq);
+  for (size_t i = 0; i < nq; ++i) cones[i] = &ctx.Cone(i, g.NumVertices());
+  struct ConeLease {
+    std::vector<ConeScratch*>& cones;
+    ~ConeLease() {
+      for (ConeScratch* s : cones) s->Release();
+    }
+  } lease{cones};
+
+  std::priority_queue<Frontier> backward;
+  for (size_t i = 0; i < nq; ++i) {
+    auto origins = g.VerticesWithLabel(keywords[i]);
+    if (origins.empty()) return answers;
+    double base = 1.0 / static_cast<double>(origins.size());
+    ConeScratch& s = *cones[i];
+    for (VertexId v : origins) {
+      s.queue.push_back(v);
+      s.dist[v] = 0;
+      s.witness[v] = v;
+      s.parent[v] = v;
+      backward.push({base, 0, v, static_cast<uint32_t>(i)});
+    }
+  }
+
+  std::vector<uint32_t>& covered = ctx.ZeroedVertexArray(0, g.NumVertices());
+  const uint32_t full_mask = nq == 32 ? 0xFFFFFFFFu : ((1u << nq) - 1);
+  const CsrView in = g.In();
+  while (!backward.empty()) {
+    Frontier f = backward.top();
+    backward.pop();
+    ConeScratch& s = *cones[f.cone];
+    if (s.dist[f.vertex] != f.dist) continue;  // stale entry
+    covered[f.vertex] |= (1u << f.cone);
+    if (f.dist >= options.d_max) continue;
+    double boost = covered[f.vertex] == (1u << f.cone) ? 1.0 : 2.0;
+    const auto [begin, end] = in[f.vertex];
+    for (uint64_t idx = begin; idx < end; ++idx) {
+      VertexId u = in.Slot(idx);
+      if (f.dist + 1 > s.dist[u]) continue;
+      if (f.dist + 1 == s.dist[u]) {
+        // Least (witness, parent) over the shortest-path DAG; improvements
+        // re-enter the queue to propagate downstream.
+        if (std::pair(s.witness[f.vertex], f.vertex) <
+            std::pair(s.witness[u], s.parent[u])) {
+          s.witness[u] = s.witness[f.vertex];
+          s.parent[u] = f.vertex;
+          backward.push({f.activation * decay * boost, f.dist + 1, u,
+                         f.cone});
+        }
+        continue;
+      }
+      if (s.dist[u] == kInfDistance) s.queue.push_back(u);  // first touch
+      s.dist[u] = f.dist + 1;
+      s.witness[u] = s.witness[f.vertex];
+      s.parent[u] = f.vertex;
+      backward.push({f.activation * decay * boost, f.dist + 1, u,
+                     f.cone});
+    }
+  }
+
+  for (VertexId r : cones[0]->queue) {
+    if (covered[r] != full_mask) continue;
+    Answer a;
+    a.root = r;
+    a.vertices.push_back(r);
+    for (size_t i = 0; i < nq; ++i) {
+      const ConeScratch& s = *cones[i];
+      a.score += s.dist[r];
+      a.keyword_vertices.push_back(s.witness[r]);
+      for (VertexId v = r; v != s.witness[v];) {
+        v = s.parent[v];
+        a.vertices.push_back(v);
+      }
+    }
+    CanonicalizeAnswer(a);
+    answers.push_back(std::move(a));
+  }
+
+  SortAnswers(answers);
+  if (options.top_k != 0 && answers.size() > options.top_k) {
+    answers.resize(options.top_k);
+  }
+  return answers;
+}
+
+/// The reference as a plug-in `f`, for runs through EvaluateWithIndex.
+class ReferenceBidirectionalAlgorithm final : public KeywordSearchAlgorithm {
+ public:
+  explicit ReferenceBidirectionalAlgorithm(BidirectionalOptions options)
+      : options_(options) {}
+
+  using KeywordSearchAlgorithm::Evaluate;
+  using KeywordSearchAlgorithm::VerifyCandidate;
+
+  std::string_view Name() const override { return "bidirectional"; }
+
+  std::vector<Answer> Evaluate(const Graph& g,
+                               const std::vector<LabelId>& keywords,
+                               QueryContext& ctx) const override {
+    return ReferenceBidirectionalSearch(g, keywords, options_, ctx);
+  }
+
+  bool IsRooted() const override { return true; }
+
+  uint32_t LocalityRadius() const override { return options_.d_max; }
+
+  std::optional<Answer> VerifyCandidate(const Graph& g,
+                                        const std::vector<LabelId>& keywords,
+                                        const Answer& candidate,
+                                        QueryContext& ctx) const override {
+    return CompleteRootedAnswer(g, keywords, candidate.root, options_.d_max,
+                                ctx);
+  }
+
+ private:
+  BidirectionalOptions options_;
+};
+
+/// Answer-for-answer equality on everything an answer carries.
+void ExpectSameAnswers(const std::vector<Answer>& got,
+                       const std::vector<Answer>& want,
+                       const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].root, want[i].root) << where << " answer " << i;
+    EXPECT_EQ(got[i].score, want[i].score) << where << " answer " << i;
+    EXPECT_EQ(got[i].vertices, want[i].vertices) << where << " answer " << i;
+    EXPECT_EQ(got[i].keyword_vertices, want[i].keyword_vertices)
+        << where << " answer " << i;
+  }
+}
+
+/// Runs bidirectional, bkws and Blinks with the same bounds and expects
+/// each to return exactly `want`.
+void ExpectRootedSearchesMatch(const Graph& g, const std::vector<LabelId>& q,
+                               uint32_t d_max, size_t top_k, QueryContext& ctx,
+                               const std::vector<Answer>& want,
+                               const std::string& where) {
+  ExpectSameAnswers(
+      BidirectionalSearch(g, q, {.d_max = d_max, .top_k = top_k}, ctx), want,
+      where + " bidirectional");
+  ExpectSameAnswers(
+      BackwardKeywordSearch(g, q, {.d_max = d_max, .top_k = top_k}, ctx),
+      want, where + " bkws");
+  ExpectSameAnswers(BlinksSearch(g, q, {.d_max = d_max, .top_k = top_k}, ctx),
+                    want, where + " blinks");
 }
 
 using RootScore = std::pair<VertexId, uint32_t>;
@@ -66,23 +243,21 @@ TEST_P(BidirectionalEquivalence, MatchesBackwardSearch) {
   Graph g = RandomGraph(c.seed, c.n, c.m, c.labels);
   auto bidi = BidirectionalSearch(g, c.query, {.d_max = 4, .top_k = 0});
   auto bkws = BackwardKeywordSearch(g, c.query, {.d_max = 4});
-  EXPECT_EQ(RootScores(bidi), RootScores(bkws)) << "seed " << c.seed;
+  EXPECT_FALSE(bkws.empty()) << "seed " << c.seed;
+  ExpectSameAnswers(bidi, bkws, "seed " + std::to_string(c.seed));
 }
 
+// The reference's priority-queue order depends on the activation decay;
+// whatever the decay, it reaches the library's answers.
 TEST_P(BidirectionalEquivalence, DecayDoesNotChangeResults) {
   const Case& c = GetParam();
   Graph g = RandomGraph(c.seed ^ 0x5555, c.n, c.m, c.labels);
-  std::set<RootScore> reference;
-  bool first = true;
+  QueryContext ctx;
+  auto want = BidirectionalSearch(g, c.query, {.d_max = 4, .top_k = 0}, ctx);
   for (double decay : {0.2, 0.5, 0.9}) {
-    auto r = BidirectionalSearch(g, c.query,
-                                 {.d_max = 4, .top_k = 0, .decay = decay});
-    if (first) {
-      reference = RootScores(r);
-      first = false;
-    } else {
-      EXPECT_EQ(RootScores(r), reference) << "decay " << decay;
-    }
+    ExpectSameAnswers(ReferenceBidirectionalSearch(
+                          g, c.query, {.d_max = 4, .top_k = 0}, ctx, decay),
+                      want, "decay " + std::to_string(decay));
   }
 }
 
@@ -141,167 +316,6 @@ TEST(BidirectionalTest, WorksThroughBigIndex) {
   }
 }
 
-// ---------- reference: per-vertex priority-queue expansion ----------
-
-struct Frontier {
-  double activation;
-  uint32_t dist;
-  VertexId vertex;
-  uint32_t cone;  // keyword index
-
-  bool operator<(const Frontier& other) const {
-    // max-heap on activation; deterministic tie-breaks.
-    if (activation != other.activation) return activation < other.activation;
-    if (dist != other.dist) return dist > other.dist;
-    if (vertex != other.vertex) return vertex > other.vertex;
-    return cone > other.cone;
-  }
-};
-
-std::vector<Answer> ReferenceBidirectionalSearch(
-    const Graph& g, const std::vector<LabelId>& keywords,
-    const BidirectionalOptions& options, QueryContext& ctx) {
-  std::vector<Answer> answers;
-  const size_t nq = keywords.size();
-  if (nq == 0 || nq > 32 || g.NumVertices() == 0) return answers;
-
-  std::vector<ConeScratch*> cones(nq);
-  for (size_t i = 0; i < nq; ++i) cones[i] = &ctx.Cone(i, g.NumVertices());
-  struct ConeLease {
-    std::vector<ConeScratch*>& cones;
-    ~ConeLease() {
-      for (ConeScratch* s : cones) s->Release();
-    }
-  } lease{cones};
-
-  std::priority_queue<Frontier> backward;
-  for (size_t i = 0; i < nq; ++i) {
-    auto origins = g.VerticesWithLabel(keywords[i]);
-    if (origins.empty()) return answers;
-    double base = 1.0 / static_cast<double>(origins.size());
-    ConeScratch& s = *cones[i];
-    for (VertexId v : origins) {
-      s.queue.push_back(v);
-      s.dist[v] = 0;
-      s.witness[v] = v;
-      s.parent[v] = v;
-      backward.push({base, 0, v, static_cast<uint32_t>(i)});
-    }
-  }
-
-  std::vector<uint32_t>& covered = ctx.ZeroedVertexArray(0, g.NumVertices());
-  const uint32_t full_mask = nq == 32 ? 0xFFFFFFFFu : ((1u << nq) - 1);
-  const CsrView in = g.In();
-  while (!backward.empty()) {
-    Frontier f = backward.top();
-    backward.pop();
-    ConeScratch& s = *cones[f.cone];
-    if (s.dist[f.vertex] != f.dist) continue;  // stale entry
-    covered[f.vertex] |= (1u << f.cone);
-    if (f.dist >= options.d_max) continue;
-    double boost = covered[f.vertex] == (1u << f.cone) ? 1.0 : 2.0;
-    const auto [begin, end] = in[f.vertex];
-    for (uint64_t idx = begin; idx < end; ++idx) {
-      VertexId u = in.Slot(idx);
-      if (f.dist + 1 > s.dist[u]) continue;
-      if (f.dist + 1 == s.dist[u]) {
-        // Least (witness, parent) over the shortest-path DAG; improvements
-        // re-enter the queue to propagate downstream.
-        if (std::pair(s.witness[f.vertex], f.vertex) <
-            std::pair(s.witness[u], s.parent[u])) {
-          s.witness[u] = s.witness[f.vertex];
-          s.parent[u] = f.vertex;
-          backward.push({f.activation * options.decay * boost, f.dist + 1, u,
-                         f.cone});
-        }
-        continue;
-      }
-      if (s.dist[u] == kInfDistance) s.queue.push_back(u);  // first touch
-      s.dist[u] = f.dist + 1;
-      s.witness[u] = s.witness[f.vertex];
-      s.parent[u] = f.vertex;
-      backward.push({f.activation * options.decay * boost, f.dist + 1, u,
-                     f.cone});
-    }
-  }
-
-  for (VertexId r : cones[0]->queue) {
-    if (covered[r] != full_mask) continue;
-    Answer a;
-    a.root = r;
-    a.vertices.push_back(r);
-    for (size_t i = 0; i < nq; ++i) {
-      const ConeScratch& s = *cones[i];
-      a.score += s.dist[r];
-      a.keyword_vertices.push_back(s.witness[r]);
-      if (options.materialize_paths) {
-        VertexId v = r;
-        while (v != s.witness[v]) {
-          v = s.parent[v];
-          a.vertices.push_back(v);
-        }
-      } else {
-        a.vertices.push_back(s.witness[r]);
-      }
-    }
-    CanonicalizeAnswer(a);
-    answers.push_back(std::move(a));
-  }
-
-  SortAnswers(answers);
-  if (options.top_k != 0 && answers.size() > options.top_k) {
-    answers.resize(options.top_k);
-  }
-  return answers;
-}
-
-/// The reference as a plug-in `f`, for runs through EvaluateWithIndex.
-class ReferenceBidirectionalAlgorithm final : public KeywordSearchAlgorithm {
- public:
-  explicit ReferenceBidirectionalAlgorithm(BidirectionalOptions options)
-      : options_(options) {}
-
-  using KeywordSearchAlgorithm::Evaluate;
-  using KeywordSearchAlgorithm::VerifyCandidate;
-
-  std::string_view Name() const override { return "bidirectional"; }
-
-  std::vector<Answer> Evaluate(const Graph& g,
-                               const std::vector<LabelId>& keywords,
-                               QueryContext& ctx) const override {
-    return ReferenceBidirectionalSearch(g, keywords, options_, ctx);
-  }
-
-  bool IsRooted() const override { return true; }
-
-  uint32_t LocalityRadius() const override { return options_.d_max; }
-
-  std::optional<Answer> VerifyCandidate(const Graph& g,
-                                        const std::vector<LabelId>& keywords,
-                                        const Answer& candidate,
-                                        QueryContext& ctx) const override {
-    return CompleteRootedAnswer(g, keywords, candidate.root, options_.d_max,
-                                options_.materialize_paths, ctx);
-  }
-
- private:
-  BidirectionalOptions options_;
-};
-
-/// Answer-for-answer equality on everything an answer carries.
-void ExpectSameAnswers(const std::vector<Answer>& got,
-                       const std::vector<Answer>& want,
-                       const std::string& where) {
-  ASSERT_EQ(got.size(), want.size()) << where;
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].root, want[i].root) << where << " answer " << i;
-    EXPECT_EQ(got[i].score, want[i].score) << where << " answer " << i;
-    EXPECT_EQ(got[i].vertices, want[i].vertices) << where << " answer " << i;
-    EXPECT_EQ(got[i].keyword_vertices, want[i].keyword_vertices)
-        << where << " answer " << i;
-  }
-}
-
 struct ReferenceCase {
   const char* name;
   testing::RandomGraphOptions graph;
@@ -322,26 +336,16 @@ TEST_P(BidirectionalReference, MatchesPriorityQueueExpansion) {
     go.seed = seed * 7919 + go.seed;
     Graph g = c.dag ? testing::MakeRandomDag(go) : testing::MakeRandomGraph(go);
     QueryContext ctx;
-    for (double decay : {0.2, 0.5, 0.9}) {
-      for (size_t top_k : {size_t{0}, size_t{3}}) {
-        for (bool paths : {true, false}) {
-          for (uint32_t d_max : {2u, 4u}) {
-            BidirectionalOptions o{.d_max = d_max,
-                                   .top_k = top_k,
-                                   .decay = decay,
-                                   .materialize_paths = paths};
-            auto got = BidirectionalSearch(g, c.query, o, ctx);
-            auto want = ReferenceBidirectionalSearch(g, c.query, o, ctx);
-            if (!want.empty()) ++nonempty;
-            ExpectSameAnswers(got, want,
-                              std::string(c.name) + " seed " +
-                                  std::to_string(seed) + " decay " +
-                                  std::to_string(decay) + " top_k " +
-                                  std::to_string(top_k) + " d_max " +
-                                  std::to_string(d_max) +
-                                  (paths ? " paths" : " witnesses"));
-          }
-        }
+    for (size_t top_k : {size_t{0}, size_t{3}}) {
+      for (uint32_t d_max : {2u, 4u}) {
+        auto want = ReferenceBidirectionalSearch(
+            g, c.query, {.d_max = d_max, .top_k = top_k}, ctx);
+        if (!want.empty()) ++nonempty;
+        ExpectRootedSearchesMatch(g, c.query, d_max, top_k, ctx, want,
+                                  std::string(c.name) + " seed " +
+                                      std::to_string(seed) + " top_k " +
+                                      std::to_string(top_k) + " d_max " +
+                                      std::to_string(d_max));
       }
     }
   }
@@ -450,21 +454,20 @@ TEST(BidirectionalReferenceTest, EvaluateWithIndexOnDataset) {
 TEST(BidirectionalReferenceTest, GuardsMatchReference) {
   Graph g = RandomGraph(11, 30, 60, 2);
   QueryContext ctx;
-  // A keyword no vertex carries: no answers from either.
-  EXPECT_TRUE(BidirectionalSearch(g, {0, 9}, {}, ctx).empty());
+  // A keyword no vertex carries: no answers from any.
   EXPECT_TRUE(ReferenceBidirectionalSearch(g, {0, 9}, {}, ctx).empty());
+  ExpectRootedSearchesMatch(g, {0, 9}, 5, 0, ctx, {}, "missing keyword");
   // More than 32 keywords is refused, not evaluated; 32 is still served.
   std::vector<LabelId> many(33, 0);
-  EXPECT_TRUE(BidirectionalSearch(g, many, {}, ctx).empty());
   EXPECT_TRUE(ReferenceBidirectionalSearch(g, many, {}, ctx).empty());
+  ExpectRootedSearchesMatch(g, many, 5, 0, ctx, {}, "33 keywords");
   many.resize(32);
-  auto got = BidirectionalSearch(g, many, {}, ctx);
-  EXPECT_FALSE(got.empty());
-  ExpectSameAnswers(got, ReferenceBidirectionalSearch(g, many, {}, ctx),
-                    "32 keywords");
+  auto want = ReferenceBidirectionalSearch(g, many, {}, ctx);
+  EXPECT_FALSE(want.empty());
+  ExpectRootedSearchesMatch(g, many, 5, 0, ctx, want, "32 keywords");
   // No keywords, or an empty graph: no answers.
-  EXPECT_TRUE(BidirectionalSearch(g, {}, {}, ctx).empty());
-  EXPECT_TRUE(BidirectionalSearch(Graph(), {0}, {}, ctx).empty());
+  ExpectRootedSearchesMatch(g, {}, 5, 0, ctx, {}, "no keywords");
+  ExpectRootedSearchesMatch(Graph(), {0}, 5, 0, ctx, {}, "empty graph");
 }
 
 }  // namespace

@@ -73,11 +73,15 @@ TEST_P(DatasetEquivalenceTest, BkwsThm42) {
   }
 }
 
+// The three rooted semantics share one keyword-cone kernel and one witness
+// rule: full answers (root, score, vertices, keyword vertices) are equal.
 TEST_P(DatasetEquivalenceTest, BidirectionalAgreesWithBkws) {
   BkwsAlgorithm bkws({.d_max = 4, .top_k = 0});
+  BlinksAlgorithm blinks({.d_max = 4, .top_k = 0});
   BidirectionalAlgorithm bidi({.d_max = 4, .top_k = 0});
-  EXPECT_EQ(RootScores(bidi.Evaluate(index_->base(), query_)),
-            RootScores(bkws.Evaluate(index_->base(), query_)));
+  auto want = bkws.Evaluate(index_->base(), query_);
+  EXPECT_EQ(bidi.Evaluate(index_->base(), query_), want);
+  EXPECT_EQ(blinks.Evaluate(index_->base(), query_), want);
 }
 
 TEST_P(DatasetEquivalenceTest, GeneralizedAnswersCoverDirectRoots) {

@@ -5,7 +5,9 @@
 // include 0 and each field type's max. Every well-formed line, truncated
 // at every byte and with each number replaced by a hostile token ("", -1,
 // 1x, 99999999999999999999, nan), parses to a Status and never crashes;
-// hostile query requests also go through a LineHandler over a real engine.
+// hostile query requests also go through a LineHandler over a real engine,
+// and a query over kMaxKeywords distinct keywords answers ERR for every
+// algorithm.
 // Fake servers that answer with one endless line, or with endless short
 // lines, show ProtocolClient stops reading at kMaxRequestLineBytes and at
 // kMaxReplyBlockBytes, and one that splits a ~40k-line reply across odd-sized
@@ -31,6 +33,7 @@
 
 #include "core/big_index.h"
 #include "engine/query_engine.h"
+#include "search/keyword_cones.h"
 #include "server/line_protocol.h"
 #include "server/protocol_client.h"
 #include "server/search_service.h"
@@ -422,6 +425,41 @@ TEST(LineProtocolFuzz, HostileQueryRequestsAnswerErrAndTheServerServesOn) {
     }
   }
   EXPECT_TRUE(handler.Handle(line).response.starts_with("OK n="));
+}
+
+// More distinct keywords than kMaxKeywords are refused at the door for every
+// algorithm (Blinks once crashed on 33), and the session serves on.
+TEST(LineProtocolFuzz, TooManyKeywordsAnswerErrForEveryAlgorithm) {
+  testing::RandomInstance inst = testing::MakeRandomInstance(
+      {.num_vertices = 400, .num_labels = 40, .seed = 5},
+      {.num_leaves = 40, .height = 2, .seed = 5});
+  const auto labels = inst.graph.DistinctLabels();
+  ASSERT_GT(labels.size(), kMaxKeywords);
+  auto index = BigIndex::Build(inst.graph, &inst.ontology, {.max_layers = 2});
+  ASSERT_TRUE(index.ok());
+  SearchService service(std::make_shared<QueryEngine>(
+      std::make_shared<const BigIndex>(std::move(index).value())));
+  LineHandler handler(&service);
+
+  EngineQuery ok;
+  ok.keywords = {labels[0], labels[1]};
+  ok.eval.deadline = Deadline::After(60000);
+  EngineQuery many = ok;
+  many.keywords.assign(labels.begin(), labels.begin() + kMaxKeywords + 1);
+  for (std::string_view algo : kDefaultAlgorithms) {
+    many.algorithm = ok.algorithm = std::string(algo);
+    EXPECT_TRUE(handler.Handle(FormatQueryLine(many))
+                    .response.starts_with("ERR InvalidArgument:"))
+        << algo;
+    EXPECT_TRUE(handler.Handle(FormatQueryLine(ok))
+                    .response.starts_with("OK n="))
+        << algo;
+  }
+  // Repeats count once: 33 keywords naming 32 labels are served.
+  many.algorithm = "bkws";
+  many.keywords.back() = many.keywords.front();
+  EXPECT_TRUE(
+      handler.Handle(FormatQueryLine(many)).response.starts_with("OK n="));
 }
 
 // A fake peer: accepts one connection on a loopback port, reads the first

@@ -27,6 +27,7 @@
 #include "engine/query_engine.h"
 #include "obs/metrics.h"
 #include "search/answer.h"
+#include "search/keyword_cones.h"
 #include "search/partitioner.h"
 #include "search/rclique.h"
 #include "server/line_protocol.h"
@@ -318,6 +319,27 @@ TEST(ShardCoordinator, RejectsInvalidQueries) {
             StatusCode::kInvalidArgument);
   EngineQuery unknown = fx.Query("no-such-algo");
   EXPECT_EQ(service.Query(unknown).status().code(), StatusCode::kNotFound);
+}
+
+// The coordinator admits exactly what a monolithic engine admits: more
+// than kMaxKeywords distinct keywords is InvalidArgument for every
+// algorithm, before any fan-out.
+TEST(ShardCoordinator, RejectsMoreDistinctKeywordsThanTheEngine) {
+  CoordinatorFixture fx;
+  ShardedSearchService service(fx.substrate.get());
+  ASSERT_TRUE(service.Attach().ok());
+  for (std::string_view algo : kDefaultAlgorithms) {
+    EngineQuery q = fx.Query(std::string(algo).c_str());
+    q.keywords.clear();
+    for (LabelId l = 0; l <= kMaxKeywords; ++l) q.keywords.push_back(l);
+    auto result = service.Query(q);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << algo;
+    EXPECT_EQ(result.status().ToString(),
+              ValidateEngineQuery(q, true).ToString())
+        << algo;
+  }
+  EXPECT_EQ(service.Snapshot().rejected_invalid, std::size(kDefaultAlgorithms));
+  EXPECT_TRUE(service.Query(fx.Query()).ok());
 }
 
 TEST(ShardCoordinator, ExpiredDeadlineRejectedBeforeFanOut) {

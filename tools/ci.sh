@@ -7,7 +7,7 @@
 # integration test (which now drives the UPDATE verb end to end), then an
 # ASan+UBSan pass over the index-image and line-protocol fuzz suites
 # (hostile-bytes paths), the summarization kernel's reference suite and the
-# bidirectional search suites (level-cursor arithmetic),
+# rooted search suites (keyword-cone level-cursor arithmetic),
 # then the docs checks (dead links, protocol verbs,
 # metric catalog, span taxonomy), a metrics-overhead smoke, a
 # construction smoke, an index-image cold-start smoke, the shard
@@ -57,21 +57,24 @@ echo "=== tsan: multi-process coordinator/shard integration ==="
 tools/shard_integration.sh build-tsan
 
 echo
-echo "=== asan+ubsan: fuzz suites + kernel reference suite (build-asan/) ==="
+echo "=== asan+ubsan: fuzz suites + kernel reference suites (build-asan/) ==="
 cmake -B build-asan -S . -DBIGINDEX_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$JOBS" --target bigindex_tests
 # The fuzz suites feed truncated/corrupted images through the mmap loader
-# and truncated/hostile lines through the wire codec, a LineHandler and a
-# ProtocolClient facing an endless reply line or an endless reply block;
-# the kernel's reference suite covers the index arithmetic of the
-# successors-first order and the cyclic remainder's rounds; the
+# and truncated/hostile lines (33-keyword queries to every algorithm
+# included) through the wire codec, a LineHandler and a ProtocolClient
+# facing an endless reply line or an endless reply block; the
+# summarization kernel's reference suite covers the index arithmetic of the
+# successors-first order and the cyclic remainder's rounds. The keyword-cone
+# kernel's level cursors serve bkws, Blinks and bidirectional alike: the
 # bidirectional suites (the parameterized ones carry an instantiation
-# prefix, hence the leading `*`) cover the level cursors over each cone's
-# queue against the priority-queue reference. Any out-of-bounds read or UB
-# is a hard failure.
+# prefix, hence the leading `*`) run all three against the priority-queue
+# reference, the Bkws and Blinks suites cover each scheduler's edge cases,
+# and the dataset sweep compares the three on generated knowledge graphs.
+# Any out-of-bounds read or UB is a hard failure.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   ./build-asan/tests/bigindex_tests \
-  --gtest_filter='IndexImageFuzz*:LineProtocolFuzz*:BisimKernelReference*:*Bidirectional*'
+  --gtest_filter='IndexImageFuzz*:LineProtocolFuzz*:BisimKernelReference*:*Bidirectional*:Bkws*:Blinks*:*DatasetEquivalence*'
 
 echo
 echo "=== docs: no dead relative links in *.md ==="
