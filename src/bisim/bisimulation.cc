@@ -364,27 +364,35 @@ StatusOr<ConeResult> ResignCone(const Graph& g,
     return result;
   }
 
-  // Renumber in first-occurrence order over g's vertices, the numbering
-  // every summary carries; `names` becomes vertex -> supernode. Outside the
-  // identity, a vertex without a counterpart must be in the cone.
-  std::vector<uint32_t> canon(old_blocks + fresh.size(), kUnset);
-  std::vector<uint32_t> name_at;  // new supernode -> block name
-  for (VertexId x = 0; x < n; ++x) {
-    if (names[x] == kInvalidVertex) {
-      return Status::InvalidArgument(
-          "a vertex without a counterpart is missing from changed");
-    }
-    uint32_t& c = canon[names[x]];
-    if (c == kUnset) {
-      c = static_cast<uint32_t>(name_at.size());
-      name_at.push_back(names[x]);
-    }
-    names[x] = c;
+  // Outside the identity, a vertex without a counterpart must be in the cone.
+  if (std::ranges::find(names, kInvalidVertex) != names.end()) {
+    return Status::InvalidArgument(
+        "a vertex without a counterpart is missing from changed");
   }
-  const size_t num_blocks = name_at.size();
+  const size_t id_bound = old_blocks + fresh.size();
+  std::vector<uint32_t> block_of_name;
+  result.bisim = MaterializeQuotient(g, labels, std::move(names), id_bound,
+                                     &block_of_name);
+  const size_t num_blocks = result.bisim.summary.NumVertices();
 
-  // Next layer's inputs. A previous block keeps its row; a new one stands
-  // in for the previous supernode of its own number if that one emptied.
+  // A previous block keeps its row, so no surviving previous row may name a
+  // previous block that emptied.
+  std::vector<uint32_t> name_at(num_blocks);  // supernode -> block name
+  for (uint32_t name = 0; name < id_bound; ++name) {
+    if (block_of_name[name] != kUnset) {
+      name_at[block_of_name[name]] = name;
+      continue;
+    }
+    for (VertexId s : table.InNeighbors(name)) {
+      if (block_of_name[s] != kUnset) {
+        return Status::InvalidArgument(
+            "changed misses a vertex whose out-edges changed");
+      }
+    }
+  }
+
+  // Next layer's inputs. A new block stands in for the previous supernode
+  // of its own number if that one emptied.
   bool same_numbering = num_blocks == old_blocks;
   result.next_to_prior.assign(num_blocks, kInvalidVertex);
   for (uint32_t j = 0; j < num_blocks; ++j) {
@@ -393,52 +401,13 @@ StatusOr<ConeResult> ResignCone(const Graph& g,
       result.next_to_prior[j] = name;
     } else {
       result.next_changed.push_back(j);
-      if (j < old_blocks && canon[j] == kUnset) result.next_to_prior[j] = j;
+      if (j < old_blocks && block_of_name[j] == kUnset) {
+        result.next_to_prior[j] = j;
+      }
     }
     same_numbering &= result.next_to_prior[j] == j;
   }
   if (same_numbering) result.next_to_prior.clear();
-
-  result.bisim.mapping = BisimMapping(names, num_blocks);
-  if (same_numbering && result.next_changed.empty()) {
-    // Every previous block survives under its own number with its row.
-    result.bisim.summary = table;
-    return result;
-  }
-
-  // Splice: previous rows for previous blocks, signatures for new ones.
-  // Renumbering mostly keeps the order, so a row is sorted only when it
-  // came out unsorted.
-  std::vector<LabelId> summary_labels(num_blocks);
-  std::vector<uint64_t> offsets(num_blocks + 1, 0);
-  std::vector<VertexId> targets;
-  targets.reserve(table.NumEdges() + fresh.size());
-  for (uint32_t j = 0; j < num_blocks; ++j) {
-    const uint32_t name = name_at[j];
-    std::span<const uint32_t> row;
-    if (name < old_blocks) {
-      summary_labels[j] = table.label(name);
-      row = table.OutNeighbors(name);
-    } else {
-      const std::span<const uint32_t> s = fresh.Sig(name - old_blocks);
-      summary_labels[j] = s[0];
-      row = s.subspan(1);
-    }
-    const auto first = static_cast<ptrdiff_t>(targets.size());
-    for (uint32_t t : row) {
-      if (canon[t] == kUnset) {
-        return Status::InvalidArgument(
-            "changed misses a vertex whose out-edges changed");
-      }
-      targets.push_back(canon[t]);
-    }
-    if (!std::is_sorted(targets.begin() + first, targets.end())) {
-      std::sort(targets.begin() + first, targets.end());
-    }
-    offsets[j + 1] = targets.size();
-  }
-  result.bisim.summary =
-      Graph::FromAdjacency(summary_labels, offsets, targets);
   return result;
 }
 
@@ -461,30 +430,20 @@ BisimResult MaterializeQuotient(const Graph& g,
   result.mapping = BisimMapping(partition, num_blocks);
   const BisimMapping& mapping = result.mapping;
 
-  // Each block's out-edges once: the stamp marks the target blocks already
-  // seen for the current block, and each block's targets are sorted in
-  // place, so the quotient's CSR is written directly — ~|E_q| entries, no
-  // sort over |E|. The graph is the one every vertex-level edge would give.
+  // In a stable partition every member of a block has the same signature,
+  // so the first member's gives the block's label and row: the graph every
+  // vertex-level edge would give, written straight into CSR.
   std::vector<LabelId> block_labels(num_blocks);
   std::vector<uint64_t> offsets(num_blocks + 1, 0);
   std::vector<VertexId> targets;
-  targets.reserve(g.NumEdges());
   const CsrView out = g.Out();
-  std::vector<uint32_t> stamp(num_blocks, kUnset);
+  std::vector<uint32_t> sig;
+  auto block_of = [&partition](VertexId w) { return partition[w]; };
   for (uint32_t s = 0; s < num_blocks; ++s) {
-    block_labels[s] = labels[mapping.Members(s).front()];
-    const size_t first = targets.size();
-    for (VertexId u : mapping.Members(s)) {
-      const auto [b, e] = out[u];
-      for (uint64_t i = b; i < e; ++i) {
-        const uint32_t t = partition[out.Slot(i)];
-        if (stamp[t] != s) {
-          stamp[t] = s;
-          targets.push_back(t);
-        }
-      }
-    }
-    std::sort(targets.begin() + first, targets.end());
+    const VertexId u = mapping.Members(s).front();
+    Sign(out, u, labels[u], block_of, sig);
+    block_labels[s] = sig[0];
+    targets.insert(targets.end(), sig.begin() + 1, sig.end());
     offsets[s + 1] = targets.size();
   }
   result.summary = Graph::FromAdjacency(block_labels, offsets, targets);

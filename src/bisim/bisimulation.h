@@ -23,15 +23,16 @@
 //
 // Incremental maintenance runs the same signer on the *ancestor cone* of the
 // vertices whose label or out-edges changed (ResignCone): every vertex outside
-// the cone keeps its previous block, the previous summary serves as the
-// signature table, and the summary is spliced from its unchanged rows
-// (Luo, Fletcher et al.'s localized maintenance, arXiv 1210.0748).
+// the cone keeps its previous block and the previous summary serves as the
+// signature table (Luo, Fletcher et al.'s localized maintenance, arXiv
+// 1210.0748).
 //
-// The quotient is materialized as another Graph (supernodes, edges
-// {([u],[v]) | (u,v) in E}) by MaterializeQuotient, which numbers blocks in
-// first-occurrence order over the vertex scan; the hash-table reverse mapping
-// Bisim^-1 of the paper is the BisimMapping CSR (supernode -> members). The
-// kernel is serial.
+// Both hand their stable partition to MaterializeQuotient, the one routine
+// that writes a summary: another Graph (supernodes, edges
+// {([u],[v]) | (u,v) in E}) with blocks numbered in first-occurrence order
+// over the vertex scan and one sorted row per supernode. The hash-table
+// reverse mapping Bisim^-1 of the paper is the BisimMapping CSR
+// (supernode -> members). The kernel is serial.
 
 #ifndef BIGINDEX_BISIM_BISIMULATION_H_
 #define BIGINDEX_BISIM_BISIMULATION_H_
@@ -130,10 +131,11 @@ struct ConeResult {
   /// The next layer's ResignCone inputs, over bisim.summary's vertices.
   /// `next_to_prior` maps each supernode to the previous supernode it stands
   /// in for, or kInvalidVertex (empty when it would be the identity); after
-  /// a splice a new block stands in for the previous supernode of its own
-  /// number if that one has no members any more. `next_changed` (ascending)
-  /// lists the supernodes whose label or row, read through that map, is not
-  /// their previous supernode's: after a splice, exactly the new blocks.
+  /// a cone re-sign a new block stands in for the previous supernode of its
+  /// own number if that one has no members any more. `next_changed`
+  /// (ascending) lists the supernodes whose label or row, read through that
+  /// map, is not their previous supernode's: after a cone re-sign, exactly
+  /// the new blocks.
   std::vector<VertexId> next_to_prior;
   std::vector<VertexId> next_changed;
 
@@ -152,25 +154,28 @@ struct ConeResult {
 /// other vertex keeps its previous block, whose signature is its row in
 /// prior.summary: (label(s), OutNeighbors(s)). A re-signed vertex that meets
 /// a previous signature joins that block (a merge); one with a new signature
-/// opens a block (a split). The summary is the previous one with the changed
-/// blocks' rows spliced in, renumbered in one pass over g's vertices. Cost:
-/// the cone's edges plus O(|V(g)| + |summary|), or only the cone when nothing
+/// opens a block (a split). The resulting stable partition goes through
+/// MaterializeQuotient, and each supernode's link to the previous one is read
+/// off its renumbering table. Cost: the cone's edges plus
+/// O(|V(g)| + |summary| + |old summary|), or only the cone when nothing
 /// moved. A cone that holds a cycle cannot be signed successors first: then
 /// ComputeBisimulation runs on g (`rerun`). InvalidArgument on malformed
-/// input.
+/// input, among it a surviving previous row that names a block no vertex
+/// carries any more.
 StatusOr<ConeResult> ResignCone(const Graph& g, std::span<const LabelId> labels,
                                 const BisimResult& prior,
                                 std::span<const VertexId> to_prior,
                                 std::span<const VertexId> changed);
 
 /// The quotient of `g` under `partition` (one entry per vertex, arbitrary
-/// ids < id_bound, label-uniform under `labels`): blocks are renumbered in
-/// first-occurrence order over the vertex scan — the canonical numbering of
-/// every summary — and each block's out-edges are fed to the builder once,
-/// deduplicated with a stamp over its members. The summary label of a block
-/// is its members' label. `old_to_final`, when non-null, receives the
-/// id_bound-sized renumbering table (ids that occur in no vertex map to
-/// UINT32_MAX).
+/// ids < id_bound). Precondition: the partition is stable and label-uniform
+/// under `labels` (members of a block share a label and a successor-block
+/// set), as every bisimulation is; the result is unspecified otherwise.
+/// Blocks are renumbered in first-occurrence order over the vertex scan — the
+/// canonical numbering of every summary — and each block's label and row
+/// (sorted, unique target blocks) are read off its first member.
+/// `old_to_final`, when non-null, receives the id_bound-sized renumbering
+/// table (ids that occur in no vertex map to UINT32_MAX).
 BisimResult MaterializeQuotient(const Graph& g,
                                 std::span<const LabelId> labels,
                                 std::vector<uint32_t> partition,

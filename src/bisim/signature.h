@@ -55,12 +55,6 @@ class SignatureInterner {
 
   size_t size() const { return hashes_.size(); }
 
-  /// The distinct signature with id `id`.
-  std::span<const uint32_t> Sig(uint32_t id) const {
-    const size_t begin = id == 0 ? 0 : ends_[id - 1];
-    return {words_.data() + begin, ends_[id] - begin};
-  }
-
   void Reset() {
     std::fill(table_.begin(), table_.end(), kNone);
     words_.clear();
@@ -70,6 +64,12 @@ class SignatureInterner {
 
  private:
   static constexpr uint32_t kNone = UINT32_MAX;
+
+  // The distinct signature with id `id`.
+  std::span<const uint32_t> Sig(uint32_t id) const {
+    const size_t begin = id == 0 ? 0 : ends_[id - 1];
+    return {words_.data() + begin, ends_[id] - begin};
+  }
 
   void Grow() {
     table_.assign(std::max<size_t>(64, 2 * table_.size()), kNone);

@@ -236,6 +236,14 @@ struct Case {
   std::vector<LabelId> query;
 };
 
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << "seed" << c.seed << "/n" << c.n << "/m" << c.m << "/l" << c.labels
+      << "/q";
+  for (size_t i = 0; i < c.query.size(); ++i) {
+    *os << (i == 0 ? "" : "-") << c.query[i];
+  }
+}
+
 class BidirectionalEquivalence : public ::testing::TestWithParam<Case> {};
 
 TEST_P(BidirectionalEquivalence, MatchesBackwardSearch) {

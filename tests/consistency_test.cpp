@@ -48,13 +48,20 @@ class DatasetEquivalenceTest : public ::testing::TestWithParam<DatasetCase> {
     ASSERT_TRUE(index.ok());
     index_ = std::make_unique<BigIndex>(std::move(index).value());
 
+    // The first of a few generated queries whose direct answer is
+    // non-empty, so no case compares two empty answer lists.
     QueryGenOptions qopt;
-    qopt.sizes = {GetParam().query_size};
+    qopt.sizes.assign(4, GetParam().query_size);
     qopt.min_count = 5;
     qopt.seed = GetParam().query_seed;
-    auto workload = GenerateQueryWorkload(*dataset_, qopt);
-    ASSERT_FALSE(workload.empty());
-    query_ = workload[0].keywords;
+    BkwsAlgorithm bkws({.d_max = 4, .top_k = 0});
+    for (const QuerySpec& q : GenerateQueryWorkload(*dataset_, qopt)) {
+      if (!bkws.Evaluate(dataset_->graph, q.keywords).empty()) {
+        query_ = q.keywords;
+        break;
+      }
+    }
+    ASSERT_FALSE(query_.empty()) << "no generated query has an answer";
   }
 
   std::unique_ptr<Dataset> dataset_;
@@ -117,6 +124,10 @@ struct RCliqueCase {
   uint64_t seed;
   size_t n, m;
 };
+
+void PrintTo(const RCliqueCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "/n" << c.n << "/m" << c.m;
+}
 
 class RCliqueConsistencyTest : public ::testing::TestWithParam<RCliqueCase> {
 };

@@ -72,6 +72,13 @@ struct EquivalenceCase {
   std::vector<LabelId> query;
 };
 
+void PrintTo(const EquivalenceCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "/n" << c.n << "/m" << c.m << "/q";
+  for (size_t i = 0; i < c.query.size(); ++i) {
+    *os << (i == 0 ? "" : "-") << c.query[i];
+  }
+}
+
 class Thm42Test : public ::testing::TestWithParam<EquivalenceCase> {};
 
 TEST_P(Thm42Test, BkwsEquivalentAtEveryLayer) {

@@ -4,13 +4,17 @@
 // never builds Gen(G, C). The graph-level Generalize stays as the reference:
 // summarizing g under the view must give exactly what summarizing the
 // materialized Gen(g, C) gives (summary CSR arrays, labels and mapping
-// arrays). The quotient builder is checked against a plain all-edges
-// materialization written here.
+// arrays). The quotient builder is checked on stable partitions against a
+// plain all-edges materialization written here.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <numeric>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bisim/bisimulation.h"
@@ -129,6 +133,31 @@ BisimResult AllEdgesQuotient(const Graph& g, std::vector<uint32_t> partition,
   return r;
 }
 
+// `blocks` dense block ids (one per vertex) relabelled to sparse, shuffled
+// ids: a random permutation spaced by a stride, so ids skip values, start
+// away from 0 and occur in no particular order. `*id_bound` receives the
+// bound.
+std::vector<uint32_t> SparseShuffledIds(std::span<const VertexId> blocks,
+                                        size_t num_blocks, Rng& rng,
+                                        size_t* id_bound) {
+  std::vector<uint32_t> id(num_blocks);
+  std::iota(id.begin(), id.end(), 0u);
+  for (size_t i = num_blocks; i > 1; --i) {
+    std::swap(id[i - 1], id[rng.Uniform(i)]);
+  }
+  const size_t stride = 3;
+  *id_bound = (num_blocks + 1) * stride;
+  std::vector<uint32_t> partition(blocks.size());
+  for (size_t v = 0; v < blocks.size(); ++v) {
+    partition[v] = static_cast<uint32_t>(stride + id[blocks[v]] * stride);
+  }
+  return partition;
+}
+
+// MaterializeQuotient's contract is a stable, label-uniform partition: the
+// maximal bisimulation (what the kernel and the cone re-sign hand it) and
+// the discrete partition are both stable, so each is checked under sparse,
+// shuffled ids against the all-edges quotient, renumbering table included.
 TEST(SummarizeKernelTest, QuotientBuilderMatchesAllEdgesMaterialization) {
   for (uint64_t seed = 0; seed < 60; ++seed) {
     RandomGraphOptions opt;
@@ -137,27 +166,29 @@ TEST(SummarizeKernelTest, QuotientBuilderMatchesAllEdgesMaterialization) {
     opt.edge_density = static_cast<double>(seed % 6);
     opt.num_labels = 1 + seed % 7;
     Graph g = MakeRandomGraph(opt);
-
-    // A random label-uniform partition with sparse ids: vertices of one
-    // label spread over `split` blocks at random, so the partition is
-    // neither maximal nor stable, and ids skip values and start high.
     Rng rng(seed + 77);
-    const size_t split = 1 + seed % 5;
-    const size_t stride = 3;
-    const size_t id_bound = (opt.num_labels * split + 1) * stride;
-    std::vector<uint32_t> partition(g.NumVertices());
-    for (VertexId v = 0; v < g.NumVertices(); ++v) {
-      const size_t slot = g.label(v) * split + rng.Uniform(split);
-      partition[v] = static_cast<uint32_t>(id_bound - 1 - slot * stride);
-    }
 
-    std::vector<uint32_t> want_table, got_table;
-    BisimResult want = AllEdgesQuotient(g, partition, id_bound, &want_table);
-    BisimResult got =
-        MaterializeQuotient(g, g.labels(), partition, id_bound, &got_table);
-    const std::string context = "seed " + std::to_string(seed);
-    ExpectSameResult(want, got, context);
-    EXPECT_EQ(want_table, got_table) << context;
+    const BisimResult maximal = ComputeBisimulation(g, g.labels());
+    std::vector<VertexId> discrete(g.NumVertices());
+    std::iota(discrete.begin(), discrete.end(), 0u);
+    const std::pair<const char*, std::span<const VertexId>> partitions[] = {
+        {"maximal", maximal.mapping.VertexToSuper()}, {"discrete", discrete}};
+    for (const auto& [name, blocks] : partitions) {
+      const size_t num_blocks =
+          blocks.empty() ? 0 : *std::ranges::max_element(blocks) + 1;
+      size_t id_bound = 0;
+      std::vector<uint32_t> partition =
+          SparseShuffledIds(blocks, num_blocks, rng, &id_bound);
+
+      std::vector<uint32_t> want_table, got_table;
+      BisimResult want =
+          AllEdgesQuotient(g, partition, id_bound, &want_table);
+      BisimResult got =
+          MaterializeQuotient(g, g.labels(), partition, id_bound, &got_table);
+      const std::string context = "seed " + std::to_string(seed) + " " + name;
+      ExpectSameResult(want, got, context);
+      EXPECT_EQ(want_table, got_table) << context;
+    }
   }
 }
 

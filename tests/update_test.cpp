@@ -352,6 +352,25 @@ TEST(IncrementalBisimTest, RejectsMalformedInput) {
                          std::vector<VertexId>{0, 1, kInvalidVertex},
                          std::vector<VertexId>{2})
                   .ok());
+
+  // changed must list every vertex whose out-edges changed: p(P) -> y(B) ->
+  // z(C) loses both edges, but only y is listed, so p keeps a previous row
+  // that names y's emptied block.
+  GraphBuilder chain;
+  for (LabelId l : {0, 1, 2}) chain.AddVertex(l);
+  chain.AddEdge(0, 1);
+  chain.AddEdge(1, 2);
+  Graph old_chain = std::move(chain.Build()).value();
+  const BisimResult chain_prior =
+      ComputeBisimulation(old_chain, old_chain.labels());
+  GraphBuilder bare;
+  for (LabelId l : {0, 1, 2}) bare.AddVertex(l);
+  Graph new_chain = std::move(bare.Build()).value();
+  auto missed = Resign(new_chain, chain_prior, std::vector<VertexId>{1});
+  ASSERT_FALSE(missed.ok());
+  EXPECT_EQ(missed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(missed.status().message(),
+            "changed misses a vertex whose out-edges changed");
 }
 
 // ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@
 # cache-epoch race test) plus the multi-process coordinator/shard
 # integration test (which now drives the UPDATE verb end to end), then an
 # ASan+UBSan pass over the index-image and line-protocol fuzz suites
-# (hostile-bytes paths), the summarization kernel's reference suite and the
-# rooted search suites (keyword-cone level-cursor arithmetic),
+# (hostile-bytes paths), the summarization kernel's reference suite, the
+# quotient and cone re-sign suites and the rooted search suites (keyword-cone
+# level-cursor arithmetic),
 # then the docs checks (dead links, protocol verbs,
 # metric catalog, span taxonomy), a metrics-overhead smoke, a
 # construction smoke, an index-image cold-start smoke, the shard
@@ -65,7 +66,11 @@ cmake --build build-asan -j"$JOBS" --target bigindex_tests
 # included) through the wire codec, a LineHandler and a ProtocolClient
 # facing an endless reply line or an endless reply block; the
 # summarization kernel's reference suite covers the index arithmetic of the
-# successors-first order and the cyclic remainder's rounds. The keyword-cone
+# successors-first order and the cyclic remainder's rounds. The quotient
+# routine numbers blocks and writes rows for both the kernel and the cone
+# re-sign: the SummarizeKernel suite checks it against an all-edges quotient,
+# and the IncrementalBisim and MaintainIndex suites drive it through
+# ResignCone on random update streams and malformed input. The keyword-cone
 # kernel's level cursors serve bkws, Blinks and bidirectional alike: the
 # bidirectional suites (the parameterized ones carry an instantiation
 # prefix, hence the leading `*`) run all three against the priority-queue
@@ -74,7 +79,7 @@ cmake --build build-asan -j"$JOBS" --target bigindex_tests
 # Any out-of-bounds read or UB is a hard failure.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   ./build-asan/tests/bigindex_tests \
-  --gtest_filter='IndexImageFuzz*:LineProtocolFuzz*:BisimKernelReference*:*Bidirectional*:Bkws*:Blinks*:*DatasetEquivalence*'
+  --gtest_filter='IndexImageFuzz*:LineProtocolFuzz*:BisimKernelReference*:*Bidirectional*:Bkws*:Blinks*:*DatasetEquivalence*:SummarizeKernel*:IncrementalBisim*:MaintainIndex*'
 
 echo
 echo "=== docs: no dead relative links in *.md ==="
