@@ -1,13 +1,14 @@
 // Serving-layer load generator: drives an in-process SearchService with
 // closed-loop clients (each waits for its answer before sending the next)
-// and an open-loop burst (submit-all-at-once), reporting throughput, tail
-// latency, cache ratios, and the overload/deadline counters.
+// and an overload burst (more concurrent callers than slots and waiters),
+// reporting throughput, tail latency, cache ratios, and the
+// overload/deadline counters.
 //
 // Comparisons reported (ISSUE 3 acceptance):
 //   1. answer cache ON vs OFF on a repeated-query workload — the cache
 //      should win by >= 2x;
-//   2. an open-loop burst against a small admission queue with tight
-//      deadlines — demonstrates non-blocking backpressure (rejections and
+//   2. a burst from 32 callers against one slot, a wait bound of 2 and
+//      tight deadlines — demonstrates backpressure (rejections and
 //      deadline misses, no hangs, no partial answers);
 //   3. mixed read/update serving: 95% reads / 5% single-edge
 //      updates through the full LiveUpdater + RCU epoch-swap path — read
@@ -21,7 +22,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -96,8 +96,8 @@ void PrintReport(const char* name, const LoadReport& r) {
 int main(int argc, char** argv) {
   bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   const double duration = smoke ? 0.25 : 2.0;
-  // More clients than strands, so the admission queue never runs dry and
-  // every strand stays busy.
+  // More clients than slots, so callers always wait at the slot gate and
+  // every slot stays busy.
   const size_t clients = 32;
 
   PrintHeader("SearchService load generator",
@@ -147,38 +147,43 @@ int main(int argc, char** argv) {
               "queries)\n\n",
               uncached_qps > 0 ? cached_qps / uncached_qps : 0.0);
 
-  // --- 2. open-loop burst: backpressure + deadlines ----------------------
+  // --- 2. overload burst: backpressure + deadlines ----------------------
   {
-    SearchService service(engine, {.queue_capacity = 64,
-                                   .cache = {.capacity = 0},
-                                   .default_deadline_ms = 25});
+    // A serial engine (one slot) and a wait bound of 2: whenever the slot
+    // is held and two callers wait, the other callers are refused at once.
+    SearchService service(std::make_shared<const QueryEngine>(index),
+                          {.queue_capacity = 2,
+                           .cache = {.capacity = 0},
+                           .default_deadline_ms = 25});
     const size_t burst = smoke ? 400 : 4000;
-    std::vector<std::future<StatusOr<QueryResult>>> futures;
-    futures.reserve(burst);
+    std::atomic<size_t> next{0};
+    std::atomic<uint64_t> ok{0}, overload{0}, deadline{0}, other{0};
+    std::vector<std::thread> callers;
     Timer t;
-    for (size_t i = 0; i < burst; ++i) {
-      futures.push_back(service.SubmitAsync(queries[i % queries.size()]));
+    for (size_t c = 0; c < clients; ++c) {
+      callers.emplace_back([&] {
+        for (size_t i; (i = next.fetch_add(1)) < burst;) {
+          auto r = service.Query(queries[i % queries.size()]);
+          if (r.ok()) {
+            ++ok;
+          } else if (r.status().code() == StatusCode::kUnavailable) {
+            ++overload;
+          } else if (r.status().code() == StatusCode::kDeadlineExceeded) {
+            ++deadline;
+          } else {
+            ++other;
+          }
+        }
+      });
     }
-    double submit_ms = t.ElapsedMillis();
-    uint64_t ok = 0, overload = 0, deadline = 0, other = 0;
-    for (auto& f : futures) {
-      auto r = f.get();
-      if (r.ok()) {
-        ++ok;
-      } else if (r.status().code() == StatusCode::kUnavailable) {
-        ++overload;
-      } else if (r.status().code() == StatusCode::kDeadlineExceeded) {
-        ++deadline;
-      } else {
-        ++other;
-      }
-    }
-    std::printf("open-loop burst: %zu submits in %.1fms (admission never "
-                "blocks); ok=%llu overload=%llu deadline=%llu other=%llu\n",
-                burst, submit_ms, static_cast<unsigned long long>(ok),
-                static_cast<unsigned long long>(overload),
-                static_cast<unsigned long long>(deadline),
-                static_cast<unsigned long long>(other));
+    for (auto& c : callers) c.join();
+    std::printf("overload burst: %zu queries from %zu callers in %.1fms; "
+                "ok=%llu overload=%llu deadline=%llu other=%llu\n",
+                burst, clients, t.ElapsedMillis(),
+                static_cast<unsigned long long>(ok.load()),
+                static_cast<unsigned long long>(overload.load()),
+                static_cast<unsigned long long>(deadline.load()),
+                static_cast<unsigned long long>(other.load()));
     std::printf("final: %s\n", service.Snapshot().ToString().c_str());
   }
 

@@ -31,11 +31,6 @@
 
 namespace bigindex {
 
-/// A keyword query: labels to search for (2–6 in the paper's workloads).
-struct KeywordQuery {
-  std::vector<LabelId> keywords;
-};
-
 /// True iff Def 4.1 condition 1 holds at layer m: the generalized keywords
 /// remain pairwise distinct.
 bool QueryDistinctAtLayer(const BigIndex& index,

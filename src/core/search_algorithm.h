@@ -4,8 +4,10 @@
 // path-preserving (Sec. 2) — which our Gen/Bisim pipeline guarantees.
 //
 // Implementations in src/search: BkwsAlgorithm (backward keyword search,
-// BANKS-style), BlinksAlgorithm (ranked distinct-root top-k), and
-// RCliqueAlgorithm (distance-bounded multi-center answers). They run
+// BANKS-style), BlinksAlgorithm (ranked distinct-root top-k),
+// BidirectionalAlgorithm (bkws's answers, with spreading activation ordering
+// the keyword cones) and RCliqueAlgorithm (distance-bounded multi-center
+// answers). They run
 // unchanged on data graphs and on summary layers — summaries are "yet another
 // set of graphs" (Sec. 1).
 //

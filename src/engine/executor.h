@@ -1,6 +1,6 @@
 // Fixed-size thread pool with a serial fallback — the execution substrate of
-// parallel index construction, the shard coordinator's fan-out and the
-// batch front ends (bigindex_cli batch, bench_engine).
+// the shard coordinator's fan-out and the batch front ends (bigindex_cli
+// batch, bench_engine).
 //
 // Design: persistent worker threads pulling from one mutex-guarded task
 // queue. ParallelFor() is the primitive those callers use: it carves an

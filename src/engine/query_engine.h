@@ -5,7 +5,8 @@
 // keyword queries through the hierarchical evaluator (eval_Ont, Algorithm 2).
 // Evaluate(query) runs one query on the calling thread; the engine starts no
 // threads of its own. Callers that want parallelism bring their own (the
-// serving layer's dispatch strands, or an ExecutorPool's ParallelFor).
+// serving layer's callers behind SearchService's slot gate, or an
+// ExecutorPool's ParallelFor).
 //
 // Re-entrancy: the index and the registered algorithms are shared read-only
 // state (algorithm-internal per-graph caches are mutex-guarded); every
@@ -134,7 +135,8 @@ class QueryEngine {
   StatusOr<QueryResult> Evaluate(const EngineQuery& query) const;
 
   /// Concurrent evaluations the engine is sized for: num_threads resolved
-  /// like ExecutorPool's (>= 1). The serving layer runs this many strands.
+  /// like ExecutorPool's (>= 1). SearchService's slot gate admits this many
+  /// evaluations at once.
   size_t num_slots() const { return num_slots_; }
 
  private:

@@ -33,7 +33,7 @@ class PerGraphCache {
   /// miss (or a stale hit). `build` returns std::unique_ptr<T>; nullptr
   /// means "infeasible" and is returned without being cached, so a later
   /// call may retry. Thread-safe; the returned pointer stays valid while
-  /// `g`'s storage is alive and this cache is not cleared.
+  /// `g`'s storage and this cache are alive.
   ///
   /// `build` runs without the cache mutex held, so a slow build never stalls
   /// lookups of other, already-cached graphs. Concurrent misses on one graph
@@ -55,11 +55,6 @@ class PerGraphCache {
     e.storage = g.storage();
     e.value = std::move(value);
     return e.value.get();
-  }
-
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    map_.clear();
   }
 
  private:

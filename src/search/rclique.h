@@ -114,7 +114,7 @@ std::vector<Answer> RCliqueEnumerateAll(const Graph& g,
 /// built lazily per graph and cached by storage identity (not graph address
 /// — see search/per_graph_cache.h; mutex-guarded, so one algorithm object
 /// may serve concurrent queries). The verification ball cache lives in the
-/// QueryContext — per query strand, lock-free.
+/// QueryContext — per evaluation, lock-free.
 class RCliqueAlgorithm final : public KeywordSearchAlgorithm {
  public:
   explicit RCliqueAlgorithm(RCliqueOptions options = {})
@@ -150,8 +150,6 @@ class RCliqueAlgorithm final : public KeywordSearchAlgorithm {
                                         QueryContext& ctx) const override;
 
   const RCliqueOptions& options() const { return options_; }
-
-  void ClearCache() const;
 
  private:
   RCliqueOptions options_;

@@ -2,8 +2,8 @@
 // (LineHandler, TcpServer) and the shard substrate are written against.
 //
 // Three classes implement it:
-//   * SearchService — one QueryEngine behind admission control and
-//     work-conserving dispatch.
+//   * SearchService — one QueryEngine behind admission control and a slot
+//     gate; each query evaluates on its caller's thread.
 //   * ServingStack (shard/serving_stack.h) — one served index, the whole
 //     graph or one shard of a plan: a SearchService with its live updater
 //     and, for a shard, the serving edge that rewrites shard-local vertex
@@ -13,10 +13,8 @@
 //   * ShardedSearchService — the scatter-gather coordinator in src/shard/,
 //     which fans a query out to N shard substrates and merges top-k.
 //
-// The interface deliberately excludes SubmitAsync: futures are an
-// implementation detail of SearchService's strands; front ends only need
-// the synchronous call (one blocked connection thread per in-flight wire
-// request is the TcpServer model).
+// Every call is synchronous and runs on the caller's thread: a TcpServer
+// connection thread evaluates its own wire requests.
 
 #ifndef BIGINDEX_SERVER_QUERY_SERVICE_H_
 #define BIGINDEX_SERVER_QUERY_SERVICE_H_

@@ -1,5 +1,6 @@
 #include "server/search_service.h"
 
+#include <chrono>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -13,23 +14,82 @@ SearchService::SearchService(std::shared_ptr<const QueryEngine> engine,
     : engine_(std::move(engine)),
       options_(options),
       cache_(options.cache),
+      num_slots_(engine_->num_slots()),
+      free_slots_(num_slots_),
       rejected_overload_("bigindex_server_rejected_overload_total",
-                         "Requests shed by the overload policy", {}),
-      batches_("bigindex_server_batches_total",
-               "Engine evaluations dispatched by the strands", {}),
-      batched_queries_("bigindex_server_batched_queries_total",
-                       "Unique queries dispatched to engines or shards", {}),
+                         "Requests refused because the slot gate's wait "
+                         "bound was full",
+                         {}),
+      evaluations_("bigindex_server_batches_total",
+                   "Engine evaluations run behind the slot gate", {}),
       queue_depth_(MetricsRegistry::Global().GetGauge(
           "bigindex_server_queue_depth",
-          "Requests in the admission queue right now")) {
-  // Started here, not in the init list: the strands touch counters
-  // declared after them.
-  const size_t num_strands = engine_->num_slots();
-  strands_.reserve(num_strands);
-  for (size_t i = 0; i < num_strands; ++i) {
-    strands_.emplace_back([this] { StrandLoop(); });
+          "Callers waiting for an evaluation slot right now")) {}
+
+/// One evaluation slot of the gate, held from a successful Acquire() until
+/// the lease is destroyed.
+class SearchService::SlotLease {
+ public:
+  explicit SlotLease(SearchService& service) : service_(service) {}
+
+  ~SlotLease() {
+    if (!held_) return;
+    std::lock_guard<std::mutex> lock(service_.gate_mutex_);
+    ++service_.free_slots_;
+    // Notified under the lock: once Shutdown() sees the last slot come
+    // back, the service may be destroyed.
+    if (service_.stop_) {
+      service_.slot_freed_.notify_all();
+    } else if (service_.waiting_ > 0) {
+      service_.slot_freed_.notify_one();
+    }
   }
-}
+
+  SlotLease(const SlotLease&) = delete;
+  SlotLease& operator=(const SlotLease&) = delete;
+
+  /// Takes a free slot, or waits for one as the header's contracts say.
+  Status Acquire(const Deadline& deadline) {
+    SearchService& s = service_;
+    std::unique_lock<std::mutex> lock(s.gate_mutex_);
+    auto ready = [&] { return s.stop_ || s.free_slots_ > 0; };
+    if (!ready()) {
+      if (s.waiting_ >= s.options_.queue_capacity) {
+        s.rejected_overload_.Inc();
+        BIGINDEX_LOG_EVERY_N(kWarning, 1024)
+            << "slot gate full (" << s.waiting_ << " waiting), shedding load ("
+            << s.rejected_overload_.value() << " rejected so far)";
+        return Status::Unavailable("too many requests waiting for a slot");
+      }
+      s.queue_depth_.Set(static_cast<int64_t>(++s.waiting_));
+      while (!ready() && !deadline.Expired()) {
+        if (deadline.IsNever()) {
+          s.slot_freed_.wait(lock);
+        } else {
+          s.slot_freed_.wait_for(lock,
+                                 std::chrono::duration<double, std::milli>(
+                                     deadline.RemainingMillis()));
+        }
+      }
+      s.queue_depth_.Set(static_cast<int64_t>(--s.waiting_));
+      if (s.stop_) {
+        s.slot_freed_.notify_all();  // Shutdown() counts the waiters out
+      } else if (deadline.Expired()) {
+        // A slot this waiter was woken for goes to the next one.
+        if (s.free_slots_ > 0) s.slot_freed_.notify_one();
+        return s.DeadlineMiss("while queued");
+      }
+    }
+    if (s.stop_) return Status::Unavailable("search service is shut down");
+    --s.free_slots_;
+    held_ = true;
+    return Status::OK();
+  }
+
+ private:
+  SearchService& service_;
+  bool held_ = false;
+};
 
 SearchService::~SearchService() { Shutdown(); }
 
@@ -64,79 +124,56 @@ std::string SearchService::CacheKeyFor(uint64_t epoch,
   return key;
 }
 
-std::future<StatusOr<QueryResult>> SearchService::SubmitAsync(
-    EngineQuery query) {
-  TRACE_SPAN("server/admit");
-  std::promise<StatusOr<QueryResult>> promise;
-  std::future<StatusOr<QueryResult>> future = promise.get_future();
-  counters_.submitted.Inc();
-
-  Status valid = engine_snapshot()->Validate(query);
-  if (!valid.ok()) {
-    counters_.rejected_invalid.Inc();
-    promise.set_value(std::move(valid));
-    return future;
-  }
-  query.NormalizeKeywords();
-  if (options_.default_deadline_ms > 0 && query.eval.deadline.IsNever()) {
-    query.eval.deadline = Deadline::After(options_.default_deadline_ms);
-  }
-
-  Pending pending;
-  pending.query = std::move(query);
-  pending.promise = std::move(promise);
-
-  // A dead-on-arrival request is resolved here — it never reaches the
-  // engine, so it can never produce (or cost) anything.
-  if (pending.query.eval.deadline.Expired()) {
-    CompleteDeadline(pending, "before admission");
-    return future;
-  }
-
-  if (cache_.capacity() > 0) {
-    pending.cache_key =
-        CacheKeyFor(epoch_.load(std::memory_order_acquire), pending.query);
-    std::shared_ptr<const QueryResult> hit = cache_.Lookup(pending.cache_key);
-    counters_.CacheLookup(hit != nullptr);
-    if (hit != nullptr) {
-      CompleteOk(pending, QueryResult(*hit));
-      return future;
-    }
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stop_) {
-      pending.promise.set_value(
-          Status::Unavailable("search service is shut down"));
-      return future;
-    }
-    if (queue_.size() >= options_.queue_capacity) {
-      rejected_overload_.Inc();
-      BIGINDEX_LOG_EVERY_N(kWarning, 1024)
-          << "admission queue full (" << queue_.size() << "/"
-          << options_.queue_capacity << "), shedding load ("
-          << rejected_overload_.value()
-          << " rejected so far)";
-      if (options_.overload_policy == OverloadPolicy::kRejectNewest) {
-        pending.promise.set_value(Status::Unavailable(
-            "admission queue full (reject-newest overload policy)"));
-        return future;
-      }
-      Pending oldest = std::move(queue_.front());
-      queue_.pop_front();
-      oldest.promise.set_value(Status::Unavailable(
-          "displaced by a newer request (reject-oldest overload policy)"));
-    }
-    queue_.push_back(std::move(pending));
-    queue_depth_.Set(static_cast<int64_t>(queue_.size()));
-  }
-  work_available_.notify_one();
-  return future;
-}
-
 StatusOr<QueryResult> SearchService::Query(EngineQuery query) {
-  return SubmitAsync(std::move(query)).get();
+  Timer admitted;  // admission → completion latency
+  std::string cache_key;  // empty when the cache is disabled
+  SlotLease slot(*this);
+  {
+    TRACE_SPAN("server/admit");
+    counters_.submitted.Inc();
+    Status valid = engine_snapshot()->Validate(query);
+    if (!valid.ok()) {
+      counters_.rejected_invalid.Inc();
+      return valid;
+    }
+    query.NormalizeKeywords();
+    if (options_.default_deadline_ms > 0 && query.eval.deadline.IsNever()) {
+      query.eval.deadline = Deadline::After(options_.default_deadline_ms);
+    }
+    // A dead-on-arrival request never reaches the engine, so it can never
+    // produce (or cost) anything.
+    if (query.eval.deadline.Expired()) return DeadlineMiss("before admission");
+
+    if (cache_.capacity() > 0) {
+      cache_key = CacheKeyFor(epoch_.load(std::memory_order_acquire), query);
+      std::shared_ptr<const QueryResult> hit = cache_.Lookup(cache_key);
+      counters_.CacheLookup(hit != nullptr);
+      if (hit != nullptr) {
+        counters_.Completed(admitted.ElapsedMillis());
+        return QueryResult(*hit);
+      }
+    }
+    Status gate = slot.Acquire(query.eval.deadline);
+    if (!gate.ok()) return gate;
+  }
+  evaluations_.Inc();
+
+  // Pin the engine AFTER the gate: the cache key's epoch was taken before
+  // this point, so the snapshot is at least as new as that epoch — the
+  // other half of SwapEngine's publish-then-bump ordering. The pin also
+  // keeps a concurrently swapped-out engine alive until this evaluation
+  // completes (RCU grace period).
+  std::shared_ptr<const QueryEngine> engine = engine_snapshot();
+  StatusOr<QueryResult> result = engine->Evaluate(query);
+  if (!result.ok()) {
+    if (result.status().code() == StatusCode::kDeadlineExceeded) {
+      return DeadlineMiss("during evaluation");
+    }
+    return result;  // unreachable after Validate()
+  }
+  if (!cache_key.empty()) cache_.Insert(cache_key, *result);
+  counters_.Completed(admitted.ElapsedMillis());
+  return result;
 }
 
 uint64_t SearchService::BumpEpoch() {
@@ -197,100 +234,12 @@ std::vector<std::string> SearchService::AlgorithmNames() const {
 
 ServiceIdentity SearchService::Identity() const { return identity_; }
 
-void SearchService::CompleteOk(Pending& p, QueryResult result) {
-  counters_.Completed(p.queued.ElapsedMillis());
-  p.promise.set_value(std::move(result));
-}
-
-void SearchService::CompleteDeadline(Pending& p, const char* stage) {
+Status SearchService::DeadlineMiss(const char* stage) {
   counters_.deadline_misses.Inc();
   BIGINDEX_LOG_EVERY_N(kWarning, 1024)
       << "deadline miss " << stage << " ("
       << counters_.deadline_misses.value() << " total)";
-  p.promise.set_value(Status::DeadlineExceeded(
-      std::string("deadline expired ") + stage));
-}
-
-void SearchService::StrandLoop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (true) {
-    work_available_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-    if (stop_) break;  // Shutdown() resolves whatever is still queued
-
-    // The front request, plus every queued duplicate of it: one evaluation
-    // answers them all.
-    std::vector<Pending> group;
-    group.push_back(std::move(queue_.front()));
-    queue_.pop_front();
-    if (!group.front().cache_key.empty()) {
-      for (auto it = queue_.begin(); it != queue_.end();) {
-        if (it->cache_key == group.front().cache_key) {
-          group.push_back(std::move(*it));
-          it = queue_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    queue_depth_.Set(static_cast<int64_t>(queue_.size()));
-
-    lock.unlock();
-    EvaluateGroup(std::move(group));
-    lock.lock();
-  }
-}
-
-void SearchService::EvaluateGroup(std::vector<Pending> group) {
-  TRACE_SPAN("server/batch");
-  // Deadline sweep: anything that expired while queued is resolved without
-  // touching the engine.
-  std::vector<Pending> live;
-  live.reserve(group.size());
-  for (Pending& p : group) {
-    if (p.query.eval.deadline.Expired()) {
-      CompleteDeadline(p, "while queued");
-    } else {
-      live.push_back(std::move(p));
-    }
-  }
-  if (live.empty()) return;
-
-  // The leader runs with the *loosest* deadline of its group so a tight
-  // member can never cancel work a looser member still wants.
-  EngineQuery query = live.front().query;
-  for (const Pending& p : live) {
-    if (p.query.eval.deadline.RemainingMillis() >
-        query.eval.deadline.RemainingMillis()) {
-      query.eval.deadline = p.query.eval.deadline;
-    }
-  }
-  batches_.Inc();
-  batched_queries_.Inc();
-
-  // Pin the engine AFTER dequeue: every member captured its cache-key epoch
-  // at admission (before this point), so the snapshot is at least as new as
-  // any epoch in the group — the other half of SwapEngine's
-  // publish-then-bump ordering. The pin also keeps a concurrently
-  // swapped-out engine alive until this evaluation completes (RCU grace
-  // period).
-  std::shared_ptr<const QueryEngine> engine = engine_snapshot();
-  StatusOr<QueryResult> result = engine->Evaluate(query);
-  if (!result.ok()) {
-    const bool expired =
-        result.status().code() == StatusCode::kDeadlineExceeded;
-    for (Pending& p : live) {
-      if (expired) {
-        CompleteDeadline(p, "during evaluation");
-      } else {
-        // Unreachable after per-request Validate(); resolve, never wedge.
-        p.promise.set_value(result.status());
-      }
-    }
-    return;
-  }
-
-  if (cache_.capacity() > 0) cache_.Insert(live.front().cache_key, *result);
-  for (Pending& p : live) CompleteOk(p, *result);
+  return Status::DeadlineExceeded(std::string("deadline expired ") + stage);
 }
 
 ServiceStats SearchService::Snapshot() const {
@@ -298,36 +247,22 @@ ServiceStats SearchService::Snapshot() const {
   counters_.Fill(&s, cache_.stats());
   s.rejected_overload = rejected_overload_.value();
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    s.queue_depth = queue_.size();
+    std::lock_guard<std::mutex> lock(gate_mutex_);
+    s.queue_depth = waiting_;
   }
   s.queue_capacity = options_.queue_capacity;
-  s.batches = batches_.value();
-  s.batched_queries = batched_queries_.value();
-  s.mean_batch_size =
-      s.batches ? static_cast<double>(s.batched_queries) / s.batches : 0;
+  s.batches = s.batched_queries = evaluations_.value();
+  s.mean_batch_size = s.batches > 0 ? 1 : 0;
   s.epoch = epoch_.load(std::memory_order_acquire);
   return s;
 }
 
 void SearchService::Shutdown() {
-  std::call_once(shutdown_once_, [this] {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    work_available_.notify_all();
-    for (std::thread& strand : strands_) strand.join();
-    std::deque<Pending> drained;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      drained.swap(queue_);
-    }
-    for (Pending& p : drained) {
-      p.promise.set_value(
-          Status::Unavailable("search service shut down before evaluation"));
-    }
-  });
+  std::unique_lock<std::mutex> lock(gate_mutex_);
+  stop_ = true;
+  slot_freed_.notify_all();
+  slot_freed_.wait(
+      lock, [this] { return waiting_ == 0 && free_slots_ == num_slots_; });
 }
 
 }  // namespace bigindex

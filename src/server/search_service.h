@@ -1,35 +1,31 @@
-// SearchService — the admission-controlled, work-conserving front of the
-// query path. It turns a (re-entrant but call-shaped) QueryEngine into a
-// traffic-shaped component:
+// SearchService — the admission-controlled front of the query path. It
+// turns a (re-entrant but call-shaped) QueryEngine into a traffic-shaped
+// component, and does the whole request on the caller's thread:
 //
-//   client → [validate + normalize + cache probe]          (caller's thread)
-//          → bounded admission queue                        (backpressure)
-//          → one dispatch strand per engine slot            (strand threads)
-//          → QueryEngine::Evaluate on the strand's own thread
-//          → answer cache fill + promise completion
+//   client → validate + normalize + default deadline + cache probe
+//          → slot gate: wait for one of engine->num_slots() slots
+//          → pin the engine, QueryEngine::Evaluate
+//          → answer cache fill, release the slot
 //
 // Contracts:
-//   * Admission never blocks. A full queue resolves the request immediately
-//     with Unavailable (kRejectNewest) or displaces the oldest queued
-//     request (kRejectOldest) — the configurable overload policy.
+//   * The gate bounds concurrent evaluations (and so the engine's leased
+//     QueryContexts) to num_slots() of the engine passed at construction.
+//     A caller that finds every slot taken waits only while fewer than
+//     queue_capacity callers are already waiting; otherwise it gets
+//     Unavailable at once. The service starts no threads.
+//   * Waiters are not served in arrival order: a freed slot goes to
+//     whichever caller takes the gate's mutex first, a woken waiter or a
+//     new arrival, so a waiter can be overtaken. What bounds a waiter's
+//     wait is its deadline.
 //   * Malformed requests (empty keywords, unknown algorithm) are rejected at
-//     the door with QueryEngine::Validate()'s status, before consuming queue
-//     space.
+//     the door with QueryEngine::Validate()'s status, before the gate.
 //   * Deadlines are enforced cooperatively at every stage: an expired
-//     request is dropped at admission, at dequeue, or at the evaluator's
-//     next candidate-verification checkpoint — and always resolves to
-//     DeadlineExceeded with no partial answers.
+//     request is dropped at admission, while it waits for a slot, or at the
+//     evaluator's next candidate-verification checkpoint — and always
+//     resolves to DeadlineExceeded with no partial answers.
 //   * The answer cache is keyed on (index epoch, algorithm, normalized
 //     keywords, semantic eval options). BumpEpoch() invalidates the whole
-//     cache in O(1) by making every live key unreachable. Queued requests
-//     that share a key are evaluated once, by whichever strand dequeues
-//     the first of them.
-//
-// Dispatch is work-conserving: engine->num_slots() strands (fixed at
-// construction; 1 for a serial engine) each take the queue's front request
-// the moment they are free and evaluate it alone. A request waits only for
-// a free strand — never for more arrivals, and never for another request's
-// evaluation.
+//     cache in O(1) by making every live key unreachable.
 
 #ifndef BIGINDEX_SERVER_SEARCH_SERVICE_H_
 #define BIGINDEX_SERVER_SEARCH_SERVICE_H_
@@ -37,14 +33,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "engine/query_engine.h"
@@ -56,26 +49,11 @@
 
 namespace bigindex {
 
-/// What to do with a request that arrives while the admission queue is full.
-enum class OverloadPolicy {
-  /// Resolve the *arriving* request with Unavailable (classic backpressure;
-  /// the default).
-  kRejectNewest,
-  /// Admit the arriving request and resolve the *oldest queued* request with
-  /// Unavailable (freshness-first, for workloads where stale requests lose
-  /// value while queued).
-  kRejectOldest,
-};
-
 struct SearchServiceOptions {
-  /// Admission queue bound; arrivals beyond it trigger overload_policy.
+  /// Callers allowed to wait for a slot at once; one more gets Unavailable.
   size_t queue_capacity = 1024;
 
-  OverloadPolicy overload_policy = OverloadPolicy::kRejectNewest;
-
-  /// Answer cache sizing. capacity 0 switches the cache off, and with it
-  /// the cache key and queued-duplicate dedup (requests lose their
-  /// identity).
+  /// Answer cache sizing. capacity 0 switches the cache off.
   AnswerCacheOptions cache;
 
   /// Deadline applied to requests that arrive without one; 0 = none.
@@ -89,21 +67,16 @@ class SearchService : public QueryService {
   SearchService(std::shared_ptr<const QueryEngine> engine,
                 SearchServiceOptions options = {});
 
-  /// Shuts down: in-flight evaluations complete, queued requests resolve
-  /// with Unavailable.
+  /// Runs Shutdown().
   ~SearchService() override;
 
   SearchService(const SearchService&) = delete;
   SearchService& operator=(const SearchService&) = delete;
 
-  /// Submits one request; never blocks. The future resolves with the result,
-  /// or with Unavailable (overload / shutdown), DeadlineExceeded,
-  /// InvalidArgument, or NotFound per the contracts above. The per-request
-  /// deadline rides in query.eval.deadline.
-  std::future<StatusOr<QueryResult>> SubmitAsync(EngineQuery query);
-
-  /// Synchronous convenience: SubmitAsync + wait. Do not call from the
-  /// service's own strands.
+  /// Answers one request on the calling thread: the result, or Unavailable
+  /// (overload / shutdown), DeadlineExceeded, InvalidArgument, or NotFound
+  /// per the contracts above. The per-request deadline rides in
+  /// query.eval.deadline.
   StatusOr<QueryResult> Query(EngineQuery query) override;
 
   /// Current index epoch (starts at 1).
@@ -168,7 +141,9 @@ class SearchService : public QueryService {
   /// its reference.
   uint64_t SwapEngine(std::shared_ptr<const QueryEngine> engine);
 
-  /// Idempotent; also run by the destructor.
+  /// Refuses every later evaluation with Unavailable, wakes the waiters
+  /// (they get Unavailable too), and returns once every caller holding or
+  /// waiting for a slot has left. Idempotent; also run by the destructor.
   void Shutdown();
 
   const SearchServiceOptions& options() const { return options_; }
@@ -186,17 +161,10 @@ class SearchService : public QueryService {
   static std::string CacheKeyFor(uint64_t epoch, const EngineQuery& query);
 
  private:
-  struct Pending {
-    EngineQuery query;      // keywords normalized, deadline resolved
-    std::string cache_key;  // empty when the cache is disabled
-    Timer queued;           // admission → completion latency
-    std::promise<StatusOr<QueryResult>> promise;
-  };
+  class SlotLease;
 
-  void StrandLoop();
-  void EvaluateGroup(std::vector<Pending> group);
-  void CompleteOk(Pending& p, QueryResult result);
-  void CompleteDeadline(Pending& p, const char* stage);
+  /// Counts and logs one request that missed its deadline at `stage`.
+  Status DeadlineMiss(const char* stage);
 
   mutable std::mutex engine_mutex_;  // guards engine_ (swap vs snapshot)
   std::shared_ptr<const QueryEngine> engine_;
@@ -206,18 +174,19 @@ class SearchService : public QueryService {
   Rollbacker rollbacker_;
   AnswerCache cache_;
 
-  mutable std::mutex mutex_;
-  std::condition_variable work_available_;
-  std::deque<Pending> queue_;
+  // The slot gate. slot_freed_ wakes waiters when a slot frees, and
+  // Shutdown() when the last caller leaves.
+  mutable std::mutex gate_mutex_;
+  std::condition_variable slot_freed_;
+  const size_t num_slots_;
+  size_t free_slots_;
+  size_t waiting_ = 0;
   bool stop_ = false;
-  std::once_flag shutdown_once_;
-  std::vector<std::thread> strands_;  // started last in the constructor body
 
   std::atomic<uint64_t> epoch_{1};
   ServiceCounters counters_;
   StatCounter rejected_overload_;
-  StatCounter batches_;
-  StatCounter batched_queries_;
+  StatCounter evaluations_;
   Gauge& queue_depth_;
 };
 

@@ -31,18 +31,18 @@ struct AnswerCacheStats;
 /// cumulative since service construction.
 struct ServiceStats {
   // Admission.
-  uint64_t submitted = 0;          // SubmitAsync calls
+  uint64_t submitted = 0;          // Query calls
   uint64_t rejected_invalid = 0;   // failed Validate() at the door
-  uint64_t rejected_overload = 0;  // bounced by the full admission queue
-  size_t queue_depth = 0;          // queued right now
-  size_t queue_capacity = 0;
+  uint64_t rejected_overload = 0;  // refused: slot gate's wait bound full
+  size_t queue_depth = 0;          // waiting for a slot right now
+  size_t queue_capacity = 0;       // the wait bound
 
   // Completion.
   uint64_t completed = 0;          // answered OK (cache hits included)
   uint64_t deadline_misses = 0;    // expired before or during evaluation
-  uint64_t batches = 0;            // engine evaluations dispatched
-  uint64_t batched_queries = 0;    // unique queries across them (= batches)
-  double mean_batch_size = 0;      // batched_queries / batches
+  uint64_t batches = 0;            // engine evaluations run
+  uint64_t batched_queries = 0;    // = batches
+  double mean_batch_size = 0;      // batched_queries / batches (1 or 0)
 
   // Answer cache.
   uint64_t cache_hits = 0;

@@ -115,6 +115,7 @@ void TcpServer::ServeConnection(int fd) {
   LineHandler handler(service_, dict_);
   std::string buffer;
   char chunk[4096];
+  size_t scanned = 0;  // bytes of buffer before this hold no '\n'
   bool open = true;
   while (open) {
     ssize_t n = ::read(fd, chunk, sizeof(chunk));
@@ -123,9 +124,10 @@ void TcpServer::ServeConnection(int fd) {
       break;  // client gone or Stop() shut the socket down
     }
     buffer.append(chunk, static_cast<size_t>(n));
+    size_t taken = 0;  // leading bytes of buffer already handled as lines
     while (open) {
-      const size_t nl = buffer.find('\n');
-      if (std::min(nl, buffer.size()) > kMaxRequestLineBytes) {
+      const size_t nl = buffer.find('\n', scanned);
+      if (std::min(nl, buffer.size()) - taken > kMaxRequestLineBytes) {
         WriteAll(fd, "ERR InvalidArgument: request line exceeds " +
                          std::to_string(kMaxRequestLineBytes) +
                          " bytes\n.\n");
@@ -133,15 +135,19 @@ void TcpServer::ServeConnection(int fd) {
       } else if (nl == std::string::npos) {
         break;
       } else {
-        std::string_view line(buffer.data(), nl);
+        std::string_view line(buffer.data() + taken, nl - taken);
         if (line.ends_with('\r')) line.remove_suffix(1);
         if (!line.empty() || handler.scrape_pending()) {
           LineHandler::Result result = handler.Handle(line);
           if (!WriteAll(fd, result.response) || result.close) open = false;
         }
-        buffer.erase(0, nl + 1);
+        taken = scanned = nl + 1;
       }
     }
+    // One erase per chunk read, not one per line: a pipelined burst would
+    // otherwise move the rest of the buffer once for every request.
+    buffer.erase(0, taken);
+    scanned = buffer.size();
   }
 }
 

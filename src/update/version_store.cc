@@ -13,7 +13,6 @@ uint64_t IndexVersionStore::Publish(std::shared_ptr<const BigIndex> index,
   version->sequence = next_sequence_++;
   previous_ = std::move(current_);
   current_ = std::move(version);
-  age_.Restart();
   return current_->sequence;
 }
 
@@ -36,14 +35,7 @@ StatusOr<uint64_t> IndexVersionStore::Rollback() {
   version->sequence = next_sequence_++;
   current_ = std::move(version);
   previous_ = nullptr;  // consumed: rollback cannot ping-pong
-  age_.Restart();
   return current_->sequence;
-}
-
-double IndexVersionStore::CurrentAgeSeconds() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (current_ == nullptr) return 0;
-  return age_.ElapsedSeconds();
 }
 
 }  // namespace bigindex

@@ -35,7 +35,6 @@
 #include "core/big_index.h"
 #include "engine/query_engine.h"
 #include "util/status.h"
-#include "util/timer.h"
 
 namespace bigindex {
 
@@ -70,15 +69,11 @@ class IndexVersionStore {
   /// FailedPrecondition when no previous version is retained.
   StatusOr<uint64_t> Rollback();
 
-  /// Seconds since the current version was published (0 before the first).
-  double CurrentAgeSeconds() const;
-
  private:
   mutable std::mutex mutex_;
   std::shared_ptr<const IndexVersion> current_;
   std::shared_ptr<const IndexVersion> previous_;
   uint64_t next_sequence_ = 1;
-  Timer age_;  // restarted at every Publish; read under mutex_
 };
 
 }  // namespace bigindex

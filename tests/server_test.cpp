@@ -1,10 +1,11 @@
 // Serving-layer tests: Deadline semantics, the sharded LRU answer cache,
 // and the SearchService contracts — cache hits return answers identical to
-// cold evaluation, epoch bumps invalidate, a full admission queue resolves
-// with the documented overload status instead of blocking, expired deadlines
-// never reach the engine (and never yield partial answers), and concurrent
-// clients over the pooled engine agree with serial evaluation (the suite
-// tools/ci.sh re-runs under ThreadSanitizer).
+// cold evaluation, epoch bumps invalidate, a caller that finds the slot
+// gate's wait bound full resolves with the documented overload status
+// instead of waiting, expired deadlines never reach the engine (and never
+// yield partial answers), and concurrent clients over the pooled engine
+// agree with serial evaluation (the suite tools/ci.sh re-runs under
+// ThreadSanitizer).
 
 #include <gtest/gtest.h>
 
@@ -36,6 +37,7 @@
 #include "server/line_protocol.h"
 #include "server/search_service.h"
 #include "server/tcp_server.h"
+#include "testing/thread_count.h"
 #include "util/random.h"
 #include "util/timer.h"
 
@@ -172,6 +174,22 @@ EngineQuery Q(std::vector<LabelId> keywords, std::string algorithm = "bkws") {
   q.keywords = std::move(keywords);
   q.algorithm = std::move(algorithm);
   return q;
+}
+
+/// Calls service.Query(query) on a client thread of its own, so a test can
+/// park callers in the engine or at the slot gate.
+std::future<StatusOr<QueryResult>> QueryOnClientThread(SearchService& service,
+                                                       EngineQuery query) {
+  return std::async(std::launch::async, [&service, q = std::move(query)] {
+    return service.Query(q);
+  });
+}
+
+/// Blocks until `n` callers wait at the service's slot gate.
+void WaitForWaiters(const SearchService& service, size_t n) {
+  while (service.Snapshot().queue_depth < n) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -333,7 +351,7 @@ TEST(SearchServiceTest, DisabledCacheNeverHits) {
 // SearchService: admission control
 
 TEST(SearchServiceTest, QueueOverflowRejectsNewestWithUnavailable) {
-  ServiceFixture fx;
+  ServiceFixture fx;  // serial engine: one slot
   auto blocking = std::make_unique<BlockingAlgorithm>();
   const BlockingAlgorithm* block = blocking.get();
   fx.engine->Register(std::move(blocking));
@@ -346,54 +364,26 @@ TEST(SearchServiceTest, QueueOverflowRejectsNewestWithUnavailable) {
     return q;
   };
 
-  // First request parks inside the engine; the queue is empty again.
-  auto f1 = service.SubmitAsync(mk(0));
+  // First request parks inside the engine, holding the only slot.
+  auto f1 = QueryOnClientThread(service, mk(0));
   block->WaitUntilStarted();
 
-  // Fill the queue to capacity, then overflow it.
-  auto f2 = service.SubmitAsync(mk(1));
-  auto f3 = service.SubmitAsync(mk(2));
-  auto f4 = service.SubmitAsync(mk(3));
+  // Fill the gate's wait bound, then overflow it.
+  auto f2 = QueryOnClientThread(service, mk(1));
+  auto f3 = QueryOnClientThread(service, mk(2));
+  WaitForWaiters(service, 2);
+  auto f4 = QueryOnClientThread(service, mk(3));
 
-  // The overflow resolved immediately — admission never blocks.
-  ASSERT_EQ(f4.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  auto r4 = f4.get();
-  EXPECT_EQ(r4.status().code(), StatusCode::kUnavailable)
-      << r4.status().ToString();
+  // The overflow resolved while the slot is still held — it never waits.
+  EXPECT_EQ(f4.wait_for(std::chrono::seconds(5)), std::future_status::ready);
   EXPECT_EQ(service.Snapshot().rejected_overload, 1u);
 
   block->Release();
+  auto r4 = f4.get();
+  EXPECT_EQ(r4.status().code(), StatusCode::kUnavailable)
+      << r4.status().ToString();
   EXPECT_TRUE(f1.get().ok());
   EXPECT_TRUE(f2.get().ok());
-  EXPECT_TRUE(f3.get().ok());
-}
-
-TEST(SearchServiceTest, RejectOldestPolicyDisplacesHeadOfQueue) {
-  ServiceFixture fx;
-  auto blocking = std::make_unique<BlockingAlgorithm>();
-  const BlockingAlgorithm* block = blocking.get();
-  fx.engine->Register(std::move(blocking));
-
-  SearchService service(
-      fx.engine, {.queue_capacity = 1,
-                  .overload_policy = OverloadPolicy::kRejectOldest,
-                  .cache = {.capacity = 0}});
-  auto mk = [&](LabelId kw) {
-    EngineQuery q = Q({kw}, "blocking");
-    q.eval.forced_layer = 0;
-    return q;
-  };
-
-  auto f1 = service.SubmitAsync(mk(0));
-  block->WaitUntilStarted();
-  auto f2 = service.SubmitAsync(mk(1));  // queued
-  auto f3 = service.SubmitAsync(mk(2));  // displaces f2
-
-  ASSERT_EQ(f2.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  EXPECT_EQ(f2.get().status().code(), StatusCode::kUnavailable);
-
-  block->Release();
-  EXPECT_TRUE(f1.get().ok());
   EXPECT_TRUE(f3.get().ok());
 }
 
@@ -452,16 +442,16 @@ TEST(SearchServiceTest, DeadlineExpiringWhileQueuedNeverReachesEngine) {
   fx.engine->Register(std::move(counting));
 
   SearchService service(fx.engine, {.cache = {.capacity = 0}});
-  // Park the only strand, then queue a request whose deadline dies in the
-  // queue.
+  // Hold the only slot, then send a request whose deadline dies while it
+  // waits for one.
   EngineQuery blocker = Q({0}, "blocking");
   blocker.eval.forced_layer = 0;
-  auto f1 = service.SubmitAsync(blocker);
+  auto f1 = QueryOnClientThread(service, blocker);
   block->WaitUntilStarted();
 
   EngineQuery doomed = Q({0, 1}, "counting");
   doomed.eval.deadline = Deadline::After(5);
-  auto f2 = service.SubmitAsync(doomed);
+  auto f2 = QueryOnClientThread(service, doomed);
   while (!doomed.eval.deadline.Expired()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -527,20 +517,19 @@ TEST(SearchServiceTest, SlowQueryDoesNotHoldOthers) {
   fx.engine->Register(std::make_unique<CountingAlgorithm>());
 
   SearchService service(fx.engine);
-  // Declared after the service, so it releases the blocker on every path
-  // before the service's destructor joins the strands.
+  EngineQuery blocker = Q({0}, "blocking");
+  blocker.eval.forced_layer = 0;
+  auto slow = QueryOnClientThread(service, blocker);
+  // Declared after the slow caller's future, so it releases the blocker on
+  // every path before that future's destructor waits for its thread.
   struct ReleaseOnExit {
     const BlockingAlgorithm* block;
     ~ReleaseOnExit() { block->Release(); }
   } release{block};
-
-  EngineQuery blocker = Q({0}, "blocking");
-  blocker.eval.forced_layer = 0;
-  auto slow = service.SubmitAsync(blocker);
   block->WaitUntilStarted();
 
-  // The second strand answers while the first is still parked.
-  auto fast = service.SubmitAsync(Q({0, 1}, "counting"));
+  // The second slot answers while the first is still held.
+  auto fast = QueryOnClientThread(service, Q({0, 1}, "counting"));
   ASSERT_EQ(fast.wait_for(std::chrono::seconds(5)), std::future_status::ready);
   auto r = fast.get();
   EXPECT_TRUE(r.ok()) << r.status().ToString();
@@ -548,45 +537,8 @@ TEST(SearchServiceTest, SlowQueryDoesNotHoldOthers) {
             std::future_status::timeout);
 }
 
-TEST(SearchServiceTest, QueuedDuplicatesEvaluateOnce) {
-  ServiceFixture fx;  // serial engine: one strand
-  auto blocking = std::make_unique<BlockingAlgorithm>();
-  const BlockingAlgorithm* block = blocking.get();
-  auto counting = std::make_unique<CountingAlgorithm>();
-  const CountingAlgorithm* counter = counting.get();
-  fx.engine->Register(std::move(blocking));
-  fx.engine->Register(std::move(counting));
-
-  SearchService service(fx.engine);
-  EngineQuery blocker = Q({0}, "blocking");
-  blocker.eval.forced_layer = 0;
-  auto f0 = service.SubmitAsync(blocker);
-  block->WaitUntilStarted();
-
-  auto mk = [](std::vector<LabelId> keywords) {
-    EngineQuery q = Q(std::move(keywords), "counting");
-    q.eval.forced_layer = 0;  // exactly one Evaluate() per evaluation
-    return q;
-  };
-  std::vector<std::future<StatusOr<QueryResult>>> dups;
-  for (int i = 0; i < 3; ++i) dups.push_back(service.SubmitAsync(mk({0, 1})));
-  auto other = service.SubmitAsync(mk({2, 3}));
-
-  block->Release();
-  EXPECT_TRUE(f0.get().ok());
-  std::vector<StatusOr<QueryResult>> answers;
-  for (auto& f : dups) {
-    answers.push_back(f.get());
-    ASSERT_TRUE(answers.back().ok()) << answers.back().status().ToString();
-  }
-  EXPECT_TRUE(other.get().ok());
-  EXPECT_EQ(counter->evaluations.load(), 2);
-  EXPECT_EQ(answers[1]->answers, answers[0]->answers);
-  EXPECT_EQ(answers[2]->answers, answers[0]->answers);
-}
-
 TEST(SearchServiceTest, ShutdownResolvesQueuedRequests) {
-  // A serial engine (one strand), then two strands both parked.
+  // A serial engine (one slot), then two slots, both held.
   for (size_t num_threads : {0, 2}) {
     SCOPED_TRACE(num_threads);
     ServiceFixture fx(num_threads);
@@ -598,35 +550,43 @@ TEST(SearchServiceTest, ShutdownResolvesQueuedRequests) {
         fx.engine, SearchServiceOptions{.cache = {.capacity = 0}});
     EngineQuery q = Q({0}, "blocking");
     q.eval.forced_layer = 0;
-    const int strands = static_cast<int>(fx.engine->num_slots());
+    const int slots = static_cast<int>(fx.engine->num_slots());
     std::vector<std::future<StatusOr<QueryResult>>> in_flight;
-    for (int i = 0; i < strands; ++i) {
-      in_flight.push_back(service->SubmitAsync(q));
+    for (int i = 0; i < slots; ++i) {
+      in_flight.push_back(QueryOnClientThread(*service, q));
     }
-    block->WaitUntilStarted(strands);
-    auto queued = service->SubmitAsync(q);  // every strand is parked
+    block->WaitUntilStarted(slots);
+    auto queued = QueryOnClientThread(*service, q);  // every slot is held
+    WaitForWaiters(*service, 1);
 
     std::thread shutdown([&] { service->Shutdown(); });
-    // Give Shutdown() a moment to raise the stop flag; the release below
-    // unblocks the in-flight evaluations so the joins can finish.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    // Shutdown() answers the waiter at once, then waits for the callers
+    // that hold slots; the release below lets them finish.
+    auto r = queued.get();
+    EXPECT_EQ(r.status().code(), StatusCode::kUnavailable)
+        << r.status().ToString();
     block->Release();
     shutdown.join();
 
     for (auto& f : in_flight) {
       EXPECT_TRUE(f.get().ok());  // in-flight work completed
     }
-    // The queued request either drained with Unavailable or was dequeued by
-    // a strand before it saw the stop flag — both are legal; what shutdown
-    // guarantees is that it resolves.
-    auto r = queued.get();
-    EXPECT_TRUE(r.ok() || r.status().code() == StatusCode::kUnavailable)
-        << r.status().ToString();
 
-    // Post-shutdown submissions resolve immediately with Unavailable.
-    auto late = service->SubmitAsync(Q({0, 1}));
-    EXPECT_EQ(late.get().status().code(), StatusCode::kUnavailable);
+    // Later calls resolve immediately with Unavailable.
+    auto late = service->Query(Q({0, 1}));
+    EXPECT_EQ(late.status().code(), StatusCode::kUnavailable);
   }
+}
+
+TEST(SearchServiceTest, ConstructionStartsNoThreads) {
+  ServiceFixture fx(/*num_threads=*/4);
+  const int before = testing::ProcessThreadCount();
+  if (before < 0) GTEST_SKIP() << "/proc/self/status is unreadable";
+  SearchService service(fx.engine);
+  EXPECT_EQ(testing::ProcessThreadCount(), before);
+  // Queries run on the calling thread.
+  EXPECT_TRUE(service.Query(Q({0, 1})).ok());
+  EXPECT_EQ(testing::ProcessThreadCount(), before);
 }
 
 // ---------------------------------------------------------------------------
@@ -976,6 +936,34 @@ TEST(TcpServerTest, OverlongLineClosesOnlyItsConnection) {
 void SetReadTimeout(int fd, int seconds) {
   timeval timeout{.tv_sec = seconds, .tv_usec = 0};
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+}
+
+// A client may pipeline requests: a thousand lines in one write get a
+// thousand replies, in order, on the one connection.
+TEST(TcpServerTest, PipelinedRequestsAnswerInOrder) {
+  ServiceFixture fx;
+  SearchService service(fx.engine);
+  TcpServer server(&service, nullptr, {.port = 0});
+  Status started = server.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "cannot bind loopback socket: " << started.ToString();
+  }
+  const int fd = DialLoopback(server.port());
+  ASSERT_GE(fd, 0);
+  SetReadTimeout(fd, 10);
+
+  std::string requests, expected;
+  for (int i = 0; i < 1000; ++i) {
+    requests += "ping\n";
+    expected += "OK pong\n.\n";
+  }
+  requests += "quit\n";
+  expected += "OK bye\n.\n";
+  ASSERT_EQ(::send(fd, requests.data(), requests.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(requests.size()));
+  EXPECT_EQ(ReadToEof(fd), expected);
+  ::close(fd);
+  server.Stop();
 }
 
 // curl's request shape (request line, header lines, blank line) on the

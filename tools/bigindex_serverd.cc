@@ -13,7 +13,7 @@
 //                    [--port 7419] [--threads N]
 //                    [--index-image PATH]
 //                    [--queue N] [--cache N] [--deadline-ms F]
-//                    [--reject-oldest] [--trace]
+//                    [--trace]
 //                    [--shards N --shard-of K [--shard-mode wcc|bfs]
 //                     [--bfs-block N]]
 //                    [--coordinator HOST:PORT,HOST:PORT,...]
@@ -47,8 +47,9 @@
 //   so must the shard flags: a shard image is never served as the whole
 //   graph, nor the other way round.
 //   --threads N sets how many queries evaluate at once (0 = one; default one
-//   per hardware thread); the engine itself starts no threads, the service
-//   runs that many dispatch strands. --cache N sizes the answer cache of a
+//   per hardware thread); neither the engine nor the service starts
+//   threads: each connection's thread evaluates its own queries, at most N
+//   at once behind the service's slot gate. --cache N sizes the answer cache of a
 //   monolithic server or a coordinator (default 4096 entries; 0 disables
 //   it). Every count flag takes only plain decimal digits (ports at most
 //   65535); anything else is a usage error.
@@ -91,7 +92,7 @@ int Usage() {
       "                        [--port N] [--threads N]\n"
       "                        [--index-image PATH]\n"
       "                        [--queue N] [--cache N] [--deadline-ms F]\n"
-      "                        [--reject-oldest] [--trace]\n"
+      "                        [--trace]\n"
       "                        [--shards N --shard-of K"
       " [--shard-mode wcc|bfs] [--bfs-block N]]\n"
       "                        [--coordinator HOST:PORT,...]"
@@ -266,8 +267,6 @@ int Run(int argc, char** argv) {
       cache_flag = true;
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
       service_opts.default_deadline_ms = real("--deadline-ms");
-    } else if (std::strcmp(argv[i], "--reject-oldest") == 0) {
-      service_opts.overload_policy = OverloadPolicy::kRejectOldest;
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       trace_from_start = true;
     } else if (std::strcmp(argv[i], "--shards") == 0) {

@@ -7,8 +7,8 @@
 # integration test (which now drives the UPDATE verb end to end), then an
 # ASan+UBSan pass over the index-image and line-protocol fuzz suites
 # (hostile-bytes paths), the summarization kernel's reference suite, the
-# quotient and cone re-sign suites and the rooted search suites (keyword-cone
-# level-cursor arithmetic),
+# quotient and cone re-sign suites, the rooted search suites (keyword-cone
+# level-cursor arithmetic) and the serving suites (slot-gate lifetime),
 # then the docs checks (dead links, protocol verbs,
 # metric catalog, span taxonomy), a metrics-overhead smoke, a
 # construction smoke, an index-image cold-start smoke, the shard
@@ -58,7 +58,7 @@ echo "=== tsan: multi-process coordinator/shard integration ==="
 tools/shard_integration.sh build-tsan
 
 echo
-echo "=== asan+ubsan: fuzz suites + kernel reference suites (build-asan/) ==="
+echo "=== asan+ubsan: fuzz, kernel reference and serving suites (build-asan/) ==="
 cmake -B build-asan -S . -DBIGINDEX_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$JOBS" --target bigindex_tests
 # The fuzz suites feed truncated/corrupted images through the mmap loader
@@ -76,10 +76,15 @@ cmake --build build-asan -j"$JOBS" --target bigindex_tests
 # prefix, hence the leading `*`) run all three against the priority-queue
 # reference, the Bkws and Blinks suites cover each scheduler's edge cases,
 # and the dataset sweep compares the three on generated knowledge graphs.
-# Any out-of-bounds read or UB is a hard failure.
+# SearchService evaluates on its callers' threads (TcpServer connection
+# threads in a server), and Shutdown() waits for the callers that hold or
+# wait for a slot before the service may be destroyed: the SearchService,
+# ServingStack, TcpServer and CacheEpochRace suites run that lifetime code
+# under ASan, which would catch state freed under a running evaluation.
+# Any out-of-bounds read, use after free or UB is a hard failure.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   ./build-asan/tests/bigindex_tests \
-  --gtest_filter='IndexImageFuzz*:LineProtocolFuzz*:BisimKernelReference*:*Bidirectional*:Bkws*:Blinks*:*DatasetEquivalence*:SummarizeKernel*:IncrementalBisim*:MaintainIndex*'
+  --gtest_filter='IndexImageFuzz*:LineProtocolFuzz*:BisimKernelReference*:*Bidirectional*:Bkws*:Blinks*:*DatasetEquivalence*:SummarizeKernel*:IncrementalBisim*:MaintainIndex*:SearchService*:ServingStack*:TcpServer*:CacheEpochRace*'
 
 echo
 echo "=== docs: no dead relative links in *.md ==="
@@ -242,8 +247,8 @@ echo "=== gate: maintenance speedup (>= 2x at small batches) ==="
 
 echo
 echo "=== smoke: serving-layer load generator (~2s) ==="
-# Tiny instance; exercises the full service pipeline (admission, dispatch
-# strands, cache, deadlines, backpressure, mixed read/update serving with live epoch
+# Tiny instance; exercises the full service pipeline (admission, slot gate,
+# cache, deadlines, backpressure, mixed read/update serving with live epoch
 # swaps) end to end without benchmarking anything.
 BIGINDEX_BENCH_SCALE="${BIGINDEX_BENCH_SCALE:-0.002}" \
   ./build/bench/bench_server --smoke
