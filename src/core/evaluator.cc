@@ -1,6 +1,7 @@
 #include "core/evaluator.h"
 
 #include <algorithm>
+#include <queue>
 #include <unordered_set>
 
 #include "engine/query_context.h"
@@ -92,14 +93,31 @@ std::vector<Answer> EvaluateWithIndex(const BigIndex& index,
   auto top_k_reached = [&] {
     return options.top_k != 0 && final_answers.size() >= options.top_k;
   };
+  // Exact rooted top-k stops at a score threshold. Every quotient contracts
+  // distances (Prop 5.2) and generalization only widens keyword matches, so
+  // a generalized answer's score is a lower bound on the exact score of
+  // every root it specializes to, and a rooted algorithm without a top-k cut
+  // of its own returns every summary answer, one per summary root. Once k
+  // exact scores are known, a generalized answer scoring above the k-th best
+  // — and every later one — specializes only to roots that cannot enter the
+  // top k. Ties are still verified: a tied root can win AnswerLess's
+  // tie-break.
+  std::priority_queue<uint32_t> kth_best;  // the k best exact scores so far
+  auto beyond_kth_exact = [&](uint32_t score) {
+    return options.top_k != 0 && kth_best.size() == options.top_k &&
+           score > kth_best.top();
+  };
 
   // (4)+(5): progressive specialization in generalized rank order
-  // (Sec. 4.3.4): with top-k we stop as soon as k answers are verified.
+  // (Sec. 4.3.4). With top-k, exact rooted evaluation stops at the first
+  // generalized answer that scores above the k-th best exact score; the
+  // other modes stop as soon as k answers are realized or verified.
   for (const Answer& am : generalized) {
     if (expired()) return final_answers;
     timer.Restart();
 
     if (rooted && options.exact_verification) {
+      if (beyond_kth_exact(am.score)) break;
       // Exact rooted semantics read only the root. Its unfiltered layer-0
       // specializations are the candidate roots (never label-pruned, so the
       // root set is complete, Lemma 4.1), and VerifyCandidate computes each
@@ -125,11 +143,14 @@ std::vector<Answer> EvaluateWithIndex(const BigIndex& index,
         Answer candidate;
         candidate.root = r;
         if (auto exact = f.VerifyCandidate(g0, keywords, candidate, ctx)) {
+          if (options.top_k != 0) {
+            kth_best.push(exact->score);
+            if (kth_best.size() > options.top_k) kth_best.pop();
+          }
           final_answers.push_back(std::move(*exact));
         }
       }
       bd.verify_ms += timer.ElapsedMillis();
-      if (top_k_reached()) break;
       continue;
     }
 

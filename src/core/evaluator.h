@@ -15,7 +15,12 @@
 // observation that root candidates are never label-pruned), and per-root
 // verification computes exact best trees on G^0. With top-k, the progressive
 // specialization of Sec. 4.3.4 applies (generalized rank order guides
-// specialization; Prop 5.3 motivates its accuracy).
+// specialization). Exact rooted evaluation stops at a score threshold: a
+// generalized answer's score bounds its roots' exact scores from below
+// (Prop 5.2), so, when f has no top-k cut of its own and returns every
+// summary answer, its top k equals direct evaluation's first k. Fast mode
+// and r-clique stop once k answers are realized or verified (Prop 5.3
+// motivates their accuracy).
 
 #ifndef BIGINDEX_CORE_EVALUATOR_H_
 #define BIGINDEX_CORE_EVALUATOR_H_
@@ -43,8 +48,11 @@ struct EvalOptions {
   int forced_layer = -1;
 
   /// Return only the best k answers; 0 = all. With k > 0 the evaluator
-  /// specializes generalized answers progressively in rank order and stops
-  /// once k answers are verified (Sec. 4.3.4).
+  /// specializes generalized answers progressively in rank order (Sec.
+  /// 4.3.4). Exact rooted evaluation stops at the first generalized answer
+  /// scoring above the k-th best exact score, so the k answers are exact
+  /// when f has no top-k cut of its own; the other modes stop once k
+  /// answers are realized or verified.
   size_t top_k = 0;
 
   /// Algorithm 3/4 switches (Fig. 17/18 ablations). They act only where

@@ -8,17 +8,15 @@ void ConeScratch::EnsureSize(size_t num_vertices) {
   if (dist.size() < num_vertices) {
     dist.resize(num_vertices, kInfDistance);
     witness.resize(num_vertices, kInvalidVertex);
-    parent.resize(num_vertices, kInvalidVertex);
+    parent.resize(num_vertices);
   }
 }
 
 void ConeScratch::Release() {
-  for (VertexId v : queue) {
-    dist[v] = kInfDistance;
-    witness[v] = kInvalidVertex;
-    parent[v] = kInvalidVertex;
-  }
+  for (VertexId v : queue) dist[v] = kInfDistance;
+  for (VertexId v : resolved) witness[v] = kInvalidVertex;
   queue.clear();
+  resolved.clear();
 }
 
 void BallCache::SwitchTo(const Graph* g, uint32_t radius) {

@@ -2,9 +2,9 @@
 // loops must stop allocating per call").
 //
 // Every KeywordSearchAlgorithm entry point receives a QueryContext& and draws
-// its working memory from it: BFS cone arrays (distance / witness / next hop /
-// frontier queue), per-vertex mask and accumulator arrays, candidate vectors,
-// dedup sets, and the r-clique verification ball cache. A context is NOT
+// its working memory from it: BFS cone arrays (distance / witness memo / next
+// hop / frontier queue), per-vertex mask and accumulator arrays, candidate
+// vectors, dedup sets, and the r-clique verification ball cache. A context is NOT
 // thread-safe — it is the unit of thread affinity: the engine hands each
 // worker its own context, and within one context calls are strictly
 // sequential. Contexts grow to the largest graph they have served and keep
@@ -30,20 +30,23 @@ class Graph;
 
 /// Scratch for one bounded BFS cone: persistent per-vertex arrays plus the
 /// visit queue, which doubles as the touched list. Invariant between uses:
-/// dist is kInfDistance everywhere, witness/parent are kInvalidVertex
-/// everywhere, and queue is empty — Release() restores it in O(touched)
-/// instead of O(|V|).
+/// dist is kInfDistance and witness is kInvalidVertex everywhere, and queue
+/// and resolved are empty. Release() restores it in O(touched) instead of
+/// O(|V|). parent is not part of the invariant: every user writes a vertex's
+/// parent before it reads it.
 struct ConeScratch {
   std::vector<uint32_t> dist;      // kInfDistance = unreached
-  std::vector<VertexId> witness;   // keyword vertex the distance leads to
+  std::vector<VertexId> witness;   // memo: keyword vertex the path leads to
   std::vector<VertexId> parent;    // predecessor / next hop on the path
-  std::vector<VertexId> queue;     // visit order == exactly the touched set
+  std::vector<VertexId> queue;     // visit order == exactly the dist writes
+  std::vector<VertexId> resolved;  // exactly the witness writes
 
   /// Grows the arrays to cover `num_vertices`, preserving the invariant.
   void EnsureSize(size_t num_vertices);
 
-  /// Restores the invariant by undoing every write recorded in `queue`.
-  /// Every vertex whose dist/witness/parent was written MUST be in queue.
+  /// Restores the invariant by undoing the writes recorded in `queue` (dist)
+  /// and `resolved` (witness). Every vertex whose dist was written MUST be in
+  /// queue, and every vertex whose witness was written MUST be in resolved.
   void Release();
 };
 

@@ -1,12 +1,13 @@
 #include "search/keyword_cones.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace bigindex {
 
 KeywordCones::KeywordCones(const Graph& g, const std::vector<LabelId>& keywords,
                            uint32_t d_max, QueryContext& ctx)
-    : in_(g.In()), d_max_(d_max) {
+    : in_(g.In()), out_(g.Out()), d_max_(d_max) {
   const size_t nq = keywords.size();
   if (nq == 0 || nq > kMaxKeywords || g.NumVertices() == 0) return;
   for (LabelId keyword : keywords) {
@@ -17,8 +18,6 @@ KeywordCones::KeywordCones(const Graph& g, const std::vector<LabelId>& keywords,
     ConeScratch& s = ctx.Cone(i, g.NumVertices());
     for (VertexId v : g.VerticesWithLabel(keywords[i])) {
       s.dist[v] = 0;
-      s.witness[v] = v;
-      s.parent[v] = v;
       s.queue.push_back(v);
     }
     cones_[i] = &s;
@@ -40,26 +39,54 @@ std::span<const VertexId> KeywordCones::ExpandLevel(size_t i) {
   Cursor& c = cursors_[i];
   const uint32_t d = c.level + 1;
   for (size_t h = c.head; h < c.end; ++h) {
-    const VertexId v = s.queue[h];
-    const VertexId w = s.witness[v];
     // Backward: u -> v means u reaches the keyword through v.
-    const auto [begin, end] = in_[v];
+    const auto [begin, end] = in_[s.queue[h]];
     for (uint64_t idx = begin; idx < end; ++idx) {
       const VertexId u = in_.Slot(idx);
       if (s.dist[u] == kInfDistance) {
         s.dist[u] = d;
-        s.witness[u] = w;
-        s.parent[u] = v;
         s.queue.push_back(u);
-      } else if (s.dist[u] == d &&
-                 std::pair(w, v) < std::pair(s.witness[u], s.parent[u])) {
-        s.witness[u] = w;
-        s.parent[u] = v;
       }
     }
   }
   c = {c.end, s.queue.size(), d};
   return Frontier(i);
+}
+
+VertexId KeywordCones::Witness(size_t i, VertexId v) const {
+  ConeScratch& s = *cones_[i];
+  if (s.dist[v] == 0) return v;
+  if (s.witness[v] != kInvalidVertex) return s.witness[v];
+  // Post-order over the shortest-path DAG below v: a frame is resolved once
+  // every next hop is, and an unresolved next hop is walked first, its edge
+  // revisited after it. Distances fall by one per frame, so no vertex is
+  // ever on the stack twice.
+  stack_.push_back({v, out_[v].begin});
+  while (!stack_.empty()) {
+    Frame& f = stack_.back();
+    const uint32_t hop_dist = s.dist[f.v] - 1;
+    const uint64_t end = out_[f.v].end;
+    for (; f.next < end; ++f.next) {
+      const VertexId u = out_.Slot(f.next);
+      if (s.dist[u] != hop_dist) continue;
+      const VertexId w = hop_dist == 0 ? u : s.witness[u];
+      if (w == kInvalidVertex) break;
+      if (std::pair(w, u) < std::pair(f.witness, f.hop)) {
+        f.witness = w;
+        f.hop = u;
+      }
+    }
+    if (f.next < end) {
+      const VertexId u = out_.Slot(f.next);
+      stack_.push_back({u, out_[u].begin});  // invalidates f
+      continue;
+    }
+    s.witness[f.v] = f.witness;
+    s.parent[f.v] = f.hop;
+    s.resolved.push_back(f.v);
+    stack_.pop_back();
+  }
+  return s.witness[v];
 }
 
 std::vector<Answer> KeywordCones::Answers(size_t top_k) const {
@@ -73,6 +100,9 @@ std::vector<Answer> KeywordCones::Answers(size_t top_k) const {
       smallest = i;
     }
   }
+  // (score, root) packed into one key: roots are unique, so key order is
+  // AnswerLess order, and only the roots that make the cut are assembled.
+  std::vector<uint64_t> ranked;
   for (VertexId r : cones_[smallest]->queue) {
     uint32_t score = 0;
     bool complete = true;
@@ -80,15 +110,23 @@ std::vector<Answer> KeywordCones::Answers(size_t top_k) const {
       complete = Reached(i, r);
       if (complete) score += dist(i, r);
     }
-    if (!complete) continue;
+    if (complete) ranked.push_back(uint64_t{score} << 32 | r);
+  }
+  if (top_k != 0 && ranked.size() > top_k) {
+    std::nth_element(ranked.begin(), ranked.begin() + top_k, ranked.end());
+    ranked.resize(top_k);
+  }
+  std::sort(ranked.begin(), ranked.end());
+  answers.reserve(ranked.size());
+  for (uint64_t key : ranked) {
     Answer a;
-    a.root = r;
-    a.score = score;
-    a.vertices.push_back(r);
+    a.root = static_cast<VertexId>(key);
+    a.score = static_cast<uint32_t>(key >> 32);
+    a.vertices.push_back(a.root);
     for (size_t i = 0; i < size_; ++i) {
+      a.keyword_vertices.push_back(Witness(i, a.root));
       const ConeScratch& s = *cones_[i];
-      a.keyword_vertices.push_back(s.witness[r]);
-      for (VertexId v = r; v != s.witness[v];) {
+      for (VertexId v = a.root; s.dist[v] != 0;) {
         v = s.parent[v];
         a.vertices.push_back(v);
       }
@@ -96,8 +134,6 @@ std::vector<Answer> KeywordCones::Answers(size_t top_k) const {
     CanonicalizeAnswer(a);
     answers.push_back(std::move(a));
   }
-  SortAnswers(answers);
-  if (top_k != 0 && answers.size() > top_k) answers.resize(top_k);
   return answers;
 }
 

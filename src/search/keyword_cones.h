@@ -11,16 +11,21 @@
 // schedulers over it (bkws: every cone to d_max; Blinks: smallest frontier
 // first with an exact top-k stop; bidirectional: highest activation first).
 //
-// One tie-break for every cone. A cone's (dist, witness, parent) is the
-// least fixed point over its shortest-path DAG: dist is the BFS distance,
-// and (witness, parent) is the least (witness[v], v) over the vertices v one
-// hop closer to the keyword. So the witness is the smallest-id nearest
-// keyword vertex — the one CompleteRootedAnswer picks as well — and answers,
-// paths included, are a pure function of the graph, never of the expansion
-// order: the three algorithms, and sharded and monolithic evaluation, agree
-// answer for answer. Expanding a whole level at a time reaches the fixed
-// point in one pass (every vertex of level d is final before level d
-// expands), so no vertex is queued twice.
+// One tie-break for every cone. A cone's (witness, parent) is the least fixed
+// point over its shortest-path DAG: dist is the BFS distance, and (witness,
+// parent) of a vertex at distance d > 0 is the least (witness[u], u) over
+// its out-neighbours u at distance d - 1. So the witness is the smallest-id
+// nearest keyword vertex — the one CompleteRootedAnswer picks as well — and
+// answers, paths included, are a pure function of the graph, never of the
+// expansion order: the three algorithms, and sharded and monolithic
+// evaluation, agree answer for answer.
+//
+// Expansion tracks distances only: a whole level expands at a time, so every
+// vertex of level d is final before level d expands and no vertex is queued
+// twice. Only the emitted roots' paths read (witness, parent), so Answers
+// resolves the fixed point lazily, for the roots that survive the top-k cut:
+// a post-order walk down the shortest-path DAG below each root, memoized in
+// the cone's scratch, with an explicit stack since d_max is the caller's.
 //
 // Cone arrays come from QueryContext cone slots [0, |Q|); the destructor
 // releases them in O(touched).
@@ -75,7 +80,7 @@ class KeywordCones {
   }
 
   /// Expands cone i (not Exhausted) by one level and returns the new
-  /// frontier. Every vertex it holds is final on return.
+  /// frontier. Every distance it holds is final on return.
   std::span<const VertexId> ExpandLevel(size_t i);
 
   /// True iff cone i has reached v; its distance is then dist(i, v).
@@ -86,7 +91,8 @@ class KeywordCones {
 
   /// The answers so far: every root all cones have reached, with its path
   /// to each cone's witness, in SortAnswers order, cut to `top_k` (0 = all).
-  /// Exact once every cone is Exhausted.
+  /// Exact once every cone is Exhausted. Only the roots that survive the cut
+  /// resolve witnesses and paths.
   std::vector<Answer> Answers(size_t top_k) const;
 
  private:
@@ -98,11 +104,27 @@ class KeywordCones {
     uint32_t level = 0;
   };
 
+  // One pending vertex of Witness's walk: its out-edges from `next` are not
+  // scanned yet, and (witness, hop) is the least pair over those that are.
+  struct Frame {
+    VertexId v;
+    uint64_t next;
+    VertexId witness = kInvalidVertex;
+    VertexId hop = kInvalidVertex;
+  };
+
+  // Cone i's witness of v (Reached): the smallest-id keyword vertex nearest
+  // to v. Resolves, and memoizes with its next hop, every vertex of the
+  // shortest-path DAG below v that is not resolved yet.
+  VertexId Witness(size_t i, VertexId v) const;
+
   const CsrView in_;
+  const CsrView out_;
   const uint32_t d_max_;
   size_t size_ = 0;
   std::array<ConeScratch*, kMaxKeywords> cones_{};
   std::array<Cursor, kMaxKeywords> cursors_{};
+  mutable std::vector<Frame> stack_;
 };
 
 /// The exact best answer tree rooted at `root` — the VerifyCandidate of

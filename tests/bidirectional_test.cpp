@@ -28,6 +28,7 @@
 #include "search/bidirectional.h"
 #include "search/bkws.h"
 #include "search/blinks.h"
+#include "search/keyword_cones.h"
 #include "testing/random_graph.h"
 #include "util/random.h"
 #include "workload/datasets.h"
@@ -74,21 +75,26 @@ std::vector<Answer> ReferenceBidirectionalSearch(
   const size_t nq = keywords.size();
   if (nq == 0 || nq > 32 || g.NumVertices() == 0) return answers;
 
-  std::vector<ConeScratch*> cones(nq);
-  for (size_t i = 0; i < nq; ++i) cones[i] = &ctx.Cone(i, g.NumVertices());
-  struct ConeLease {
-    std::vector<ConeScratch*>& cones;
-    ~ConeLease() {
-      for (ConeScratch* s : cones) s->Release();
-    }
-  } lease{cones};
+  // Test-local cone arrays: the kernel's ConeScratch keeps witness as a
+  // memo that must read kInvalidVertex between queries, so the reference,
+  // which writes witness on every touch, never borrows a context slot.
+  struct Cone {
+    std::vector<uint32_t> dist;
+    std::vector<VertexId> witness, parent, queue;
+  };
+  std::vector<Cone> cones(nq);
+  for (Cone& s : cones) {
+    s.dist.assign(g.NumVertices(), kInfDistance);
+    s.witness.assign(g.NumVertices(), kInvalidVertex);
+    s.parent.assign(g.NumVertices(), kInvalidVertex);
+  }
 
   std::priority_queue<Frontier> backward;
   for (size_t i = 0; i < nq; ++i) {
     auto origins = g.VerticesWithLabel(keywords[i]);
     if (origins.empty()) return answers;
     double base = 1.0 / static_cast<double>(origins.size());
-    ConeScratch& s = *cones[i];
+    Cone& s = cones[i];
     for (VertexId v : origins) {
       s.queue.push_back(v);
       s.dist[v] = 0;
@@ -104,7 +110,7 @@ std::vector<Answer> ReferenceBidirectionalSearch(
   while (!backward.empty()) {
     Frontier f = backward.top();
     backward.pop();
-    ConeScratch& s = *cones[f.cone];
+    Cone& s = cones[f.cone];
     if (s.dist[f.vertex] != f.dist) continue;  // stale entry
     covered[f.vertex] |= (1u << f.cone);
     if (f.dist >= options.d_max) continue;
@@ -134,13 +140,13 @@ std::vector<Answer> ReferenceBidirectionalSearch(
     }
   }
 
-  for (VertexId r : cones[0]->queue) {
+  for (VertexId r : cones[0].queue) {
     if (covered[r] != full_mask) continue;
     Answer a;
     a.root = r;
     a.vertices.push_back(r);
     for (size_t i = 0; i < nq; ++i) {
-      const ConeScratch& s = *cones[i];
+      const Cone& s = cones[i];
       a.score += s.dist[r];
       a.keyword_vertices.push_back(s.witness[r]);
       for (VertexId v = r; v != s.witness[v];) {
@@ -476,6 +482,169 @@ TEST(BidirectionalReferenceTest, GuardsMatchReference) {
   // No keywords, or an empty graph: no answers.
   ExpectRootedSearchesMatch(g, {}, 5, 0, ctx, {}, "no keywords");
   ExpectRootedSearchesMatch(Graph(), {0}, 5, 0, ctx, {}, "empty graph");
+}
+
+// ---------- the eager kernel the lazy witness resolution replaced ----------
+
+// Every touch writes (dist, witness, parent), and a same-level revisit keeps
+// the least (witness, parent): the fixed point, reached eagerly as each level
+// expands. KeywordCones tracks distances only and resolves witnesses for the
+// roots it emits; both must assemble the same answers after any schedule.
+class EagerCones {
+ public:
+  EagerCones(const Graph& g, const std::vector<LabelId>& keywords)
+      : in_(g.In()) {
+    for (LabelId keyword : keywords) {
+      Cone& c = cones_.emplace_back();
+      c.dist.assign(g.NumVertices(), kInfDistance);
+      c.witness.assign(g.NumVertices(), kInvalidVertex);
+      c.parent.assign(g.NumVertices(), kInvalidVertex);
+      for (VertexId v : g.VerticesWithLabel(keyword)) {
+        c.dist[v] = 0;
+        c.witness[v] = v;
+        c.parent[v] = v;
+        c.queue.push_back(v);
+      }
+      c.end = c.queue.size();
+    }
+  }
+
+  void ExpandLevel(size_t i) {
+    Cone& c = cones_[i];
+    const uint32_t d = c.level + 1;
+    for (size_t h = c.head; h < c.end; ++h) {
+      const VertexId v = c.queue[h];
+      const VertexId w = c.witness[v];
+      const auto [begin, end] = in_[v];
+      for (uint64_t idx = begin; idx < end; ++idx) {
+        const VertexId u = in_.Slot(idx);
+        if (c.dist[u] == kInfDistance) {
+          c.dist[u] = d;
+          c.witness[u] = w;
+          c.parent[u] = v;
+          c.queue.push_back(u);
+        } else if (c.dist[u] == d &&
+                   std::pair(w, v) < std::pair(c.witness[u], c.parent[u])) {
+          c.witness[u] = w;
+          c.parent[u] = v;
+        }
+      }
+    }
+    c.head = c.end;
+    c.end = c.queue.size();
+    c.level = d;
+  }
+
+  std::vector<Answer> Answers(size_t top_k) const {
+    std::vector<Answer> answers;
+    for (VertexId r : cones_[0].queue) {
+      Answer a;
+      a.root = r;
+      a.vertices.push_back(r);
+      bool complete = true;
+      for (const Cone& c : cones_) {
+        if (c.dist[r] == kInfDistance) {
+          complete = false;
+          break;
+        }
+        a.score += c.dist[r];
+        a.keyword_vertices.push_back(c.witness[r]);
+        for (VertexId v = r; v != c.witness[v];) {
+          v = c.parent[v];
+          a.vertices.push_back(v);
+        }
+      }
+      if (!complete) continue;
+      CanonicalizeAnswer(a);
+      answers.push_back(std::move(a));
+    }
+    SortAnswers(answers);
+    if (top_k != 0 && answers.size() > top_k) answers.resize(top_k);
+    return answers;
+  }
+
+ private:
+  struct Cone {
+    std::vector<uint32_t> dist;
+    std::vector<VertexId> witness, parent, queue;
+    size_t head = 0, end = 0;
+    uint32_t level = 0;
+  };
+
+  const CsrView in_;
+  std::vector<Cone> cones_;
+};
+
+// Random cone schedules over seeded random graphs whose few labels give
+// many keyword vertices per cone, so same-level revisits tie often. Answers
+// is read after every expansion, so witnesses resolved while a cone is
+// partial are reused once it has grown; one context serves every query, so
+// a memo left behind by Release would show in a later one. Then a path
+// deeper than any recursion should go.
+TEST(KeywordConesTest, LazyWitnessMatchesEagerReference) {
+  QueryContext ctx;
+  size_t nonempty = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    testing::RandomGraphOptions go{.num_vertices = 60 + 10 * (seed % 7),
+                                   .edge_density = 1.5 + (seed % 4),
+                                   .num_labels = 2 + seed % 3,
+                                   .seed = seed};
+    Graph g = seed % 3 == 0 ? testing::MakeRandomDag(go)
+                            : testing::MakeRandomGraph(go);
+    const std::vector<LabelId> q =
+        seed % 2 == 0 ? std::vector<LabelId>{0, 1}
+                      : std::vector<LabelId>{1, 0, 1};
+    const uint32_t d_max = 2 + seed % 4;
+    KeywordCones cones(g, q, d_max, ctx);
+    ASSERT_EQ(cones.size(), q.size()) << "seed " << seed;
+    EagerCones eager(g, q);
+    Rng rng(seed);
+    while (true) {
+      for (size_t top_k : {size_t{0}, size_t{1}, size_t{3}}) {
+        auto want = eager.Answers(top_k);
+        if (!want.empty()) ++nonempty;
+        ExpectSameAnswers(cones.Answers(top_k), want,
+                          "seed " + std::to_string(seed) + " top_k " +
+                              std::to_string(top_k));
+      }
+      std::vector<size_t> open;
+      for (size_t i = 0; i < cones.size(); ++i) {
+        if (!cones.Exhausted(i)) open.push_back(i);
+      }
+      if (open.empty()) break;
+      const size_t i = open[rng.Uniform(open.size())];
+      cones.ExpandLevel(i);
+      eager.ExpandLevel(i);
+    }
+  }
+  EXPECT_GT(nonempty, 0u);
+
+  // One root 4,096 hops from its keyword: the witness walk is as deep as
+  // d_max, which an explicit stack handles and recursion need not.
+  constexpr VertexId kN = 5000;
+  constexpr uint32_t kDepth = 4096;
+  GraphBuilder b;
+  for (VertexId v = 0; v < kN; ++v) {
+    b.AddVertex(v == 0 ? 1 : v == kDepth ? 2 : 0);
+  }
+  for (VertexId v = 0; v + 1 < kN; ++v) b.AddEdge(v, v + 1);
+  Graph g = std::move(b.Build()).value();
+  const std::vector<LabelId> q{1, 2};
+  KeywordCones cones(g, q, kDepth, ctx);
+  EagerCones eager(g, q);
+  for (size_t i = 0; i < cones.size(); ++i) {
+    while (!cones.Exhausted(i)) {
+      cones.ExpandLevel(i);
+      eager.ExpandLevel(i);
+    }
+  }
+  auto got = cones.Answers(1);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].root, 0u);
+  EXPECT_EQ(got[0].score, kDepth);
+  EXPECT_EQ(got[0].keyword_vertices, (std::vector<VertexId>{0, kDepth}));
+  EXPECT_EQ(got[0].vertices.size(), size_t{kDepth} + 1);
+  ExpectSameAnswers(got, eager.Answers(1), "path");
 }
 
 }  // namespace

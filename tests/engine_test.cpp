@@ -150,13 +150,14 @@ TEST(QueryContextTest, ConeReleaseRestoresInvariant) {
   s.witness[3] = 7;
   s.parent[3] = 9;
   s.queue.push_back(3);
+  s.resolved.push_back(3);
   s.Release();
   ConeScratch& again = ctx.Cone(0, 64);
   EXPECT_EQ(&again, &s);  // same storage, reused
   EXPECT_EQ(again.dist[3], kInfDistance);
   EXPECT_EQ(again.witness[3], kInvalidVertex);
-  EXPECT_EQ(again.parent[3], kInvalidVertex);
   EXPECT_TRUE(again.queue.empty());
+  EXPECT_TRUE(again.resolved.empty());
 }
 
 TEST(QueryContextTest, ZeroedVertexArrayIsZeroedOnEveryAcquisition) {

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "core/big_index.h"
 #include "core/evaluator.h"
+#include "engine/query_context.h"
 #include "search/bidirectional.h"
 #include "search/bkws.h"
 #include "search/blinks.h"
@@ -393,6 +396,116 @@ TEST(EvaluatorTest, DatasetWorkloadEndToEnd) {
     EXPECT_EQ(RootScores(hier), direct_set) << q.id;
   }
 }
+
+// ---------- exact top-k ----------
+
+// What exact top-k must equal: direct search's first k answers, in rank
+// order, on everything but the paths (root, score, keyword vertices). Paths
+// are not compared: verification's BFS tree and the cones' shortest-path
+// DAG may join a root to the same keyword vertex by different paths.
+using Ranked = std::vector<std::tuple<VertexId, uint32_t, std::vector<VertexId>>>;
+
+Ranked FirstK(const std::vector<Answer>& answers, size_t k) {
+  Ranked out;
+  for (size_t i = 0; i < answers.size() && i < k; ++i) {
+    out.emplace_back(answers[i].root, answers[i].score,
+                     answers[i].keyword_vertices);
+  }
+  return out;
+}
+
+// Runs bkws, Blinks and bidirectional through the index at every forced
+// layer and the cost model's own, with top_k 1, 3 and 10, and appends each
+// cell whose answers are not direct search's first k to `wrong`. Returns the
+// number of cells run. Every call shares `ctx`, as an engine worker's calls
+// do, so scratch a query leaves behind would show in a later one.
+size_t CheckExactTopK(const BigIndex& index, const std::vector<LabelId>& q,
+                      const std::string& where, QueryContext& ctx,
+                      std::vector<std::string>& wrong) {
+  const BkwsAlgorithm bkws;
+  const BlinksAlgorithm blinks;
+  const BidirectionalAlgorithm bidi;
+  size_t cells = 0;
+  for (const KeywordSearchAlgorithm* f :
+       {static_cast<const KeywordSearchAlgorithm*>(&bkws),
+        static_cast<const KeywordSearchAlgorithm*>(&blinks),
+        static_cast<const KeywordSearchAlgorithm*>(&bidi)}) {
+    const auto direct = f->Evaluate(index.base(), q, ctx);
+    for (int m = -1; m <= static_cast<int>(index.NumLayers()); ++m) {
+      if (m == 0) continue;  // layer 0 is direct search itself
+      for (size_t k : {size_t{1}, size_t{3}, size_t{10}}) {
+        ++cells;
+        EvalOptions opt;
+        opt.forced_layer = m;
+        opt.top_k = k;
+        auto got = EvaluateWithIndex(index, *f, q, opt, ctx);
+        if (FirstK(got, k) != FirstK(direct, k)) {
+          wrong.push_back(where + " " + std::string(f->Name()) + " layer " +
+                          (m < 0 ? "chosen" : std::to_string(m)) + " top_k " +
+                          std::to_string(k));
+        }
+      }
+    }
+  }
+  return cells;
+}
+
+std::string FirstFew(const std::vector<std::string>& cells) {
+  std::string out;
+  for (size_t i = 0; i < cells.size() && i < 5; ++i) out += "\n  " + cells[i];
+  return out;
+}
+
+// Fan-in motif graphs tie many roots at equal scores, so a stop that ends at
+// the k-th answer rather than past the k-th score picks the wrong roots.
+TEST(ExactTopKDifferential, MotifGraphs) {
+  Ontology ont = MakeOntology();
+  const std::vector<std::vector<LabelId>> queries = {{0, 3}, {1, 4, 5},
+                                                     {2, 5}};
+  QueryContext ctx;
+  std::vector<std::string> wrong;
+  size_t cells = 0;
+  BigIndexOptions three_layers;
+  three_layers.max_layers = 3;
+  for (uint64_t seed = 50; seed < 62; ++seed) {
+    auto index = BigIndex::Build(MotifGraph(seed, 150 + 10 * (seed % 5), 500),
+                                 &ont, three_layers);
+    ASSERT_TRUE(index.ok());
+    for (const auto& q : queries) {
+      cells += CheckExactTopK(*index, q, "seed " + std::to_string(seed), ctx,
+                              wrong);
+    }
+  }
+  EXPECT_EQ(wrong.size(), 0u) << "of " << cells << " cells" << FirstFew(wrong);
+}
+
+// The generated knowledge graphs at the serving bench's scale and layer
+// count, with their generated 8-query workload.
+void CheckDatasetExactTopK(const std::string& name) {
+  auto ds = MakeDataset(name, 0.01);
+  ASSERT_TRUE(ds.ok());
+  BigIndexOptions four_layers;
+  four_layers.max_layers = 4;
+  auto index =
+      BigIndex::Build(ds->graph, &ds->ontology.ontology, four_layers);
+  ASSERT_TRUE(index.ok());
+  QueryGenOptions qopt;
+  qopt.min_count = 30;
+  auto workload = GenerateQueryWorkload(*ds, qopt);
+  ASSERT_FALSE(workload.empty());
+  QueryContext ctx;
+  std::vector<std::string> wrong;
+  size_t cells = 0;
+  for (const QuerySpec& spec : workload) {
+    cells += CheckExactTopK(*index, spec.keywords, spec.id, ctx, wrong);
+  }
+  EXPECT_EQ(wrong.size(), 0u) << name << ": of " << cells << " cells"
+                              << FirstFew(wrong);
+}
+
+TEST(ExactTopKDifferential, Yago3) { CheckDatasetExactTopK("yago3"); }
+TEST(ExactTopKDifferential, Dbpedia) { CheckDatasetExactTopK("dbpedia"); }
+TEST(ExactTopKDifferential, Imdb) { CheckDatasetExactTopK("imdb"); }
 
 }  // namespace
 }  // namespace bigindex

@@ -8,7 +8,8 @@
 # ASan+UBSan pass over the index-image and line-protocol fuzz suites
 # (hostile-bytes paths), the summarization kernel's reference suite, the
 # quotient and cone re-sign suites, the rooted search suites (keyword-cone
-# level-cursor arithmetic) and the serving suites (slot-gate lifetime),
+# level-cursor arithmetic, witness memo and its reset, exact top-k) and the
+# serving suites (slot-gate lifetime),
 # then the docs checks (dead links, protocol verbs,
 # metric catalog, span taxonomy), a metrics-overhead smoke, a
 # construction smoke, an index-image cold-start smoke, the shard
@@ -76,6 +77,12 @@ cmake --build build-asan -j"$JOBS" --target bigindex_tests
 # prefix, hence the leading `*`) run all three against the priority-queue
 # reference, the Bkws and Blinks suites cover each scheduler's edge cases,
 # and the dataset sweep compares the three on generated knowledge graphs.
+# The kernel memoizes witnesses in QueryContext cone slots that outlive each
+# query, and Release undoes exactly the writes its queue and resolved lists
+# record: the QueryContext and KeywordCones suites check that reset contract
+# and the lazy witness walk's stack, and the ExactTopK differential runs
+# whole evaluations, threshold stop included, across many queries per
+# context, where a stale memo or a write past a list would show.
 # SearchService evaluates on its callers' threads (TcpServer connection
 # threads in a server), and Shutdown() waits for the callers that hold or
 # wait for a slot before the service may be destroyed: the SearchService,
@@ -84,7 +91,7 @@ cmake --build build-asan -j"$JOBS" --target bigindex_tests
 # Any out-of-bounds read, use after free or UB is a hard failure.
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   ./build-asan/tests/bigindex_tests \
-  --gtest_filter='IndexImageFuzz*:LineProtocolFuzz*:BisimKernelReference*:*Bidirectional*:Bkws*:Blinks*:*DatasetEquivalence*:SummarizeKernel*:IncrementalBisim*:MaintainIndex*:SearchService*:ServingStack*:TcpServer*:CacheEpochRace*'
+  --gtest_filter='IndexImageFuzz*:LineProtocolFuzz*:BisimKernelReference*:*Bidirectional*:Bkws*:Blinks*:*DatasetEquivalence*:SummarizeKernel*:IncrementalBisim*:MaintainIndex*:SearchService*:ServingStack*:TcpServer*:CacheEpochRace*:QueryContext*:KeywordCones*:ExactTopK*'
 
 echo
 echo "=== docs: no dead relative links in *.md ==="
